@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the full pre-merge gate.
 
-.PHONY: verify fmt lint build test bench quick loadtest chaos scrape tail demo analyze rag prof benchdiff lsp
+.PHONY: verify fmt lint build test bench quick loadtest chaos scrape tail demo analyze rag prof benchdiff lsp ledger
 
 verify:
 	./scripts/verify.sh
@@ -87,6 +87,14 @@ BASE ?= results/serve_loadtest.manifest.jsonl
 CAND ?= results/serve_loadtest.manifest.jsonl
 benchdiff:
 	cargo run --release -p benchdiff -- $(BASE) $(CAND)
+
+# The repo's benchmark (BENCHMARK.json): one end-to-end run per workload
+# at the benchmark's own run length; the last stdout line of each is its
+# result object. Method and metrics: crates/ledger/README.md.
+ledger:
+	for w in warm_miss wire_hit cold_source tuning_loop; do \
+		bash crates/ledger/run.sh --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
+	done
 
 # Interactive end-to-end demo of the tuning service example.
 demo:

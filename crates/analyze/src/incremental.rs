@@ -132,9 +132,7 @@ impl DocAnalyzer {
 }
 
 /// One-shot convenience: analyze a source snapshot with no memo state.
-/// This is the diagnostic-producing successor of
-/// [`lint_source`](crate::lint_source): it never fails — parse errors
-/// come back as `syntax-error` diagnostics.
+/// It never fails — parse errors come back as `syntax-error` diagnostics.
 pub fn analyze_source(source: &str) -> Analysis {
     DocAnalyzer::new().update(source)
 }

@@ -46,11 +46,3 @@ pub use extract::{extract_stages, AnalyzeError, ExtractOptions, Extraction, Stag
 pub use fix::{apply_fixes, plan_fixes, Fix, FixKind, FixOutcome};
 pub use incremental::{analyze_source, Analysis, DocAnalyzer};
 pub use lint::{run_lints, Diagnostic};
-
-/// Convenience: lint source text directly (parse + dataflow + rules).
-#[deprecated(note = "use `analyze_source`, which reports parse failures as \
-            span-carrying `syntax-error` diagnostics instead of bailing")]
-pub fn lint_source(source: &str) -> Result<Vec<Diagnostic>, parse::ParseError> {
-    let prog = parse::parse(source)?;
-    Ok(lint::run_lints(&dataflow::analyze(&prog)))
-}

@@ -12,7 +12,7 @@
 //! * `inproc_hit_rps` — repeat recommends answered by the inline
 //!   whole-response fast path, no queue hop,
 //! * `tcp_v3_rps` — the same mix over loopback TCP as pipelined v3
-//!   binary frames, plus a v1/v2 JSON serial-client sanity check,
+//!   binary frames, plus a v2 JSON serial-client sanity check,
 //! * cache hit rate and shed/error counts,
 //! * the number of hot-swaps and distinct model versions clients saw,
 //! * batched vs per-candidate NECS scoring time on a 30-candidate request.
@@ -205,10 +205,9 @@ fn main() {
          ({tcp_v3_ok} requests, depth {pipeline_depth})"
     );
 
-    let (v1_ok, v2_ok) = legacy_sanity(addr);
-    report.field("legacy_v1_ok", v1_ok);
+    let v2_ok = legacy_sanity(addr);
     report.field("legacy_v2_ok", v2_ok);
-    assert!(v1_ok && v2_ok, "legacy JSON clients must keep working (v1={v1_ok} v2={v2_ok})");
+    assert!(v2_ok, "JSON (v2) clients must keep working beside the binary burst");
     server.shutdown();
 
     // Profile artifacts: flamegraph + collapsed stacks for the whole run.
@@ -291,7 +290,7 @@ fn main() {
     }
     report.note(&format!(
         "hot paths: inline in-process {inproc_rps:.0} rps, pipelined v3 loopback \
-         {tcp_v3_rps:.0} rps (depth {pipeline_depth}); v1/v2 JSON clients still served."
+         {tcp_v3_rps:.0} rps (depth {pipeline_depth}); v2 JSON clients still served."
     ));
     report.note(&format!(
         "steady-state window ({:.1}s): {:.1} rps, p50 {:.2} ms, p99 {:.2} ms; \
@@ -444,9 +443,9 @@ fn tcp_v3_phase(addr: std::net::SocketAddr, quick: bool) -> (f64, usize, usize) 
     (rps, ok, depth)
 }
 
-/// Legacy-client sanity: v1 and v2 JSON serial clients still get answers
-/// from the same server, byte-compatible negotiation included.
-fn legacy_sanity(addr: std::net::SocketAddr) -> (bool, bool) {
+/// Legacy-client sanity: a v2 JSON serial client still gets answers from
+/// the same server, negotiation included.
+fn legacy_sanity(addr: std::net::SocketAddr) -> bool {
     let request = Request::Recommend {
         app: AppId::Sort,
         data: AppId::Sort.dataset(SizeTier::Valid),
@@ -455,15 +454,12 @@ fn legacy_sanity(addr: std::net::SocketAddr) -> (bool, bool) {
         seed: 1,
         trace: None,
     };
-    let check = |version: u64| -> bool {
-        let Ok(mut client) = ClientBuilder::new().protocol(version).connect(addr) else {
-            return false;
-        };
-        client.protocol_version() == version
-            && matches!(client.call(&request), Ok(Response::Recommend { .. }))
-            && matches!(client.call(&Request::Ping), Ok(Response::Pong { .. }))
+    let Ok(mut client) = ClientBuilder::new().protocol(2).connect(addr) else {
+        return false;
     };
-    (check(1), check(2))
+    client.protocol_version() == 2
+        && matches!(client.call(&request), Ok(Response::Recommend { .. }))
+        && matches!(client.call(&Request::Ping), Ok(Response::Pong { .. }))
 }
 
 /// Time one 30-candidate request scored per-candidate (30 single-row NECS

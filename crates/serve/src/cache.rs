@@ -9,7 +9,7 @@
 //! with no swap-time sweep.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use lite_obs::Counter;
 use lite_sparksim::cluster::ClusterSpec;
@@ -105,16 +105,16 @@ impl PredictionCache {
     /// is removed on sight and counts as a miss.
     pub fn get(&self, key: &CacheKey, version: u64) -> Option<f64> {
         let mut shard = self.shard(key);
-        match shard.map.get_mut(key) {
+        let Shard { map, clock } = &mut *shard;
+        match map.get_mut(key) {
             Some(entry) if entry.version == version => {
-                shard.clock += 1;
-                let stamp = shard.clock;
-                shard.map.get_mut(key).expect("entry present").stamp = stamp;
+                *clock += 1;
+                entry.stamp = *clock;
                 self.hits.inc();
-                Some(shard.map[key].value)
+                Some(entry.value)
             }
             Some(_) => {
-                shard.map.remove(key);
+                map.remove(key);
                 self.misses.inc();
                 None
             }
@@ -144,7 +144,7 @@ impl PredictionCache {
 
     /// Entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -181,7 +181,9 @@ impl PredictionCache {
     }
 
     fn shard(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[key.shard_of(self.shards.len())].lock().expect("cache shard poisoned")
+        // A panicking holder leaves the map valid (every update is one
+        // HashMap call), so a poisoned shard is recovered, not propagated.
+        self.shards[key.shard_of(self.shards.len())].lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -331,10 +333,7 @@ impl<V: Clone> ResponseCache<V> {
 
     /// Entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).map.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -353,9 +352,7 @@ impl<V: Clone> ResponseCache<V> {
     }
 
     fn shard(&self, key: &ResponseKey) -> std::sync::MutexGuard<'_, ResponseShard<V>> {
-        self.shards[key.shard_of(self.shards.len())]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.shards[key.shard_of(self.shards.len())].lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -395,6 +392,24 @@ mod tests {
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 3);
         assert!((c.hit_rate() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn poisoned_shard_is_recovered_not_propagated() {
+        let c = cache(1, 4);
+        let k = key(2.0);
+        c.insert(k, 0, 9.5);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = c.shards[0].lock().unwrap();
+                panic!("shard holder dies");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && c.shards[0].is_poisoned());
+        assert_eq!(c.get(&k, 0), Some(9.5));
+        c.insert(key(3.0), 0, 1.0);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

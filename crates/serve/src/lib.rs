@@ -29,20 +29,24 @@
 //!   blind feedback count would have noticed.
 //!
 //! Requests arrive over an in-process [`service::ServiceHandle`] or the
-//! length-prefixed TCP front-end in [`net`], which reuses
-//! [`lite_obs::Json`] for wire encoding and also answers the admin ops
-//! (`stats`, `metrics` as Prometheus text, `trace` as Chrome trace JSON,
-//! `health`, `tailtrace` for slow-request exemplars). Everything is
-//! `std`-only on top of the workspace crates.
+//! length-prefixed TCP front-end in [`net`]: one reactor and one frame
+//! handler over the typed [`proto::Request`]/[`proto::Response`] pair,
+//! whose two codecs — the v2 JSON envelope (on [`lite_obs::Json`]) and
+//! the v3 binary frames — live in [`proto`]. The handler also answers the
+//! admin ops (`stats`, `metrics` as Prometheus text, `trace` as Chrome
+//! trace JSON, `health`, `tailtrace` for slow-request exemplars);
+//! [`client`] is the matching blocking client. Everything is `std`-only
+//! on top of the workspace crates.
 //!
-//! With [`service::TraceConfig`] enabled, every v2 `recommend` is traced
-//! end to end: each hop — frame read, parse, enqueue, queue wait, dequeue,
+//! With [`service::TraceConfig`] enabled, every v2 `recommend` (and every
+//! v3 one that sets `FLAG_TRACED`) is traced end to end: each hop — frame read, parse, enqueue, queue wait, dequeue,
 //! snapshot load, cache lookup, scoring, serialization, socket write —
 //! records a [`lite_obs::PhaseSpan`] into lock-free per-thread rings and a
 //! per-phase latency histogram, and the slowest requests are retained in
 //! full as [`lite_obs::Exemplar`]s served by the `tailtrace` admin op.
 
 pub mod cache;
+pub mod client;
 pub mod monitor;
 pub mod net;
 pub mod proto;
@@ -52,10 +56,12 @@ pub mod slot;
 pub mod snapshot;
 
 pub use cache::PredictionCache;
+pub use client::{Client, ClientBuilder};
 pub use monitor::{DriftConfig, DriftMonitor, DriftSummary};
-pub use net::{Client, ClientBuilder, ErrorCode, OpCode, TcpServer, MAX_FRAME, PROTOCOL_VERSION};
+pub use net::{TcpServer, MAX_FRAME};
 pub use proto::{
-    AnalyzeTarget, ClusterRef, Neighbor, Request, Response, RetrieveTarget, PROTOCOL_V3,
+    AnalyzeTarget, ClusterRef, ErrorCode, Neighbor, OpCode, Request, Response, RetrieveTarget,
+    PROTOCOL_V3, PROTOCOL_VERSION,
 };
 pub use resilience::{
     BreakerConfig, BreakerState, BreakerTransitions, CircuitBreaker, ClientError, ResilientClient,

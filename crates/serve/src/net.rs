@@ -1,113 +1,82 @@
-//! Length-prefixed TCP front-end over the in-process service handle.
+//! Length-prefixed TCP front-end over the in-process service handle:
+//! the reactor, the framing, and the one frame handler.
 //!
-//! Framing is a 4-byte big-endian payload length followed by one JSON
-//! document (encoded/decoded with [`lite_obs::Json`] — the same value type
-//! the manifests use, so the wire format needs no new dependency). One
-//! request frame yields exactly one response frame; responses always carry
-//! an `"ok"` boolean, with errors as `{"ok":false,"code":...,"error":...}`.
+//! Framing is a 4-byte big-endian payload length followed by one payload
+//! in either codec of [`crate::proto`] — a v2 JSON document or a v3 binary
+//! frame, told apart by the first payload byte. One request frame yields
+//! exactly one response frame in the codec it arrived in.
 //!
-//! Operations:
+//! Every frame goes through [`serve_frame`]: pick the codec, decode to a
+//! typed [`Request`], run the one `match` over its variants, and write the
+//! typed [`Response`] back through the same codec — inline for everything
+//! the reactor can answer itself, from the worker's callback for
+//! `recommend`/`observe`. The wire shapes of requests, answers and errors
+//! are documented (and owned) by [`crate::proto`]; what follows are the
+//! success documents of the admin ops, which this module renders. Each is
+//! the `Response::Admin` payload: stamped `"v":2` in JSON, carried verbatim
+//! as the body of a v3 frame.
 //!
-//! * `{"op":"ping"}` → `{"ok":true,"version":v,"swaps":n}`
-//! * `{"op":"recommend","app":"KMeans","data":{...},"cluster":"cluster-a",
-//!   "k":3,"seed":7}` → `{"ok":true,"version":v,"cached":c,"scored":s,
-//!   "ranked":[{"conf":[16 values],"predicted_s":t},...]}`
-//! * `{"op":"observe","app":...,"data":...,"cluster":...,"conf":[...],
-//!   "result":{"total_time_s":t,"failed":false,"stages":[{"name":...,
-//!   "duration_s":d},...]}}` → `{"ok":true,"feedback":n}`
-//!
-//! Admin ops (no request fields beyond `"op"`):
-//!
-//! * `{"op":"stats"}` → `{"ok":true,"uptime_s":u,"version":v,"swaps":n,
+//! * `stats` → `{"ok":true,"uptime_s":u,"version":v,"swaps":n,
 //!   "queue_depth":d,"queue_capacity":c,"workers":w,"feedback":f,
 //!   "update_batch":b,"requests":r,
 //!   "cache":{"hit_rate":h,"hits":x,"misses":y},
 //!   "drift":{"samples":s,"mape":m,"mean_error_s":e,"inversion_rate":i,
-//!   "drifted":false}}` — a point-in-time operational summary.
-//! * `{"op":"metrics"}` → `{"ok":true,"content_type":
-//!   "text/plain; version=0.0.4","body":"# TYPE serve_requests counter\n
-//!   serve_requests 17\n..."}` — the service registry as Prometheus text
-//!   exposition (histograms as cumulative `_bucket`/`_sum`/`_count`).
-//! * `{"op":"trace"}` → `{"ok":true,"trace":{"traceEvents":[...]},
+//!   "drifted":false}}` — a point-in-time operational summary. With
+//!   tracing enabled it additionally carries
+//!   `"phases":[{"phase":"queue_wait","count":...,"p50_ns":...,...},...]`
+//!   (the `serve.phase.*` breakdown), and with an SLO configured a
+//!   `"slo":{"alert":...,"burn_fast":...,"window":{...}}` summary — both
+//!   strictly additive keys.
+//! * `metrics` → `{"ok":true,"content_type":"text/plain; version=0.0.4",
+//!   "body":"# TYPE serve_requests counter\nserve_requests 17\n..."}` —
+//!   the service registry as Prometheus text exposition (histograms as
+//!   cumulative `_bucket`/`_sum`/`_count`).
+//! * `trace` → `{"ok":true,"trace":{"traceEvents":[...]},
 //!   "dropped_spans":0}` — finished spans as Chrome trace-event JSON; save
 //!   the `trace` value to a file and load it in Perfetto. Empty when
 //!   tracing is disabled. When the document would overflow the response
 //!   frame the oldest spans are shed and counted in `dropped_spans`.
-//! * `{"op":"health"}` → `{"ok":true,"status":"ok","version":v,
-//!   "uptime_s":u}` — liveness for probes.
-//! * `{"op":"tailtrace"}` → `{"ok":true,"completed":n,"captured":m,
-//!   "threshold_ns":t,"exemplars":[{"trace_id":id,"total_ns":t,
+//! * `health` → `{"ok":true,"status":"ok","version":v,"uptime_s":u}` —
+//!   liveness for probes.
+//! * `tailtrace` → `{"ok":true,"completed":n,"captured":m,
+//!   "exemplars":[{"trace_id":id,"total_ns":t,
 //!   "spans":[{"phase":"queue_wait","start_ns":a,"end_ns":b,
 //!   "queue_depth":d,"swap":false},...]},...]}` — the slowest captured
 //!   requests in full, phase by phase, slowest first. Empty when tail
 //!   forensics is disabled. When the document would overflow the response
 //!   frame the fastest exemplars are shed first.
-//! * `{"op":"analyze","app":"KMeans"}` (or `"source":"...",`
-//!   `"iterations":n` for submitted text) → `{"ok":true,"app_name":...,
+//! * `analyze` → `{"ok":true,"app_name":...,
 //!   "stages":[{"template":...,"ops":["textFile",...],
 //!   "instances_per_run":n},...],"diagnostics":[{"rule":...,
 //!   "message":...,"line":l,"col":c},...]}` — the `lite-analyze` static
 //!   extractor over the wire: stage templates and lint findings without
 //!   running the application (cold-start onboarding).
-//! * `{"v":2,"o":10,"app":"KMeans","data":{...},"cluster":"cluster-a",
-//!   "k":5}` (or `"source":"..."` for submitted text) →
-//!   `{"ok":true,"index":n,"search_ns":t,"neighbors":[{"app":...,
-//!   "distance":d,"runtime_s":r,"estimate_s":e,"conf":[16 values]},...],
-//!   "ranked":[{"conf":[...],"predicted_s":t},...]}` — `retrieve` is the
-//!   v2-only ANN cold-start op: nearest historical runs by static code
-//!   embedding, scale-adapted to the target data/cluster and re-ranked.
-//!   v1 peers asking for `"op":"retrieve"` are refused with
-//!   `bad_request`; servers without a configured retrieval store refuse
-//!   likewise.
-//! * `{"v":2,"o":11,"k":10}` → `{"ok":true,"samples":n,"sweeps":s,
+//! * `profile` → `{"ok":true,"samples":n,"sweeps":s,
 //!   "torn":0,"truncated":0,"threads":t,"distinct_stacks":d,
 //!   "top":[{"tag":"serve.recommend","self":a,"total":b},...],
 //!   "alloc":[{"tag":...,"bytes":...,"allocs":...},...],
-//!   "folded":"serve.recommend;serve.score 42\n..."}` — `profile` is the
-//!   v2-only sampling-profiler report: the top-`k` tags by self samples,
+//!   "folded":"serve.recommend;serve.score 42\n..."}` — the
+//!   sampling-profiler report: the top-`k` tags by self samples,
 //!   allocation attribution from the opt-in allocator wrapper, and the
-//!   collapsed-stack text a flamegraph renders from. Refused with
-//!   `bad_request` by v1 peers and by servers running no profiler.
-//! * `{"v":2,"o":12}` → `{"ok":true,"objective_ns":o,"target":0.999,
+//!   collapsed-stack text a flamegraph renders from. `bad_request` from
+//!   servers running no profiler.
+//! * `slo` → `{"ok":true,"objective_ns":o,"target":0.999,
 //!   "bucket_s":1,"burn_fast":b,"burn_slow":c,"good_fraction":g,
 //!   "alert":false,"alert_ticks":0,"fast":{"count":...,"rate":...,
 //!   "p50_ns":...,"p99_ns":...,"p999_ns":...,"span_s":...},"slow":{...}}`
-//!   — `slo` is the v2-only burn-rate SLO status over windowed rollups of
-//!   `serve.latency_ns`. Refused with `bad_request` by v1 peers and by
-//!   servers with no SLO configured.
+//!   — burn-rate SLO status over windowed rollups of `serve.latency_ns`.
+//!   `bad_request` from servers with no SLO configured.
 //!
-//! With tracing enabled the `stats` response additionally carries
-//! `"phases":[{"phase":"queue_wait","count":...,"p50_ns":...,...},...]`
-//! (the `serve.phase.*` breakdown), and with an SLO configured a
-//! `"slo":{"alert":...,"burn_fast":...,"window":{...}}` summary — both
-//! strictly additive keys; servers without those planes answer
-//! byte-identically to before.
+//! ## Tracing
 //!
-//! `cluster` is either a preset name (`"cluster-a"`/`"cluster-b"`/
-//! `"cluster-c"`) or a full object with the Table III fields.
-//!
-//! ## Protocol v2
-//!
-//! Requests carrying a `"v"` key speak the v2 envelope: numeric op codes
-//! (`{"v":2,"o":1,...}` with [`OpCode`]), structured numeric error codes
-//! (`{"v":2,"ok":false,"c":1,"code":"overloaded","error":...}` with
-//! [`ErrorCode`]), and version negotiation via the `hello` op
-//! (`{"op":"hello","max":2}` → `{"ok":true,"v":2}`, the server choosing
-//! `min(client max, server max)`). Payload field names are shared with v1,
-//! so v2 costs no second parser; requests without `"v"` keep decoding as
-//! v1 byte-for-byte. Success responses under v2 are stamped `"v":2`.
-//!
-//! ## Trace header (`"t"`)
-//!
-//! v2 `recommend` requests may carry an optional `"t"` field — a nonzero
-//! u64 trace id. When the server runs with tail forensics enabled, the
-//! request's path through the server (frame read, parse, queueing,
-//! scoring, serialization, write) is recorded under that id, the id is
-//! echoed as `"t"` in the v2 success response, and a request without the
-//! field is assigned a server-generated id at accept. The field is
-//! strictly additive: requests without it are decoded byte-for-byte as
-//! before, v1 peers are served unchanged, and with forensics disabled the
-//! field is ignored and responses carry no `"t"`.
+//! When the server runs with tail forensics enabled, a `recommend` or
+//! `retrieve` is recorded phase by phase (frame read, parse, queueing,
+//! scoring, serialization, write) under its trace id, and the id is echoed
+//! in the answer. A v2 JSON request carries the id as `"t"` and is
+//! assigned a server-generated one when it has none; a v3 request is
+//! traced only when its header sets `FLAG_TRACED`, so pipelined hot paths
+//! stay trace-free unless the caller asks. With forensics disabled the id
+//! is ignored and answers carry none.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -118,195 +87,22 @@ use std::thread::JoinHandle;
 use lite_obs::span::epoch_ns;
 use lite_obs::trace::{Exemplar, Phase, TraceId};
 use lite_obs::Json;
-use lite_sparksim::cluster::ClusterSpec;
-use lite_sparksim::conf::{ConfSpace, SparkConf, NUM_KNOBS};
+use lite_sparksim::conf::ConfSpace;
 use lite_sparksim::fault::FaultKind;
-use lite_sparksim::result::{FailureReason, RunResult, StageStats};
-use lite_workloads::apps::AppId;
-use lite_workloads::data::DataSpec;
+use lite_workloads::data::{DataSpec, SizeTier};
 
+pub use crate::client::{Client, ClientBuilder};
 use crate::monitor::DriftSummary;
-use crate::proto;
-use crate::service::{
-    ObserveReply, RecommendReply, RecommendResponse, RetrieveResponse, ServeError, ServiceHandle,
-    ServiceStats,
+use crate::proto::{
+    AnalyzeTarget, ClusterRef, Codec, Request, Response, RetrieveTarget, PROTOCOL_VERSION,
 };
+use crate::service::{ObserveReply, RecommendReply, ServiceHandle, ServiceStats};
 
 /// Largest accepted frame payload; recommendation traffic is tiny, so
 /// anything bigger is a protocol error, not a workload. The transport
 /// ceiling: `ProtocolConfig::max_frame` may lower the binary-frame cap
 /// per service, never raise it past this.
 pub const MAX_FRAME: u32 = 1 << 20;
-
-/// Newest protocol version this build speaks.
-pub const PROTOCOL_VERSION: u64 = 2;
-
-/// v2 numeric operation codes (v1 uses the same operations by name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpCode {
-    /// Liveness + serving version.
-    Ping = 0,
-    /// Top-k recommendation.
-    Recommend = 1,
-    /// Executed-configuration feedback.
-    Observe = 2,
-    /// Operational summary.
-    Stats = 3,
-    /// Prometheus text exposition.
-    Metrics = 4,
-    /// Chrome trace-event JSON.
-    Trace = 5,
-    /// Probe endpoint.
-    Health = 6,
-    /// Version negotiation (valid from v1 too, by name).
-    Hello = 7,
-    /// Static stage extraction + lints for cold-start onboarding.
-    Analyze = 8,
-    /// Slow-request exemplars from the tail-forensics reservoir.
-    Tailtrace = 9,
-    /// Zero-execution cold-start retrieval from the historical run index
-    /// (v2 only: the op postdates v1, so v1 peers get a clean
-    /// `bad_request` instead of a silently different answer).
-    Retrieve = 10,
-    /// Sampling-profiler report: top-K self/total tag tables, folded
-    /// stacks, and allocation attribution (v2 only, same refusal
-    /// discipline as `retrieve`).
-    Profile = 11,
-    /// Burn-rate SLO status: windowed quantiles, burn rates, and the
-    /// alert state (v2 only).
-    Slo = 12,
-}
-
-impl OpCode {
-    /// All operations, for exhaustive round-trip tests.
-    pub const ALL: [OpCode; 13] = [
-        OpCode::Ping,
-        OpCode::Recommend,
-        OpCode::Observe,
-        OpCode::Stats,
-        OpCode::Metrics,
-        OpCode::Trace,
-        OpCode::Health,
-        OpCode::Hello,
-        OpCode::Analyze,
-        OpCode::Tailtrace,
-        OpCode::Retrieve,
-        OpCode::Profile,
-        OpCode::Slo,
-    ];
-
-    /// The numeric wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// The v1 `"op"` string.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpCode::Ping => "ping",
-            OpCode::Recommend => "recommend",
-            OpCode::Observe => "observe",
-            OpCode::Stats => "stats",
-            OpCode::Metrics => "metrics",
-            OpCode::Trace => "trace",
-            OpCode::Health => "health",
-            OpCode::Hello => "hello",
-            OpCode::Analyze => "analyze",
-            OpCode::Tailtrace => "tailtrace",
-            OpCode::Retrieve => "retrieve",
-            OpCode::Profile => "profile",
-            OpCode::Slo => "slo",
-        }
-    }
-
-    /// Decode a v2 numeric op code.
-    pub fn from_code(code: u64) -> Option<OpCode> {
-        OpCode::ALL.into_iter().find(|op| u64::from(op.code()) == code)
-    }
-
-    /// Decode a v1 op name.
-    pub fn from_name(name: &str) -> Option<OpCode> {
-        OpCode::ALL.into_iter().find(|op| op.name() == name)
-    }
-}
-
-/// Structured wire error codes. v1 serializes only the snake_case name;
-/// v2 additionally carries the numeric code in `"c"`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// The request queue was full; shed at admission.
-    Overloaded = 1,
-    /// The deadline passed before a worker picked the request up.
-    DeadlineExceeded = 2,
-    /// The service answered from its degradation fallback. Never produced
-    /// by the server as an error (degraded responses succeed with
-    /// `"degraded":true`); reserved for clients that promote them.
-    Degraded = 3,
-    /// The service is shutting down.
-    ShuttingDown = 4,
-    /// A server-side bug; surfaced, not hung.
-    Internal = 5,
-    /// The app's templates are not in the serving snapshot.
-    ColdApp = 6,
-    /// The request itself was malformed.
-    BadRequest = 7,
-}
-
-impl ErrorCode {
-    /// All codes, for exhaustive round-trip tests.
-    pub const ALL: [ErrorCode; 7] = [
-        ErrorCode::Overloaded,
-        ErrorCode::DeadlineExceeded,
-        ErrorCode::Degraded,
-        ErrorCode::ShuttingDown,
-        ErrorCode::Internal,
-        ErrorCode::ColdApp,
-        ErrorCode::BadRequest,
-    ];
-
-    /// The numeric wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// The snake_case name (the v1 `"code"` value).
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::DeadlineExceeded => "deadline_exceeded",
-            ErrorCode::Degraded => "degraded",
-            ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::Internal => "internal",
-            ErrorCode::ColdApp => "cold_app",
-            ErrorCode::BadRequest => "bad_request",
-        }
-    }
-
-    /// Decode a numeric wire code.
-    pub fn from_code(code: u64) -> Option<ErrorCode> {
-        ErrorCode::ALL.into_iter().find(|c| u64::from(c.code()) == code)
-    }
-
-    /// Decode a snake_case name.
-    pub fn from_name(name: &str) -> Option<ErrorCode> {
-        ErrorCode::ALL.into_iter().find(|c| c.name() == name)
-    }
-
-    /// Extract the error code from a response document, understanding both
-    /// the v2 numeric `"c"` and the v1 string `"code"` forms. `None` for
-    /// successful responses.
-    pub fn from_response(resp: &Json) -> Option<ErrorCode> {
-        if resp.get("ok").and_then(Json::as_bool) != Some(false) {
-            return None;
-        }
-        if let Some(c) = resp.get("c").and_then(Json::as_u64) {
-            return ErrorCode::from_code(c);
-        }
-        resp.get("code").and_then(Json::as_str).and_then(ErrorCode::from_name)
-    }
-}
 
 /// Write one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
@@ -322,28 +118,19 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
 
 /// Read one frame; `None` on a clean EOF before the length prefix.
 pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
-    Ok(read_frame_timed(r)?.map(|(payload, _)| payload))
-}
-
-/// [`read_frame`], also reporting the epoch-ns instant the length prefix
-/// finished arriving — the boundary between waiting for a request and
-/// transferring it, which tail forensics uses to split the idle `Accept`
-/// wait from the `FrameRead` transfer.
-fn read_frame_timed<R: Read>(r: &mut R) -> std::io::Result<Option<(Vec<u8>, u64)>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let arrived_ns = epoch_ns();
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"));
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    Ok(Some((payload, arrived_ns)))
+    Ok(Some(payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -392,10 +179,10 @@ impl Drop for TcpServer {
 /// connection: sockets are non-blocking, frames are extracted from
 /// per-connection buffers, and hot operations (`recommend`/`observe`)
 /// are submitted to the shard queues with callback replies so the
-/// reactor never blocks on a worker. JSON (v1/v2) connections are served
-/// strictly one frame at a time; v3 binary connections may pipeline up to
-/// `protocol.max_pipeline` frames, with responses correlated by request
-/// id. Admin and retrieval operations are answered inline on the reactor.
+/// reactor never blocks on a worker. JSON frames are served strictly one
+/// at a time; v3 binary frames may pipeline up to `protocol.max_pipeline`
+/// deep, with responses correlated by request id. Admin and retrieval
+/// operations are answered inline on the reactor.
 pub fn serve_tcp<A: ToSocketAddrs>(handle: ServiceHandle, addr: A) -> std::io::Result<TcpServer> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
@@ -569,12 +356,13 @@ impl Conn {
                 self.buf.clear();
                 break;
             }
-            let binary = self.buf.get(4) == Some(&proto::V3_MAGIC);
+            let codec = Codec::of(&self.buf[4..total]);
             let in_flight = self.writer.in_flight.load(Ordering::Acquire);
             // JSON frames are strictly serial (responses carry no
             // correlation tag, so order is the contract); binary frames
             // pipeline up to the configured depth.
-            if in_flight >= if binary { cx.max_pipeline } else { 1 } {
+            let depth = if codec == Codec::Json { 1 } else { cx.max_pipeline };
+            if in_flight >= depth {
                 break;
             }
             let payload = self.buf[4..total].to_vec();
@@ -583,22 +371,7 @@ impl Conn {
             let arrived_ns = self.last_read_ns;
             let idle_ns = self.idle_ns;
             self.idle_ns = epoch_ns();
-            if binary {
-                if payload.len() > cx.binary_cap as usize {
-                    let op = binary_op_hint(&payload);
-                    let req_id = binary_req_id_hint(&payload);
-                    self.writer.write_frame(&proto::encode_error_response(
-                        op,
-                        req_id,
-                        ErrorCode::BadRequest,
-                        "binary frame exceeds protocol.max_frame",
-                    ));
-                    continue;
-                }
-                serve_binary_frame(cx, &self.writer, &payload, idle_ns, arrived_ns);
-            } else {
-                serve_json_frame(cx, &self.writer, &payload, idle_ns, arrived_ns);
-            }
+            serve_frame(cx, &self.writer, codec, &payload, idle_ns, arrived_ns);
         }
         active
     }
@@ -619,21 +392,7 @@ fn complete_frame_len(buf: &[u8]) -> Option<usize> {
     (buf.len() >= total).then_some(total)
 }
 
-/// Best-effort op extraction from an undecodable binary frame, so the
-/// error frame still echoes something useful.
-fn binary_op_hint(payload: &[u8]) -> OpCode {
-    payload.get(2).and_then(|&b| OpCode::from_code(u64::from(b))).unwrap_or(OpCode::Ping)
-}
-
-/// Best-effort request-id extraction from an undecodable binary frame.
-fn binary_req_id_hint(payload: &[u8]) -> u32 {
-    match payload.get(4..8) {
-        Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-        None => 0,
-    }
-}
-
-/// Shared per-reactor context threaded into frame handlers.
+/// Shared per-reactor context threaded into the frame handler.
 struct ReactorCx {
     handle: ServiceHandle,
     space: ConfSpace,
@@ -684,627 +443,235 @@ fn reactor_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBo
 }
 
 // ---------------------------------------------------------------------------
-// Frame handlers
+// The frame handler
 
-/// Serve one JSON (v1/v2) frame. Hot operations are submitted to the
-/// shard queues with a callback reply; everything else is answered inline
-/// through [`dispatch`], byte-identical to the previous
-/// thread-per-connection front-end.
-fn serve_json_frame(
+/// What writing one request's answer needs beyond the answer itself: the
+/// codec it arrived in and its trace context. `Copy`, so the worker
+/// callbacks of `recommend`/`observe` carry it for free.
+#[derive(Clone, Copy)]
+struct Reply {
+    codec: Codec,
+    trace: Option<TraceId>,
+    arrived_ns: u64,
+}
+
+impl Reply {
+    /// Encode and write one response, recording the serialize/write phases
+    /// and completing the trace.
+    fn send(self, handle: &ServiceHandle, writer: &ConnWriter, response: Response) {
+        let serialize_start_ns = if self.trace.is_some() { epoch_ns() } else { 0 };
+        let frame = self.codec.encode(response);
+        let write_start_ns = if self.trace.is_some() { epoch_ns() } else { 0 };
+        if let Some(id) = self.trace {
+            handle.trace_phase(id, Phase::Serialize, serialize_start_ns, write_start_ns);
+        }
+        writer.write_frame(&frame);
+        if let Some(id) = self.trace {
+            let done_ns = epoch_ns();
+            handle.trace_phase(id, Phase::Write, write_start_ns, done_ns);
+            // End-to-end as the server observed it: from the request frame
+            // arriving to the response flushed. This is the latency the
+            // exemplar reservoir ranks by.
+            handle.trace_complete(id, done_ns.saturating_sub(self.arrived_ns));
+        }
+    }
+}
+
+/// Serve one frame of either codec: decode it to a typed [`Request`], run
+/// the op, and answer through the codec it arrived in. Hot operations are
+/// submitted to the shard queues and answered from the worker's callback;
+/// everything else is answered inline. Every failure is a clean error
+/// frame — the connection survives anything short of transport-level
+/// framing damage.
+fn serve_frame(
     cx: &ReactorCx,
     writer: &Arc<ConnWriter>,
+    codec: Codec,
     payload: &[u8],
     idle_ns: u64,
     arrived_ns: u64,
 ) {
     let handle = &cx.handle;
-    let tracing = handle.trace_enabled();
-    let parsed = std::str::from_utf8(payload)
-        .map_err(|_| "frame is not utf-8".to_string())
-        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()));
-    // The trace id lives inside the frame, so the socket-side phases that
-    // precede parsing are recorded retroactively once it is known. Accept
-    // covers the idle wait between frames (kept out of the request's
-    // end-to-end total); FrameRead is the buffered-transfer boundary.
-    let mut trace = None;
-    if tracing {
-        if let Ok(request) = &parsed {
-            if let Some(id) = request_trace(request) {
-                handle.trace_phase(id, Phase::Accept, idle_ns, arrived_ns);
-                handle.trace_phase(id, Phase::FrameRead, arrived_ns, arrived_ns);
-                handle.trace_phase(id, Phase::Parse, arrived_ns, epoch_ns());
-                trace = Some(id);
-            }
-        }
-    }
-    let request = match parsed {
+    let decoded = if codec != Codec::Json && payload.len() > cx.binary_cap as usize {
+        Err("binary frame exceeds protocol.max_frame".to_string())
+    } else {
+        codec.decode(payload, &cx.space)
+    };
+    let request = match decoded {
         Ok(request) => request,
         Err(msg) => {
-            let doc = wire_error(false, ErrorCode::BadRequest, &msg);
-            write_json_response(handle, writer, trace, arrived_ns, &doc);
+            let reply = Reply { codec, trace: None, arrived_ns };
+            reply.send(handle, writer, Response::bad_request(msg));
             return;
         }
     };
-    // Hot ops leave the reactor through the shard queues; their replies
-    // come back on worker threads via the connection's writer. Versions
-    // other than 1/2 fall through to `dispatch` for the error shape.
-    let version = request.get("v").and_then(Json::as_u64);
-    if matches!(version, None | Some(2)) {
-        let v2 = version == Some(2);
-        let op = if v2 {
-            request.get("o").and_then(Json::as_u64).and_then(OpCode::from_code)
-        } else {
-            request.get("op").and_then(Json::as_str).and_then(OpCode::from_name)
-        };
-        match op {
-            Some(OpCode::Recommend) => {
-                submit_json_recommend(cx, writer, &request, v2, trace, arrived_ns);
-                return;
-            }
-            Some(OpCode::Observe) => {
-                submit_json_observe(cx, writer, &request, v2, arrived_ns);
-                return;
-            }
-            _ => {}
-        }
-    }
-    let doc = dispatch(handle, &cx.space, &request, trace);
-    write_json_response(handle, writer, trace, arrived_ns, &doc);
-}
-
-/// Render and write one JSON response, recording the serialize/write
-/// phases and completing the trace.
-fn write_json_response(
-    handle: &ServiceHandle,
-    writer: &ConnWriter,
-    trace: Option<TraceId>,
-    arrived_ns: u64,
-    doc: &Json,
-) {
-    let serialize_start_ns = if trace.is_some() { epoch_ns() } else { 0 };
-    let rendered = doc.render();
+    // JSON `recommend`/`retrieve` are always traced (the server generates
+    // an id when the frame carries none); binary tracing is strictly
+    // opt-in per request, so pipelined hot paths stay trace-free unless
+    // the caller asks.
+    let traceable = matches!(request, Request::Recommend { .. } | Request::Retrieve { .. });
+    let trace = if traceable && handle.trace_enabled() {
+        let wire = request.trace_id().and_then(TraceId::from_wire);
+        wire.or_else(|| (codec == Codec::Json).then(TraceId::generate))
+    } else {
+        None
+    };
     if let Some(id) = trace {
-        handle.trace_phase(id, Phase::Serialize, serialize_start_ns, epoch_ns());
-    }
-    let write_start_ns = if trace.is_some() { epoch_ns() } else { 0 };
-    writer.write_frame(rendered.as_bytes());
-    if let Some(id) = trace {
-        let done_ns = epoch_ns();
-        handle.trace_phase(id, Phase::Write, write_start_ns, done_ns);
-        // End-to-end as the server observed it: from the request frame
-        // arriving to the response flushed. This is the latency the
-        // exemplar reservoir ranks by.
-        handle.trace_complete(id, done_ns.saturating_sub(arrived_ns));
-    }
-}
-
-/// Parse and submit a JSON `recommend`; the response is written from the
-/// worker callback (or inline, when the fast path answers immediately).
-fn submit_json_recommend(
-    cx: &ReactorCx,
-    writer: &Arc<ConnWriter>,
-    request: &Json,
-    v2: bool,
-    trace: Option<TraceId>,
-    arrived_ns: u64,
-) {
-    let handle = &cx.handle;
-    let parsed = (|| {
-        let app = parse_app(request.get("app"))?;
-        let data = parse_data(request.get("data"))?;
-        let cluster = parse_cluster(request.get("cluster"))?;
-        let k = request.get("k").and_then(Json::as_u64).unwrap_or(1) as usize;
-        let seed = request.get("seed").and_then(Json::as_u64).unwrap_or(0);
-        Ok((app, data, cluster, k, seed))
-    })();
-    let (app, data, cluster, k, seed) = match parsed {
-        Ok(fields) => fields,
-        Err((code, msg)) => {
-            let doc = wire_error(v2, code, &msg);
-            write_json_response(handle, writer, trace, arrived_ns, &doc);
-            return;
-        }
-    };
-    writer.in_flight.fetch_add(1, Ordering::AcqRel);
-    let h = handle.clone();
-    let w = writer.clone();
-    handle.submit_recommend(
-        app,
-        &data,
-        &cluster,
-        k,
-        seed,
-        handle.default_deadline(),
-        trace,
-        RecommendReply::Callback(Box::new(move |outcome, sent_ns, shard| {
-            if let Some(id) = trace {
-                if sent_ns != 0 {
-                    h.trace_respond(id, sent_ns, epoch_ns(), shard);
-                }
-            }
-            let doc = match outcome {
-                Ok(resp) => {
-                    let doc = recommend_to_json(&resp);
-                    if v2 {
-                        stamp_v2(doc, trace)
-                    } else {
-                        doc
-                    }
-                }
-                Err(err) => wire_error(v2, error_code(&err), &err.to_string()),
-            };
-            write_json_response(&h, &w, trace, arrived_ns, &doc);
-            w.in_flight.fetch_sub(1, Ordering::AcqRel);
-        })),
-    );
-}
-
-/// Parse and submit a JSON `observe`; the response is written from the
-/// worker callback.
-fn submit_json_observe(
-    cx: &ReactorCx,
-    writer: &Arc<ConnWriter>,
-    request: &Json,
-    v2: bool,
-    arrived_ns: u64,
-) {
-    let handle = &cx.handle;
-    let parsed = (|| {
-        let app = parse_app(request.get("app"))?;
-        let data = parse_data(request.get("data"))?;
-        let cluster = parse_cluster(request.get("cluster"))?;
-        let conf = parse_conf(&cx.space, request.get("conf"))?;
-        let result = parse_result(request.get("result"))?;
-        Ok((app, data, cluster, conf, result))
-    })();
-    let (app, data, cluster, conf, result) = match parsed {
-        Ok(fields) => fields,
-        Err((code, msg)) => {
-            let doc = wire_error(v2, code, &msg);
-            write_json_response(handle, writer, None, arrived_ns, &doc);
-            return;
-        }
-    };
-    writer.in_flight.fetch_add(1, Ordering::AcqRel);
-    let h = handle.clone();
-    let w = writer.clone();
-    handle.submit_observe(
-        app,
-        &data,
-        &cluster,
-        &conf,
-        Box::new(result),
-        ObserveReply::Callback(Box::new(move |outcome| {
-            let doc = match outcome {
-                Ok(feedback) => {
-                    let doc = Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("feedback", Json::from(feedback)),
-                    ]);
-                    if v2 {
-                        stamp_v2(doc, None)
-                    } else {
-                        doc
-                    }
-                }
-                Err(err) => wire_error(v2, error_code(&err), &err.to_string()),
-            };
-            write_json_response(&h, &w, None, arrived_ns, &doc);
-            w.in_flight.fetch_sub(1, Ordering::AcqRel);
-        })),
-    );
-}
-
-/// Serve one v3 binary frame. Hot ops go through the shard queues with
-/// binary-encoding callbacks; retrieval and admin ops are answered inline.
-/// Every failure is a clean error frame — the connection survives
-/// anything short of transport-level framing damage.
-fn serve_binary_frame(
-    cx: &ReactorCx,
-    writer: &Arc<ConnWriter>,
-    payload: &[u8],
-    idle_ns: u64,
-    arrived_ns: u64,
-) {
-    let handle = &cx.handle;
-    let (header, request) = match proto::decode_request(payload, &cx.space) {
-        Ok(decoded) => decoded,
-        Err(msg) => {
-            writer.write_frame(&proto::encode_error_response(
-                binary_op_hint(payload),
-                binary_req_id_hint(payload),
-                ErrorCode::BadRequest,
-                msg,
-            ));
-            return;
-        }
-    };
-    // Binary tracing is strictly opt-in per request (`FLAG_TRACED`):
-    // pipelined hot paths stay trace-free unless the caller asks.
-    let trace =
-        if handle.trace_enabled() { request.trace_id().and_then(TraceId::from_wire) } else { None };
-    if let Some(id) = trace {
+        // The trace id lives inside the frame, so the socket-side phases
+        // that precede decoding are recorded retroactively. Accept covers
+        // the idle wait between frames (kept out of the request's
+        // end-to-end total); FrameRead is the buffered-transfer boundary.
         handle.trace_phase(id, Phase::Accept, idle_ns, arrived_ns);
         handle.trace_phase(id, Phase::FrameRead, arrived_ns, arrived_ns);
         handle.trace_phase(id, Phase::Parse, arrived_ns, epoch_ns());
     }
-    let req_id = header.req_id;
-    match request {
-        proto::Request::Hello { max } => {
-            writer.write_frame(&proto::encode_hello_response(
-                req_id,
-                max.clamp(1, proto::PROTOCOL_V3),
-            ));
+    let reply = Reply { codec, trace, arrived_ns };
+    let response = match request {
+        Request::Ping => Response::Pong { version: handle.version(), swaps: handle.swap_count() },
+        Request::Hello { max } => {
+            Response::Hello { v: max.clamp(PROTOCOL_VERSION, codec.version()) }
         }
-        proto::Request::Ping => {
-            writer.write_frame(&proto::encode_ping_response(
-                req_id,
-                handle.version(),
-                handle.swap_count(),
-            ));
-        }
-        proto::Request::Recommend { app, data, cluster, k, seed, .. } => {
-            let cluster = match proto::resolve_cluster(&cluster) {
-                Ok(c) => c,
-                Err(msg) => {
-                    writer.write_frame(&proto::encode_error_response(
-                        OpCode::Recommend,
-                        req_id,
-                        ErrorCode::BadRequest,
-                        &msg,
-                    ));
-                    return;
-                }
-            };
-            writer.in_flight.fetch_add(1, Ordering::AcqRel);
-            let h = handle.clone();
-            let w = writer.clone();
-            handle.submit_recommend(
-                app,
-                &data,
-                &cluster,
-                k,
-                seed,
-                handle.default_deadline(),
-                trace,
-                RecommendReply::Callback(Box::new(move |outcome, sent_ns, shard| {
-                    if let Some(id) = trace {
-                        if sent_ns != 0 {
-                            h.trace_respond(id, sent_ns, epoch_ns(), shard);
+        Request::Recommend { app, data, cluster, k, seed, .. } => match cluster.resolve() {
+            Ok(cluster) => {
+                writer.in_flight.fetch_add(1, Ordering::AcqRel);
+                let (h, w) = (handle.clone(), writer.clone());
+                handle.submit_recommend(
+                    app,
+                    &data,
+                    &cluster,
+                    k,
+                    seed,
+                    handle.default_deadline(),
+                    trace,
+                    RecommendReply::Callback(Box::new(move |outcome, sent_ns, shard| {
+                        if let Some(id) = reply.trace {
+                            if sent_ns != 0 {
+                                h.trace_respond(id, sent_ns, epoch_ns(), shard);
+                            }
                         }
-                    }
-                    let serialize_start_ns = if trace.is_some() { epoch_ns() } else { 0 };
-                    let frame = match &outcome {
-                        Ok(resp) => {
-                            proto::encode_recommend_response(req_id, trace.map(TraceId::raw), resp)
-                        }
-                        Err(err) => proto::encode_error_response(
-                            OpCode::Recommend,
-                            req_id,
-                            error_code(err),
-                            &err.to_string(),
-                        ),
-                    };
-                    if let Some(id) = trace {
-                        h.trace_phase(id, Phase::Serialize, serialize_start_ns, epoch_ns());
-                    }
-                    let write_start_ns = if trace.is_some() { epoch_ns() } else { 0 };
-                    w.write_frame(&frame);
-                    if let Some(id) = trace {
-                        let done_ns = epoch_ns();
-                        h.trace_phase(id, Phase::Write, write_start_ns, done_ns);
-                        h.trace_complete(id, done_ns.saturating_sub(arrived_ns));
-                    }
-                    w.in_flight.fetch_sub(1, Ordering::AcqRel);
-                })),
-            );
+                        let response = match outcome {
+                            Ok(resp) => Response::recommend(resp, reply.trace.map(TraceId::raw)),
+                            Err(err) => Response::error(&err),
+                        };
+                        reply.send(&h, &w, response);
+                        w.in_flight.fetch_sub(1, Ordering::AcqRel);
+                    })),
+                );
+                return;
+            }
+            Err(msg) => Response::bad_request(msg),
+        },
+        Request::Observe { app, data, cluster, conf, result } => match cluster.resolve() {
+            Ok(cluster) => {
+                writer.in_flight.fetch_add(1, Ordering::AcqRel);
+                let (h, w) = (handle.clone(), writer.clone());
+                handle.submit_observe(
+                    app,
+                    &data,
+                    &cluster,
+                    &conf,
+                    result,
+                    ObserveReply::Callback(Box::new(move |outcome| {
+                        let response = match outcome {
+                            Ok(feedback) => Response::Observe { feedback },
+                            Err(err) => Response::error(&err),
+                        };
+                        reply.send(&h, &w, response);
+                        w.in_flight.fetch_sub(1, Ordering::AcqRel);
+                    })),
+                );
+                return;
+            }
+            Err(msg) => Response::bad_request(msg),
+        },
+        Request::Retrieve { target, data, cluster, k, .. } => {
+            retrieve(handle, &target, &data, &cluster, k, trace)
         }
-        proto::Request::Observe { app, data, cluster, conf, result } => {
-            let cluster = match proto::resolve_cluster(&cluster) {
-                Ok(c) => c,
-                Err(msg) => {
-                    writer.write_frame(&proto::encode_error_response(
-                        OpCode::Observe,
-                        req_id,
-                        ErrorCode::BadRequest,
-                        &msg,
-                    ));
-                    return;
+        Request::Analyze { target } => {
+            let (source, iterations) = match &target {
+                AnalyzeTarget::App(app) => {
+                    (app.main_source(), app.dataset(SizeTier::Train(0)).iterations)
                 }
+                AnalyzeTarget::Source { source, iterations } => (source.as_str(), *iterations),
             };
-            writer.in_flight.fetch_add(1, Ordering::AcqRel);
-            let w = writer.clone();
-            handle.submit_observe(
-                app,
-                &data,
-                &cluster,
-                &conf,
-                result,
-                ObserveReply::Callback(Box::new(move |outcome| {
-                    let frame = match outcome {
-                        Ok(feedback) => proto::encode_observe_response(req_id, feedback),
-                        Err(err) => proto::encode_error_response(
-                            OpCode::Observe,
-                            req_id,
-                            error_code(&err),
-                            &err.to_string(),
-                        ),
-                    };
-                    w.write_frame(&frame);
-                    w.in_flight.fetch_sub(1, Ordering::AcqRel);
-                })),
-            );
-        }
-        proto::Request::Retrieve { target, data, cluster, k, .. } => {
-            let outcome = binary_retrieve(handle, &target, &data, &cluster, k, trace);
-            let frame = match outcome {
-                Ok(resp) => proto::encode_retrieve_response(req_id, trace.map(TraceId::raw), &resp),
-                Err((code, msg)) => {
-                    proto::encode_error_response(OpCode::Retrieve, req_id, code, &msg)
-                }
-            };
-            let write_start_ns = if trace.is_some() { epoch_ns() } else { 0 };
-            writer.write_frame(&frame);
-            if let Some(id) = trace {
-                let done_ns = epoch_ns();
-                handle.trace_phase(id, Phase::Write, write_start_ns, done_ns);
-                handle.trace_complete(id, done_ns.saturating_sub(arrived_ns));
+            let options = lite_analyze::ExtractOptions { iterations: iterations.max(1) };
+            match lite_analyze::extract_stages(source, options) {
+                Ok(ex) => Response::Admin(extraction_to_json(&ex)),
+                Err(e) => Response::bad_request(e.to_string()),
             }
         }
-        proto::Request::Analyze { target } => {
-            let outcome = match &target {
-                proto::AnalyzeTarget::App(app) => {
-                    let iters =
-                        app.dataset(lite_workloads::data::SizeTier::Train(0)).iterations.max(1);
-                    run_analyze(app.main_source(), iters)
-                }
-                proto::AnalyzeTarget::Source { source, iterations } => {
-                    run_analyze(source, (*iterations).max(1))
-                }
-            };
-            write_binary_admin(writer, OpCode::Analyze, req_id, outcome);
-        }
-        proto::Request::Profile { k } => {
-            write_binary_admin(
-                writer,
-                OpCode::Profile,
-                req_id,
-                wire_profile(handle, k.clamp(1, 64)),
-            );
-        }
-        proto::Request::Stats => {
-            write_binary_admin(writer, OpCode::Stats, req_id, Ok(stats_with_planes(handle)));
-        }
-        proto::Request::Metrics => {
-            let doc = Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("content_type", Json::from("text/plain; version=0.0.4")),
-                ("body", Json::from(handle.prometheus().as_str())),
-            ]);
-            write_binary_admin(writer, OpCode::Metrics, req_id, Ok(doc));
-        }
-        proto::Request::Trace => {
-            let (trace_doc, dropped) = handle.trace_json_capped(MAX_FRAME as usize / 2);
-            let doc = Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("trace", trace_doc),
-                ("dropped_spans", Json::from(dropped)),
-            ]);
-            write_binary_admin(writer, OpCode::Trace, req_id, Ok(doc));
-        }
-        proto::Request::Health => {
-            let doc = Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("status", Json::from("ok")),
-                ("version", Json::from(handle.version())),
-                ("uptime_s", Json::Num(handle.stats().uptime_s)),
-            ]);
-            write_binary_admin(writer, OpCode::Health, req_id, Ok(doc));
-        }
-        proto::Request::Tailtrace => {
-            let (completed, captured) = handle.tail_totals();
-            let doc = tailtrace_to_json(
-                handle.tail_exemplars(),
-                completed,
-                captured,
-                MAX_FRAME as usize / 2,
-            );
-            write_binary_admin(writer, OpCode::Tailtrace, req_id, Ok(doc));
-        }
-        proto::Request::Slo => {
-            write_binary_admin(writer, OpCode::Slo, req_id, wire_slo(handle));
-        }
-    }
-}
-
-/// The binary `retrieve` path, mirroring [`wire_retrieve`]'s semantics
-/// over typed fields.
-fn binary_retrieve(
-    handle: &ServiceHandle,
-    target: &proto::RetrieveTarget,
-    data: &DataSpec,
-    cluster: &proto::ClusterRef,
-    k: usize,
-    trace: Option<TraceId>,
-) -> Result<RetrieveResponse, (ErrorCode, String)> {
-    if !handle.retrieval_enabled() {
-        return Err((ErrorCode::BadRequest, "retrieval not enabled on this server".to_string()));
-    }
-    let cluster = proto::resolve_cluster(cluster).map_err(|m| (ErrorCode::BadRequest, m))?;
-    let k = k.clamp(1, 64);
-    let outcome = match target {
-        proto::RetrieveTarget::App(app) => match trace {
-            Some(id) => handle.retrieve_traced(*app, data, &cluster, k, id),
-            None => handle.retrieve(*app, data, &cluster, k),
-        },
-        proto::RetrieveTarget::Source(src) => handle.retrieve_source(src, data, &cluster, k, trace),
-    };
-    outcome.map_err(|err| (error_code(&err), err.to_string()))
-}
-
-/// Write one admin-op outcome as a binary frame: success docs travel as
-/// rendered JSON bodies, failures as error frames.
-fn write_binary_admin(
-    writer: &ConnWriter,
-    op: OpCode,
-    req_id: u32,
-    outcome: Result<Json, (ErrorCode, String)>,
-) {
-    let frame = match outcome {
-        Ok(doc) => proto::encode_admin_response(op, req_id, &doc),
-        Err((code, msg)) => proto::encode_error_response(op, req_id, code, &msg),
-    };
-    writer.write_frame(&frame);
-}
-
-/// The trace id a parsed request should be recorded under, when the
-/// request-path phases apply: a v2 `recommend` or `retrieve` with the
-/// caller's `"t"` id, or a fresh server-generated id when the field is
-/// absent. `None` for v1 peers and other operations.
-fn request_trace(request: &Json) -> Option<TraceId> {
-    if request.get("v").and_then(Json::as_u64) != Some(2) {
-        return None;
-    }
-    let op = request.get("o").and_then(Json::as_u64);
-    let traced = op == Some(u64::from(OpCode::Recommend.code()))
-        || op == Some(u64::from(OpCode::Retrieve.code()));
-    if !traced {
-        return None;
-    }
-    let wire = request.get("t").and_then(Json::as_u64).and_then(TraceId::from_wire);
-    Some(wire.unwrap_or_else(TraceId::generate))
-}
-
-fn dispatch(
-    handle: &ServiceHandle,
-    space: &ConfSpace,
-    request: &Json,
-    trace: Option<TraceId>,
-) -> Json {
-    let v2 = match request.get("v").and_then(Json::as_u64) {
-        Some(2) => true,
-        Some(v) => {
-            return wire_error(true, ErrorCode::BadRequest, &format!("unsupported version {v}"))
-        }
-        None => false,
-    };
-    let op = if v2 {
-        request.get("o").and_then(Json::as_u64).and_then(OpCode::from_code)
-    } else {
-        request.get("op").and_then(Json::as_str).and_then(OpCode::from_name)
-    };
-    let outcome = match op {
-        Some(OpCode::Ping) => Ok(Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("version", Json::from(handle.version())),
-            ("swaps", Json::from(handle.swap_count())),
-        ])),
-        Some(OpCode::Recommend) => wire_recommend(handle, request, trace),
-        Some(OpCode::Observe) => wire_observe(handle, space, request),
-        Some(OpCode::Stats) => Ok(stats_with_planes(handle)),
-        Some(OpCode::Metrics) => Ok(Json::obj(vec![
+        Request::Profile { k } => profile(handle, k.clamp(1, 64)),
+        Request::Stats => Response::Admin(stats_with_planes(handle)),
+        Request::Metrics => Response::Admin(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("content_type", Json::from("text/plain; version=0.0.4")),
             ("body", Json::from(handle.prometheus().as_str())),
         ])),
-        Some(OpCode::Trace) => {
+        Request::Trace => {
             // Leave half the frame for the envelope and escaping overhead;
             // oldest spans are shed first when the trace outgrows it.
-            let (trace, dropped) = handle.trace_json_capped(MAX_FRAME as usize / 2);
-            Ok(Json::obj(vec![
+            let (trace_doc, dropped) = handle.trace_json_capped(MAX_FRAME as usize / 2);
+            Response::Admin(Json::obj(vec![
                 ("ok", Json::Bool(true)),
-                ("trace", trace),
+                ("trace", trace_doc),
                 ("dropped_spans", Json::from(dropped)),
             ]))
         }
-        Some(OpCode::Health) => Ok(Json::obj(vec![
+        Request::Health => Response::Admin(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("status", Json::from("ok")),
             ("version", Json::from(handle.version())),
             ("uptime_s", Json::Num(handle.stats().uptime_s)),
         ])),
-        Some(OpCode::Hello) => {
-            let max = request.get("max").and_then(Json::as_u64).unwrap_or(1);
-            Ok(Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("v", Json::from(max.clamp(1, PROTOCOL_VERSION))),
-            ]))
-        }
-        Some(OpCode::Analyze) => wire_analyze(request),
-        Some(OpCode::Tailtrace) => {
+        Request::Tailtrace => {
             let (completed, captured) = handle.tail_totals();
-            // Leave half the frame for the envelope and escaping overhead;
-            // the fastest exemplars are shed first when the document
-            // outgrows it.
-            Ok(tailtrace_to_json(
+            // Same half-frame budget; the fastest exemplars are shed first
+            // when the document outgrows it.
+            Response::Admin(tailtrace_to_json(
                 handle.tail_exemplars(),
                 completed,
                 captured,
                 MAX_FRAME as usize / 2,
             ))
         }
-        Some(OpCode::Retrieve) if !v2 => {
-            // The op postdates v1. A v1 `{"op":"retrieve"}` would resolve
-            // by name, so reject explicitly: v1 byte behavior must not
-            // grow a new success shape.
-            Err((ErrorCode::BadRequest, "retrieve requires protocol v2".to_string()))
-        }
-        Some(OpCode::Retrieve) => wire_retrieve(handle, request, trace),
-        Some(OpCode::Profile) if !v2 => {
-            // Same discipline as retrieve: the op postdates v1, so v1
-            // peers get a clean refusal, never a new v1 success shape.
-            Err((ErrorCode::BadRequest, "profile requires protocol v2".to_string()))
-        }
-        Some(OpCode::Profile) => {
-            let k = request.get("k").and_then(Json::as_u64).unwrap_or(10).clamp(1, 64) as usize;
-            wire_profile(handle, k)
-        }
-        Some(OpCode::Slo) if !v2 => {
-            Err((ErrorCode::BadRequest, "slo requires protocol v2".to_string()))
-        }
-        Some(OpCode::Slo) => wire_slo(handle),
-        None => Err((ErrorCode::BadRequest, "unknown op".to_string())),
+        Request::Slo => slo(handle),
+    };
+    reply.send(handle, writer, response);
+}
+
+/// The `retrieve` op: inline on the reactor (an index search, not a
+/// scoring job), refused with `bad_request` when the server has no store.
+fn retrieve(
+    handle: &ServiceHandle,
+    target: &RetrieveTarget,
+    data: &DataSpec,
+    cluster: &ClusterRef,
+    k: usize,
+    trace: Option<TraceId>,
+) -> Response {
+    if !handle.retrieval_enabled() {
+        return Response::bad_request("retrieval not enabled on this server");
+    }
+    let cluster = match cluster.resolve() {
+        Ok(cluster) => cluster,
+        Err(msg) => return Response::bad_request(msg),
+    };
+    let k = k.clamp(1, 64);
+    let outcome = match target {
+        RetrieveTarget::App(app) => match trace {
+            Some(id) => handle.retrieve_traced(*app, data, &cluster, k, id),
+            None => handle.retrieve(*app, data, &cluster, k),
+        },
+        RetrieveTarget::Source(src) => handle.retrieve_source(src, data, &cluster, k, trace),
     };
     match outcome {
-        Ok(json) if v2 => stamp_v2(json, trace),
-        Ok(json) => json,
-        Err((code, msg)) => wire_error(v2, code, &msg),
+        Ok(resp) => Response::retrieve(resp, trace.map(TraceId::raw)),
+        Err(err) => Response::error(&err),
     }
 }
 
-/// Mark a success response as a v2 frame, echoing the trace id when the
-/// request was traced.
-fn stamp_v2(json: Json, trace: Option<TraceId>) -> Json {
-    match json {
-        Json::Obj(mut pairs) => {
-            pairs.insert(0, ("v".to_string(), Json::from(PROTOCOL_VERSION)));
-            if let Some(id) = trace {
-                pairs.insert(1, ("t".to_string(), Json::from(id.raw())));
-            }
-            Json::Obj(pairs)
-        }
-        other => other,
-    }
-}
-
-type WireResult = Result<Json, (ErrorCode, String)>;
-
-fn wire_recommend(handle: &ServiceHandle, request: &Json, trace: Option<TraceId>) -> WireResult {
-    let app = parse_app(request.get("app"))?;
-    let data = parse_data(request.get("data"))?;
-    let cluster = parse_cluster(request.get("cluster"))?;
-    let k = request.get("k").and_then(Json::as_u64).unwrap_or(1) as usize;
-    let seed = request.get("seed").and_then(Json::as_u64).unwrap_or(0);
-    let deadline = handle.default_deadline();
-    let outcome = match trace {
-        Some(id) => handle.recommend_traced(app, &data, &cluster, k, seed, deadline, id),
-        None => handle.recommend(app, &data, &cluster, k, seed),
-    };
-    match outcome {
-        Ok(resp) => Ok(recommend_to_json(&resp)),
-        Err(err) => Err((error_code(&err), err.to_string())),
-    }
-}
+// ---------------------------------------------------------------------------
+// Admin documents
 
 /// Encode the tail-forensics reservoir, shedding the fastest exemplars
 /// until the document fits `max_bytes`.
@@ -1329,7 +696,7 @@ fn tailtrace_to_json(
 }
 
 /// Encode one captured exemplar for the wire.
-pub fn exemplar_to_json(e: &Exemplar) -> Json {
+fn exemplar_to_json(e: &Exemplar) -> Json {
     Json::obj(vec![
         ("trace_id", Json::from(e.trace_id)),
         ("total_ns", Json::from(e.total_ns)),
@@ -1351,50 +718,6 @@ pub fn exemplar_to_json(e: &Exemplar) -> Json {
             ),
         ),
     ])
-}
-
-fn wire_observe(handle: &ServiceHandle, space: &ConfSpace, request: &Json) -> WireResult {
-    let app = parse_app(request.get("app"))?;
-    let data = parse_data(request.get("data"))?;
-    let cluster = parse_cluster(request.get("cluster"))?;
-    let conf = parse_conf(space, request.get("conf"))?;
-    let result = parse_result(request.get("result"))?;
-    match handle.observe(app, &data, &cluster, &conf, &result) {
-        Ok(feedback) => {
-            Ok(Json::obj(vec![("ok", Json::Bool(true)), ("feedback", Json::from(feedback))]))
-        }
-        Err(err) => Err((error_code(&err), err.to_string())),
-    }
-}
-
-fn wire_analyze(request: &Json) -> WireResult {
-    let (source, default_iters) = match request.get("app") {
-        Some(app_field) => {
-            let app = parse_app(Some(app_field))?;
-            let iters = app.dataset(lite_workloads::data::SizeTier::Train(0)).iterations;
-            (app.main_source().to_string(), iters.max(1))
-        }
-        None => {
-            let src = request.get("source").and_then(Json::as_str).ok_or_else(|| {
-                (ErrorCode::BadRequest, "analyze needs \"app\" or \"source\"".to_string())
-            })?;
-            (src.to_string(), 1)
-        }
-    };
-    let iterations = request
-        .get("iterations")
-        .and_then(Json::as_u64)
-        .map_or(default_iters, |i| i.min(u64::from(u32::MAX)) as u32);
-    run_analyze(&source, iterations)
-}
-
-/// Run the static stage extraction both front-ends (JSON `analyze` and
-/// the v3 binary op) share.
-fn run_analyze(source: &str, iterations: u32) -> WireResult {
-    match lite_analyze::extract_stages(source, lite_analyze::ExtractOptions { iterations }) {
-        Ok(ex) => Ok(extraction_to_json(&ex)),
-        Err(e) => Err((ErrorCode::BadRequest, e.to_string())),
-    }
 }
 
 fn extraction_to_json(ex: &lite_analyze::Extraction) -> Json {
@@ -1438,85 +761,12 @@ fn extraction_to_json(ex: &lite_analyze::Extraction) -> Json {
     ])
 }
 
-fn wire_retrieve(handle: &ServiceHandle, request: &Json, trace: Option<TraceId>) -> WireResult {
-    if !handle.retrieval_enabled() {
-        return Err((ErrorCode::BadRequest, "retrieval not enabled on this server".to_string()));
-    }
-    let data = parse_data(request.get("data"))?;
-    let cluster = parse_cluster(request.get("cluster"))?;
-    let k = request.get("k").and_then(Json::as_u64).unwrap_or(1).clamp(1, 64) as usize;
-    let outcome = match request.get("app") {
-        Some(app_field) => {
-            let app = parse_app(Some(app_field))?;
-            match trace {
-                Some(id) => handle.retrieve_traced(app, &data, &cluster, k, id),
-                None => handle.retrieve(app, &data, &cluster, k),
-            }
-        }
-        None => {
-            let src = request.get("source").and_then(Json::as_str).ok_or_else(|| {
-                (ErrorCode::BadRequest, "retrieve needs \"app\" or \"source\"".to_string())
-            })?;
-            handle.retrieve_source(src, &data, &cluster, k, trace)
-        }
-    };
-    match outcome {
-        Ok(resp) => Ok(retrieve_to_json(&resp)),
-        Err(err) => Err((error_code(&err), err.to_string())),
-    }
-}
-
-fn retrieve_to_json(resp: &RetrieveResponse) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("index", Json::from(resp.index_len)),
-        ("search_ns", Json::from(resp.search_ns)),
-        (
-            "neighbors",
-            Json::Arr(
-                resp.neighbors
-                    .iter()
-                    .map(|n| {
-                        Json::obj(vec![
-                            ("app", Json::from(n.app.name())),
-                            ("distance", Json::Num(f64::from(n.distance))),
-                            ("runtime_s", Json::Num(n.runtime_s)),
-                            ("estimate_s", Json::Num(n.estimate_s)),
-                            (
-                                "conf",
-                                Json::Arr(n.conf.values().iter().map(|&v| Json::Num(v)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "ranked",
-            Json::Arr(
-                resp.ranked
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            (
-                                "conf",
-                                Json::Arr(r.conf.values().iter().map(|&v| Json::Num(v)).collect()),
-                            ),
-                            ("predicted_s", Json::Num(r.predicted_s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn wire_profile(handle: &ServiceHandle, k: usize) -> WireResult {
+fn profile(handle: &ServiceHandle, k: usize) -> Response {
     let Some(report) = handle.profile_report(k) else {
-        return Err((ErrorCode::BadRequest, "profiling not enabled on this server".to_string()));
+        return Response::bad_request("profiling not enabled on this server");
     };
     let folded = handle.profile_folded().unwrap_or_default();
-    Ok(Json::obj(vec![
+    Response::Admin(Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("samples", Json::from(report.samples)),
         ("sweeps", Json::from(report.sweeps)),
@@ -1575,11 +825,11 @@ fn window_to_json(w: &lite_obs::WindowStats) -> Json {
     ])
 }
 
-fn wire_slo(handle: &ServiceHandle) -> WireResult {
+fn slo(handle: &ServiceHandle) -> Response {
     let (Some(config), Some(status)) = (handle.slo_config(), handle.slo_status()) else {
-        return Err((ErrorCode::BadRequest, "slo not configured on this server".to_string()));
+        return Response::bad_request("slo not configured on this server");
     };
-    Ok(Json::obj(vec![
+    Response::Admin(Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("objective_ns", Json::from(config.objective_ns)),
         ("target", Json::Num(config.target)),
@@ -1635,34 +885,6 @@ fn stats_with_planes(handle: &ServiceHandle) -> Json {
     doc
 }
 
-fn error_code(err: &ServeError) -> ErrorCode {
-    match err {
-        ServeError::Overloaded => ErrorCode::Overloaded,
-        ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
-        ServeError::ColdApp(_) => ErrorCode::ColdApp,
-        ServeError::ShuttingDown => ErrorCode::ShuttingDown,
-        ServeError::Internal(_) => ErrorCode::Internal,
-    }
-}
-
-fn wire_error(v2: bool, code: ErrorCode, msg: &str) -> Json {
-    if v2 {
-        Json::obj(vec![
-            ("v", Json::from(PROTOCOL_VERSION)),
-            ("ok", Json::Bool(false)),
-            ("c", Json::from(u64::from(code.code()))),
-            ("code", Json::from(code.name())),
-            ("error", Json::from(msg)),
-        ])
-    } else {
-        Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            ("code", Json::from(code.name())),
-            ("error", Json::from(msg)),
-        ])
-    }
-}
-
 fn drift_to_json(d: &DriftSummary) -> Json {
     Json::obj(vec![
         ("samples", Json::from(d.samples)),
@@ -1701,700 +923,6 @@ fn stats_to_json(s: &ServiceStats) -> Json {
     ])
 }
 
-fn recommend_to_json(resp: &RecommendResponse) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("version", Json::from(resp.version)),
-        ("cached", Json::from(resp.cached)),
-        ("scored", Json::from(resp.scored)),
-        ("degraded", Json::Bool(resp.degraded)),
-        (
-            "ranked",
-            Json::Arr(
-                resp.ranked
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            (
-                                "conf",
-                                Json::Arr(r.conf.values().iter().map(|&v| Json::Num(v)).collect()),
-                            ),
-                            ("predicted_s", Json::Num(r.predicted_s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Wire parsing
-
-fn parse_app(value: Option<&Json>) -> Result<AppId, (ErrorCode, String)> {
-    let name = value
-        .and_then(Json::as_str)
-        .ok_or_else(|| (ErrorCode::BadRequest, "missing app name".to_string()))?;
-    AppId::all()
-        .iter()
-        .copied()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| (ErrorCode::BadRequest, format!("unknown app {name:?}")))
-}
-
-fn parse_data(value: Option<&Json>) -> Result<DataSpec, (ErrorCode, String)> {
-    let obj = value.ok_or_else(|| (ErrorCode::BadRequest, "missing data".to_string()))?;
-    let field = |key: &str| obj.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let bytes = obj
-        .get("bytes")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| (ErrorCode::BadRequest, "data.bytes required".to_string()))?;
-    Ok(DataSpec {
-        rows: field("rows"),
-        cols: field("cols") as u32,
-        iterations: field("iterations") as u32,
-        partitions: field("partitions") as u32,
-        bytes,
-    })
-}
-
-fn parse_cluster(value: Option<&Json>) -> Result<ClusterSpec, (ErrorCode, String)> {
-    match value {
-        Some(Json::Str(name)) => ClusterSpec::all_evaluation_clusters()
-            .into_iter()
-            .find(|c| c.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| (ErrorCode::BadRequest, format!("unknown cluster preset {name:?}"))),
-        Some(obj @ Json::Obj(_)) => {
-            let name = obj.get("name").and_then(Json::as_str).unwrap_or("wire-cluster");
-            let num = |key: &str| -> Result<f64, (ErrorCode, String)> {
-                obj.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or((ErrorCode::BadRequest, format!("cluster.{key} required")))
-            };
-            Ok(ClusterSpec {
-                name: name.to_string(),
-                nodes: num("nodes")? as u32,
-                cores_per_node: num("cores_per_node")? as u32,
-                cpu_ghz: num("cpu_ghz")?,
-                mem_gb_per_node: num("mem_gb_per_node")?,
-                mem_mts: num("mem_mts")?,
-                net_gbps: num("net_gbps")?,
-            })
-        }
-        _ => Err((ErrorCode::BadRequest, "missing cluster (preset name or object)".to_string())),
-    }
-}
-
-fn parse_conf(space: &ConfSpace, value: Option<&Json>) -> Result<SparkConf, (ErrorCode, String)> {
-    let items = value
-        .and_then(Json::as_arr)
-        .ok_or_else(|| (ErrorCode::BadRequest, "missing conf array".to_string()))?;
-    if items.len() != NUM_KNOBS {
-        return Err((
-            ErrorCode::BadRequest,
-            format!("conf needs {NUM_KNOBS} values, got {}", items.len()),
-        ));
-    }
-    let mut values = [0.0f64; NUM_KNOBS];
-    for (i, item) in items.iter().enumerate() {
-        values[i] = item
-            .as_f64()
-            .ok_or_else(|| (ErrorCode::BadRequest, format!("conf[{i}] is not a number")))?;
-    }
-    Ok(SparkConf::from_values(space, values))
-}
-
-fn parse_result(value: Option<&Json>) -> Result<RunResult, (ErrorCode, String)> {
-    let obj = value.ok_or_else(|| (ErrorCode::BadRequest, "missing result".to_string()))?;
-    let total_time_s = obj
-        .get("total_time_s")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| (ErrorCode::BadRequest, "result.total_time_s required".to_string()))?;
-    let failed = obj.get("failed").and_then(Json::as_bool).unwrap_or(false);
-    let stages_json = obj
-        .get("stages")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| (ErrorCode::BadRequest, "result.stages required".to_string()))?;
-    let mut stages = Vec::with_capacity(stages_json.len());
-    for (i, st) in stages_json.iter().enumerate() {
-        let name = st
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| (ErrorCode::BadRequest, format!("stages[{i}].name required")))?;
-        let duration_s = st
-            .get("duration_s")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| (ErrorCode::BadRequest, format!("stages[{i}].duration_s required")))?;
-        let u = |key: &str| st.get(key).and_then(Json::as_u64).unwrap_or(0);
-        stages.push(StageStats {
-            stage_id: st.get("stage_id").and_then(Json::as_u64).unwrap_or(i as u64) as usize,
-            name: name.to_string(),
-            duration_s,
-            num_tasks: u("num_tasks") as u32,
-            input_bytes: u("input_bytes"),
-            shuffle_read_bytes: u("shuffle_read_bytes"),
-            shuffle_write_bytes: u("shuffle_write_bytes"),
-            spill_bytes: u("spill_bytes"),
-            gc_time_s: st.get("gc_time_s").and_then(Json::as_f64).unwrap_or(0.0),
-            peak_task_memory: u("peak_task_memory"),
-            cached_fraction: st.get("cached_fraction").and_then(Json::as_f64).unwrap_or(1.0),
-            tasks: Vec::new(),
-        });
-    }
-    Ok(RunResult {
-        total_time_s,
-        stages,
-        // The wire carries only a failed flag; the concrete reason does not
-        // affect feedback extraction.
-        failure: failed.then_some(FailureReason::ExecutorOom),
-        executors: obj.get("executors").and_then(Json::as_u64).unwrap_or(0) as u32,
-        slots: obj.get("slots").and_then(Json::as_u64).unwrap_or(0) as u32,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Client
-
-/// Builder for a [`Client`]: protocol ceiling, pipelining depth, and
-/// per-request trace opt-in, with graceful fallback to JSON against
-/// pre-v3 servers.
-///
-/// ```no_run
-/// use lite_serve::net::ClientBuilder;
-/// let client = ClientBuilder::new()
-///     .pipeline_depth(64)
-///     .trace(true)
-///     .connect("127.0.0.1:7878")?;
-/// # Ok::<(), std::io::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ClientBuilder {
-    protocol: u64,
-    pipeline_depth: usize,
-    trace: bool,
-}
-
-impl Default for ClientBuilder {
-    fn default() -> Self {
-        ClientBuilder::new()
-    }
-}
-
-impl ClientBuilder {
-    /// Defaults: newest protocol (v3 binary, falling back to the highest
-    /// JSON version the server speaks), pipeline depth 32, tracing off.
-    pub fn new() -> ClientBuilder {
-        ClientBuilder { protocol: proto::PROTOCOL_V3, pipeline_depth: 32, trace: false }
-    }
-
-    /// Cap the protocol version: `1`/`2` force the JSON envelopes, `3`
-    /// (the default) negotiates the binary protocol when the server
-    /// speaks it.
-    pub fn protocol(mut self, version: u64) -> ClientBuilder {
-        self.protocol = version.max(1);
-        self
-    }
-
-    /// Client-side pipelining window for [`Client::pipeline`]: at most
-    /// this many v3 requests are in flight on the connection at once.
-    pub fn pipeline_depth(mut self, depth: usize) -> ClientBuilder {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Opt hot requests into tail-forensics tracing: `recommend` and
-    /// `retrieve` requests without an explicit trace id get a generated
-    /// one (v2's implicit server-side tracing is unchanged).
-    pub fn trace(mut self, on: bool) -> ClientBuilder {
-        self.trace = on;
-        self
-    }
-
-    /// Connect and negotiate. With the default protocol ceiling this
-    /// sends a binary `hello` first; a pre-v3 server answers it with a
-    /// JSON `bad_request` (the magic byte is not valid UTF-8), which the
-    /// client detects and falls back to JSON negotiation on the same
-    /// connection.
-    pub fn connect<A: ToSocketAddrs>(self, addr: A) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut client = Client {
-            stream,
-            version: 1,
-            pipeline_depth: self.pipeline_depth,
-            trace: self.trace,
-            space: ConfSpace::table_iv(),
-            next_req: 0,
-        };
-        if self.protocol >= proto::PROTOCOL_V3 {
-            let hello = proto::Request::Hello { max: self.protocol };
-            write_frame(&mut client.stream, &proto::encode_request(&hello, 0))?;
-            let payload = read_frame(&mut client.stream)?.ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed")
-            })?;
-            if payload.first() == Some(&proto::V3_MAGIC) {
-                let (_, resp) = proto::decode_response(&payload, &client.space)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                if let proto::Response::Hello { v } = resp {
-                    client.version = v.clamp(1, proto::PROTOCOL_V3);
-                } else {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "unexpected binary hello response",
-                    ));
-                }
-            } else {
-                // Pre-v3 server: it answered the binary frame with a JSON
-                // bad_request and kept the connection open. Fall back.
-                client.negotiate()?;
-            }
-        } else if self.protocol >= 2 {
-            client.negotiate()?;
-        }
-        Ok(client)
-    }
-}
-
-/// A blocking TCP client for the serve plane. [`ClientBuilder`] is the
-/// full-featured entry point (binary v3 with pipelining and JSON
-/// fallback); [`connect`](Client::connect) gives the legacy v1 JSON
-/// client, upgradable with [`negotiate`](Client::negotiate).
-///
-/// [`call`](Client::call) is the typed API: one [`proto::Request`] in,
-/// one [`proto::Response`] out, encoded under whatever protocol version
-/// the connection negotiated. The historical per-operation methods
-/// survive as deprecated wrappers for one release.
-pub struct Client {
-    stream: TcpStream,
-    version: u64,
-    pipeline_depth: usize,
-    trace: bool,
-    space: ConfSpace,
-    next_req: u32,
-}
-
-impl Client {
-    /// Connect to a [`TcpServer`] as a v1 JSON client (no negotiation);
-    /// use [`ClientBuilder`] for v3. Kept ungated because the wire-pin
-    /// tests rely on a pristine v1 connection.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            version: 1,
-            pipeline_depth: 1,
-            trace: false,
-            space: ConfSpace::table_iv(),
-            next_req: 0,
-        })
-    }
-
-    /// The protocol version requests are encoded with (1 until a
-    /// successful [`negotiate`](Client::negotiate) or a v3 handshake via
-    /// [`ClientBuilder::connect`]).
-    pub fn protocol_version(&self) -> u64 {
-        self.version
-    }
-
-    /// Send one typed request and block for its typed response.
-    ///
-    /// On a v3 connection the request travels as a binary frame; on v1/v2
-    /// it is encoded as the byte-identical JSON document the legacy
-    /// per-op methods produced, and the response document is decoded into
-    /// the same [`proto::Response`] shape — callers never branch on the
-    /// negotiated version.
-    pub fn call(&mut self, request: &proto::Request) -> std::io::Result<proto::Response> {
-        let request = self.stamped(request);
-        if self.version >= proto::PROTOCOL_V3 {
-            let req_id = self.next_req_id();
-            write_frame(&mut self.stream, &proto::encode_request(&request, req_id))?;
-            loop {
-                let payload = self.read_response_payload()?;
-                let (rid, resp) = proto::decode_response(&payload, &self.space)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                if rid == req_id {
-                    return Ok(resp);
-                }
-                // A stale response from an abandoned pipeline: skip it.
-            }
-        }
-        let doc = request.to_json(self.version);
-        let resp = self.request(&doc)?;
-        Ok(proto::Response::from_json(request.op(), &resp, &self.space))
-    }
-
-    /// Send a batch of typed requests over one connection, keeping up to
-    /// the configured [`pipeline depth`](ClientBuilder::pipeline_depth)
-    /// in flight, and return the responses in request order.
-    ///
-    /// v3 connections genuinely pipeline (responses are correlated by
-    /// request id, so server-side completion order does not matter); on
-    /// v1/v2 this degrades to a serial loop.
-    pub fn pipeline(
-        &mut self,
-        requests: &[proto::Request],
-    ) -> std::io::Result<Vec<proto::Response>> {
-        if self.version < proto::PROTOCOL_V3 || requests.len() <= 1 {
-            return requests.iter().map(|r| self.call(r)).collect();
-        }
-        let n = requests.len();
-        let first_id = self.next_req.wrapping_add(1);
-        let mut out: Vec<Option<proto::Response>> = (0..n).map(|_| None).collect();
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        while received < n {
-            while sent < n && sent - received < self.pipeline_depth {
-                let request = self.stamped(&requests[sent]);
-                let req_id = self.next_req_id();
-                write_frame(&mut self.stream, &proto::encode_request(&request, req_id))?;
-                sent += 1;
-            }
-            let payload = self.read_response_payload()?;
-            let (rid, resp) = proto::decode_response(&payload, &self.space)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            let idx = rid.wrapping_sub(first_id) as usize;
-            if idx < n && out[idx].is_none() {
-                out[idx] = Some(resp);
-                received += 1;
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or(proto::Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "response missing from pipeline".to_string(),
-                })
-            })
-            .collect())
-    }
-
-    fn next_req_id(&mut self) -> u32 {
-        self.next_req = self.next_req.wrapping_add(1);
-        self.next_req
-    }
-
-    fn read_response_payload(&mut self) -> std::io::Result<Vec<u8>> {
-        read_frame(&mut self.stream)?
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed"))
-    }
-
-    /// Apply the builder's trace opt-in: hot requests without an explicit
-    /// trace id get a generated one (only meaningful from v2 up — v1
-    /// frames cannot carry the id).
-    fn stamped(&mut self, request: &proto::Request) -> proto::Request {
-        let mut request = request.clone();
-        if self.trace && self.version >= 2 {
-            match &mut request {
-                proto::Request::Recommend { trace, .. }
-                | proto::Request::Retrieve { trace, .. }
-                    if trace.is_none() =>
-                {
-                    *trace = Some(TraceId::generate().raw());
-                }
-                _ => {}
-            }
-        }
-        request
-    }
-
-    /// `hello`: negotiate the protocol version. The server answers
-    /// `min(our max, its max)`; subsequent requests use that envelope.
-    pub fn negotiate(&mut self) -> std::io::Result<u64> {
-        let resp = self.request(&Json::obj(vec![
-            ("op", Json::from(OpCode::Hello.name())),
-            ("max", Json::from(PROTOCOL_VERSION)),
-        ]))?;
-        let v = resp.get("v").and_then(Json::as_u64).unwrap_or(1);
-        self.version = v.clamp(1, PROTOCOL_VERSION);
-        Ok(self.version)
-    }
-
-    /// Encode an operation under the negotiated protocol version (a v3
-    /// connection still encodes JSON documents as v2 — the binary version
-    /// never appears in a JSON envelope).
-    fn op_frame(&self, op: OpCode, mut fields: Vec<(&str, Json)>) -> Json {
-        let version = self.version.min(PROTOCOL_VERSION);
-        let mut pairs = if version >= 2 {
-            vec![("v", Json::from(version)), ("o", Json::from(u64::from(op.code())))]
-        } else {
-            vec![("op", Json::from(op.name()))]
-        };
-        pairs.append(&mut fields);
-        Json::obj(pairs)
-    }
-
-    /// Send one request document and block for its response.
-    pub fn request(&mut self, request: &Json) -> std::io::Result<Json> {
-        write_frame(&mut self.stream, request.render().as_bytes())?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed")
-        })?;
-        let text = std::str::from_utf8(&payload)
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf-8 frame"))?;
-        Json::parse(text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Send one operation under the negotiated envelope.
-    pub fn request_op(&mut self, op: OpCode, fields: Vec<(&str, Json)>) -> std::io::Result<Json> {
-        let frame = self.op_frame(op, fields);
-        self.request(&frame)
-    }
-
-    /// `ping`: the serving model version.
-    #[deprecated(note = "use Client::call with proto::Request::Ping")]
-    pub fn ping(&mut self) -> std::io::Result<u64> {
-        let resp = self.request_op(OpCode::Ping, Vec::new())?;
-        resp.get("version").and_then(Json::as_u64).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "ping response missing version")
-        })
-    }
-
-    /// `recommend` against a preset cluster; returns the raw response
-    /// document (check `"ok"`).
-    #[deprecated(note = "use Client::call with proto::Request::Recommend")]
-    pub fn recommend(
-        &mut self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &str,
-        k: usize,
-        seed: u64,
-    ) -> std::io::Result<Json> {
-        self.request_op(
-            OpCode::Recommend,
-            vec![
-                ("app", Json::from(app.name())),
-                ("data", data_to_json(data)),
-                ("cluster", Json::from(cluster)),
-                ("k", Json::from(k)),
-                ("seed", Json::from(seed)),
-            ],
-        )
-    }
-
-    /// `recommend` under a client-chosen trace id (v2 only; requires a
-    /// prior [`negotiate`](Client::negotiate)). The server records the
-    /// request's path under `trace_id` when tail forensics is enabled and
-    /// echoes the id as `"t"` in the response.
-    #[allow(clippy::too_many_arguments)]
-    #[deprecated(note = "use Client::call with proto::Request::Recommend")]
-    pub fn recommend_traced(
-        &mut self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &str,
-        k: usize,
-        seed: u64,
-        trace_id: u64,
-    ) -> std::io::Result<Json> {
-        self.request_op(
-            OpCode::Recommend,
-            vec![
-                ("t", Json::from(trace_id)),
-                ("app", Json::from(app.name())),
-                ("data", data_to_json(data)),
-                ("cluster", Json::from(cluster)),
-                ("k", Json::from(k)),
-                ("seed", Json::from(seed)),
-            ],
-        )
-    }
-
-    /// `observe` an executed configuration's outcome against a preset
-    /// cluster; returns the raw response document.
-    #[deprecated(note = "use Client::call with proto::Request::Observe")]
-    pub fn observe(
-        &mut self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &str,
-        conf: &SparkConf,
-        result: &RunResult,
-    ) -> std::io::Result<Json> {
-        self.request_op(
-            OpCode::Observe,
-            vec![
-                ("app", Json::from(app.name())),
-                ("data", data_to_json(data)),
-                ("cluster", Json::from(cluster)),
-                ("conf", Json::Arr(conf.values().iter().map(|&v| Json::Num(v)).collect())),
-                ("result", result_to_json(result)),
-            ],
-        )
-    }
-
-    /// `stats`: the operational summary document (check `"ok"`).
-    #[deprecated(note = "use Client::call with proto::Request::Stats")]
-    pub fn stats(&mut self) -> std::io::Result<Json> {
-        self.request_op(OpCode::Stats, Vec::new())
-    }
-
-    /// `metrics`: the Prometheus text exposition body.
-    #[deprecated(note = "use Client::call with proto::Request::Metrics")]
-    pub fn metrics_text(&mut self) -> std::io::Result<String> {
-        let resp = self.request_op(OpCode::Metrics, Vec::new())?;
-        resp.get("body").and_then(Json::as_str).map(str::to_string).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "metrics response missing body")
-        })
-    }
-
-    /// `trace`: the Chrome trace-event document (save to a `.json` file
-    /// and open in Perfetto).
-    #[deprecated(note = "use Client::call with proto::Request::Trace")]
-    pub fn trace(&mut self) -> std::io::Result<Json> {
-        let resp = self.request_op(OpCode::Trace, Vec::new())?;
-        resp.get("trace").cloned().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "trace response missing trace")
-        })
-    }
-
-    /// `tailtrace`: the slow-request exemplar reservoir (check `"ok"`;
-    /// `"exemplars"` is the slowest-first list with per-phase spans).
-    #[deprecated(note = "use Client::call with proto::Request::Tailtrace")]
-    pub fn tailtrace(&mut self) -> std::io::Result<Json> {
-        self.request_op(OpCode::Tailtrace, Vec::new())
-    }
-
-    /// `analyze`: statically extract a named workload's stage templates
-    /// and lint diagnostics — the zero-run cold-start onboarding probe.
-    #[deprecated(note = "use Client::call with proto::Request::Analyze")]
-    pub fn analyze(&mut self, app: AppId) -> std::io::Result<Json> {
-        self.request_op(OpCode::Analyze, vec![("app", Json::from(app.name()))])
-    }
-
-    /// `analyze` submitted source text directly, with an explicit
-    /// iteration count for iterative pipelines.
-    #[deprecated(note = "use Client::call with proto::Request::Analyze")]
-    pub fn analyze_source(&mut self, source: &str, iterations: u32) -> std::io::Result<Json> {
-        self.request_op(
-            OpCode::Analyze,
-            vec![("source", Json::from(source)), ("iterations", Json::from(u64::from(iterations)))],
-        )
-    }
-
-    /// `retrieve`: nearest historical runs for a named workload at a
-    /// target data/cluster scale, with scale-adapted candidate confs
-    /// (v2 only — v1 peers are refused with `BadRequest`). Returns the
-    /// raw response document (check `"ok"`).
-    #[deprecated(note = "use Client::call with proto::Request::Retrieve")]
-    pub fn retrieve(
-        &mut self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &str,
-        k: usize,
-    ) -> std::io::Result<Json> {
-        self.request_op(
-            OpCode::Retrieve,
-            vec![
-                ("app", Json::from(app.name())),
-                ("data", data_to_json(data)),
-                ("cluster", Json::from(cluster)),
-                ("k", Json::from(k)),
-            ],
-        )
-    }
-
-    /// `retrieve` for submitted source text: the zero-execution cold-start
-    /// path — the server embeds the source statically and searches the
-    /// run index without ever running the job.
-    #[deprecated(note = "use Client::call with proto::Request::Retrieve")]
-    pub fn retrieve_source(
-        &mut self,
-        source: &str,
-        data: &DataSpec,
-        cluster: &str,
-        k: usize,
-    ) -> std::io::Result<Json> {
-        self.request_op(
-            OpCode::Retrieve,
-            vec![
-                ("source", Json::from(source)),
-                ("data", data_to_json(data)),
-                ("cluster", Json::from(cluster)),
-                ("k", Json::from(k)),
-            ],
-        )
-    }
-
-    /// `profile`: the sampling-profiler report — top-`k` self/total tag
-    /// table, folded stacks, allocation attribution (v2 only — v1 peers
-    /// are refused with `BadRequest`). Returns the raw response document
-    /// (check `"ok"`).
-    #[deprecated(note = "use Client::call with proto::Request::Profile")]
-    pub fn profile(&mut self, k: usize) -> std::io::Result<Json> {
-        self.request_op(OpCode::Profile, vec![("k", Json::from(k))])
-    }
-
-    /// `slo`: the burn-rate SLO status — windowed quantiles, burn rates,
-    /// alert state (v2 only). Returns the raw response document.
-    #[deprecated(note = "use Client::call with proto::Request::Slo")]
-    pub fn slo(&mut self) -> std::io::Result<Json> {
-        self.request_op(OpCode::Slo, Vec::new())
-    }
-
-    /// `health`: `Ok(version)` when the server answers `status: "ok"`.
-    #[deprecated(note = "use Client::call with proto::Request::Health")]
-    pub fn health(&mut self) -> std::io::Result<u64> {
-        let resp = self.request_op(OpCode::Health, Vec::new())?;
-        match (resp.get("status").and_then(Json::as_str), resp.get("version")) {
-            (Some("ok"), Some(v)) => v.as_u64().ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad health version")
-            }),
-            _ => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "unhealthy response")),
-        }
-    }
-}
-
-/// Encode a [`DataSpec`] for the wire.
-pub fn data_to_json(data: &DataSpec) -> Json {
-    Json::obj(vec![
-        ("rows", Json::from(data.rows)),
-        ("cols", Json::from(data.cols)),
-        ("iterations", Json::from(data.iterations)),
-        ("partitions", Json::from(data.partitions)),
-        ("bytes", Json::from(data.bytes)),
-    ])
-}
-
-/// Encode a [`RunResult`] for the wire (stage names and durations; the
-/// observability-only stage fields travel too so nothing is lost).
-pub fn result_to_json(result: &RunResult) -> Json {
-    Json::obj(vec![
-        ("total_time_s", Json::Num(result.total_time_s)),
-        ("failed", Json::Bool(result.failure.is_some())),
-        ("executors", Json::from(result.executors)),
-        ("slots", Json::from(result.slots)),
-        (
-            "stages",
-            Json::Arr(
-                result
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("stage_id", Json::from(s.stage_id)),
-                            ("name", Json::from(s.name.as_str())),
-                            ("duration_s", Json::Num(s.duration_s)),
-                            ("num_tasks", Json::from(s.num_tasks)),
-                            ("input_bytes", Json::from(s.input_bytes)),
-                            ("shuffle_read_bytes", Json::from(s.shuffle_read_bytes)),
-                            ("shuffle_write_bytes", Json::from(s.shuffle_write_bytes)),
-                            ("spill_bytes", Json::from(s.spill_bytes)),
-                            ("gc_time_s", Json::Num(s.gc_time_s)),
-                            ("peak_task_memory", Json::from(s.peak_task_memory)),
-                            ("cached_fraction", Json::Num(s.cached_fraction)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2402,65 +930,15 @@ mod tests {
     #[test]
     fn frames_roundtrip_and_reject_oversize() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"{\"op\":\"ping\"}").unwrap();
+        write_frame(&mut buf, b"{\"v\":2,\"o\":0}").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"{\"op\":\"ping\"}");
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"{\"v\":2,\"o\":0}");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
 
         let huge = (MAX_FRAME + 1).to_be_bytes();
         let mut cursor = std::io::Cursor::new(huge.to_vec());
         assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn wire_parsers_roundtrip_domain_types() {
-        let data = AppId::PageRank.dataset(lite_workloads::data::SizeTier::Valid);
-        let parsed = parse_data(Some(&data_to_json(&data))).unwrap();
-        assert_eq!(parsed, data);
-
-        let cluster = parse_cluster(Some(&Json::from("cluster-b"))).unwrap();
-        assert_eq!(cluster, ClusterSpec::cluster_b());
-        let custom = Json::parse(
-            r#"{"name":"x","nodes":2,"cores_per_node":8,"cpu_ghz":3.0,
-                "mem_gb_per_node":32,"mem_mts":2400,"net_gbps":10}"#,
-        )
-        .unwrap();
-        assert_eq!(parse_cluster(Some(&custom)).unwrap().nodes, 2);
-
-        let space = ConfSpace::table_iv();
-        let conf = space.default_conf();
-        let wire = Json::Arr(conf.values().iter().map(|&v| Json::Num(v)).collect());
-        assert_eq!(parse_conf(&space, Some(&wire)).unwrap(), conf);
-
-        assert_eq!(parse_app(Some(&Json::from("KMeans"))).unwrap(), AppId::KMeans);
-        assert!(parse_app(Some(&Json::from("NoSuchApp"))).is_err());
-    }
-
-    #[test]
-    fn run_results_roundtrip_the_fields_feedback_needs() {
-        let result = RunResult {
-            total_time_s: 42.5,
-            stages: vec![StageStats {
-                stage_id: 3,
-                name: "reduce".into(),
-                duration_s: 21.25,
-                num_tasks: 64,
-                input_bytes: 1024,
-                shuffle_read_bytes: 256,
-                shuffle_write_bytes: 128,
-                spill_bytes: 0,
-                gc_time_s: 0.5,
-                peak_task_memory: 99,
-                cached_fraction: 0.75,
-                tasks: Vec::new(),
-            }],
-            failure: None,
-            executors: 4,
-            slots: 16,
-        };
-        let parsed = parse_result(Some(&result_to_json(&result))).unwrap();
-        assert_eq!(parsed, result);
     }
 }

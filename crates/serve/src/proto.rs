@@ -1,13 +1,27 @@
-//! The typed request/response surface and the protocol v3 binary codec.
+//! The typed request/response surface and its two codecs.
 //!
 //! One [`Request`]/[`Response`] enum pair covers every operation the serve
 //! plane speaks — recommend/observe/retrieve plus the admin family — and
-//! both codecs serialize it: the JSON envelopes (v1/v2, byte-identical to
-//! the historical per-method client shims) and the v3 binary frames. The
-//! [`Client`](crate::net::Client) calls [`Request::to_json`] or
-//! [`encode_request`] depending on the negotiated version; the server's
-//! reactor decodes v3 frames with [`decode_request`] and answers with the
-//! `encode_*_response` family.
+//! both codecs are thin `bytes ↔ Request/Response` adapters over it: the
+//! v2 JSON envelope ([`Request::to_json`]/[`Request::from_json`],
+//! [`Response::to_json`]/[`Response::from_json`]) and the v3 binary frames
+//! ([`encode_request`]/[`decode_request`],
+//! [`encode_response`]/[`decode_response`]). [`Codec`] picks between them
+//! from a frame's first payload byte, so the server's one handler and the
+//! [`Client`](crate::client::Client) never branch on the dialect.
+//!
+//! ## v2 JSON envelope
+//!
+//! A request is `{"v":2,"o":<op code>,...payload}` with the numeric
+//! [`OpCode`]; `recommend`/`retrieve` may lead the payload with a nonzero
+//! `"t"` trace id. A success answer is `{"v":2,"ok":true,...}` (with the
+//! `"t"` echoed right after `"v"` when the request was traced), an error
+//! `{"v":2,"ok":false,"c":<code>,"code":"<name>","error":"..."}` with the
+//! numeric [`ErrorCode`]. `hello` (`{"v":2,"o":7,"max":2}`) is answered
+//! `{"v":<negotiated>,"ok":true}` — the envelope's one `"v"` *is* the
+//! negotiated version. `cluster` is either a preset name
+//! (`"cluster-a"`/`"cluster-b"`/`"cluster-c"`) or a full object with the
+//! Table III fields.
 //!
 //! ## v3 frame layout
 //!
@@ -31,7 +45,7 @@
 //! Hot ops (recommend/observe/retrieve, plus ping/hello) use fixed binary
 //! body layouts decoded by bounds-checked slice views — no intermediate
 //! JSON value exists on the hot path. Admin responses (stats, metrics,
-//! trace, health, analyze, tailtrace, profile, slo) carry the rendered v2
+//! trace, health, analyze, tailtrace, profile, slo) carry the rendered
 //! JSON success document as the body: those ops are not hot, and reusing
 //! the JSON renderers keeps one source of truth for their shapes. Error
 //! responses set flags bit1 and carry `code:u8` + UTF-8 message.
@@ -49,8 +63,142 @@ use lite_sparksim::result::{FailureReason, RunResult, StageStats};
 use lite_workloads::apps::AppId;
 use lite_workloads::data::DataSpec;
 
-use crate::net::{data_to_json, result_to_json, ErrorCode, OpCode, PROTOCOL_VERSION};
-use crate::service::{RecommendResponse, RetrieveResponse};
+use crate::service::{RecommendResponse, RetrieveResponse, ServeError};
+
+/// The JSON envelope version.
+pub const PROTOCOL_VERSION: u64 = 2;
+
+/// Numeric operation codes, shared by the v2 envelope's `"o"` and the v3
+/// header's op byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum OpCode {
+    /// Liveness + serving version.
+    Ping = 0,
+    /// Top-k recommendation.
+    Recommend = 1,
+    /// Executed-configuration feedback.
+    Observe = 2,
+    /// Operational summary.
+    Stats = 3,
+    /// Prometheus text exposition.
+    Metrics = 4,
+    /// Chrome trace-event JSON.
+    Trace = 5,
+    /// Probe endpoint.
+    Health = 6,
+    /// Version negotiation.
+    Hello = 7,
+    /// Static stage extraction + lints for cold-start onboarding.
+    Analyze = 8,
+    /// Slow-request exemplars from the tail-forensics reservoir.
+    Tailtrace = 9,
+    /// Zero-execution cold-start retrieval from the historical run index.
+    Retrieve = 10,
+    /// Sampling-profiler report: top-K self/total tag tables, folded
+    /// stacks, and allocation attribution.
+    Profile = 11,
+    /// Burn-rate SLO status: windowed quantiles, burn rates, and the
+    /// alert state.
+    Slo = 12,
+}
+
+impl OpCode {
+    /// All operations, for exhaustive round-trip tests.
+    pub const ALL: [OpCode; 13] = [
+        OpCode::Ping,
+        OpCode::Recommend,
+        OpCode::Observe,
+        OpCode::Stats,
+        OpCode::Metrics,
+        OpCode::Trace,
+        OpCode::Health,
+        OpCode::Hello,
+        OpCode::Analyze,
+        OpCode::Tailtrace,
+        OpCode::Retrieve,
+        OpCode::Profile,
+        OpCode::Slo,
+    ];
+
+    /// The numeric wire code.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// Decode a numeric op code.
+    pub fn from_code(code: u64) -> Option<OpCode> {
+        OpCode::ALL.into_iter().find(|op| u64::from(op.code()) == code)
+    }
+}
+
+/// Structured wire error codes: numeric in the v2 `"c"` field and the v3
+/// error body, with the snake_case name alongside in JSON for humans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum ErrorCode {
+    /// The request queue was full; shed at admission.
+    Overloaded = 1,
+    /// The deadline passed before a worker picked the request up.
+    DeadlineExceeded = 2,
+    /// The service answered from its degradation fallback. Never produced
+    /// by the server as an error (degraded responses succeed with
+    /// `"degraded":true`); reserved for clients that promote them.
+    Degraded = 3,
+    /// The service is shutting down.
+    ShuttingDown = 4,
+    /// A server-side bug; surfaced, not hung.
+    Internal = 5,
+    /// The app's templates are not in the serving snapshot.
+    ColdApp = 6,
+    /// The request itself was malformed.
+    BadRequest = 7,
+}
+
+impl ErrorCode {
+    /// All codes, for exhaustive round-trip tests.
+    pub const ALL: [ErrorCode; 7] = [
+        ErrorCode::Overloaded,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::Degraded,
+        ErrorCode::ShuttingDown,
+        ErrorCode::Internal,
+        ErrorCode::ColdApp,
+        ErrorCode::BadRequest,
+    ];
+
+    /// The numeric wire code.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The snake_case name (the JSON `"code"` value).
+    pub fn name(self) -> &'static str {
+        match self {
+            ErrorCode::Overloaded => "overloaded",
+            ErrorCode::DeadlineExceeded => "deadline_exceeded",
+            ErrorCode::Degraded => "degraded",
+            ErrorCode::ShuttingDown => "shutting_down",
+            ErrorCode::Internal => "internal",
+            ErrorCode::ColdApp => "cold_app",
+            ErrorCode::BadRequest => "bad_request",
+        }
+    }
+
+    /// Decode a numeric wire code.
+    pub fn from_code(code: u64) -> Option<ErrorCode> {
+        ErrorCode::ALL.into_iter().find(|c| u64::from(c.code()) == code)
+    }
+
+    /// Extract the error code from a JSON response document's numeric
+    /// `"c"`. `None` for successful responses.
+    pub fn from_response(resp: &Json) -> Option<ErrorCode> {
+        if resp.get("ok").and_then(Json::as_bool) != Some(false) {
+            return None;
+        }
+        resp.get("c").and_then(Json::as_u64).and_then(ErrorCode::from_code)
+    }
+}
 
 /// First payload byte of a v3 binary frame (never a valid JSON start).
 pub const V3_MAGIC: u8 = 0xB3;
@@ -106,6 +254,39 @@ impl ClusterRef {
             ]),
         }
     }
+
+    fn from_json(value: Option<&Json>) -> Result<ClusterRef, String> {
+        match value {
+            Some(Json::Str(name)) => Ok(ClusterRef::Preset(name.clone())),
+            Some(obj @ Json::Obj(_)) => {
+                let num = |key: &str| {
+                    obj.get(key).and_then(Json::as_f64).ok_or(format!("cluster.{key} required"))
+                };
+                Ok(ClusterRef::Spec(ClusterSpec {
+                    name: obj.get("name").and_then(Json::as_str).unwrap_or("wire-cluster").into(),
+                    nodes: num("nodes")? as u32,
+                    cores_per_node: num("cores_per_node")? as u32,
+                    cpu_ghz: num("cpu_ghz")?,
+                    mem_gb_per_node: num("mem_gb_per_node")?,
+                    mem_mts: num("mem_mts")?,
+                    net_gbps: num("net_gbps")?,
+                }))
+            }
+            _ => Err("missing cluster (preset name or object)".to_string()),
+        }
+    }
+
+    /// Resolve into a concrete spec: preset names are looked up
+    /// case-insensitively. `Err` is a `bad_request` message.
+    pub fn resolve(&self) -> Result<ClusterSpec, String> {
+        match self {
+            ClusterRef::Preset(name) => ClusterSpec::all_evaluation_clusters()
+                .into_iter()
+                .find(|c| c.name.eq_ignore_ascii_case(name))
+                .ok_or_else(|| format!("unknown cluster preset {name:?}")),
+            ClusterRef::Spec(spec) => Ok(spec.clone()),
+        }
+    }
 }
 
 /// What a `retrieve` searches by: a server-known app, or raw source text
@@ -133,7 +314,7 @@ pub enum AnalyzeTarget {
 }
 
 /// Every operation the serve plane accepts, as one typed enum. Encoded by
-/// [`Request::to_json`] (v1/v2) or [`encode_request`] (v3).
+/// [`Request::to_json`] (v2 JSON) or [`encode_request`] (v3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness + serving version.
@@ -236,13 +417,18 @@ impl Request {
         }
     }
 
-    /// Encode as a v1 (`version == 1`) or v2 (`version >= 2`) JSON
-    /// document, byte-identical to what the historical per-method client
-    /// shims produced: the envelope first (`"op"` by name for v1,
-    /// `"v"`/`"o"` numeric for v2), then the payload fields in their
-    /// pinned order, with the optional `"t"` trace id leading the payload.
-    pub fn to_json(&self, version: u64) -> Json {
-        let mut fields: Vec<(&str, Json)> = Vec::new();
+    /// Encode as a v2 JSON document: the `"v"`/`"o"` envelope first, then
+    /// the payload fields in their pinned order, with the optional `"t"`
+    /// trace id leading the payload. The envelope is v2 whatever `version`
+    /// says; the argument stays because the benchmark calls this signature.
+    pub fn to_json(&self, _version: u64) -> Json {
+        let mut pairs = vec![
+            ("v", Json::from(PROTOCOL_VERSION)),
+            ("o", Json::from(u64::from(self.op().code()))),
+        ];
+        if let Some(t) = self.trace_id() {
+            pairs.push(("t", Json::from(t)));
+        }
         match self {
             Request::Ping
             | Request::Stats
@@ -251,66 +437,219 @@ impl Request {
             | Request::Health
             | Request::Tailtrace
             | Request::Slo => {}
-            Request::Hello { max } => fields.push(("max", Json::from(*max))),
-            Request::Recommend { app, data, cluster, k, seed, trace } => {
-                if let Some(t) = trace {
-                    if version >= 2 {
-                        fields.push(("t", Json::from(*t)));
-                    }
-                }
-                fields.push(("app", Json::from(app.name())));
-                fields.push(("data", data_to_json(data)));
-                fields.push(("cluster", cluster.to_json()));
-                fields.push(("k", Json::from(*k)));
-                fields.push(("seed", Json::from(*seed)));
+            Request::Hello { max } => pairs.push(("max", Json::from(*max))),
+            Request::Recommend { app, data, cluster, k, seed, trace: _ } => {
+                pairs.push(("app", Json::from(app.name())));
+                pairs.push(("data", data_to_json(data)));
+                pairs.push(("cluster", cluster.to_json()));
+                pairs.push(("k", Json::from(*k)));
+                pairs.push(("seed", Json::from(*seed)));
             }
             Request::Observe { app, data, cluster, conf, result } => {
-                fields.push(("app", Json::from(app.name())));
-                fields.push(("data", data_to_json(data)));
-                fields.push(("cluster", cluster.to_json()));
-                fields.push((
-                    "conf",
-                    Json::Arr(conf.values().iter().map(|&v| Json::Num(v)).collect()),
-                ));
-                fields.push(("result", result_to_json(result)));
+                pairs.push(("app", Json::from(app.name())));
+                pairs.push(("data", data_to_json(data)));
+                pairs.push(("cluster", cluster.to_json()));
+                pairs.push(("conf", conf_to_json(conf)));
+                pairs.push(("result", result_to_json(result)));
             }
-            Request::Retrieve { target, data, cluster, k, trace } => {
-                if let Some(t) = trace {
-                    if version >= 2 {
-                        fields.push(("t", Json::from(*t)));
-                    }
-                }
+            Request::Retrieve { target, data, cluster, k, trace: _ } => {
                 match target {
-                    RetrieveTarget::App(app) => fields.push(("app", Json::from(app.name()))),
-                    RetrieveTarget::Source(src) => {
-                        fields.push(("source", Json::from(src.as_str())))
-                    }
+                    RetrieveTarget::App(app) => pairs.push(("app", Json::from(app.name()))),
+                    RetrieveTarget::Source(src) => pairs.push(("source", Json::from(src.as_str()))),
                 }
-                fields.push(("data", data_to_json(data)));
-                fields.push(("cluster", cluster.to_json()));
-                fields.push(("k", Json::from(*k)));
+                pairs.push(("data", data_to_json(data)));
+                pairs.push(("cluster", cluster.to_json()));
+                pairs.push(("k", Json::from(*k)));
             }
             Request::Analyze { target } => match target {
-                AnalyzeTarget::App(app) => fields.push(("app", Json::from(app.name()))),
+                AnalyzeTarget::App(app) => pairs.push(("app", Json::from(app.name()))),
                 AnalyzeTarget::Source { source, iterations } => {
-                    fields.push(("source", Json::from(source.as_str())));
-                    fields.push(("iterations", Json::from(u64::from(*iterations))));
+                    pairs.push(("source", Json::from(source.as_str())));
+                    pairs.push(("iterations", Json::from(u64::from(*iterations))));
                 }
             },
-            Request::Profile { k } => fields.push(("k", Json::from(*k))),
+            Request::Profile { k } => pairs.push(("k", Json::from(*k))),
         }
-        let op = self.op();
-        let mut pairs = if version >= 2 {
-            vec![
-                ("v", Json::from(version.min(PROTOCOL_VERSION))),
-                ("o", Json::from(u64::from(op.code()))),
-            ]
-        } else {
-            vec![("op", Json::from(op.name()))]
-        };
-        pairs.append(&mut fields);
         Json::obj(pairs)
     }
+
+    /// Decode a v2 JSON document — the inverse of [`Request::to_json`].
+    /// A document without `"v":2` (a v1 `"op"`-keyed frame included) is
+    /// refused. `Err` is a `bad_request` message.
+    pub fn from_json(doc: &Json, space: &ConfSpace) -> Result<Request, String> {
+        match doc.get("v").and_then(Json::as_u64) {
+            Some(PROTOCOL_VERSION) => {}
+            Some(v) => return Err(format!("unsupported version {v}")),
+            None => return Err("missing \"v\":2 (protocol v1 is no longer served)".to_string()),
+        }
+        let op = doc.get("o").and_then(Json::as_u64).and_then(OpCode::from_code);
+        let u = |key: &str, default: u64| doc.get(key).and_then(Json::as_u64).unwrap_or(default);
+        let trace = doc.get("t").and_then(Json::as_u64);
+        Ok(match op.ok_or("unknown op")? {
+            OpCode::Ping => Request::Ping,
+            OpCode::Stats => Request::Stats,
+            OpCode::Metrics => Request::Metrics,
+            OpCode::Trace => Request::Trace,
+            OpCode::Health => Request::Health,
+            OpCode::Tailtrace => Request::Tailtrace,
+            OpCode::Slo => Request::Slo,
+            OpCode::Hello => Request::Hello { max: u("max", PROTOCOL_VERSION) },
+            OpCode::Recommend => Request::Recommend {
+                app: parse_app(doc.get("app"))?,
+                data: parse_data(doc.get("data"))?,
+                cluster: ClusterRef::from_json(doc.get("cluster"))?,
+                k: u("k", 1) as usize,
+                seed: u("seed", 0),
+                trace,
+            },
+            OpCode::Observe => Request::Observe {
+                app: parse_app(doc.get("app"))?,
+                data: parse_data(doc.get("data"))?,
+                cluster: ClusterRef::from_json(doc.get("cluster"))?,
+                conf: parse_conf(doc.get("conf"), space)?,
+                result: Box::new(parse_result(doc.get("result"))?),
+            },
+            OpCode::Retrieve => Request::Retrieve {
+                target: match (doc.get("app"), doc.get("source").and_then(Json::as_str)) {
+                    (Some(app), _) => RetrieveTarget::App(parse_app(Some(app))?),
+                    (None, Some(src)) => RetrieveTarget::Source(src.to_string()),
+                    (None, None) => return Err("retrieve needs \"app\" or \"source\"".to_string()),
+                },
+                data: parse_data(doc.get("data"))?,
+                cluster: ClusterRef::from_json(doc.get("cluster"))?,
+                k: u("k", 1) as usize,
+                trace,
+            },
+            OpCode::Analyze => Request::Analyze {
+                target: match (doc.get("app"), doc.get("source").and_then(Json::as_str)) {
+                    (Some(app), _) => AnalyzeTarget::App(parse_app(Some(app))?),
+                    (None, Some(src)) => AnalyzeTarget::Source {
+                        source: src.to_string(),
+                        iterations: u("iterations", 1).min(u64::from(u32::MAX)) as u32,
+                    },
+                    (None, None) => return Err("analyze needs \"app\" or \"source\"".to_string()),
+                },
+            },
+            OpCode::Profile => Request::Profile { k: u("k", 10) as usize },
+        })
+    }
+}
+
+fn conf_to_json(conf: &SparkConf) -> Json {
+    Json::Arr(conf.values().iter().map(|&v| Json::Num(v)).collect())
+}
+
+fn data_to_json(data: &DataSpec) -> Json {
+    Json::obj(vec![
+        ("rows", Json::from(data.rows)),
+        ("cols", Json::from(data.cols)),
+        ("iterations", Json::from(data.iterations)),
+        ("partitions", Json::from(data.partitions)),
+        ("bytes", Json::from(data.bytes)),
+    ])
+}
+
+/// Stage names and durations are what feedback needs; the
+/// observability-only stage fields travel too so nothing is lost.
+fn result_to_json(result: &RunResult) -> Json {
+    let stage = |s: &StageStats| {
+        Json::obj(vec![
+            ("stage_id", Json::from(s.stage_id)),
+            ("name", Json::from(s.name.as_str())),
+            ("duration_s", Json::Num(s.duration_s)),
+            ("num_tasks", Json::from(s.num_tasks)),
+            ("input_bytes", Json::from(s.input_bytes)),
+            ("shuffle_read_bytes", Json::from(s.shuffle_read_bytes)),
+            ("shuffle_write_bytes", Json::from(s.shuffle_write_bytes)),
+            ("spill_bytes", Json::from(s.spill_bytes)),
+            ("gc_time_s", Json::Num(s.gc_time_s)),
+            ("peak_task_memory", Json::from(s.peak_task_memory)),
+            ("cached_fraction", Json::Num(s.cached_fraction)),
+        ])
+    };
+    Json::obj(vec![
+        ("total_time_s", Json::Num(result.total_time_s)),
+        ("failed", Json::Bool(result.failure.is_some())),
+        ("executors", Json::from(result.executors)),
+        ("slots", Json::from(result.slots)),
+        ("stages", Json::Arr(result.stages.iter().map(stage).collect())),
+    ])
+}
+
+fn parse_app(value: Option<&Json>) -> Result<AppId, String> {
+    let name = value.and_then(Json::as_str).ok_or("missing app name")?;
+    AppId::all()
+        .iter()
+        .copied()
+        .find(|a| a.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown app {name:?}"))
+}
+
+fn parse_data(value: Option<&Json>) -> Result<DataSpec, String> {
+    let obj = value.ok_or("missing data")?;
+    let field = |key: &str| obj.get(key).and_then(Json::as_u64).unwrap_or(0);
+    Ok(DataSpec {
+        rows: field("rows"),
+        cols: field("cols") as u32,
+        iterations: field("iterations") as u32,
+        partitions: field("partitions") as u32,
+        bytes: obj.get("bytes").and_then(Json::as_u64).ok_or("data.bytes required")?,
+    })
+}
+
+fn parse_conf(value: Option<&Json>, space: &ConfSpace) -> Result<SparkConf, String> {
+    let items = value.and_then(Json::as_arr).ok_or("missing conf array")?;
+    if items.len() != NUM_KNOBS {
+        return Err(format!("conf needs {NUM_KNOBS} values, got {}", items.len()));
+    }
+    let mut values = [0.0f64; NUM_KNOBS];
+    for (i, item) in items.iter().enumerate() {
+        values[i] = item.as_f64().ok_or_else(|| format!("conf[{i}] is not a number"))?;
+    }
+    Ok(SparkConf::from_values(space, values))
+}
+
+fn parse_result(value: Option<&Json>) -> Result<RunResult, String> {
+    let obj = value.ok_or("missing result")?;
+    let total_time_s =
+        obj.get("total_time_s").and_then(Json::as_f64).ok_or("result.total_time_s required")?;
+    let failed = obj.get("failed").and_then(Json::as_bool).unwrap_or(false);
+    let stages_json = obj.get("stages").and_then(Json::as_arr).ok_or("result.stages required")?;
+    let mut stages = Vec::with_capacity(stages_json.len());
+    for (i, st) in stages_json.iter().enumerate() {
+        let name = st
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("stages[{i}].name required"))?;
+        let duration_s = st
+            .get("duration_s")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("stages[{i}].duration_s required"))?;
+        let u = |key: &str| st.get(key).and_then(Json::as_u64).unwrap_or(0);
+        stages.push(StageStats {
+            stage_id: st.get("stage_id").and_then(Json::as_u64).unwrap_or(i as u64) as usize,
+            name: name.to_string(),
+            duration_s,
+            num_tasks: u("num_tasks") as u32,
+            input_bytes: u("input_bytes"),
+            shuffle_read_bytes: u("shuffle_read_bytes"),
+            shuffle_write_bytes: u("shuffle_write_bytes"),
+            spill_bytes: u("spill_bytes"),
+            gc_time_s: st.get("gc_time_s").and_then(Json::as_f64).unwrap_or(0.0),
+            peak_task_memory: u("peak_task_memory"),
+            cached_fraction: st.get("cached_fraction").and_then(Json::as_f64).unwrap_or(1.0),
+            tasks: Vec::new(),
+        });
+    }
+    Ok(RunResult {
+        total_time_s,
+        stages,
+        // The wire carries only a failed flag; the concrete reason does not
+        // affect feedback extraction.
+        failure: failed.then_some(FailureReason::ExecutorOom),
+        executors: obj.get("executors").and_then(Json::as_u64).unwrap_or(0) as u32,
+        slots: obj.get("slots").and_then(Json::as_u64).unwrap_or(0) as u32,
+    })
 }
 
 /// A retrieval neighbor as the wire carries it.
@@ -402,8 +741,122 @@ impl Response {
         }
     }
 
-    /// Decode a JSON response document for `op` into the typed enum.
-    /// Unrecognized success shapes fall back to [`Response::Admin`].
+    /// A `bad_request` error.
+    pub fn bad_request(message: impl Into<String>) -> Response {
+        Response::Error { code: ErrorCode::BadRequest, message: message.into() }
+    }
+
+    /// The wire form of a service outcome's failure.
+    pub(crate) fn error(err: &ServeError) -> Response {
+        let code = match err {
+            ServeError::Overloaded => ErrorCode::Overloaded,
+            ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
+            ServeError::ColdApp(_) => ErrorCode::ColdApp,
+            ServeError::ShuttingDown => ErrorCode::ShuttingDown,
+            ServeError::Internal(_) => ErrorCode::Internal,
+        };
+        Response::Error { code, message: err.to_string() }
+    }
+
+    /// The wire form of a served recommendation (moves the ranking).
+    pub(crate) fn recommend(resp: RecommendResponse, trace: Option<u64>) -> Response {
+        let RecommendResponse { version, ranked, cached, scored, degraded } = resp;
+        Response::Recommend { version, cached, scored, degraded, ranked, trace }
+    }
+
+    /// The wire form of a served retrieval.
+    pub(crate) fn retrieve(resp: RetrieveResponse, trace: Option<u64>) -> Response {
+        let neighbors = resp
+            .neighbors
+            .into_iter()
+            .map(|n| Neighbor {
+                app: n.app,
+                distance: f64::from(n.distance),
+                runtime_s: n.runtime_s,
+                estimate_s: n.estimate_s,
+                conf: n.conf,
+            })
+            .collect();
+        Response::Retrieve {
+            index: resp.index_len,
+            search_ns: resp.search_ns,
+            neighbors,
+            ranked: resp.ranked,
+            trace,
+        }
+    }
+
+    /// Render as a v2 JSON document: `"v"` first, the echoed `"t"` next
+    /// when the request was traced, then `"ok"` and the payload. By value,
+    /// so an admin document (a trace can be half a frame) is stamped in
+    /// place rather than copied.
+    pub fn to_json(self) -> Json {
+        let ok = |trace: Option<u64>, fields: Vec<(&str, Json)>| {
+            let mut pairs = vec![("v", Json::from(PROTOCOL_VERSION))];
+            pairs.extend(trace.map(|t| ("t", Json::from(t))));
+            pairs.push(("ok", Json::Bool(true)));
+            pairs.extend(fields);
+            Json::obj(pairs)
+        };
+        match self {
+            Response::Pong { version, swaps } => {
+                ok(None, vec![("version", Json::from(version)), ("swaps", Json::from(swaps))])
+            }
+            // The envelope's one "v" is the negotiated version.
+            Response::Hello { v } => {
+                Json::obj(vec![("v", Json::from(v)), ("ok", Json::Bool(true))])
+            }
+            Response::Recommend { version, cached, scored, degraded, ranked, trace } => ok(
+                trace,
+                vec![
+                    ("version", Json::from(version)),
+                    ("cached", Json::from(cached)),
+                    ("scored", Json::from(scored)),
+                    ("degraded", Json::Bool(degraded)),
+                    ("ranked", ranked_to_json(&ranked)),
+                ],
+            ),
+            Response::Observe { feedback } => ok(None, vec![("feedback", Json::from(feedback))]),
+            Response::Retrieve { index, search_ns, neighbors, ranked, trace } => {
+                let neighbor = |n: &Neighbor| {
+                    Json::obj(vec![
+                        ("app", Json::from(n.app.name())),
+                        ("distance", Json::Num(n.distance)),
+                        ("runtime_s", Json::Num(n.runtime_s)),
+                        ("estimate_s", Json::Num(n.estimate_s)),
+                        ("conf", conf_to_json(&n.conf)),
+                    ])
+                };
+                ok(
+                    trace,
+                    vec![
+                        ("index", Json::from(index)),
+                        ("search_ns", Json::from(search_ns)),
+                        ("neighbors", Json::Arr(neighbors.iter().map(neighbor).collect())),
+                        ("ranked", ranked_to_json(&ranked)),
+                    ],
+                )
+            }
+            // Admin documents carry their own "ok": stamp the version on.
+            Response::Admin(Json::Obj(mut pairs)) => {
+                pairs.insert(0, ("v".to_string(), Json::from(PROTOCOL_VERSION)));
+                Json::Obj(pairs)
+            }
+            Response::Admin(other) => other,
+            Response::Error { code, message } => Json::obj(vec![
+                ("v", Json::from(PROTOCOL_VERSION)),
+                ("ok", Json::Bool(false)),
+                ("c", Json::from(u64::from(code.code()))),
+                ("code", Json::from(code.name())),
+                ("error", Json::from(message.as_str())),
+            ]),
+        }
+    }
+
+    /// Decode a v2 JSON response document for `op` — the inverse of
+    /// [`Response::to_json`]. Unrecognized success shapes fall back to
+    /// [`Response::Admin`], which holds the document without its `"v"`
+    /// stamp, exactly as a v3 admin body carries it.
     pub fn from_json(op: OpCode, doc: &Json, space: &ConfSpace) -> Response {
         if doc.get("ok").and_then(Json::as_bool) == Some(false) {
             let code = ErrorCode::from_response(doc).unwrap_or(ErrorCode::Internal);
@@ -417,7 +870,7 @@ impl Response {
                 version: u("version").unwrap_or(0),
                 swaps: u("swaps").unwrap_or(0),
             },
-            OpCode::Hello => Response::Hello { v: u("v").unwrap_or(1) },
+            OpCode::Hello => Response::Hello { v: u("v").unwrap_or(PROTOCOL_VERSION) },
             OpCode::Recommend => Response::Recommend {
                 version: u("version").unwrap_or(0),
                 cached: u("cached").unwrap_or(0) as usize,
@@ -434,9 +887,21 @@ impl Response {
                 ranked: parse_ranked(doc.get("ranked"), space),
                 trace: u("t"),
             },
-            _ => Response::Admin(doc.clone()),
+            _ => Response::Admin(match doc {
+                Json::Obj(pairs) => {
+                    Json::Obj(pairs.iter().filter(|(key, _)| key != "v").cloned().collect())
+                }
+                other => other.clone(),
+            }),
         }
     }
+}
+
+fn ranked_to_json(ranked: &[RankedCandidate]) -> Json {
+    let candidate = |r: &RankedCandidate| {
+        Json::obj(vec![("conf", conf_to_json(&r.conf)), ("predicted_s", Json::Num(r.predicted_s))])
+    };
+    Json::Arr(ranked.iter().map(candidate).collect())
 }
 
 fn parse_ranked(value: Option<&Json>, space: &ConfSpace) -> Vec<RankedCandidate> {
@@ -444,7 +909,7 @@ fn parse_ranked(value: Option<&Json>, space: &ConfSpace) -> Vec<RankedCandidate>
     items
         .iter()
         .filter_map(|item| {
-            let conf = parse_conf_values(item.get("conf"), space)?;
+            let conf = parse_conf(item.get("conf"), space).ok()?;
             let predicted_s = item.get("predicted_s").and_then(Json::as_f64)?;
             Some(RankedCandidate { conf, predicted_s })
         })
@@ -456,29 +921,15 @@ fn parse_neighbors(value: Option<&Json>, space: &ConfSpace) -> Vec<Neighbor> {
     items
         .iter()
         .filter_map(|item| {
-            let name = item.get("app").and_then(Json::as_str)?;
-            let app = AppId::all().iter().copied().find(|a| a.name() == name)?;
             Some(Neighbor {
-                app,
+                app: parse_app(item.get("app")).ok()?,
                 distance: item.get("distance").and_then(Json::as_f64).unwrap_or(0.0),
                 runtime_s: item.get("runtime_s").and_then(Json::as_f64).unwrap_or(0.0),
                 estimate_s: item.get("estimate_s").and_then(Json::as_f64).unwrap_or(0.0),
-                conf: parse_conf_values(item.get("conf"), space)?,
+                conf: parse_conf(item.get("conf"), space).ok()?,
             })
         })
         .collect()
-}
-
-fn parse_conf_values(value: Option<&Json>, space: &ConfSpace) -> Option<SparkConf> {
-    let items = value.and_then(Json::as_arr)?;
-    if items.len() != NUM_KNOBS {
-        return None;
-    }
-    let mut values = [0.0f64; NUM_KNOBS];
-    for (i, item) in items.iter().enumerate() {
-        values[i] = item.as_f64()?;
-    }
-    Some(SparkConf::from_values(space, values))
 }
 
 // ---------------------------------------------------------------------------
@@ -901,118 +1352,86 @@ pub fn decode_request(payload: &[u8], space: &ConfSpace) -> DecResult<(V3Header,
 // ---------------------------------------------------------------------------
 // Response codec
 
-/// Resolve a decoded cluster reference into a concrete spec, the same way
-/// the JSON front-end resolves preset names. `Err` is a `bad_request`
-/// message.
-pub fn resolve_cluster(cluster: &ClusterRef) -> Result<ClusterSpec, String> {
-    match cluster {
-        ClusterRef::Preset(name) => ClusterSpec::all_evaluation_clusters()
-            .into_iter()
-            .find(|c| c.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown cluster preset {name:?}")),
-        ClusterRef::Spec(spec) => Ok(spec.clone()),
+fn enc_ranked(e: &mut Enc, ranked: &[RankedCandidate]) {
+    let n = ranked.len().min(u16::MAX as usize);
+    e.u16(n as u16);
+    for r in &ranked[..n] {
+        enc_conf(e, &r.conf);
+        e.f64(r.predicted_s);
     }
 }
 
-fn response_flags(trace: Option<u64>) -> u64 {
-    u64::from(trace.is_some())
+fn enc_recommend_body(
+    e: &mut Enc,
+    version: u64,
+    cached: usize,
+    scored: usize,
+    degraded: bool,
+    ranked: &[RankedCandidate],
+) {
+    e.u64(version);
+    e.u32(cached as u32);
+    e.u32(scored as u32);
+    e.u8(u8::from(degraded));
+    enc_ranked(e, ranked);
 }
 
-fn response_header(op: OpCode, req_id: u32, trace: Option<u64>) -> [u8; V3_HEADER] {
-    let flags = if response_flags(trace) != 0 { FLAG_TRACED } else { 0 };
-    header_bytes(op, flags, req_id, trace.unwrap_or(0))
-}
-
-/// Encode a v3 `recommend` success response.
+/// Encode a v3 `recommend` success response straight from the service's
+/// answer.
 pub fn encode_recommend_response(
     req_id: u32,
     trace: Option<u64>,
     resp: &RecommendResponse,
 ) -> Vec<u8> {
     let mut e = Enc::new();
-    e.buf.extend_from_slice(&response_header(OpCode::Recommend, req_id, trace));
-    e.u64(resp.version);
-    e.u32(resp.cached as u32);
-    e.u32(resp.scored as u32);
-    e.u8(u8::from(resp.degraded));
-    let n = resp.ranked.len().min(u16::MAX as usize);
-    e.u16(n as u16);
-    for r in &resp.ranked[..n] {
-        enc_conf(&mut e, &r.conf);
-        e.f64(r.predicted_s);
+    let flags = if trace.is_some() { FLAG_TRACED } else { 0 };
+    e.buf.extend_from_slice(&header_bytes(OpCode::Recommend, flags, req_id, trace.unwrap_or(0)));
+    enc_recommend_body(&mut e, resp.version, resp.cached, resp.scored, resp.degraded, &resp.ranked);
+    e.buf
+}
+
+/// Encode any typed response to `op` as a complete v3 frame payload.
+pub fn encode_response(op: OpCode, req_id: u32, resp: &Response) -> Vec<u8> {
+    let mut e = Enc::new();
+    let (flags, trace_id) = match resp {
+        Response::Recommend { trace: Some(t), .. } | Response::Retrieve { trace: Some(t), .. } => {
+            (FLAG_TRACED, *t)
+        }
+        Response::Error { .. } => (FLAG_ERROR, 0),
+        _ => (0, 0),
+    };
+    e.buf.extend_from_slice(&header_bytes(op, flags, req_id, trace_id));
+    match resp {
+        Response::Pong { version, swaps } => {
+            e.u64(*version);
+            e.u64(*swaps);
+        }
+        Response::Hello { v } => e.u64(*v),
+        Response::Recommend { version, cached, scored, degraded, ranked, trace: _ } => {
+            enc_recommend_body(&mut e, *version, *cached, *scored, *degraded, ranked);
+        }
+        Response::Observe { feedback } => e.u64(*feedback as u64),
+        Response::Retrieve { index, search_ns, neighbors, ranked, trace: _ } => {
+            e.u64(*index as u64);
+            e.u64(*search_ns);
+            let n = neighbors.len().min(u16::MAX as usize);
+            e.u16(n as u16);
+            for nb in &neighbors[..n] {
+                enc_app(&mut e, nb.app);
+                e.f64(nb.distance);
+                e.f64(nb.runtime_s);
+                e.f64(nb.estimate_s);
+                enc_conf(&mut e, &nb.conf);
+            }
+            enc_ranked(&mut e, ranked);
+        }
+        // Admin bodies are the rendered JSON success document.
+        Response::Admin(doc) => e.buf.extend_from_slice(doc.render().as_bytes()),
+        Response::Error { code, message } => {
+            e.u8(code.code());
+            e.buf.extend_from_slice(message.as_bytes());
+        }
     }
-    e.buf
-}
-
-/// Encode a v3 `observe` success response.
-pub fn encode_observe_response(req_id: u32, feedback: usize) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&response_header(OpCode::Observe, req_id, None));
-    e.u64(feedback as u64);
-    e.buf
-}
-
-/// Encode a v3 `retrieve` success response.
-pub fn encode_retrieve_response(
-    req_id: u32,
-    trace: Option<u64>,
-    resp: &RetrieveResponse,
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&response_header(OpCode::Retrieve, req_id, trace));
-    e.u64(resp.index_len as u64);
-    e.u64(resp.search_ns);
-    let n = resp.neighbors.len().min(u16::MAX as usize);
-    e.u16(n as u16);
-    for nb in &resp.neighbors[..n] {
-        enc_app(&mut e, nb.app);
-        e.f64(f64::from(nb.distance));
-        e.f64(nb.runtime_s);
-        e.f64(nb.estimate_s);
-        enc_conf(&mut e, &nb.conf);
-    }
-    let r = resp.ranked.len().min(u16::MAX as usize);
-    e.u16(r as u16);
-    for rc in &resp.ranked[..r] {
-        enc_conf(&mut e, &rc.conf);
-        e.f64(rc.predicted_s);
-    }
-    e.buf
-}
-
-/// Encode a v3 `ping` success response.
-pub fn encode_ping_response(req_id: u32, version: u64, swaps: u64) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&response_header(OpCode::Ping, req_id, None));
-    e.u64(version);
-    e.u64(swaps);
-    e.buf
-}
-
-/// Encode a v3 `hello` success response.
-pub fn encode_hello_response(req_id: u32, v: u64) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&response_header(OpCode::Hello, req_id, None));
-    e.u64(v);
-    e.buf
-}
-
-/// Encode a v3 admin success response: the rendered JSON success document
-/// as the body.
-pub fn encode_admin_response(op: OpCode, req_id: u32, doc: &Json) -> Vec<u8> {
-    let rendered = doc.render();
-    let mut buf = Vec::with_capacity(V3_HEADER + rendered.len());
-    buf.extend_from_slice(&response_header(op, req_id, None));
-    buf.extend_from_slice(rendered.as_bytes());
-    buf
-}
-
-/// Encode a v3 error response for any op.
-pub fn encode_error_response(op: OpCode, req_id: u32, code: ErrorCode, msg: &str) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&header_bytes(op, FLAG_ERROR, req_id, 0));
-    e.u8(code.code());
-    e.buf.extend_from_slice(msg.as_bytes());
     e.buf
 }
 
@@ -1084,9 +1503,124 @@ pub fn decode_response(payload: &[u8], space: &ConfSpace) -> DecResult<(u32, Res
     Ok((header.req_id, resp))
 }
 
+// ---------------------------------------------------------------------------
+// Codec selection
+
+/// The codec a frame arrived in — picked from its first payload byte —
+/// and therefore the one its answer leaves in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Codec {
+    /// The v2 JSON envelope.
+    Json,
+    /// A v3 binary frame, with the header fields its answer echoes. Both
+    /// are read best-effort, so even an undecodable frame's error frame
+    /// names the op and correlation tag the sender used.
+    V3 {
+        /// The request's op (`Ping` when the op byte is unknown).
+        op: OpCode,
+        /// The pipelining correlation tag.
+        req_id: u32,
+    },
+}
+
+impl Codec {
+    /// The codec of one frame payload.
+    pub fn of(payload: &[u8]) -> Codec {
+        if payload.first() != Some(&V3_MAGIC) {
+            return Codec::Json;
+        }
+        let op = payload.get(2).and_then(|&b| OpCode::from_code(u64::from(b)));
+        let req_id = match payload.get(4..8) {
+            Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            None => 0,
+        };
+        Codec::V3 { op: op.unwrap_or(OpCode::Ping), req_id }
+    }
+
+    /// The newest protocol version this codec can carry — what a `hello`
+    /// arriving in it can negotiate at most.
+    pub fn version(self) -> u64 {
+        match self {
+            Codec::Json => PROTOCOL_VERSION,
+            Codec::V3 { .. } => PROTOCOL_V3,
+        }
+    }
+
+    /// Decode a request frame. `Err` is a `bad_request` message.
+    pub fn decode(self, payload: &[u8], space: &ConfSpace) -> Result<Request, String> {
+        match self {
+            Codec::Json => {
+                let text = std::str::from_utf8(payload).map_err(|_| "frame is not utf-8")?;
+                let doc = Json::parse(text).map_err(|e| e.to_string())?;
+                Request::from_json(&doc, space)
+            }
+            Codec::V3 { .. } => {
+                decode_request(payload, space).map(|(_, request)| request).map_err(str::to_string)
+            }
+        }
+    }
+
+    /// Encode a response frame.
+    pub fn encode(self, response: Response) -> Vec<u8> {
+        match self {
+            Codec::Json => response.to_json().render().into_bytes(),
+            Codec::V3 { op, req_id } => encode_response(op, req_id, &response),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_parsers_roundtrip_domain_types() {
+        let data = AppId::PageRank.dataset(lite_workloads::data::SizeTier::Valid);
+        let parsed = parse_data(Some(&data_to_json(&data))).unwrap();
+        assert_eq!(parsed, data);
+
+        let cluster = ClusterRef::from_json(Some(&Json::from("cluster-b"))).unwrap();
+        assert_eq!(cluster.resolve().unwrap(), ClusterSpec::cluster_b());
+        let custom = Json::parse(
+            r#"{"name":"x","nodes":2,"cores_per_node":8,"cpu_ghz":3.0,
+                "mem_gb_per_node":32,"mem_mts":2400,"net_gbps":10}"#,
+        )
+        .unwrap();
+        assert_eq!(ClusterRef::from_json(Some(&custom)).unwrap().resolve().unwrap().nodes, 2);
+
+        let space = ConfSpace::table_iv();
+        let conf = space.default_conf();
+        assert_eq!(parse_conf(Some(&conf_to_json(&conf)), &space).unwrap(), conf);
+
+        assert_eq!(parse_app(Some(&Json::from("KMeans"))).unwrap(), AppId::KMeans);
+        assert!(parse_app(Some(&Json::from("NoSuchApp"))).is_err());
+    }
+
+    #[test]
+    fn run_results_roundtrip_the_fields_feedback_needs() {
+        let result = RunResult {
+            total_time_s: 42.5,
+            stages: vec![StageStats {
+                stage_id: 3,
+                name: "reduce".into(),
+                duration_s: 21.25,
+                num_tasks: 64,
+                input_bytes: 1024,
+                shuffle_read_bytes: 256,
+                shuffle_write_bytes: 128,
+                spill_bytes: 0,
+                gc_time_s: 0.5,
+                peak_task_memory: 99,
+                cached_fraction: 0.75,
+                tasks: Vec::new(),
+            }],
+            failure: None,
+            executors: 4,
+            slots: 16,
+        };
+        let parsed = parse_result(Some(&result_to_json(&result))).unwrap();
+        assert_eq!(parsed, result);
+    }
 
     #[test]
     fn v3_request_roundtrip_hot_ops() {
@@ -1152,9 +1686,9 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        let err = encode_error_response(OpCode::Recommend, 8, ErrorCode::Overloaded, "full");
+        let full = Response::Error { code: ErrorCode::Overloaded, message: "full".into() };
+        let err = encode_response(OpCode::Recommend, 8, &full);
         let (id, e) = decode_response(&err, &space).expect("decode error frame");
-        assert_eq!(id, 8);
-        assert_eq!(e, Response::Error { code: ErrorCode::Overloaded, message: "full".into() });
+        assert_eq!((id, e), (8, full));
     }
 }

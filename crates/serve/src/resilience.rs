@@ -15,7 +15,7 @@
 //! tests — including the property tests — drive synthetic clocks instead
 //! of sleeping.
 //!
-//! [`ResilientClient`] composes both over [`Client`](crate::net::Client):
+//! [`ResilientClient`] composes both over [`Client`]:
 //! one breaker per target address, reconnect on torn frames or dead
 //! connections, protocol-v2 negotiation on every fresh connection, and
 //! retry across targets until the policy is exhausted.
@@ -24,11 +24,10 @@ use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use lite_obs::Json;
 use lite_sparksim::fault::{mix64, unit64};
 
-use crate::net::{Client, ErrorCode, OpCode};
-use crate::proto;
+use crate::client::{Client, ClientBuilder};
+use crate::proto::{self, ErrorCode, PROTOCOL_VERSION};
 
 // ---------------------------------------------------------------------------
 // Retry with decorrelated jitter
@@ -395,26 +394,6 @@ impl ResilientClient {
         })
     }
 
-    /// Issue one operation with retries, backoff, reconnection, and
-    /// circuit breaking. Returns the decoded response document on any
-    /// `"ok":true` answer.
-    #[deprecated(note = "use ResilientClient::call with proto::Request")]
-    pub fn request_op(
-        &mut self,
-        op: OpCode,
-        fields: Vec<(&str, Json)>,
-    ) -> Result<Json, ClientError> {
-        self.run_attempts(|conn| {
-            let resp = conn
-                .request_op(op, fields.iter().map(|(k, v)| (*k, v.clone())).collect())
-                .map_err(|_| Attempt::Transport)?;
-            if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-                return Ok(resp);
-            }
-            Err(Attempt::classify(ErrorCode::from_response(&resp).unwrap_or(ErrorCode::Internal)))
-        })
-    }
-
     /// The shared attempt loop: backoff between attempts, breaker-gated
     /// round-robin target choice, lazy (re)connection, and breaker
     /// feedback driven by how `once` fails.
@@ -480,10 +459,12 @@ impl ResilientClient {
     /// Ensure `target` holds a live, negotiated connection and borrow it.
     fn connect_target(target: &mut Target) -> Result<&mut Client, Attempt> {
         if target.conn.is_none() {
-            let mut client = Client::connect(target.addr).map_err(|_| Attempt::Transport)?;
-            // Negotiate v2 on every fresh connection; a v1-only server
-            // answers 1 and the client keeps speaking v1.
-            client.negotiate().map_err(|_| Attempt::Transport)?;
+            // The JSON envelope, on every fresh connection: the chaos
+            // scenario's committed numbers are of this path.
+            let client = ClientBuilder::new()
+                .protocol(PROTOCOL_VERSION)
+                .connect(target.addr)
+                .map_err(|_| Attempt::Transport)?;
             target.conn = Some(client);
         }
         target.conn.as_mut().ok_or(Attempt::Transport)

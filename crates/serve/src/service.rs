@@ -190,8 +190,8 @@ pub struct ProtocolConfig {
     /// Maximum in-flight pipelined frames per v3 connection. The reactor
     /// stops draining a connection's socket once this many requests are in
     /// flight (backpressure), so one pipelining client cannot monopolize
-    /// the shard queues. Must be > 0; JSON (v1/v2) connections are always
-    /// served one frame at a time regardless.
+    /// the shard queues. Must be > 0; JSON frames are always served one at
+    /// a time regardless.
     pub max_pipeline: usize,
     /// Worker shards, each with its own bounded queue of the configured
     /// `queue_capacity`. `0` (the default) means one shard per worker;

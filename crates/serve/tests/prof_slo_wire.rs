@@ -1,7 +1,7 @@
 //! Wire and behavior tests for the profiling/SLO plane (opcodes 11–12):
-//! the ops are v2-only and refused cleanly for v1 peers, servers without
-//! the plane refuse v2 peers the same way, the happy paths serve a real
-//! profile and SLO status, `stats` gains its phase/SLO keys additively,
+//! servers without the plane refuse the ops cleanly and answer every
+//! other op byte-identically, the happy paths serve a real profile and
+//! SLO status, `stats` gains its phase/SLO keys additively,
 //! and the burn-rate alert provably fires under injected latency.
 
 use std::sync::Arc;
@@ -13,8 +13,8 @@ use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_obs::{Json, Profiler, Registry, SloConfig, Tracer};
 use lite_serve::{
-    Client, ConfigError, ErrorCode, ModelSnapshot, OpCode, ServeConfig, Service, TcpServer,
-    TraceConfig,
+    Client, ClientBuilder, ClusterRef, ConfigError, ErrorCode, ModelSnapshot, Request, ServeConfig,
+    Service, TcpServer, TraceConfig,
 };
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::fault::{FaultInjector, FaultKind};
@@ -22,29 +22,23 @@ use lite_workloads::apps::AppId;
 use lite_workloads::data::DataSpec;
 use lite_workloads::data::SizeTier;
 
-/// Raw v1/v2 `recommend` request: these tests pin wire documents, so they
-/// go through the undeprecated raw-JSON escape hatch rather than the
-/// typed client API.
+/// Raw v2 `recommend` request: these tests pin wire documents, so they
+/// go through the raw-JSON escape hatch rather than the typed responses.
 fn recommend_doc(
     client: &mut Client,
     app: AppId,
     data: &DataSpec,
     cluster: &str,
-    k: u64,
+    k: usize,
     seed: u64,
 ) -> Json {
-    client
-        .request_op(
-            OpCode::Recommend,
-            vec![
-                ("app", Json::from(app.name())),
-                ("data", lite_serve::net::data_to_json(data)),
-                ("cluster", Json::from(cluster)),
-                ("k", Json::from(k)),
-                ("seed", Json::from(seed)),
-            ],
-        )
-        .expect("recommend")
+    let cluster = ClusterRef::Preset(cluster.to_string());
+    let request = Request::Recommend { app, data: *data, cluster, k, seed, trace: None };
+    client.request(&request.to_json(2)).expect("recommend")
+}
+
+fn v2_client(server: &TcpServer) -> Client {
+    ClientBuilder::new().protocol(2).connect(server.local_addr()).expect("connect")
 }
 
 fn trained() -> (Arc<Dataset>, LiteTuner) {
@@ -95,7 +89,7 @@ fn start(config: ServeConfig, registry: &Registry, tracer: Tracer) -> (Service, 
 }
 
 #[test]
-fn profile_and_slo_are_v2_only_and_leave_v1_ops_byte_identical() {
+fn profile_and_slo_need_their_plane_and_leave_other_ops_byte_identical() {
     let registry_plain = Registry::new();
     let registry_full = Registry::new();
     let (svc_plain, srv_plain) = start(quick_config(), &registry_plain, Tracer::disabled());
@@ -108,52 +102,35 @@ fn profile_and_slo_are_v2_only_and_leave_v1_ops_byte_identical() {
     let cluster_name = ClusterSpec::cluster_a().name;
     let data = AppId::KMeans.dataset(SizeTier::Valid);
 
-    // A v1 peer asking for either new op by name gets the existing
-    // bad_request shape — identical bytes whether or not the server runs
-    // the plane, and no version stamp.
-    let mut v1_a = lite_serve::Client::connect(srv_plain.local_addr()).expect("connect");
-    let mut v1_b = lite_serve::Client::connect(srv_full.local_addr()).expect("connect");
-    for op in ["profile", "slo"] {
-        let doc = Json::obj(vec![("op", Json::from(op))]);
-        let resp_a = v1_a.request(&doc).expect("v1 request");
-        let resp_b = v1_b.request(&doc).expect("v1 request");
-        assert_eq!(resp_a.get("ok").and_then(Json::as_bool), Some(false), "{op}");
-        assert_eq!(ErrorCode::from_response(&resp_a), Some(ErrorCode::BadRequest), "{op}");
-        assert_eq!(resp_a.render(), resp_b.render(), "v1 {op} refusal must not leak config");
-        assert!(resp_a.get("v").is_none(), "v1 errors must not carry a version stamp");
-    }
-
-    // Pre-existing v1 ops stay byte-identical: wiring in the plane must
-    // not perturb ops 0–10.
-    let rec_a = recommend_doc(&mut v1_a, AppId::KMeans, &data, &cluster_name, 2, 7);
-    let rec_b = recommend_doc(&mut v1_b, AppId::KMeans, &data, &cluster_name, 2, 7);
+    // Pre-existing ops stay byte-identical: wiring in the plane must not
+    // perturb ops 0–10.
+    let mut v2_plain = v2_client(&srv_plain);
+    let mut v2 = v2_client(&srv_full);
+    let rec_a = recommend_doc(&mut v2_plain, AppId::KMeans, &data, &cluster_name, 2, 7);
+    let rec_b = recommend_doc(&mut v2, AppId::KMeans, &data, &cluster_name, 2, 7);
     assert_eq!(rec_a.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(rec_a.render(), rec_b.render(), "v1 recommend must be unchanged");
-    let ping_a = v1_a.request_op(OpCode::Ping, Vec::new()).expect("ping");
-    let ping_b = v1_b.request_op(OpCode::Ping, Vec::new()).expect("ping");
-    assert_eq!(ping_a.render(), ping_b.render(), "v1 ping must be unchanged");
+    assert_eq!(rec_a.render(), rec_b.render(), "recommend must be unchanged");
+    let ping_a = v2_plain.request(&Request::Ping.to_json(2)).expect("ping");
+    let ping_b = v2.request(&Request::Ping.to_json(2)).expect("ping");
+    assert_eq!(ping_a.render(), ping_b.render(), "ping must be unchanged");
 
-    // A v2 peer of a server without the plane is refused with bad_request.
-    let mut v2_plain = lite_serve::Client::connect(srv_plain.local_addr()).expect("connect");
-    assert_eq!(v2_plain.negotiate().expect("hello"), 2);
-    let profile =
-        v2_plain.request_op(OpCode::Profile, vec![("k", Json::from(10u64))]).expect("profile");
-    let slo = v2_plain.request_op(OpCode::Slo, Vec::new()).expect("slo");
-    for resp in [profile, slo] {
+    // A server without the plane refuses both ops with bad_request.
+    let profile_doc = Request::Profile { k: 10 }.to_json(2);
+    let slo_doc = Request::Slo.to_json(2);
+    for doc in [&profile_doc, &slo_doc] {
+        let resp = v2_plain.request(doc).expect("refusal");
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(ErrorCode::from_response(&resp), Some(ErrorCode::BadRequest));
     }
 
-    // The v2 profile happy path: drive load until the sampler has caught
+    // The profile happy path: drive load until the sampler has caught
     // worker tag frames, then check the report shape end to end.
-    let mut v2 = lite_serve::Client::connect(srv_full.local_addr()).expect("connect");
-    assert_eq!(v2.negotiate().expect("hello"), 2);
     let deadline = Instant::now() + Duration::from_secs(60);
     let profile = loop {
         for seed in 0..16 {
             recommend_doc(&mut v2, AppId::KMeans, &data, &cluster_name, 30, seed);
         }
-        let resp = v2.request_op(OpCode::Profile, vec![("k", Json::from(10u64))]).expect("profile");
+        let resp = v2.request(&profile_doc).expect("profile");
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp:?}");
         if resp.get("samples").and_then(Json::as_u64).unwrap_or(0) > 0 {
             break resp;
@@ -171,9 +148,9 @@ fn profile_and_slo_are_v2_only_and_leave_v1_ops_byte_identical() {
     let folded = profile.get("folded").and_then(Json::as_str).expect("folded stacks");
     assert!(folded.lines().any(|l| l.contains("serve.")), "folded output: {folded:?}");
 
-    // The v2 slo happy path echoes the configured objective and both
+    // The slo happy path echoes the configured objective and both
     // windows; before any tick the status is the identity evaluation.
-    let slo = v2.request_op(OpCode::Slo, Vec::new()).expect("slo");
+    let slo = v2.request(&slo_doc).expect("slo");
     assert_eq!(slo.get("ok").and_then(Json::as_bool), Some(true), "{slo:?}");
     assert_eq!(slo.get("objective_ns").and_then(Json::as_u64), Some(1_000_000));
     assert_eq!(slo.get("alert").and_then(Json::as_bool), Some(false));
@@ -184,7 +161,7 @@ fn profile_and_slo_are_v2_only_and_leave_v1_ops_byte_identical() {
     assert!(snap.counter("obs.prof.samples").unwrap_or(0) > 0);
     assert!(snap.gauge("obs.prof.threads").unwrap_or(0.0) > 0.0);
 
-    drop((v1_a, v1_b, v2_plain, v2));
+    drop((v2_plain, v2));
     srv_plain.shutdown();
     srv_full.shutdown();
     svc_plain.shutdown();
@@ -203,19 +180,18 @@ fn stats_gains_phase_and_slo_planes_additively() {
     };
     let (svc_full, srv_full) = start(full_config, &registry_full, Tracer::new());
 
-    let mut plain = lite_serve::Client::connect(srv_plain.local_addr()).expect("connect");
-    let stats = plain.request_op(OpCode::Stats, Vec::new()).expect("stats");
+    let mut plain = v2_client(&srv_plain);
+    let stats = plain.request(&Request::Stats.to_json(2)).expect("stats");
     assert!(stats.get("phases").is_none(), "plain stats must not grow keys");
     assert!(stats.get("slo").is_none(), "plain stats must not grow keys");
 
     let cluster_name = ClusterSpec::cluster_a().name;
     let data = AppId::KMeans.dataset(SizeTier::Valid);
-    let mut full = lite_serve::Client::connect(srv_full.local_addr()).expect("connect");
-    assert_eq!(full.negotiate().expect("hello"), 2);
+    let mut full = v2_client(&srv_full);
     for seed in 0..4 {
         recommend_doc(&mut full, AppId::KMeans, &data, &cluster_name, 5, seed);
     }
-    let stats = full.request_op(OpCode::Stats, Vec::new()).expect("stats");
+    let stats = full.request(&Request::Stats.to_json(2)).expect("stats");
     let phases = stats.get("phases").and_then(Json::as_arr).expect("phases plane");
     assert!(!phases.is_empty());
     for p in phases {
@@ -279,9 +255,8 @@ fn burn_rate_alert_fires_under_injected_latency() {
     assert!(snap.gauge("serve.slo.window_p50_ns").unwrap_or(0.0) >= 1_000_000.0);
 
     // The wire op reports the same alert.
-    let mut client = lite_serve::Client::connect(srv.local_addr()).expect("connect");
-    assert_eq!(client.negotiate().expect("hello"), 2);
-    let resp = client.request_op(OpCode::Slo, Vec::new()).expect("slo");
+    let mut client = v2_client(&srv);
+    let resp = client.request(&Request::Slo.to_json(2)).expect("slo");
     assert_eq!(resp.get("alert").and_then(Json::as_bool), Some(true), "{resp:?}");
 
     // Recovery: the next bucket closes with no traffic, the fast window

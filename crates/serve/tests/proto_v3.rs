@@ -4,20 +4,23 @@
 //!   bit-identically (encode → decode → re-encode is the same byte string),
 //! - truncated / oversized / torn frames surface as clean `bad_request`
 //!   errors (in-process and over live TCP, with the connection surviving),
-//! - wire pins: the typed [`Request::to_json`] renderings for protocol v1
-//!   and v2 are frozen as string literals for every op, so the binary
-//!   redesign provably left the legacy JSON planes byte-identical,
-//! - one server concurrently speaking v1, v2, and pipelined v3.
+//! - wire pins: the typed [`Request::to_json`] rendering for protocol v2
+//!   is frozen as a string literal for every op, and decodes back to the
+//!   same typed request,
+//! - one server concurrently speaking v2 and pipelined v3, answering every
+//!   op identically through both codecs.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use lite_core::amu::AmuConfig;
 use lite_core::experiment::{Dataset, DatasetBuilder};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
-use lite_obs::{Registry, Tracer};
+use lite_obs::{Json, Registry, SloConfig, Tracer};
+use lite_rag::{RagConfig, RagTuner};
 use lite_serve::proto::{
     decode_request, decode_response, encode_request, parse_header, AnalyzeTarget, ClusterRef,
     Request, Response, RetrieveTarget, FLAG_TRACED, PROTOCOL_V3, V3_MAGIC,
@@ -244,7 +247,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Wire pins: v1 and v2 JSON documents for every op, frozen as literals.
+// Wire pins: the v2 JSON document for every op, frozen as a literal.
 
 /// One canonical request per op with fixed field values, so the rendered
 /// JSON is stable enough to pin.
@@ -321,58 +324,50 @@ fn pinned_requests(space: &ConfSpace) -> Vec<(OpCode, Request)> {
     ]
 }
 
-/// The frozen v1 and v2 documents, one `(op, v1, v2)` triple per op.
-/// These literals ARE the compatibility contract: if this test fails, the
-/// change broke deployed JSON clients — fix the code, not the pin.
-const WIRE_PINS: [(u8, &str, &str); 13] = [
-    (0, r#"{"op":"ping"}"#, r#"{"v":2,"o":0}"#),
+/// The frozen v2 documents, one `(op, v2)` pair per op. These literals ARE
+/// the compatibility contract: if this test fails, the change broke
+/// deployed JSON clients — fix the code, not the pin.
+const WIRE_PINS: [(u8, &str); 13] = [
+    (0, r#"{"v":2,"o":0}"#),
     (
         1,
-        r#"{"op":"recommend","app":"Sort","data":{"rows":1000,"cols":8,"iterations":2,"partitions":4,"bytes":72000},"cluster":"cluster-a","k":3,"seed":7}"#,
         r#"{"v":2,"o":1,"t":42,"app":"Sort","data":{"rows":1000,"cols":8,"iterations":2,"partitions":4,"bytes":72000},"cluster":"cluster-a","k":3,"seed":7}"#,
     ),
     (
         2,
-        r#"{"op":"observe","app":"Sort","data":{"rows":1000,"cols":8,"iterations":2,"partitions":4,"bytes":72000},"cluster":"cluster-a","conf":[64,1,1024,1,512,4,2,512,2,128,0.6,0.5,48,1,32,1],"result":{"total_time_s":12.5,"failed":false,"executors":2,"slots":8,"stages":[{"stage_id":0,"name":"map","duration_s":4.25,"num_tasks":8,"input_bytes":1024,"shuffle_read_bytes":0,"shuffle_write_bytes":512,"spill_bytes":0,"gc_time_s":0.5,"peak_task_memory":4096,"cached_fraction":1}]}}"#,
         r#"{"v":2,"o":2,"app":"Sort","data":{"rows":1000,"cols":8,"iterations":2,"partitions":4,"bytes":72000},"cluster":"cluster-a","conf":[64,1,1024,1,512,4,2,512,2,128,0.6,0.5,48,1,32,1],"result":{"total_time_s":12.5,"failed":false,"executors":2,"slots":8,"stages":[{"stage_id":0,"name":"map","duration_s":4.25,"num_tasks":8,"input_bytes":1024,"shuffle_read_bytes":0,"shuffle_write_bytes":512,"spill_bytes":0,"gc_time_s":0.5,"peak_task_memory":4096,"cached_fraction":1}]}}"#,
     ),
-    (3, r#"{"op":"stats"}"#, r#"{"v":2,"o":3}"#),
-    (4, r#"{"op":"metrics"}"#, r#"{"v":2,"o":4}"#),
-    (5, r#"{"op":"trace"}"#, r#"{"v":2,"o":5}"#),
-    (6, r#"{"op":"health"}"#, r#"{"v":2,"o":6}"#),
-    (7, r#"{"op":"hello","max":3}"#, r#"{"v":2,"o":7,"max":3}"#),
-    (
-        8,
-        r#"{"op":"analyze","source":"val x = 1","iterations":2}"#,
-        r#"{"v":2,"o":8,"source":"val x = 1","iterations":2}"#,
-    ),
-    (9, r#"{"op":"tailtrace"}"#, r#"{"v":2,"o":9}"#),
+    (3, r#"{"v":2,"o":3}"#),
+    (4, r#"{"v":2,"o":4}"#),
+    (5, r#"{"v":2,"o":5}"#),
+    (6, r#"{"v":2,"o":6}"#),
+    (7, r#"{"v":2,"o":7,"max":3}"#),
+    (8, r#"{"v":2,"o":8,"source":"val x = 1","iterations":2}"#),
+    (9, r#"{"v":2,"o":9}"#),
     (
         10,
-        r#"{"op":"retrieve","app":"KMeans","data":{"rows":1000,"cols":8,"iterations":2,"partitions":4,"bytes":72000},"cluster":"cluster-a","k":2}"#,
         r#"{"v":2,"o":10,"app":"KMeans","data":{"rows":1000,"cols":8,"iterations":2,"partitions":4,"bytes":72000},"cluster":"cluster-a","k":2}"#,
     ),
-    (11, r#"{"op":"profile","k":5}"#, r#"{"v":2,"o":11,"k":5}"#),
-    (12, r#"{"op":"slo"}"#, r#"{"v":2,"o":12}"#),
+    (11, r#"{"v":2,"o":11,"k":5}"#),
+    (12, r#"{"v":2,"o":12}"#),
 ];
 
 #[test]
-fn wire_pins_v1_v2_unchanged_for_every_op() {
+fn wire_pins_v2_unchanged_for_every_op() {
     let space = ConfSpace::table_iv();
     let requests = pinned_requests(&space);
     assert_eq!(requests.len(), OpCode::ALL.len(), "every op needs a pinned request");
     for (op, req) in requests {
-        let (code, v1, v2) = WIRE_PINS[op.code() as usize];
+        let (code, v2) = WIRE_PINS[op.code() as usize];
         assert_eq!(code, op.code(), "pin table out of order at {op:?}");
-        assert_eq!(req.to_json(1).render(), v1, "v1 wire document changed for {op:?}");
         assert_eq!(req.to_json(2).render(), v2, "v2 wire document changed for {op:?}");
-        // The v1 plane never learned trace ids: "t" must not leak in.
-        assert!(!req.to_json(1).render().contains("\"t\":"), "v1 must not carry trace ids");
+        let doc = Json::parse(v2).expect("pin parses");
+        assert_eq!(Request::from_json(&doc, &space), Ok(req), "v2 pin decodes to its request");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Live TCP: malformed binary frames, and all three protocols on one server.
+// Live TCP: malformed binary frames, and both codecs on one server.
 
 fn trained() -> (Arc<Dataset>, ModelSnapshot) {
     let ds = DatasetBuilder {
@@ -486,26 +481,50 @@ fn malformed_binary_frames_get_clean_errors_and_the_connection_survives() {
     service.shutdown();
 }
 
+/// Zero the fields two answers to the same request legitimately differ
+/// in (clocks, counters that the first answer itself advanced), so the
+/// rest can be compared exactly.
+fn stable(resp: Response) -> Response {
+    const VOLATILE: [&str; 4] = ["uptime_s", "body", "requests", "cache"];
+    match resp {
+        Response::Observe { .. } => Response::Observe { feedback: 0 },
+        Response::Retrieve { index, neighbors, ranked, trace, .. } => {
+            Response::Retrieve { index, search_ns: 0, neighbors, ranked, trace }
+        }
+        Response::Admin(Json::Obj(pairs)) => Response::Admin(Json::Obj(
+            pairs.into_iter().filter(|(key, _)| !VOLATILE.contains(&key.as_str())).collect(),
+        )),
+        other => other,
+    }
+}
+
 #[test]
-fn one_server_speaks_v1_v2_and_pipelined_v3_concurrently() {
+fn one_server_speaks_v2_and_pipelined_v3_concurrently() {
     let (ds, snapshot) = trained();
     let cluster = ds.clusters[0].name.clone();
     let registry = Registry::new();
     let config = ServeConfig {
         protocol: ProtocolConfig { max_pipeline: 64, ..Default::default() },
+        retrieval: Some(Arc::new(RagTuner::from_dataset(&ds, RagConfig::default()))),
+        slo: Some(SloConfig { bucket: Duration::from_secs(3600), ..Default::default() }),
         ..quick_config()
     };
     let service = Service::start(snapshot, ds, config, &registry, Tracer::disabled());
     let server = lite_serve::net::serve_tcp(service.handle(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
+    let space = ConfSpace::table_iv();
 
-    // Three clients, one per protocol generation, all live at once.
-    let mut v1 = ClientBuilder::new().protocol(1).connect(addr).expect("v1 connect");
+    // Two clients, one per codec, both live at once.
     let mut v2 = ClientBuilder::new().protocol(2).connect(addr).expect("v2 connect");
     let mut v3 = ClientBuilder::new().pipeline_depth(16).connect(addr).expect("v3 connect");
-    assert_eq!(v1.protocol_version(), 1);
     assert_eq!(v2.protocol_version(), 2);
     assert_eq!(v3.protocol_version(), PROTOCOL_V3);
+
+    // A JSON negotiation is answered with exactly one "v": the envelope's
+    // version IS the negotiated one.
+    let hello = v2.request(&Request::Hello { max: 2 }.to_json(2)).expect("hello").render();
+    assert_eq!(hello, r#"{"v":2,"ok":true}"#);
+    assert_eq!(hello.matches("\"v\":").count(), 1);
 
     let data = AppId::Sort.dataset(SizeTier::Valid);
     let recommend = |seed: u64| Request::Recommend {
@@ -517,9 +536,9 @@ fn one_server_speaks_v1_v2_and_pipelined_v3_concurrently() {
         trace: None,
     };
 
-    // Interleave: the typed API serves identical answers on every plane.
+    // Interleave: the typed API serves identical answers on both planes.
     for round in 0..4u64 {
-        for client in [&mut v1, &mut v2, &mut v3] {
+        for client in [&mut v2, &mut v3] {
             let resp = client.call(&recommend(round)).expect("recommend");
             let Response::Recommend { ranked, .. } = resp else {
                 panic!("wrong variant: {resp:?}")
@@ -527,6 +546,34 @@ fn one_server_speaks_v1_v2_and_pipelined_v3_concurrently() {
             assert_eq!(ranked.len(), 2);
         }
     }
+
+    // Codec parity: every request variant, sent as v2 JSON and as a v3
+    // frame to this one server, decodes to the same typed response. The
+    // pinned recommend's identity was warmed above, so both answers come
+    // from the response cache; `profile` is refused alike (no profiler).
+    let mut refused = 0;
+    let mut table: Vec<Request> = pinned_requests(&space).into_iter().map(|(_, r)| r).collect();
+    table.push(recommend(0));
+    table.push(Request::Hello { max: 2 });
+    table.push(Request::Retrieve {
+        target: RetrieveTarget::Source(AppId::Sort.main_source().to_string()),
+        data,
+        cluster: ClusterRef::Spec(ClusterSpec::cluster_a()),
+        k: 2,
+        trace: None,
+    });
+    table.push(Request::Analyze { target: AnalyzeTarget::App(AppId::KMeans) });
+    let _ = v3.call(&table[1]).expect("warm the pinned recommend");
+    for req in &table {
+        if matches!(req, Request::Hello { max: 3 }) {
+            continue; // each codec negotiates its own ceiling: 2 vs 3
+        }
+        let json = stable(v2.call(req).expect("v2 call"));
+        let binary = stable(v3.call(req).expect("v3 call"));
+        assert_eq!(json, binary, "codecs disagree on {req:?}");
+        refused += usize::from(!json.is_ok());
+    }
+    assert_eq!(refused, 2, "only `profile` and the stage-less pinned `analyze` are errors");
 
     // Pipelining: a batch with distinct seeds comes back in request order
     // (responses are re-matched to requests by req_id under the hood).
@@ -540,11 +587,10 @@ fn one_server_speaks_v1_v2_and_pipelined_v3_concurrently() {
         );
     }
 
-    // The JSON planes still answer after the binary burst.
-    assert!(v1.call(&Request::Ping).expect("v1 ping").is_ok());
+    // The JSON plane still answers after the binary burst.
     assert!(v2.call(&Request::Stats).expect("v2 stats").is_ok());
 
-    drop((v1, v2, v3));
+    drop((v2, v3));
     server.shutdown();
     service.shutdown();
 }

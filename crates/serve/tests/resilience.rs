@@ -12,10 +12,9 @@ use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_core::tuner::Tuner;
 use lite_obs::{Json, Registry, Tracer};
-use lite_serve::net::data_to_json;
 use lite_serve::{
-    BreakerConfig, BreakerState, CircuitBreaker, Client, ClusterRef, ErrorCode, ModelSnapshot,
-    OpCode, Request, ResilientClient, Response, RetryPolicy, ServeConfig, Service,
+    BreakerConfig, BreakerState, CircuitBreaker, ClientBuilder, ClusterRef, ErrorCode,
+    ModelSnapshot, OpCode, Request, ResilientClient, Response, RetryPolicy, ServeConfig, Service,
 };
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::ConfSpace;
@@ -354,34 +353,20 @@ fn lite_bo_ddpg_and_baselines_serve_through_the_unified_trait() {
 fn v2_codes_round_trip_and_cover_every_variant() {
     for op in OpCode::ALL {
         assert_eq!(OpCode::from_code(u64::from(op.code())), Some(op));
-        assert_eq!(OpCode::from_name(op.name()), Some(op));
     }
     for code in ErrorCode::ALL {
         assert_eq!(ErrorCode::from_code(u64::from(code.code())), Some(code));
-        assert_eq!(ErrorCode::from_name(code.name()), Some(code));
-        // A v2 error envelope decodes back to the same code...
-        let v2 = Json::obj(vec![
-            ("v", Json::from(2u64)),
-            ("ok", Json::Bool(false)),
-            ("c", Json::from(u64::from(code.code()))),
-            ("code", Json::from(code.name())),
-            ("error", Json::from("detail")),
-        ]);
-        assert_eq!(ErrorCode::from_response(&v2), Some(code));
-        // ...and so does the legacy v1 string-only envelope.
-        let v1 = Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            ("code", Json::from(code.name())),
-            ("error", Json::from("detail")),
-        ]);
-        assert_eq!(ErrorCode::from_response(&v1), Some(code));
+        // The error envelope the server renders decodes back to the code.
+        let rendered = Response::Error { code, message: "detail".to_string() }.to_json();
+        assert_eq!(rendered.get("code").and_then(Json::as_str), Some(code.name()));
+        assert_eq!(ErrorCode::from_response(&rendered), Some(code));
     }
     assert_eq!(OpCode::from_code(250), None);
     assert_eq!(ErrorCode::from_code(250), None);
 }
 
 #[test]
-fn tcp_serves_v1_and_v2_clients_side_by_side() {
+fn tcp_serves_v2_envelopes_with_structured_errors() {
     let (ds, snapshot) = trained();
     let cluster = ds.clusters[0].clone();
     let config = ServeConfig { workers: 2, queue_capacity: 16, ..Default::default() };
@@ -389,36 +374,25 @@ fn tcp_serves_v1_and_v2_clients_side_by_side() {
     let service = Service::start(snapshot, ds, config, &registry, Tracer::disabled());
     let server = lite_serve::net::serve_tcp(service.handle(), "127.0.0.1:0").expect("bind");
 
-    // Legacy client: no hello, string ops, v1 envelopes.
-    let mut v1 = Client::connect(server.local_addr()).expect("connect v1");
-    assert_eq!(v1.protocol_version(), 1);
-    assert!(v1.request_op(OpCode::Ping, Vec::new()).is_ok());
-    let resp = v1.request_op(OpCode::Stats, Vec::new()).expect("v1 stats");
-    assert_eq!(resp.get("v"), None, "v1 responses must not grow a version tag");
-    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("snapshot"));
-
     // Negotiated client: numeric ops, stamped responses, numeric codes.
-    let mut v2 = Client::connect(server.local_addr()).expect("connect v2");
-    assert_eq!(v2.negotiate().expect("hello"), 2);
+    let mut v2 = ClientBuilder::new().protocol(2).connect(server.local_addr()).expect("connect");
     assert_eq!(v2.protocol_version(), 2);
-    let resp = v2.request_op(OpCode::Ping, Vec::new()).expect("v2 ping");
+    let resp = v2.request(&Request::Ping.to_json(2)).expect("v2 ping");
     assert_eq!(resp.get("v").and_then(Json::as_u64), Some(2));
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+    let resp = v2.request(&Request::Stats.to_json(2)).expect("v2 stats");
+    assert_eq!(resp.get("backend").and_then(Json::as_str), Some("snapshot"));
 
     // v2 structured errors: cold app carries its numeric code.
-    let data = AppId::Terasort.dataset(SizeTier::Valid);
-    let resp = v2
-        .request_op(
-            OpCode::Recommend,
-            vec![
-                ("app", Json::from(AppId::Terasort.name())),
-                ("data", data_to_json(&data)),
-                ("cluster", Json::from(cluster.name.as_str())),
-                ("k", Json::from(3u64)),
-                ("seed", Json::from(1u64)),
-            ],
-        )
-        .expect("wire ok");
+    let cold = Request::Recommend {
+        app: AppId::Terasort,
+        data: AppId::Terasort.dataset(SizeTier::Valid),
+        cluster: ClusterRef::Preset(cluster.name.clone()),
+        k: 3,
+        seed: 1,
+        trace: None,
+    };
+    let resp = v2.request(&cold.to_json(2)).expect("wire ok");
     assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(ErrorCode::from_response(&resp), Some(ErrorCode::ColdApp));
     assert_eq!(resp.get("v").and_then(Json::as_u64), Some(2));
@@ -429,11 +403,8 @@ fn tcp_serves_v1_and_v2_clients_side_by_side() {
         .expect("bad op answered");
     assert_eq!(ErrorCode::from_response(&resp), Some(ErrorCode::BadRequest));
 
-    // Asking for a future version clamps to what the server speaks.
-    let mut eager = Client::connect(server.local_addr()).expect("connect");
-    let resp = eager
-        .request(&Json::obj(vec![("op", Json::from("hello")), ("max", Json::from(9u64))]))
-        .expect("hello");
+    // Asking for a future version clamps to what the JSON codec speaks.
+    let resp = v2.request(&Request::Hello { max: 9 }.to_json(2)).expect("hello");
     assert_eq!(resp.get("v").and_then(Json::as_u64), Some(lite_serve::PROTOCOL_VERSION));
 
     server.shutdown();

@@ -1,9 +1,7 @@
-//! Wire-compatibility tests for the v2-only `retrieve` op (opcode 10):
-//! the opcode table gains exactly one entry, v1 peers asking for
-//! `"op":"retrieve"` are refused with the existing `bad_request` code
-//! (no new v1 success shape), servers without a retrieval store refuse
-//! v2 peers the same way, and a retrieval-enabled server answers the
-//! pre-existing v1 ops byte-identically to a plain one.
+//! Wire-compatibility tests for the `retrieve` op (opcode 10): the opcode
+//! table is append-only, servers without a retrieval store refuse the op
+//! with `bad_request`, and a retrieval-enabled server answers the
+//! pre-existing ops byte-identically to a plain one.
 
 use std::sync::Arc;
 
@@ -13,8 +11,10 @@ use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_obs::{Json, Registry, Tracer};
 use lite_rag::{RagConfig, RagTuner};
-use lite_serve::net::data_to_json;
-use lite_serve::{ErrorCode, ModelSnapshot, OpCode, ServeConfig, Service, TcpServer};
+use lite_serve::{
+    AnalyzeTarget, Client, ClientBuilder, ClusterRef, ErrorCode, ModelSnapshot, OpCode, Request,
+    RetrieveTarget, ServeConfig, Service, TcpServer,
+};
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::NUM_KNOBS;
 use lite_workloads::apps::AppId;
@@ -23,36 +23,30 @@ use lite_workloads::data::SizeTier;
 // ---------------------------------------------------------------------------
 // Opcode-table pinning
 
-/// The opcode table is append-only: adding `retrieve` must not renumber
-/// or rename any existing op. These constants are the wire contract.
+/// The opcode table is append-only: adding an op must not renumber any
+/// existing one. These constants are the wire contract.
 #[test]
 fn opcode_table_is_append_only() {
-    let expected: [(u8, &str); 13] = [
-        (0, "ping"),
-        (1, "recommend"),
-        (2, "observe"),
-        (3, "stats"),
-        (4, "metrics"),
-        (5, "trace"),
-        (6, "health"),
-        (7, "hello"),
-        (8, "analyze"),
-        (9, "tailtrace"),
-        (10, "retrieve"),
-        (11, "profile"),
-        (12, "slo"),
+    let expected: [(u8, OpCode); 13] = [
+        (0, OpCode::Ping),
+        (1, OpCode::Recommend),
+        (2, OpCode::Observe),
+        (3, OpCode::Stats),
+        (4, OpCode::Metrics),
+        (5, OpCode::Trace),
+        (6, OpCode::Health),
+        (7, OpCode::Hello),
+        (8, OpCode::Analyze),
+        (9, OpCode::Tailtrace),
+        (10, OpCode::Retrieve),
+        (11, OpCode::Profile),
+        (12, OpCode::Slo),
     ];
-    // Order-insensitive: every (code, name) pair must be present exactly once.
     assert_eq!(OpCode::ALL.len(), expected.len());
-    for (code, name) in expected {
-        let op =
-            OpCode::from_code(u64::from(code)).unwrap_or_else(|| panic!("opcode {code} missing"));
-        assert_eq!(op.name(), name, "opcode {code}");
-        assert_eq!(OpCode::from_name(name), Some(op));
+    for (code, op) in expected {
+        assert_eq!(OpCode::from_code(u64::from(code)), Some(op), "opcode {code}");
+        assert_eq!(op.code(), code);
     }
-    assert_eq!(OpCode::Retrieve.code(), 10);
-    assert_eq!(OpCode::Profile.code(), 11);
-    assert_eq!(OpCode::Slo.code(), 12);
 }
 
 // ---------------------------------------------------------------------------
@@ -103,81 +97,58 @@ fn start(
     (service, server)
 }
 
+fn v2_client(server: &TcpServer) -> Client {
+    ClientBuilder::new().protocol(2).connect(server.local_addr()).expect("connect")
+}
+
 #[test]
-fn retrieve_is_v2_only_and_leaves_v1_ops_byte_identical() {
+fn retrieve_needs_a_store_and_leaves_other_ops_byte_identical() {
     let (ds, tuner) = trained();
-    let cluster_name = ds.clusters[0].name.clone();
+    let cluster = ClusterRef::Preset(ds.clusters[0].name.clone());
     let rag = Arc::new(RagTuner::from_dataset(&ds, RagConfig::default()));
     assert!(!rag.is_empty(), "training dataset must seed the run store");
 
     let (svc_plain, srv_plain) = start(&ds, &tuner, None);
     let (svc_rag, srv_rag) = start(&ds, &tuner, Some(rag));
+    let mut v2_plain = v2_client(&srv_plain);
+    let mut v2 = v2_client(&srv_rag);
 
     let data = AppId::KMeans.dataset(SizeTier::Valid);
 
-    // A v1 peer asking for retrieve by name is refused with the existing
-    // bad_request code — same bytes from a retrieval-enabled server as
-    // from a plain one, and never a v1 success shape.
-    let v1_doc = Json::obj(vec![
-        ("op", Json::from("retrieve")),
-        ("app", Json::from("kmeans")),
-        ("data", lite_serve::net::data_to_json(&data)),
-        ("cluster", Json::from(cluster_name.as_str())),
-        ("k", Json::from(3u64)),
-    ]);
-    let mut v1_a = lite_serve::Client::connect(srv_plain.local_addr()).expect("connect");
-    let mut v1_b = lite_serve::Client::connect(srv_rag.local_addr()).expect("connect");
-    let resp_a = v1_a.request(&v1_doc).expect("v1 retrieve");
-    let resp_b = v1_b.request(&v1_doc).expect("v1 retrieve");
-    assert_eq!(resp_a.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(ErrorCode::from_response(&resp_a), Some(ErrorCode::BadRequest));
-    assert_eq!(resp_a.render(), resp_b.render(), "v1 refusal must not depend on server config");
-    assert!(resp_a.get("v").is_none(), "v1 errors must not carry a version stamp");
-
-    // Pre-existing v1 ops are served byte-identically by both servers:
+    // Pre-existing ops are served byte-identically by both servers:
     // wiring in retrieval must not perturb ops 1–9.
-    let recommend_fields = || {
-        vec![
-            ("app", Json::from(AppId::KMeans.name())),
-            ("data", data_to_json(&data)),
-            ("cluster", Json::from(cluster_name.as_str())),
-            ("k", Json::from(2u64)),
-            ("seed", Json::from(7u64)),
-        ]
-    };
-    let from_plain = v1_a.request_op(OpCode::Recommend, recommend_fields()).expect("v1 recommend");
-    let from_rag = v1_b.request_op(OpCode::Recommend, recommend_fields()).expect("v1 recommend");
-    assert_eq!(from_plain.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(from_plain.render(), from_rag.render(), "v1 recommend must be unchanged");
-    let ping_a = v1_a.request_op(OpCode::Ping, Vec::new()).expect("ping");
-    let ping_b = v1_b.request_op(OpCode::Ping, Vec::new()).expect("ping");
-    assert_eq!(ping_a.render(), ping_b.render(), "v1 ping must be unchanged");
-    let analyze_fields = || vec![("app", Json::from(AppId::Sort.name()))];
-    let analyze_plain = v1_a.request_op(OpCode::Analyze, analyze_fields()).expect("analyze");
-    let analyze_rag = v1_b.request_op(OpCode::Analyze, analyze_fields()).expect("analyze");
-    assert_eq!(analyze_plain.render(), analyze_rag.render(), "v1 analyze must be unchanged");
+    let unperturbed = [
+        Request::Recommend {
+            app: AppId::KMeans,
+            data,
+            cluster: cluster.clone(),
+            k: 2,
+            seed: 7,
+            trace: None,
+        },
+        Request::Ping,
+        Request::Analyze { target: AnalyzeTarget::App(AppId::Sort) },
+    ];
+    for request in &unperturbed {
+        let from_plain = v2_plain.request(&request.to_json(2)).expect("plain server");
+        let from_rag = v2.request(&request.to_json(2)).expect("retrieval server");
+        assert_eq!(from_plain.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(from_plain.render(), from_rag.render(), "{request:?} must be unchanged");
+    }
 
-    // A v2 peer of a server without a retrieval store is refused with
-    // bad_request — not internal, not a crash.
-    let mut v2_plain = lite_serve::Client::connect(srv_plain.local_addr()).expect("connect");
-    assert_eq!(v2_plain.negotiate().expect("hello"), 2);
-    let retrieve_fields = |k: u64| {
-        vec![
-            ("app", Json::from(AppId::KMeans.name())),
-            ("data", data_to_json(&data)),
-            ("cluster", Json::from(cluster_name.as_str())),
-            ("k", Json::from(k)),
-        ]
+    // A server without a retrieval store refuses with bad_request — not
+    // internal, not a crash.
+    let retrieve = |target: RetrieveTarget, k: usize| {
+        Request::Retrieve { target, data, cluster: cluster.clone(), k, trace: None }.to_json(2)
     };
-    let refused = v2_plain.request_op(OpCode::Retrieve, retrieve_fields(3)).expect("retrieve");
+    let by_app = retrieve(RetrieveTarget::App(AppId::KMeans), 3);
+    let refused = v2_plain.request(&by_app).expect("retrieve");
     assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(ErrorCode::from_response(&refused), Some(ErrorCode::BadRequest));
 
-    // The v2 happy path: neighbors with full adapted confs, a non-empty
+    // The happy path: neighbors with full adapted confs, a non-empty
     // ranked list, and the index size echoed.
-    let mut v2 = lite_serve::Client::connect(srv_rag.local_addr()).expect("connect");
-    assert_eq!(v2.negotiate().expect("hello"), 2);
-    let resp = v2.request_op(OpCode::Retrieve, retrieve_fields(3)).expect("retrieve");
+    let resp = v2.request(&by_app).expect("retrieve");
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp:?}");
     assert!(resp.get("index").and_then(Json::as_u64).unwrap_or(0) > 0);
     let neighbors = resp.get("neighbors").and_then(Json::as_arr).expect("neighbors");
@@ -193,29 +164,15 @@ fn retrieve_is_v2_only_and_leaves_v1_ops_byte_identical() {
 
     // Source-text retrieval: the zero-execution path — no AppId anywhere
     // in the request, the server embeds the submitted code statically.
-    let src = resp_source();
     let by_source = v2
-        .request_op(
-            OpCode::Retrieve,
-            vec![
-                ("source", Json::from(src.as_str())),
-                ("data", data_to_json(&data)),
-                ("cluster", Json::from(cluster_name.as_str())),
-                ("k", Json::from(2u64)),
-            ],
-        )
+        .request(&retrieve(RetrieveTarget::Source(AppId::Sort.main_source().to_string()), 2))
         .expect("retrieve_source");
     assert_eq!(by_source.get("ok").and_then(Json::as_bool), Some(true), "{by_source:?}");
     assert!(!by_source.get("neighbors").and_then(Json::as_arr).expect("neighbors").is_empty());
 
-    drop((v1_a, v1_b, v2_plain, v2));
+    drop((v2_plain, v2));
     srv_plain.shutdown();
     srv_rag.shutdown();
     svc_plain.shutdown();
     svc_rag.shutdown();
-}
-
-/// A small sort-like pipeline in the subset `lite-analyze` parses.
-fn resp_source() -> String {
-    AppId::Sort.main_source().to_string()
 }

@@ -8,7 +8,7 @@ use lite_core::amu::AmuConfig;
 use lite_core::experiment::{Dataset, DatasetBuilder};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
-use lite_obs::{Registry, Tracer};
+use lite_obs::{Json, Registry, Tracer};
 use lite_serve::{
     ClientBuilder, ClusterRef, ErrorCode, ModelSnapshot, Request, Response, ServeConfig,
     ServeError, Service,
@@ -288,12 +288,11 @@ fn tcp_front_end_round_trips_requests() {
     let Response::Observe { feedback } = obs else { panic!("not an observe: {obs:?}") };
     assert!(feedback > 0);
 
-    // Unknown ops and cold apps come back as typed wire errors.
-    let bad = client
-        .request(&lite_obs::Json::obj(vec![("op", lite_obs::Json::from("nope"))]))
-        .expect("bad op");
-    assert_eq!(bad.get("ok").and_then(lite_obs::Json::as_bool), Some(false));
-    assert_eq!(bad.get("code").and_then(lite_obs::Json::as_str), Some("bad_request"));
+    // Protocol v1 is gone: its `"op"`-keyed frame gets a v2-shaped
+    // bad_request, and the connection survives to serve the next call.
+    let bad = client.request(&Json::obj(vec![("op", Json::from("ping"))])).expect("v1 frame");
+    let bad = bad.render();
+    assert!(bad.starts_with(r#"{"v":2,"ok":false,"c":7,"code":"bad_request","error":"#), "{bad}");
     let cold_data = AppId::Terasort.dataset(SizeTier::Valid);
     let cold = client
         .call(&Request::Recommend {

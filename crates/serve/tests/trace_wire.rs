@@ -1,9 +1,8 @@
 //! Wire-compatibility tests for the optional trace header: a v2
 //! `recommend` frame round-trips byte-compatibly with and without the
 //! `"t"` field, a tracing-disabled server answers traced and untraced
-//! requests identically, and v1 peers are served unchanged by a traced
-//! server — while a traced v2 peer gets its id echoed and can pull the
-//! captured exemplars back over the `tailtrace` op.
+//! requests identically, and a traced v2 peer gets its id echoed and can
+//! pull the captured exemplars back over the `tailtrace` op.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,35 +12,29 @@ use lite_core::experiment::{Dataset, DatasetBuilder};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_obs::{Json, Registry, Tracer};
-use lite_serve::net::{data_to_json, read_frame, write_frame};
-use lite_serve::{Client, ModelSnapshot, OpCode, ServeConfig, Service, TraceConfig};
+use lite_serve::net::{read_frame, write_frame};
+use lite_serve::{
+    Client, ClientBuilder, ClusterRef, ModelSnapshot, OpCode, Request, ServeConfig, Service,
+    TraceConfig,
+};
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::{DataSpec, SizeTier};
 
-/// Raw v1/v2 `recommend` wire document, optionally trace-tagged: these
-/// tests pin exact response bytes, so they bypass the typed client API.
+/// Raw v2 `recommend` wire document, optionally trace-tagged: these tests
+/// pin exact response bytes, so they bypass the typed response decoding.
 fn recommend_doc(
     client: &mut Client,
     app: AppId,
     data: &DataSpec,
     cluster: &str,
-    k: u64,
+    k: usize,
     seed: u64,
     trace: Option<u64>,
 ) -> Json {
-    let mut fields = Vec::new();
-    if let Some(t) = trace {
-        fields.push(("t", Json::from(t)));
-    }
-    fields.extend([
-        ("app", Json::from(app.name())),
-        ("data", data_to_json(data)),
-        ("cluster", Json::from(cluster)),
-        ("k", Json::from(k)),
-        ("seed", Json::from(seed)),
-    ]);
-    client.request_op(OpCode::Recommend, fields).expect("recommend")
+    let cluster = ClusterRef::Preset(cluster.to_string());
+    let request = Request::Recommend { app, data: *data, cluster, k, seed, trace };
+    client.request(&request.to_json(2)).expect("recommend")
 }
 use proptest::prelude::*;
 
@@ -124,7 +117,7 @@ fn quick_config(trace: Option<TraceConfig>) -> ServeConfig {
 }
 
 #[test]
-fn trace_header_and_traced_servers_leave_untraced_peers_byte_identical() {
+fn trace_header_is_inert_untraced_and_echoed_traced() {
     let (ds, tuner) = trained();
     let cluster_name = ds.clusters[0].name.clone();
     let start = |trace: Option<TraceConfig>| {
@@ -148,10 +141,10 @@ fn trace_header_and_traced_servers_leave_untraced_peers_byte_identical() {
 
     // A tracing-disabled server answers a traced and an untraced v2
     // request byte-identically: the header changes nothing.
-    let mut a = lite_serve::Client::connect(srv_plain_a.local_addr()).expect("connect");
-    let mut b = lite_serve::Client::connect(srv_plain_b.local_addr()).expect("connect");
-    assert_eq!(a.negotiate().expect("hello"), 2);
-    assert_eq!(b.negotiate().expect("hello"), 2);
+    let v2_client =
+        |srv: &lite_serve::TcpServer| ClientBuilder::new().protocol(2).connect(srv.local_addr());
+    let mut a = v2_client(&srv_plain_a).expect("connect");
+    let mut b = v2_client(&srv_plain_b).expect("connect");
     let plain = recommend_doc(&mut a, AppId::KMeans, &data, &cluster_name, 2, 7, None);
     let traced =
         recommend_doc(&mut b, AppId::KMeans, &data, &cluster_name, 2, 7, Some(0xDEAD_BEEF));
@@ -159,25 +152,12 @@ fn trace_header_and_traced_servers_leave_untraced_peers_byte_identical() {
     assert_eq!(plain.render(), traced.render(), "trace header must be inert when tracing is off");
     assert!(traced.get("t").is_none(), "disabled server must not echo a trace id");
 
-    // A v1 peer (no negotiation) is served by a traced server exactly as
-    // by a plain one — same bytes, no version or trace fields smuggled in.
-    let mut v1_plain = lite_serve::Client::connect(srv_plain_a.local_addr()).expect("connect");
-    let mut v1_traced = lite_serve::Client::connect(srv_traced.local_addr()).expect("connect");
-    let data_v1 = AppId::Sort.dataset(SizeTier::Valid);
-    let from_plain = recommend_doc(&mut v1_plain, AppId::Sort, &data_v1, &cluster_name, 1, 9, None);
-    let from_traced =
-        recommend_doc(&mut v1_traced, AppId::Sort, &data_v1, &cluster_name, 1, 9, None);
-    assert_eq!(from_plain.render(), from_traced.render(), "v1 peer must be served unchanged");
-    assert!(from_traced.get("t").is_none());
-    assert!(from_traced.get("v").is_none());
-
     // A traced v2 peer gets its id echoed and its request captured.
-    let mut v2 = lite_serve::Client::connect(srv_traced.local_addr()).expect("connect");
-    assert_eq!(v2.negotiate().expect("hello"), 2);
+    let mut v2 = v2_client(&srv_traced).expect("connect");
     let resp = recommend_doc(&mut v2, AppId::KMeans, &data, &cluster_name, 2, 11, Some(42));
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(resp.get("t").and_then(Json::as_u64), Some(42));
-    let tail = v2.request_op(OpCode::Tailtrace, Vec::new()).expect("tailtrace");
+    let tail = v2.request(&Request::Tailtrace.to_json(2)).expect("tailtrace");
     assert_eq!(tail.get("ok").and_then(Json::as_bool), Some(true));
     assert!(tail.get("completed").and_then(Json::as_u64).unwrap_or(0) >= 1);
     let exemplars = tail.get("exemplars").and_then(Json::as_arr).expect("exemplars");
@@ -186,7 +166,7 @@ fn trace_header_and_traced_servers_leave_untraced_peers_byte_identical() {
         "the traced request must be retrievable by its id: {tail:?}"
     );
 
-    drop((a, b, v1_plain, v1_traced, v2));
+    drop((a, b, v2));
     srv_plain_a.shutdown();
     srv_plain_b.shutdown();
     srv_traced.shutdown();

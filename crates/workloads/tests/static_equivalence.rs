@@ -58,11 +58,6 @@ fn lints_stay_silent_on_the_clean_corpus() {
             "{app}: lints fired on clean corpus: {:?}",
             diags.iter().map(|d| (d.rule, &d.message)).collect::<Vec<_>>()
         );
-        // The deprecated Result-returning shim must agree.
-        #[allow(deprecated)]
-        let shim = lite_analyze::lint_source(app.main_source())
-            .unwrap_or_else(|e| panic!("{app}: parse failed: {e}"));
-        assert_eq!(shim, diags, "{app}: lint_source shim diverged from analyze_source");
     }
 }
 

@@ -62,8 +62,8 @@ else
 fi
 
 echo "==> protocol v3 smoke + steady-p99 gate vs committed v2 baseline"
-# Quick v3 loadtest (binary wire, pipelining, sharded dispatch, legacy
-# v1/v2 sanity) into a throwaway results dir, then diff against the
+# Quick v3 loadtest (binary wire, pipelining, sharded dispatch, v2 JSON
+# client sanity) into a throwaway results dir, then diff against the
 # frozen pre-v3 baseline. The wide tolerance neutralizes throughput
 # comparisons (quick mode serves a fraction of the full run); the strict
 # per-metric rule is the gate: steady-state p99 must never exceed the
