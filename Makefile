@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the full pre-merge gate.
 
-.PHONY: verify fmt lint build test bench quick loadtest chaos scrape tail demo analyze rag prof benchdiff lsp ledger
+.PHONY: verify fmt lint build test quick loadtest chaos scrape tail demo analyze rag prof benchdiff lsp ledger
 
 verify:
 	./scripts/verify.sh
@@ -15,10 +15,7 @@ build:
 	cargo build --release
 
 test:
-	cargo test -q
-
-bench:
-	cargo bench -p lite-bench
+	cargo test -q --workspace
 
 # Smoke-run every experiment binary with shrunken settings.
 quick:

@@ -13,7 +13,6 @@ use crate::lint::{run_lints, Diagnostic};
 use crate::model::{generic_stage_name, lib_pipeline, lineage_ops, GenericRole};
 use crate::parse::{parse, ParseError};
 use lite_sparksim::plan::OpKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Extraction failure.
@@ -57,7 +56,7 @@ impl Default for ExtractOptions {
 }
 
 /// One recovered stage template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTemplate {
     /// Template name (stable across iterations).
     pub template: String,

@@ -11,11 +11,9 @@
 //! * an unterminated string at EOF still yields its (collapsed) token
 //!   instead of being dropped silently.
 
-use serde::{Deserialize, Serialize};
-
 /// A byte range in the analyzed source, with the 1-based line/column of its
 /// first byte. Spans are carried through the AST into lint diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     /// Byte offset of the first byte.
     pub start: usize,

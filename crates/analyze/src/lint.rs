@@ -8,10 +8,9 @@
 
 use crate::dataflow::{ActionKind, ChainOp, Flow};
 use crate::lex::Span;
-use serde::{Deserialize, Serialize};
 
 /// One lint finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable rule id (kebab-case).
     pub rule: &'static str,

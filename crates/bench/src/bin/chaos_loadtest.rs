@@ -203,14 +203,14 @@ fn run_phase(
 ) -> PhaseStats {
     let wall = Instant::now();
     let registry = Registry::new();
-    let mut config = ServeConfig::builder()
-        .workers(2)
-        .queue_capacity(64)
-        .update_batch(8)
-        .amu(AmuConfig { epochs: 1, half_batch: 32, ..Default::default() })
-        .build()
-        .expect("valid chaos config");
-    config.faults = faults.clone();
+    let config = ServeConfig {
+        workers: 2,
+        queue_capacity: 64,
+        update_batch: 8,
+        amu: AmuConfig { epochs: 1, half_batch: 32, ..Default::default() },
+        faults: faults.clone(),
+        ..Default::default()
+    };
     let snapshot = ModelSnapshot::from_tuner(tuner);
     let service = Service::start(snapshot, ds.clone(), config, &registry, Tracer::disabled());
     let handle = service.handle();

@@ -192,16 +192,6 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
     println!("{line}");
 }
 
-/// Print a header + separator.
-pub fn print_header(cells: &[&str], widths: &[usize]) {
-    print_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>(), widths);
-    let mut line = String::from("|");
-    for w in widths {
-        line.push_str(&format!("{}|", "-".repeat(w + 2)));
-    }
-    println!("{line}");
-}
-
 /// Format a float to 4 decimal places (ranking metrics).
 pub fn f4(v: f64) -> String {
     format!("{v:.4}")

@@ -2,10 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for tree induction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -23,14 +22,14 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf { value: f64 },
     Split { feature: usize, threshold: f64, left: usize, right: usize },
 }
 
 /// A fitted regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     num_features: usize,

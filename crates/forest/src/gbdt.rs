@@ -6,10 +6,8 @@
 //! gradient/count statistics per bin) with shrinkage and L2 leaf
 //! regularization.
 
-use serde::{Deserialize, Serialize};
-
 /// GBDT hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GbdtConfig {
     /// Boosting rounds.
     pub num_rounds: usize,
@@ -38,13 +36,13 @@ impl Default for GbdtConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf { value: f64 },
     Split { feature: usize, bin: u8, left: usize, right: usize },
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Tree {
     nodes: Vec<Node>,
 }
@@ -64,7 +62,7 @@ impl Tree {
 }
 
 /// A fitted GBDT ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbdtRegressor {
     base: f64,
     trees: Vec<Tree>,

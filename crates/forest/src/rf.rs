@@ -6,10 +6,9 @@
 use crate::cart::{RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for the forest.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     /// Number of trees.
     pub num_trees: usize,
@@ -31,7 +30,7 @@ impl Default for ForestConfig {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForestRegressor {
     trees: Vec<RegressionTree>,
 }

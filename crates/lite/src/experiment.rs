@@ -50,12 +50,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Stage instances restricted to one cluster.
-    pub fn instances_on_cluster(&self, cluster: usize) -> Vec<&StageInstance> {
-        let run_cluster: Vec<usize> = self.runs.iter().map(|r| r.cluster).collect();
-        self.instances.iter().filter(|i| run_cluster[i.app_instance] == cluster).collect()
-    }
-
     /// Total application execution time per run, capped for failures.
     pub fn run_time(&self, run: &AppRun) -> f64 {
         run.result.capped_time(lite_metrics::ranking::EXECUTION_CAP_S)

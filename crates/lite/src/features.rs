@@ -15,7 +15,6 @@ use lite_nn::layers::normalized_adjacency;
 use lite_nn::tensor::Tensor;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::{ConfSpace, SparkConf, NUM_KNOBS};
-use lite_sparksim::plan::OpKind;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::DataSpec;
 use lite_workloads::instrument::{instrument_app, static_stage_codes, StageCode};
@@ -324,12 +323,6 @@ fn raw_tabular_parts(
 /// Environment feature helper.
 pub fn env_features(cluster: &ClusterSpec) -> [f64; 6] {
     cluster.env_features()
-}
-
-/// Whether an operation id is in the op vocabulary of a registry (test
-/// support for the oov ablation).
-pub fn op_known(reg: &TemplateRegistry, op: OpKind) -> bool {
-    reg.op_index.contains_key(&op.id())
 }
 
 #[cfg(test)]

@@ -95,12 +95,6 @@ impl Adam {
         }
     }
 
-    /// Builder-style weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Adam {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Apply one step using the accumulated gradients, then zero them.
     pub fn step(&mut self, params: &mut Params) {
         if self.m.len() != params.len() {

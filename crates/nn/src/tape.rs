@@ -71,21 +71,11 @@ impl Params {
         self.values.is_empty()
     }
 
-    /// Total scalar parameter count.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Tensor::len).sum()
-    }
-
     /// Zero all gradient accumulators.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {
             g.zero_();
         }
-    }
-
-    /// Iterate `(id, name)` pairs.
-    pub fn iter_ids(&self) -> impl Iterator<Item = (ParamId, &str)> {
-        self.names.iter().enumerate().map(|(i, n)| (ParamId(i), n.as_str()))
     }
 }
 

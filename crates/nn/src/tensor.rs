@@ -4,10 +4,8 @@
 //! keeps shape explicit and panics loudly on mismatches (shape bugs in
 //! hand-rolled backprop are otherwise silent death).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

@@ -1,9 +1,8 @@
 //! A minimal JSON value, serializer and parser.
 //!
-//! The workspace's `serde_json` is unavailable to crates below the
-//! simulator without dragging a heavy dependency into the hot-path graph;
-//! manifests need *emission* and the serving wire protocol needs
-//! *parsing*, so a small writer plus a recursive-descent reader suffice.
+//! The workspace takes no JSON dependency: manifests need *emission* and
+//! the serving wire protocol needs *parsing*, so a small writer plus a
+//! recursive-descent reader suffice.
 //! Objects preserve insertion order (manifests are meant to be diffed by
 //! humans).
 

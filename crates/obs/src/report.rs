@@ -15,7 +15,7 @@
 
 use crate::json::Json;
 use crate::metrics::{MetricsSnapshot, Registry};
-use crate::span::{AttrValue, SpanRecord};
+use crate::span::SpanRecord;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -333,17 +333,6 @@ fn snapshot_json(m: &MetricsSnapshot) -> Json {
             ),
         ),
     ])
-}
-
-/// Render a span attribute for humans (used by debug dumps).
-pub fn attr_display(v: &AttrValue) -> String {
-    match v {
-        AttrValue::I64(x) => x.to_string(),
-        AttrValue::U64(x) => x.to_string(),
-        AttrValue::F64(x) => format!("{x:.4}"),
-        AttrValue::Bool(x) => x.to_string(),
-        AttrValue::Str(x) => x.clone(),
-    }
 }
 
 #[cfg(test)]

@@ -242,11 +242,6 @@ impl Tracer {
         }
     }
 
-    /// Finished spans with the given name (convenience for tests/reports).
-    pub fn finished_named(&self, name: &str) -> Vec<SpanRecord> {
-        self.finished().into_iter().filter(|s| s.name == name).collect()
-    }
-
     /// Microseconds since the process trace epoch (0 when disabled). One
     /// clock read; lets hot paths stamp many [`SynthSpan`]s from one
     /// reading.
@@ -343,11 +338,6 @@ impl SpanGuard {
             }
             a.record.attrs.push((key, value));
         }
-    }
-
-    /// Attach an `i64` attribute.
-    pub fn attr_i64(&mut self, key: &'static str, v: i64) {
-        self.attr(key, AttrValue::I64(v));
     }
 
     /// Attach a `u64` attribute.

@@ -34,104 +34,76 @@ pub use crate::span::epoch_ns;
 /// completion triggers exemplar capture. 5 words × 1024 = 40 KiB/thread.
 pub const RING_CAPACITY: usize = 1024;
 
-/// One hop of the request path. `ALL` is ordered by position in the path.
-///
-/// Every variant's [`Phase::metric_name`] must be the `"serve.phase."`
-/// prefix plus [`Phase::name`] plus `"_ns"` — `scripts/lint.sh` checks the
-/// pairing textually in this file, so keep both literal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum Phase {
+/// Declare [`Phase`] from one `Variant = index, "name"` table: the enum,
+/// `COUNT`, `ALL`, `name()` and `metric_name()` all expand from the same
+/// rows, so a phase cannot exist without its histogram (or the reverse).
+macro_rules! phases {
+    ($($(#[$doc:meta])* $variant:ident = $index:literal, $name:literal;)+) => {
+        /// One hop of the request path. `ALL` is ordered by position in
+        /// the path.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum Phase {
+            $($(#[$doc])* $variant = $index,)+
+        }
+
+        impl Phase {
+            /// Every phase, in request-path order.
+            pub const ALL: [Phase; Phase::COUNT] = [$(Phase::$variant),+];
+
+            /// Number of phases.
+            pub const COUNT: usize = [$($index),+].len();
+
+            /// Short snake_case phase name (exemplar JSON, report tables).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Phase::$variant => $name,)+
+                }
+            }
+
+            /// The histogram this phase's durations are recorded into.
+            pub fn metric_name(self) -> &'static str {
+                match self {
+                    $(Phase::$variant => concat!("serve.phase.", $name, "_ns"),)+
+                }
+            }
+        }
+    };
+}
+
+phases! {
     /// Connection accepted / request picked up by the connection thread.
-    Accept = 0,
+    Accept = 0, "accept";
     /// Blocking read of the length-prefixed frame from the socket.
-    FrameRead = 1,
+    FrameRead = 1, "frame_read";
     /// UTF-8 validation + JSON parse of the payload.
-    Parse = 2,
+    Parse = 2, "parse";
     /// Admission into the bounded request queue.
-    Enqueue = 3,
+    Enqueue = 3, "enqueue";
     /// Shard routing: picking the worker shard a request hashes to and
     /// handing the job to its queue (the sharded-dispatch hop).
-    Dispatch = 4,
+    Dispatch = 4, "dispatch";
     /// Time spent queued before a worker picked the job up.
-    QueueWait = 5,
+    QueueWait = 5, "queue_wait";
     /// Worker-side dequeue + deadline check.
-    Dequeue = 6,
+    Dequeue = 6, "dequeue";
     /// Loading the current model snapshot (arc-swap read + clone).
-    SnapshotLoad = 7,
+    SnapshotLoad = 7, "snapshot_load";
     /// Recommendation cache probe.
-    CacheLookup = 8,
+    CacheLookup = 8, "cache_lookup";
     /// NECS candidate scoring (the model inference).
-    Score = 9,
+    Score = 9, "score";
     /// Reply handoff: from the worker sending the finished response to
     /// the submitting thread picking it up (thread wakeup latency — a
     /// dominant tail term on oversubscribed machines).
-    Respond = 10,
+    Respond = 10, "respond";
     /// Rendering the response document to JSON text.
-    Serialize = 11,
+    Serialize = 11, "serialize";
     /// Writing the response frame to the socket.
-    Write = 12,
+    Write = 12, "write";
 }
 
 impl Phase {
-    /// Number of phases.
-    pub const COUNT: usize = 13;
-
-    /// Every phase, in request-path order.
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Accept,
-        Phase::FrameRead,
-        Phase::Parse,
-        Phase::Enqueue,
-        Phase::Dispatch,
-        Phase::QueueWait,
-        Phase::Dequeue,
-        Phase::SnapshotLoad,
-        Phase::CacheLookup,
-        Phase::Score,
-        Phase::Respond,
-        Phase::Serialize,
-        Phase::Write,
-    ];
-
-    /// Short snake_case phase name (exemplar JSON, report tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Accept => "accept",
-            Phase::FrameRead => "frame_read",
-            Phase::Parse => "parse",
-            Phase::Enqueue => "enqueue",
-            Phase::Dispatch => "dispatch",
-            Phase::QueueWait => "queue_wait",
-            Phase::Dequeue => "dequeue",
-            Phase::SnapshotLoad => "snapshot_load",
-            Phase::CacheLookup => "cache_lookup",
-            Phase::Score => "score",
-            Phase::Respond => "respond",
-            Phase::Serialize => "serialize",
-            Phase::Write => "write",
-        }
-    }
-
-    /// The histogram this phase's durations are recorded into.
-    pub fn metric_name(self) -> &'static str {
-        match self {
-            Phase::Accept => "serve.phase.accept_ns",
-            Phase::FrameRead => "serve.phase.frame_read_ns",
-            Phase::Parse => "serve.phase.parse_ns",
-            Phase::Enqueue => "serve.phase.enqueue_ns",
-            Phase::Dispatch => "serve.phase.dispatch_ns",
-            Phase::QueueWait => "serve.phase.queue_wait_ns",
-            Phase::Dequeue => "serve.phase.dequeue_ns",
-            Phase::SnapshotLoad => "serve.phase.snapshot_load_ns",
-            Phase::CacheLookup => "serve.phase.cache_lookup_ns",
-            Phase::Score => "serve.phase.score_ns",
-            Phase::Respond => "serve.phase.respond_ns",
-            Phase::Serialize => "serve.phase.serialize_ns",
-            Phase::Write => "serve.phase.write_ns",
-        }
-    }
-
     /// Decode a phase index (the ring's packed representation).
     pub fn from_index(i: u8) -> Option<Phase> {
         Phase::ALL.get(i as usize).copied()

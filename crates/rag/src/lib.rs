@@ -5,9 +5,9 @@
 //! ([`embed`]), a [`store::RunStore`] pairing each indexed point with its
 //! historical (app, data, cluster, conf, runtime) record, and a
 //! [`tuner::RagTuner`] that retrieves the top-k most similar runs, adapts
-//! their configurations to the target scale and ranks them — optionally
-//! through batched NECS scoring. [`vecs`] holds the flat vector storage
-//! and the brute-force oracle the recall gates compare against.
+//! their configurations to the target scale and ranks them by scaled
+//! neighbor runtime. [`vecs`] holds the flat vector storage and the
+//! brute-force oracle the recall gates compare against.
 //!
 //! Everything ranks through `total_cmp`: NaN or infinite embedding
 //! components degrade ordering quality, never determinism, and never

@@ -4,9 +4,7 @@
 //! *statically* (no simulator run, no instrumentation run), retrieve the
 //! top-k most similar historical runs from the [`RunStore`], **adapt**
 //! each neighbor's configuration to the target data/cluster scale, and
-//! rank the adapted candidates — either by scaled neighbor runtime (pure
-//! retrieval) or, when a NECS model is attached, by batched NECS scoring
-//! with templates interned from static extraction.
+//! rank the adapted candidates by scaled neighbor runtime.
 //!
 //! The adaptation rule is deliberately first-order (ratios, then clamped
 //! into the knob domains by [`SparkConf::from_values`]):
@@ -27,18 +25,14 @@
 use crate::embed::CodeEmbedder;
 use crate::hnsw::HnswConfig;
 use crate::store::{RunRecord, RunStore};
-use lite_core::experiment::{Dataset, PredictionContext};
-use lite_core::features::TemplateRegistry;
-use lite_core::necs::Necs;
-use lite_core::recommend::{score_candidates, RankedCandidate};
+use lite_core::experiment::Dataset;
+use lite_core::recommend::RankedCandidate;
 use lite_core::tuner::{Feedback, TuneError, TuneRequest, TuneResult, Tuner};
 use lite_metrics::ranking::EXECUTION_CAP_S;
-use lite_obs::{Registry, Tracer};
+use lite_obs::Registry;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::{ConfSpace, Knob, SparkConf};
-use lite_workloads::instrument::static_stage_codes;
 use lite_workloads::{AppId, DataSpec};
-use std::sync::Mutex;
 
 /// Retrieval parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,21 +64,12 @@ pub struct Retrieved {
     pub estimate_s: f64,
 }
 
-/// Optional NECS reranker: model + registry. The registry sits behind a
-/// mutex so cold apps can be interned from *static* stage codes inside
-/// `&self` recommendation calls — still zero executions.
-struct NecsRanker {
-    model: Necs,
-    registry: Mutex<TemplateRegistry>,
-}
-
 /// Retrieval-augmented tuner over a [`RunStore`].
 pub struct RagTuner {
     store: RunStore,
     embedder: CodeEmbedder,
     cfg: RagConfig,
     space: ConfSpace,
-    ranker: Option<NecsRanker>,
 }
 
 impl std::fmt::Debug for RagTuner {
@@ -92,7 +77,6 @@ impl std::fmt::Debug for RagTuner {
         f.debug_struct("RagTuner")
             .field("records", &self.store.len())
             .field("neighbors", &self.cfg.neighbors)
-            .field("necs", &self.ranker.is_some())
             .finish()
     }
 }
@@ -100,21 +84,14 @@ impl std::fmt::Debug for RagTuner {
 impl RagTuner {
     /// Pure-retrieval tuner over an existing store.
     pub fn new(store: RunStore, space: ConfSpace, cfg: RagConfig) -> RagTuner {
-        RagTuner { store, embedder: CodeEmbedder::new(), cfg, space, ranker: None }
+        RagTuner { store, embedder: CodeEmbedder::new(), cfg, space }
     }
 
     /// Build the store from a training dataset's run history.
     pub fn from_dataset(ds: &Dataset, cfg: RagConfig) -> RagTuner {
         let embedder = CodeEmbedder::new();
         let store = RunStore::from_dataset(ds, &embedder, cfg.hnsw);
-        RagTuner { store, embedder, cfg, space: ds.space.clone(), ranker: None }
-    }
-
-    /// Attach a NECS model: adapted candidates are re-ranked by batched
-    /// NECS scoring instead of scaled neighbor runtimes.
-    pub fn with_necs(mut self, model: Necs, registry: TemplateRegistry) -> RagTuner {
-        self.ranker = Some(NecsRanker { model, registry: Mutex::new(registry) });
-        self
+        RagTuner { store, embedder, cfg, space: ds.space.clone() }
     }
 
     /// Register `rag.` metrics on `registry`.
@@ -194,66 +171,29 @@ impl RagTuner {
         self.retrieve_embedded(&q, data, cluster, k)
     }
 
-    /// Rank retrieved candidates: dedup adapted confs (keeping the best
-    /// estimate per distinct conf), then order by NECS prediction when a
-    /// model is attached and the app is known, else by the first-order
-    /// runtime estimate (`app: None` — e.g. raw-source queries — always
-    /// ranks by estimate).
+    /// Rank retrieved candidates: dedup adapted confs (keeping the first,
+    /// i.e. nearest, hit per distinct conf), then order by the first-order
+    /// runtime estimate. The request identity is not consulted.
     pub fn rank(
         &self,
-        app: Option<AppId>,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
+        _app: Option<AppId>,
+        _data: &DataSpec,
+        _cluster: &ClusterSpec,
         retrieved: &[Retrieved],
         k: usize,
     ) -> Vec<RankedCandidate> {
         let mut seen: Vec<[u64; lite_sparksim::conf::NUM_KNOBS]> = Vec::new();
-        let mut unique: Vec<&Retrieved> = Vec::new();
+        let mut ranked: Vec<RankedCandidate> = Vec::new();
         for r in retrieved {
             let bits = r.conf.values().map(f64::to_bits);
             if !seen.contains(&bits) {
                 seen.push(bits);
-                unique.push(r);
+                ranked.push(RankedCandidate { conf: r.conf.clone(), predicted_s: r.estimate_s });
             }
         }
-        let confs: Vec<SparkConf> = unique.iter().map(|r| r.conf.clone()).collect();
-        let scores: Vec<f64> = match app.and_then(|a| self.necs_scores(a, data, cluster, &confs)) {
-            Some(s) => s,
-            None => unique.iter().map(|r| r.estimate_s).collect(),
-        };
-        let mut ranked: Vec<RankedCandidate> = confs
-            .into_iter()
-            .zip(scores)
-            .map(|(conf, predicted_s)| RankedCandidate { conf, predicted_s })
-            .collect();
         ranked.sort_by(|a, b| a.predicted_s.total_cmp(&b.predicted_s));
         ranked.truncate(k.max(1));
         ranked
-    }
-
-    /// Batched NECS scores for the adapted candidates, interning the
-    /// target app's templates from static extraction when it is cold.
-    /// `None` when no model is attached.
-    fn necs_scores(
-        &self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
-        confs: &[SparkConf],
-    ) -> Option<Vec<f64>> {
-        let ranker = self.ranker.as_ref()?;
-        let mut registry =
-            ranker.registry.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ctx = match PredictionContext::warm(&registry, app, data, cluster) {
-            Some(ctx) => ctx,
-            None => {
-                for stage in static_stage_codes(app) {
-                    registry.intern(app, &stage);
-                }
-                PredictionContext::warm(&registry, app, data, cluster)?
-            }
-        };
-        Some(score_candidates(&ranker.model, &registry, &ctx, cluster, confs, &Tracer::disabled()))
     }
 
     /// Adapted neighbor confs as warm-start seeds for ACG/BO (deduped,

@@ -68,8 +68,8 @@ pub use resilience::{
     RetryPolicy,
 };
 pub use service::{
-    ConfigError, ProtocolConfig, RecommendResponse, RetrieveResponse, ServeConfig,
-    ServeConfigBuilder, ServeError, Service, ServiceHandle, ServiceStats, TraceConfig,
+    ConfigError, ProtocolConfig, RecommendResponse, RetrieveResponse, ServeConfig, ServeError,
+    Service, ServiceHandle, ServiceStats, TraceConfig,
 };
 pub use slot::{SlotReader, VersionedSlot};
 pub use snapshot::ModelSnapshot;

@@ -96,7 +96,7 @@ use crate::monitor::DriftSummary;
 use crate::proto::{
     AnalyzeTarget, ClusterRef, Codec, Request, Response, RetrieveTarget, PROTOCOL_VERSION,
 };
-use crate::service::{ObserveReply, RecommendReply, ServiceHandle, ServiceStats};
+use crate::service::{ServiceHandle, ServiceStats};
 
 /// Largest accepted frame payload; recommendation traffic is tiny, so
 /// anything bigger is a protocol error, not a workload. The transport
@@ -543,7 +543,7 @@ fn serve_frame(
                     seed,
                     handle.default_deadline(),
                     trace,
-                    RecommendReply::Callback(Box::new(move |outcome, sent_ns, shard| {
+                    Box::new(move |outcome, sent_ns, shard| {
                         if let Some(id) = reply.trace {
                             if sent_ns != 0 {
                                 h.trace_respond(id, sent_ns, epoch_ns(), shard);
@@ -555,7 +555,7 @@ fn serve_frame(
                         };
                         reply.send(&h, &w, response);
                         w.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    })),
+                    }),
                 );
                 return;
             }
@@ -565,20 +565,20 @@ fn serve_frame(
             Ok(cluster) => {
                 writer.in_flight.fetch_add(1, Ordering::AcqRel);
                 let (h, w) = (handle.clone(), writer.clone());
-                handle.submit_observe(
+                handle.observe_with(
                     app,
                     &data,
                     &cluster,
                     &conf,
                     result,
-                    ObserveReply::Callback(Box::new(move |outcome| {
+                    Box::new(move |outcome, _, _| {
                         let response = match outcome {
                             Ok(feedback) => Response::Observe { feedback },
                             Err(err) => Response::error(&err),
                         };
                         reply.send(&h, &w, response);
                         w.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    })),
+                    }),
                 );
                 return;
             }
@@ -658,10 +658,7 @@ fn retrieve(
     };
     let k = k.clamp(1, 64);
     let outcome = match target {
-        RetrieveTarget::App(app) => match trace {
-            Some(id) => handle.retrieve_traced(*app, data, &cluster, k, id),
-            None => handle.retrieve(*app, data, &cluster, k),
-        },
+        RetrieveTarget::App(app) => handle.retrieve(*app, data, &cluster, k, trace),
         RetrieveTarget::Source(src) => handle.retrieve_source(src, data, &cluster, k, trace),
     };
     match outcome {

@@ -29,6 +29,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,8 +113,7 @@ pub struct RetrieveResponse {
     /// Raw retrieval hits, nearest first, confs already adapted to the
     /// target data/cluster scale.
     pub neighbors: Vec<Retrieved>,
-    /// Adapted candidates ranked best-first (NECS-scored when the
-    /// retrieval tuner carries a model, else by scaled neighbor runtime).
+    /// Adapted candidates ranked best-first by scaled neighbor runtime.
     pub ranked: Vec<RankedCandidate>,
     /// Historical runs in the index at answer time.
     pub index_len: usize,
@@ -125,8 +125,13 @@ pub struct RetrieveResponse {
 // ---------------------------------------------------------------------------
 // Configuration
 
-/// Service tuning knobs. Construct via [`ServeConfig::builder`], which
-/// validates the cross-field invariants; `Default` is always valid.
+/// Prediction-cache shape: independently locked shards × entries each.
+const PREDICTION_CACHE_SHARDS: usize = 8;
+const PREDICTION_CACHE_CAPACITY_PER_SHARD: usize = 512;
+
+/// Service tuning knobs. Write it as a struct literal over
+/// `..Default::default()`; [`Service::start`] refuses a configuration that
+/// fails [`ServeConfig::validate`]. `Default` is always valid.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads answering requests. `0` spawns no workers (useful
@@ -144,10 +149,6 @@ pub struct ServeConfig {
     pub max_deadline: Duration,
     /// Observed feedback instances that trigger a background model update.
     pub update_batch: usize,
-    /// Prediction-cache shards.
-    pub cache_shards: usize,
-    /// Prediction-cache entries per shard (`0` disables caching).
-    pub cache_capacity_per_shard: usize,
     /// Adaptive Model Update hyper-parameters for background swaps.
     pub amu: AmuConfig,
     /// Prediction-drift thresholds. When the rolling error over observed
@@ -184,7 +185,7 @@ pub struct ServeConfig {
 
 /// Wire-protocol and sharded-dispatch knobs: what the v3 binary front-end
 /// and the per-shard worker queues run under. Validated with the rest of
-/// [`ServeConfig`] by the builder.
+/// [`ServeConfig`].
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Maximum in-flight pipelined frames per v3 connection. The reactor
@@ -250,8 +251,6 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(2),
             max_deadline: Duration::from_secs(60),
             update_batch: 50,
-            cache_shards: 8,
-            cache_capacity_per_shard: 512,
             amu: AmuConfig::default(),
             drift: DriftConfig::default(),
             faults: None,
@@ -265,13 +264,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A validating builder (the supported construction path; direct
-    /// struct literals skip the invariant checks below).
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder { config: ServeConfig::default() }
-    }
-
-    /// Check the cross-field invariants the builder enforces.
+    /// Check the cross-field invariants; a service only starts on `Ok`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -298,7 +291,7 @@ impl ServeConfig {
     }
 }
 
-/// Why a [`ServeConfigBuilder`] refused to build.
+/// Why [`ServeConfig::validate`] refused a configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `queue_capacity == 0`: every request would shed at admission.
@@ -347,163 +340,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`ServeConfig`] that rejects invalid combinations at
-/// [`build`](ServeConfigBuilder::build) time.
-#[derive(Debug, Clone)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Worker threads answering requests.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n;
-        self
-    }
-
-    /// Bounded queue capacity (must be > 0).
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.config.queue_capacity = n;
-        self
-    }
-
-    /// Default per-request deadline.
-    pub fn default_deadline(mut self, d: Duration) -> Self {
-        self.config.default_deadline = d;
-        self
-    }
-
-    /// Hard ceiling on any request deadline.
-    pub fn max_deadline(mut self, d: Duration) -> Self {
-        self.config.max_deadline = d;
-        self
-    }
-
-    /// Feedback instances that trigger a background update (must be > 0).
-    pub fn update_batch(mut self, n: usize) -> Self {
-        self.config.update_batch = n;
-        self
-    }
-
-    /// Prediction-cache shard count.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.config.cache_shards = n;
-        self
-    }
-
-    /// Prediction-cache entries per shard (`0` disables caching).
-    pub fn cache_capacity_per_shard(mut self, n: usize) -> Self {
-        self.config.cache_capacity_per_shard = n;
-        self
-    }
-
-    /// Adaptive Model Update hyper-parameters.
-    pub fn amu(mut self, amu: AmuConfig) -> Self {
-        self.config.amu = amu;
-        self
-    }
-
-    /// Drift thresholds (must be > 0).
-    pub fn drift(mut self, drift: DriftConfig) -> Self {
-        self.config.drift = drift;
-        self
-    }
-
-    /// Arm the fault-injection hooks.
-    pub fn faults(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.config.faults = Some(faults);
-        self
-    }
-
-    /// Enable tail-forensics tracing.
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.config.trace = Some(trace);
-        self
-    }
-
-    /// Serve the `retrieve` op from this retrieval tuner.
-    pub fn retrieval(mut self, rag: Arc<RagTuner>) -> Self {
-        self.config.retrieval = Some(rag);
-        self
-    }
-
-    /// Evaluate a windowed burn-rate SLO over request latency (must pass
-    /// [`SloConfig::validate`]).
-    pub fn slo(mut self, slo: SloConfig) -> Self {
-        self.config.slo = Some(slo);
-        self
-    }
-
-    /// Run this sampling profiler for the service's lifetime.
-    pub fn profiler(mut self, profiler: Profiler) -> Self {
-        self.config.profiler = Some(profiler);
-        self
-    }
-
-    /// Wire-protocol and sharded-dispatch knobs (pipelining depth, shard
-    /// count, binary-frame cap, inline response cache).
-    pub fn protocol(mut self, protocol: ProtocolConfig) -> Self {
-        self.config.protocol = protocol;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Oneshot reply channel
-
-struct OneshotInner<T> {
-    state: Mutex<(Option<T>, bool)>, // (value, sender gone)
-    cv: Condvar,
-}
-
-pub(crate) struct OneshotSender<T> {
-    inner: Arc<OneshotInner<T>>,
-}
-
-pub(crate) struct OneshotReceiver<T> {
-    inner: Arc<OneshotInner<T>>,
-}
-
-pub(crate) fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let inner = Arc::new(OneshotInner { state: Mutex::new((None, false)), cv: Condvar::new() });
-    (OneshotSender { inner: inner.clone() }, OneshotReceiver { inner })
-}
-
-impl<T> OneshotSender<T> {
-    pub(crate) fn send(self, value: T) {
-        let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.0 = Some(value);
-        // Drop (below) flips the closed flag and notifies.
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.1 = true;
-        drop(state);
-        self.inner.cv.notify_all();
-    }
-}
-
-impl<T> OneshotReceiver<T> {
-    /// Block until the worker replies. `None` means the sender was dropped
-    /// without replying.
-    pub(crate) fn recv(self) -> Option<T> {
-        let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while state.0.is_none() && !state.1 {
-            state = self.inner.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.0.take()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Bounded queue
 
@@ -512,10 +348,30 @@ enum PushError {
     Closed,
 }
 
+/// Jobs queued across every shard of a service, and the
+/// `serve.queue_depth` gauge publishing that number. Each shard queue
+/// updates it under its own lock, so a job's push is always counted (and
+/// published) before its pop.
+struct QueueDepth {
+    jobs: AtomicUsize,
+    gauge: Gauge,
+}
+
+impl QueueDepth {
+    fn pushed(&self) {
+        self.gauge.set((self.jobs.fetch_add(1, Ordering::Relaxed) + 1) as f64);
+    }
+
+    fn popped(&self, n: usize) {
+        self.gauge.set((self.jobs.fetch_sub(n, Ordering::Relaxed) - n) as f64);
+    }
+}
+
 struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,
     cv: Condvar,
     capacity: usize,
+    queued: Arc<QueueDepth>,
 }
 
 struct QueueInner<T> {
@@ -524,18 +380,19 @@ struct QueueInner<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> BoundedQueue<T> {
+    fn new(capacity: usize, queued: Arc<QueueDepth>) -> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(QueueInner { items: VecDeque::new(), closed: false }),
             cv: Condvar::new(),
             capacity,
+            queued,
         }
     }
 
     /// Non-blocking push: admission control happens here, not by blocking
     /// the producer. A refused item rides back in the error so the caller
-    /// can still answer its reply channel (callback replies would
-    /// otherwise vanish with the drop).
+    /// can still answer its reply (which would otherwise vanish with the
+    /// drop).
     fn try_push(&self, item: T) -> Result<usize, (PushError, T)> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.closed {
@@ -545,6 +402,7 @@ impl<T> BoundedQueue<T> {
             return Err((PushError::Full, item));
         }
         inner.items.push_back(item);
+        self.queued.pushed();
         let depth = inner.items.len();
         drop(inner);
         self.cv.notify_one();
@@ -556,6 +414,7 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
+                self.queued.popped(1);
                 let depth = inner.items.len();
                 return Some((item, depth));
             }
@@ -566,16 +425,13 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).items.len()
-    }
-
     /// Close the queue, wake all waiters, and return whatever was still
     /// queued so the caller can answer it.
     fn close(&self) -> Vec<T> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.closed = true;
-        let drained = inner.items.drain(..).collect();
+        let drained: Vec<T> = inner.items.drain(..).collect();
+        self.queued.popped(drained.len());
         drop(inner);
         self.cv.notify_all();
         drained
@@ -594,48 +450,26 @@ pub(crate) struct TraceMeta {
     enqueued_ns: u64,
 }
 
-/// How a `Recommend` outcome travels back to its submitter. Oneshot is the
-/// blocking in-process path; Callback is the reactor's shard-local reply
-/// path — the worker invokes it inline (serialize + socket write happen on
-/// the worker thread), eliminating the worker→connection handoff the
-/// `respond` phase used to attribute.
+/// How an outcome travels back to its submitter: a boxed closure the
+/// worker (or a refusing admission path) invokes exactly once, on its own
+/// thread. The reactor's closure serializes and writes the socket right
+/// there; the blocking in-process callers' closure fills a one-slot
+/// channel (see [`blocking_reply`]).
 ///
-/// Both carry `(outcome, sent_ns, shard)`: the epoch-ns instant the worker
+/// It carries `(outcome, sent_ns, shard)`: the epoch-ns instant the worker
 /// sent the reply (0 when untraced) so the receiver can close a `Respond`
 /// span, and the worker shard that served it so `respond` attribution
 /// stays per-shard under sharded dispatch.
-pub(crate) enum RecommendReply {
-    Oneshot(OneshotSender<(Result<RecommendResponse, ServeError>, u64, u32)>),
-    Callback(RecommendCallback),
-}
+pub(crate) type Reply<T> = Box<dyn FnOnce(Result<T, ServeError>, u64, u32) + Send>;
 
-/// Boxed shard-local reply closure: `(outcome, sent_ns, shard)`.
-pub(crate) type RecommendCallback =
-    Box<dyn FnOnce(Result<RecommendResponse, ServeError>, u64, u32) + Send>;
-
-impl RecommendReply {
-    fn send(self, outcome: Result<RecommendResponse, ServeError>, sent_ns: u64, shard: u32) {
-        match self {
-            RecommendReply::Oneshot(tx) => tx.send((outcome, sent_ns, shard)),
-            RecommendReply::Callback(f) => f(outcome, sent_ns, shard),
-        }
-    }
-}
-
-/// Reply path for `Observe`; same oneshot/callback split as
-/// [`RecommendReply`], no trace payload (observe is not traced).
-pub(crate) enum ObserveReply {
-    Oneshot(OneshotSender<Result<usize, ServeError>>),
-    Callback(Box<dyn FnOnce(Result<usize, ServeError>) + Send>),
-}
-
-impl ObserveReply {
-    fn send(self, outcome: Result<usize, ServeError>) {
-        match self {
-            ObserveReply::Oneshot(tx) => tx.send(outcome),
-            ObserveReply::Callback(f) => f(outcome),
-        }
-    }
+/// A [`Reply`] for a caller that blocks on the outcome, and the wait for
+/// it. A reply dropped un-called surfaces as an error, never a hang.
+fn blocking_reply<T: Send + 'static>() -> (Reply<T>, impl FnOnce() -> Result<T, ServeError>) {
+    let (tx, rx) = sync_channel(1);
+    let reply: Reply<T> = Box::new(move |outcome, _, _| {
+        let _ = tx.send(outcome);
+    });
+    (reply, move || rx.recv().unwrap_or(Err(ServeError::Internal("worker dropped reply"))))
 }
 
 pub(crate) enum Request {
@@ -646,7 +480,7 @@ pub(crate) enum Request {
         k: usize,
         seed: u64,
         trace: Option<TraceMeta>,
-        reply: RecommendReply,
+        reply: Reply<RecommendResponse>,
     },
     Observe {
         app: AppId,
@@ -654,20 +488,20 @@ pub(crate) enum Request {
         cluster: ClusterSpec,
         conf: SparkConf,
         result: Box<RunResult>,
-        reply: ObserveReply,
+        reply: Reply<usize>,
     },
     /// Test support: occupy a worker for `dur`. Lets tests fill the queue
     /// deterministically without racing real work.
-    Stall { dur: Duration, reply: OneshotSender<Result<(), ServeError>> },
+    Stall { dur: Duration, reply: Reply<()> },
 }
 
 impl Request {
     /// Answer a request that will never reach a worker.
     fn reject(self, err: ServeError) {
         match self {
-            Request::Recommend { reply, .. } => reply.send(Err(err), 0, 0),
-            Request::Observe { reply, .. } => reply.send(Err(err)),
-            Request::Stall { reply, .. } => reply.send(Err(err)),
+            Request::Recommend { reply, .. } => reply(Err(err), 0, 0),
+            Request::Observe { reply, .. } => reply(Err(err), 0, 0),
+            Request::Stall { reply, .. } => reply(Err(err), 0, 0),
         }
     }
 }
@@ -682,7 +516,6 @@ struct Job {
 // Shared state and metrics
 
 struct ServeMetrics {
-    queue_depth: Gauge,
     shed: Counter,
     expired: Counter,
     requests: Counter,
@@ -710,7 +543,7 @@ struct ServeMetrics {
     retrieve_latency: Histogram,
     /// Neighbors returned per retrieval.
     retrieve_neighbors: Histogram,
-    /// Worker shards serving this instance (scripts/lint.sh rule 7 pins
+    /// Worker shards serving this instance (scripts/lint.sh rule 4 pins
     /// the `serve.shard.*` namespace).
     shard_count: Gauge,
     /// Requests dispatched into a shard queue.
@@ -723,7 +556,6 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn new(registry: &Registry) -> ServeMetrics {
         ServeMetrics {
-            queue_depth: registry.gauge("serve.queue_depth"),
             shed: registry.counter("serve.shed"),
             expired: registry.counter("serve.expired"),
             requests: registry.counter("serve.requests"),
@@ -797,7 +629,7 @@ struct TraceState {
 }
 
 /// The `serve.slo.*` gauge family: the closed namespace the burn-rate
-/// evaluator publishes after every tick (scripts/lint.sh rule 6 pins it).
+/// evaluator publishes after every tick (scripts/lint.sh rule 4 pins it).
 struct SloMetrics {
     ticks: Counter,
     burn_fast: Gauge,
@@ -846,6 +678,8 @@ struct Shared {
     /// recommendations route by request-identity hash (shard affinity),
     /// everything else round-robins through `rr`.
     shards: Vec<BoundedQueue<Job>>,
+    /// Jobs queued across `shards` (what `serve.queue_depth` publishes).
+    queued: Arc<QueueDepth>,
     rr: AtomicUsize,
     /// Whole-response cache behind the inline fast path; `None` when
     /// `protocol.response_cache == 0`.
@@ -894,27 +728,31 @@ impl Shared {
         self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len()
     }
 
-    /// Admit a job into `shard`'s queue, maintaining the depth gauge and
-    /// shed counter. On refusal the job rides back (boxed — `Job` is a
-    /// wide enum) so the caller can answer its reply channel.
-    fn push(&self, shard: usize, job: Job) -> Result<usize, Box<(ServeError, Job)>> {
-        match self.shards[shard].try_push(job) {
+    /// The one admission funnel: clamp `deadline` to the configured
+    /// ceiling, queue the request on `shard`, and return the shard depth
+    /// it was admitted at. A refusal — queue full (counted as shed) or
+    /// closed — is answered through the request's own reply, so every
+    /// kind of caller sees the same admission errors.
+    fn enqueue(&self, shard: usize, request: Request, deadline: Duration) -> Option<usize> {
+        let now = Instant::now();
+        let deadline = now + deadline.min(self.config.max_deadline);
+        match self.shards[shard].try_push(Job { request, enqueued: now, deadline }) {
             Ok(depth) => {
-                self.metrics.queue_depth.set(self.queue_len() as f64);
                 self.metrics.shard_requests.inc();
-                Ok(depth)
+                Some(depth)
             }
-            Err((PushError::Full, job)) => {
-                self.metrics.shed.inc();
-                Err(Box::new((ServeError::Overloaded, job)))
+            Err((refusal, job)) => {
+                let err = match refusal {
+                    PushError::Full => {
+                        self.metrics.shed.inc();
+                        ServeError::Overloaded
+                    }
+                    PushError::Closed => ServeError::ShuttingDown,
+                };
+                job.request.reject(err);
+                None
             }
-            Err((PushError::Closed, job)) => Err(Box::new((ServeError::ShuttingDown, job))),
         }
-    }
-
-    /// Requests queued across all shards.
-    fn queue_len(&self) -> usize {
-        self.shards.iter().map(BoundedQueue::len).sum()
     }
 
     /// Record one phase span (ring + histogram), stamping the live
@@ -1005,7 +843,6 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
     };
     while let Some((job, depth)) = shared.shards[shard].pop() {
         let picked_ns = if shared.trace.is_some() { epoch_ns() } else { 0 };
-        shared.metrics.queue_depth.set(depth as f64);
         let now = Instant::now();
         if now > job.deadline {
             shared.metrics.expired.inc();
@@ -1102,7 +939,7 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
                 shared.metrics.latency.record_secs(job.enqueued.elapsed().as_secs_f64());
                 let sent_ns =
                     if trace.is_some() && shared.trace.is_some() { epoch_ns() } else { 0 };
-                reply.send(outcome, sent_ns, shard as u32);
+                reply(outcome, sent_ns, shard as u32);
             }
             Request::Observe { app, data, cluster, conf, result, reply } => {
                 let _tag = shared.prof_enter("serve.observe");
@@ -1161,11 +998,11 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
                 };
                 shared.metrics.requests.inc();
                 shared.metrics.latency.record_secs(job.enqueued.elapsed().as_secs_f64());
-                reply.send(outcome);
+                reply(outcome, 0, shard as u32);
             }
             Request::Stall { dur, reply } => {
                 std::thread::sleep(dur);
-                reply.send(Ok(()));
+                reply(Ok(()), 0, shard as u32);
             }
         }
     }
@@ -1513,8 +1350,8 @@ impl Service {
         tracer: Tracer,
     ) -> Service {
         let cache = PredictionCache::new(
-            config.cache_shards.max(1),
-            config.cache_capacity_per_shard,
+            PREDICTION_CACHE_SHARDS,
+            PREDICTION_CACHE_CAPACITY_PER_SHARD,
             registry.counter("serve.cache_hits"),
             registry.counter("serve.cache_misses"),
         );
@@ -1558,6 +1395,7 @@ impl Service {
         tracer: Tracer,
         updater: bool,
     ) -> Service {
+        config.validate().expect("invalid ServeConfig"); // gate: allow(expect)
         let metrics = ServeMetrics::new(registry);
         let trace = config.trace.as_ref().map(|t| TraceState {
             sink: TraceSink::new(t.capture_threshold.as_nanos() as u64, t.exemplar_top_k),
@@ -1593,7 +1431,13 @@ impl Service {
             config.protocol.shards.min(config.workers)
         };
         metrics.shard_count.set(nshards as f64);
-        let shards = (0..nshards).map(|_| BoundedQueue::new(config.queue_capacity)).collect();
+        let queued = Arc::new(QueueDepth {
+            jobs: AtomicUsize::new(0),
+            gauge: registry.gauge("serve.queue_depth"),
+        });
+        let shards = (0..nshards)
+            .map(|_| BoundedQueue::new(config.queue_capacity, queued.clone()))
+            .collect();
         let response_cache = (config.protocol.response_cache > 0).then(|| {
             ResponseCache::new(
                 nshards,
@@ -1605,6 +1449,7 @@ impl Service {
         let shared = Arc::new(Shared {
             backend,
             shards,
+            queued,
             rr: AtomicUsize::new(0),
             response_cache,
             config,
@@ -1694,36 +1539,16 @@ impl Drop for Service {
 }
 
 impl ServiceHandle {
-    fn submit<T>(
-        &self,
-        shard: usize,
-        request: Request,
-        receiver: OneshotReceiver<Result<T, ServeError>>,
-        deadline: Duration,
-    ) -> Result<T, ServeError> {
-        let now = Instant::now();
-        let deadline = deadline.min(self.shared.config.max_deadline);
-        let job = Job { request, enqueued: now, deadline: now + deadline };
-        if let Err(refused) = self.shared.push(shard, job) {
-            // The rejection flows through the reply channel, so oneshot
-            // and callback replies see the same admission errors.
-            let (err, job) = *refused;
-            job.request.reject(err);
-        }
-        receiver.recv().unwrap_or(Err(ServeError::Internal("worker dropped reply")))
-    }
-
     /// The wire-protocol knobs this service runs under (the TCP front-end
     /// reads pipelining depth and the binary-frame cap from here).
     pub(crate) fn protocol(&self) -> &ProtocolConfig {
         &self.shared.config.protocol
     }
 
-    /// The single admission funnel every `recommend` flavor goes through:
-    /// probe the inline response cache (untraced requests only), else
-    /// stamp trace metadata, route to the affine shard, and enqueue. The
-    /// outcome — including admission rejections — always arrives through
-    /// `reply`.
+    /// The path every `recommend` takes: probe the inline response cache
+    /// (untraced requests only), else stamp trace metadata, route to the
+    /// affine shard, and enqueue. The outcome — including admission
+    /// rejections — always arrives through `reply`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit_recommend(
         &self,
@@ -1734,11 +1559,11 @@ impl ServiceHandle {
         seed: u64,
         deadline: Duration,
         trace: Option<TraceId>,
-        reply: RecommendReply,
+        reply: Reply<RecommendResponse>,
     ) {
         if trace.is_none() {
             if let Some(resp) = self.inline_recommend(app, data, cluster, k, seed) {
-                reply.send(Ok(resp), 0, 0);
+                reply(Ok(resp), 0, 0);
                 return;
             }
         }
@@ -1758,36 +1583,20 @@ impl ServiceHandle {
             trace: meta,
             reply,
         };
-        let now = Instant::now();
-        let deadline = deadline.min(self.shared.config.max_deadline);
-        let job = Job { request, enqueued: now, deadline: now + deadline };
-        match self.shared.push(shard, job) {
-            Ok(depth) => {
-                if let Some(meta) = meta {
-                    // Enqueue covers admission bookkeeping up to routing;
-                    // Dispatch covers the route + shard-queue handoff and
-                    // carries the chosen shard in the depth slot.
-                    let routed = route_ns.unwrap_or(meta.enqueued_ns);
-                    self.shared.trace_phase(
-                        meta.id,
-                        Phase::Enqueue,
-                        meta.enqueued_ns,
-                        routed,
-                        depth as u32,
-                    );
-                    self.shared.trace_phase(
-                        meta.id,
-                        Phase::Dispatch,
-                        routed,
-                        epoch_ns(),
-                        shard as u32,
-                    );
-                }
-            }
-            Err(refused) => {
-                let (err, job) = *refused;
-                job.request.reject(err);
-            }
+        let admitted = self.shared.enqueue(shard, request, deadline);
+        if let (Some(depth), Some(meta)) = (admitted, meta) {
+            // Enqueue covers admission bookkeeping up to routing; Dispatch
+            // covers the route + shard-queue handoff and carries the chosen
+            // shard in the depth slot.
+            let routed = route_ns.unwrap_or(meta.enqueued_ns);
+            self.shared.trace_phase(
+                meta.id,
+                Phase::Enqueue,
+                meta.enqueued_ns,
+                routed,
+                depth as u32,
+            );
+            self.shared.trace_phase(meta.id, Phase::Dispatch, routed, epoch_ns(), shard as u32);
         }
     }
 
@@ -1832,36 +1641,6 @@ impl ServiceHandle {
         Some(resp)
     }
 
-    /// Route-and-enqueue an observation with a callback reply (the TCP
-    /// front-end's shard-local path); admission rejections flow through
-    /// the callback.
-    pub(crate) fn submit_observe(
-        &self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
-        conf: &SparkConf,
-        result: Box<RunResult>,
-        reply: ObserveReply,
-    ) {
-        let shard = self.shared.route_observe(app, data, cluster);
-        let request = Request::Observe {
-            app,
-            data: *data,
-            cluster: cluster.clone(),
-            conf: conf.clone(),
-            result,
-            reply,
-        };
-        let now = Instant::now();
-        let deadline = self.shared.config.default_deadline.min(self.shared.config.max_deadline);
-        let job = Job { request, enqueued: now, deadline: now + deadline };
-        if let Err(refused) = self.shared.push(shard, job) {
-            let (err, job) = *refused;
-            job.request.reject(err);
-        }
-    }
-
     /// Recommend top-`k` configurations with the default deadline.
     pub fn recommend(
         &self,
@@ -1885,62 +1664,9 @@ impl ServiceHandle {
         seed: u64,
         deadline: Duration,
     ) -> Result<RecommendResponse, ServeError> {
-        let (tx, rx) = oneshot();
-        self.submit_recommend(
-            app,
-            data,
-            cluster,
-            k,
-            seed,
-            deadline,
-            None,
-            RecommendReply::Oneshot(tx),
-        );
-        let (outcome, _, _) =
-            rx.recv().unwrap_or((Err(ServeError::Internal("worker dropped reply")), 0, 0));
-        outcome
-    }
-
-    /// Recommend under a trace id: phase spans (enqueue, shard dispatch,
-    /// queue wait, dequeue, snapshot load, cache lookup, scoring, reply
-    /// handoff) are recorded against `trace` when tracing is enabled; the
-    /// enqueue span carries the observed queue depth and the dispatch and
-    /// respond spans carry the serving shard. Behaves exactly like
-    /// [`recommend_deadline`](ServiceHandle::recommend_deadline) when
-    /// tracing is off. The caller owns request completion: call
-    /// [`trace_complete`](ServiceHandle::trace_complete) with the
-    /// end-to-end latency once the response has been delivered.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recommend_traced(
-        &self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
-        k: usize,
-        seed: u64,
-        deadline: Duration,
-        trace: TraceId,
-    ) -> Result<RecommendResponse, ServeError> {
-        let (tx, rx) = oneshot();
-        self.submit_recommend(
-            app,
-            data,
-            cluster,
-            k,
-            seed,
-            deadline,
-            Some(trace),
-            RecommendReply::Oneshot(tx),
-        );
-        let (outcome, sent_ns, shard) =
-            rx.recv().unwrap_or((Err(ServeError::Internal("worker dropped reply")), 0, 0));
-        if sent_ns != 0 && self.shared.trace.is_some() {
-            // Respond covers the worker→submitter reply handoff; the depth
-            // slot names the shard that served it, so respond-phase
-            // attribution stays per-shard under sharded dispatch.
-            self.shared.trace_phase(trace, Phase::Respond, sent_ns, epoch_ns(), shard);
-        }
-        outcome
+        let (reply, outcome) = blocking_reply();
+        self.submit_recommend(app, data, cluster, k, seed, deadline, None, reply);
+        outcome()
     }
 
     /// The configured default per-request deadline.
@@ -1997,11 +1723,6 @@ impl ServiceHandle {
             .unwrap_or_default()
     }
 
-    /// Whether a burn-rate SLO is configured (the `slo` admin op).
-    pub fn slo_enabled(&self) -> bool {
-        self.shared.slo.is_some()
-    }
-
     /// The configured SLO, if any.
     pub fn slo_config(&self) -> Option<SloConfig> {
         self.shared
@@ -2026,12 +1747,6 @@ impl ServiceHandle {
         self.shared.slo_tick()
     }
 
-    /// Whether an enabled sampling profiler runs with this service (the
-    /// `profile` admin op).
-    pub fn profiler_enabled(&self) -> bool {
-        self.shared.profiler.is_some()
-    }
-
     /// Profile summary with the `k` hottest tags; `None` when no profiler
     /// is configured.
     pub fn profile_report(&self, k: usize) -> Option<ProfReport> {
@@ -2053,28 +1768,18 @@ impl ServiceHandle {
     /// rank their scale-adapted configurations — the zero-execution
     /// cold-start path. Runs inline on the calling thread (an index
     /// search, not a scoring job; it never competes for the worker queue).
+    /// Under a trace id the index search and candidate ranking are
+    /// recorded as one `score` phase span (the `index_search` cost folds
+    /// under `score` in the taxonomy).
     pub fn retrieve(
         &self,
         app: AppId,
         data: &DataSpec,
         cluster: &ClusterSpec,
         k: usize,
+        trace: Option<TraceId>,
     ) -> Result<RetrieveResponse, ServeError> {
-        self.retrieve_inner(Some(app), None, data, cluster, k, None)
-    }
-
-    /// [`retrieve`](ServiceHandle::retrieve) under a trace id: the index
-    /// search and candidate ranking are recorded as one `score` phase span
-    /// (the `index_search` cost folds under `score` in the taxonomy).
-    pub fn retrieve_traced(
-        &self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
-        k: usize,
-        trace: TraceId,
-    ) -> Result<RetrieveResponse, ServeError> {
-        self.retrieve_inner(Some(app), None, data, cluster, k, Some(trace))
+        self.retrieve_inner(Some(app), None, data, cluster, k, trace)
     }
 
     /// Retrieve for raw application source the server has never seen
@@ -2149,25 +1854,42 @@ impl ServiceHandle {
         conf: &SparkConf,
         result: &RunResult,
     ) -> Result<usize, ServeError> {
-        let (tx, rx) = oneshot();
+        let (reply, outcome) = blocking_reply();
+        self.observe_with(app, data, cluster, conf, Box::new(result.clone()), reply);
+        outcome()
+    }
+
+    /// [`observe`](ServiceHandle::observe) with the outcome — admission
+    /// rejections included — delivered through `reply` (the TCP
+    /// front-end's shard-local path).
+    pub(crate) fn observe_with(
+        &self,
+        app: AppId,
+        data: &DataSpec,
+        cluster: &ClusterSpec,
+        conf: &SparkConf,
+        result: Box<RunResult>,
+        reply: Reply<usize>,
+    ) {
+        let shard = self.shared.route_observe(app, data, cluster);
         let request = Request::Observe {
             app,
             data: *data,
             cluster: cluster.clone(),
             conf: conf.clone(),
-            result: Box::new(result.clone()),
-            reply: ObserveReply::Oneshot(tx),
+            result,
+            reply,
         };
-        let shard = self.shared.route_observe(app, data, cluster);
-        self.submit(shard, request, rx, self.shared.config.default_deadline)
+        self.shared.enqueue(shard, request, self.shared.config.default_deadline);
     }
 
     /// Test support: occupy one worker for `dur`.
     pub fn stall(&self, dur: Duration) -> Result<(), ServeError> {
-        let (tx, rx) = oneshot();
+        let (reply, outcome) = blocking_reply();
         // Stalls get a generous deadline: they exist to hold workers busy.
-        let shard = self.shared.rr_shard();
-        self.submit(shard, Request::Stall { dur, reply: tx }, rx, dur + Duration::from_secs(60))
+        let deadline = dur + Duration::from_secs(60);
+        self.shared.enqueue(self.shared.rr_shard(), Request::Stall { dur, reply }, deadline);
+        outcome()
     }
 
     /// Current model version (snapshot backend) or learning generation —
@@ -2223,7 +1945,7 @@ impl ServiceHandle {
 
     /// Requests currently queued (summed across worker shards).
     pub fn queue_len(&self) -> usize {
-        self.shared.queue_len()
+        self.shared.queued.jobs.load(Ordering::Relaxed)
     }
 
     /// Lifetime prediction-cache hit rate in `[0, 1]` (0 for tuner
@@ -2314,18 +2036,13 @@ impl ServiceHandle {
     }
 
     /// Finished spans rendered as Chrome trace-event JSON (what the
-    /// `trace` admin op serves). Non-destructive: spans stay buffered in
-    /// the tracer. Empty when the service runs with a disabled tracer.
-    pub fn trace_json(&self) -> lite_obs::Json {
-        lite_obs::chrome_trace(&self.shared.tracer.finished())
-    }
-
-    /// Like [`ServiceHandle::trace_json`], but bounded: when the rendered
-    /// document would exceed `max_bytes`, the oldest spans are dropped
-    /// until it fits (a long-lived service accumulates more spans than a
-    /// single admin response frame can carry). Returns the trace and the
-    /// number of spans dropped. Children of a dropped parent are promoted
-    /// to roots of their own track.
+    /// `trace` admin op serves), bounded: when the rendered document would
+    /// exceed `max_bytes`, the oldest spans are dropped until it fits (a
+    /// long-lived service accumulates more spans than a single admin
+    /// response frame can carry). Non-destructive: spans stay buffered in
+    /// the tracer; empty when the service runs with a disabled tracer.
+    /// Returns the trace and the number of spans dropped. Children of a
+    /// dropped parent are promoted to roots of their own track.
     pub fn trace_json_capped(&self, max_bytes: usize) -> (lite_obs::Json, usize) {
         // Clone only a bounded tail out of the tracer: a span's B/E event
         // pair never serializes under ~128 bytes, so anything past
@@ -2387,4 +2104,16 @@ pub struct ServiceStats {
     pub updater_failures: u64,
     /// Recommendations answered by the default-configuration fallback.
     pub fallbacks: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_reply_dropped_uncalled_is_an_error_not_a_hang() {
+        let (reply, outcome) = blocking_reply::<()>();
+        drop(reply);
+        assert_eq!(outcome(), Err(ServeError::Internal("worker dropped reply")));
+    }
 }

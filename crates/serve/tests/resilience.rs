@@ -153,45 +153,39 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Builder validation (S3)
+// Config validation (S3)
 
 #[test]
-fn builder_rejects_invalid_configs_and_accepts_valid_ones() {
+fn validate_rejects_invalid_configs_and_accepts_valid_ones() {
     use lite_serve::ConfigError;
 
-    let err = ServeConfig::builder().queue_capacity(0).build().unwrap_err();
-    assert_eq!(err, ConfigError::ZeroQueueCapacity);
-
-    let err = ServeConfig::builder().update_batch(0).build().unwrap_err();
-    assert_eq!(err, ConfigError::ZeroUpdateBatch);
-
-    let err = ServeConfig::builder()
-        .default_deadline(Duration::from_secs(10))
-        .max_deadline(Duration::from_secs(1))
-        .build()
-        .unwrap_err();
-    assert_eq!(err, ConfigError::InvertedDeadlines);
-
-    let err = ServeConfig::builder()
-        .drift(lite_serve::DriftConfig { mape_threshold: 0.0, ..Default::default() })
-        .build()
-        .unwrap_err();
-    assert_eq!(err, ConfigError::NonPositiveDriftThreshold);
-
-    let cfg = ServeConfig::builder()
-        .workers(3)
-        .queue_capacity(64)
-        .default_deadline(Duration::from_millis(250))
-        .max_deadline(Duration::from_secs(2))
-        .update_batch(16)
-        .cache_shards(4)
-        .cache_capacity_per_shard(128)
-        .build()
-        .expect("valid config");
-    assert_eq!(cfg.workers, 3);
-    assert_eq!(cfg.queue_capacity, 64);
-    assert_eq!(cfg.update_batch, 16);
-    assert!(cfg.validate().is_ok());
+    let secs = Duration::from_secs;
+    let cases = [
+        (ServeConfig { queue_capacity: 0, ..Default::default() }, ConfigError::ZeroQueueCapacity),
+        (ServeConfig { update_batch: 0, ..Default::default() }, ConfigError::ZeroUpdateBatch),
+        (
+            ServeConfig { default_deadline: secs(10), max_deadline: secs(1), ..Default::default() },
+            ConfigError::InvertedDeadlines,
+        ),
+        (
+            ServeConfig {
+                drift: lite_serve::DriftConfig { mape_threshold: 0.0, ..Default::default() },
+                ..Default::default()
+            },
+            ConfigError::NonPositiveDriftThreshold,
+        ),
+    ];
+    for (config, refusal) in cases {
+        assert_eq!(config.validate(), Err(refusal));
+    }
+    let valid = ServeConfig {
+        workers: 3,
+        default_deadline: Duration::from_millis(250),
+        max_deadline: secs(2),
+        update_batch: 16,
+        ..Default::default()
+    };
+    assert_eq!(valid.validate(), Ok(()));
 }
 
 // ---------------------------------------------------------------------------
@@ -202,14 +196,14 @@ fn updater_panic_pins_last_good_snapshot_and_recovers_after_disarm() {
     let (ds, snapshot) = trained();
     let cluster = ds.clusters[0].clone();
     let faults = Arc::new(FaultInjector::new(97).with(FaultKind::UpdaterPanic, 1.0));
-    let config = ServeConfig::builder()
-        .workers(2)
-        .queue_capacity(32)
-        .update_batch(4)
-        .amu(AmuConfig { epochs: 1, half_batch: 16, ..Default::default() })
-        .faults(faults.clone())
-        .build()
-        .expect("valid chaos config");
+    let config = ServeConfig {
+        workers: 2,
+        queue_capacity: 32,
+        update_batch: 4,
+        amu: AmuConfig { epochs: 1, half_batch: 16, ..Default::default() },
+        faults: Some(faults.clone()),
+        ..Default::default()
+    };
     let registry = Registry::new();
     let service = Service::start(snapshot, ds.clone(), config, &registry, Tracer::disabled());
     let handle = service.handle();

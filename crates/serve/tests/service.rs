@@ -129,11 +129,16 @@ fn full_queue_sheds_instead_of_blocking() {
     let service = Service::start(snapshot, ds, config, &registry, Tracer::disabled());
     let handle = service.handle();
 
-    // No workers consume, so two stalls fill the queue deterministically.
+    // No workers consume, so a stall and a recommend fill the queue
+    // deterministically.
+    let data = AppId::Sort.dataset(SizeTier::Valid);
     let pending: Vec<_> = (0..2)
-        .map(|_| {
-            let handle = handle.clone();
-            std::thread::spawn(move || handle.stall(Duration::ZERO))
+        .map(|i| {
+            let (handle, cluster) = (handle.clone(), cluster.clone());
+            std::thread::spawn(move || match i {
+                0 => handle.stall(Duration::ZERO),
+                _ => handle.recommend(AppId::Sort, &data, &cluster, 1, 1).map(|_| ()),
+            })
         })
         .collect();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -144,21 +149,58 @@ fn full_queue_sheds_instead_of_blocking() {
 
     // The third request is shed immediately, not queued or blocked.
     let started = Instant::now();
-    let data = AppId::Sort.dataset(SizeTier::Valid);
     let shed = handle.recommend(AppId::Sort, &data, &cluster, 1, 0);
     assert_eq!(shed.unwrap_err(), ServeError::Overloaded);
     assert!(started.elapsed() < Duration::from_secs(1), "shedding blocked");
     assert_eq!(registry.snapshot().counter("serve.shed"), Some(1));
 
-    // Shutdown answers the still-queued stalls instead of leaking them.
+    // Shutdown answers what is still queued instead of leaking it: no
+    // blocked caller hangs on a reply nobody will send.
     service.shutdown();
     for p in pending {
-        assert_eq!(p.join().expect("stall thread"), Err(ServeError::ShuttingDown));
+        assert_eq!(p.join().expect("queued caller"), Err(ServeError::ShuttingDown));
     }
     assert_eq!(
         handle.recommend(AppId::Sort, &data, &cluster, 1, 0).unwrap_err(),
         ServeError::ShuttingDown
     );
+}
+
+#[test]
+#[should_panic(expected = "ZeroQueueCapacity")]
+fn start_refuses_a_config_that_would_shed_everything() {
+    let (ds, snapshot) = trained();
+    let config = ServeConfig { queue_capacity: 0, ..quick_config() };
+    Service::start(snapshot, ds, config, &Registry::new(), Tracer::disabled());
+}
+
+#[test]
+fn queue_depth_gauge_is_the_total_over_all_shards() {
+    let (ds, snapshot) = trained();
+    let registry = Registry::new();
+    // Two workers, so two shards; stalls round-robin over them.
+    let service = Service::start(snapshot, ds, quick_config(), &registry, Tracer::disabled());
+    let handle = service.handle();
+    let gauge = || registry.snapshot().gauge("serve.queue_depth");
+    // One stall holds each shard's worker, one more queues behind each;
+    // each is admitted before the next is sent, so the round-robin holds.
+    let mut stalls = Vec::new();
+    for (n, ms) in [(1, 600), (2, 150), (3, 0), (4, 0)] {
+        let handle = handle.clone();
+        stalls.push(std::thread::spawn(move || handle.stall(Duration::from_millis(ms))));
+        while registry.snapshot().counter("serve.shard.requests") != Some(n) {
+            std::thread::yield_now();
+        }
+    }
+    // Shard 1 drains first, while shard 0 still queues one: the gauge is
+    // the service's total, not the last-popped shard's depth.
+    assert_eq!(stalls.pop().expect("fourth stall").join().expect("stall thread"), Ok(()));
+    assert_eq!(gauge(), Some(handle.queue_len() as f64));
+    for t in stalls {
+        assert_eq!(t.join().expect("stall thread"), Ok(()));
+    }
+    assert_eq!((gauge(), handle.queue_len()), (Some(0.0), 0));
+    service.shutdown();
 }
 
 #[test]

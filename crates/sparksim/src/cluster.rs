@@ -1,12 +1,10 @@
 //! Cluster hardware descriptions (paper Table III) and derived rates.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware description of a Spark cluster.
 ///
 /// These are the six environment-feature entries of paper Table II; the
 /// three presets reproduce the evaluation clusters of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable name, e.g. `"cluster-a"`.
     pub name: String,

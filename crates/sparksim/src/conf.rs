@@ -6,12 +6,11 @@
 //! component (NECS, GP, DDPG, random forest) consumes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a tunable knob. The discriminant order is the canonical
 /// feature order of the configuration vector `o_i` throughout the workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Knob {
     DefaultParallelism,
@@ -93,7 +92,7 @@ impl fmt::Display for Knob {
 }
 
 /// Value domain of a knob.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KnobDomain {
     /// Integer range `[min, max]` with a step (inclusive of both ends).
     Int { min: i64, max: i64, step: i64 },
@@ -195,7 +194,7 @@ impl KnobDomain {
 /// Values are stored as `f64` (integers and booleans are exact in `f64`
 /// over these ranges), which keeps the type directly usable as the
 /// configuration feature vector `o_i` of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparkConf {
     values: [f64; NUM_KNOBS],
 }
@@ -278,7 +277,7 @@ impl fmt::Display for SparkConf {
 }
 
 /// The configuration search space: domains plus defaults for all knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfSpace {
     domains: [KnobDomain; NUM_KNOBS],
     defaults: [f64; NUM_KNOBS],

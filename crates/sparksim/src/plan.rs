@@ -10,7 +10,6 @@
 //! * a cost profile (compute intensity, shuffle ratios, memory working-set
 //!   factor, skew) that couples the operator mix to knob sensitivity.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Atomic RDD/DataFrame operations that label DAG nodes.
@@ -18,7 +17,7 @@ use std::fmt;
 /// This is the vocabulary of the paper's one-hot node embedding: `S` equals
 /// the number of operations seen in training, and unseen operations map to
 /// an out-of-vocabulary token on the model side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum OpKind {
     TextFile,
@@ -204,7 +203,7 @@ impl fmt::Display for OpKind {
 /// Nodes are RDD transformations; an edge `(u, v)` means the output of node
 /// `u` feeds node `v`. This is the structure the paper's GCN encoder
 /// consumes (node one-hots + adjacency).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpDag {
     /// Operation labels per node.
     pub nodes: Vec<OpKind>,
@@ -289,7 +288,7 @@ impl OpDag {
 
 /// Where a stage reads its input from; determines partitioning and scan
 /// cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputSource {
     /// Scan from distributed storage; partition count follows
     /// `spark.files.maxPartitionBytes`.
@@ -303,7 +302,7 @@ pub enum InputSource {
 }
 
 /// One stage of a job: operator DAG plus cost profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagePlan {
     /// Stage name, e.g. `"map@TeraSort"`.
     pub name: String,
@@ -355,7 +354,7 @@ impl StagePlan {
 }
 
 /// A complete job: ordered stages separated by shuffle boundaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobPlan {
     /// Application name the job belongs to.
     pub app_name: String,

@@ -1,10 +1,8 @@
 //! Simulation outcomes: per-stage statistics and job-level results.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a simulated run failed. Failed runs are charged the 7200 s cap in
 /// the paper's ETR metric (Eq. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureReason {
     /// No executor fits the requested cores/memory on any node.
     InfeasibleAllocation,
@@ -32,7 +30,7 @@ impl FailureReason {
 /// Per-task statistics, recorded when the engine runs with task-level
 /// observability enabled (see `exec::SimObs::collect_tasks`). These are the
 /// payload of the SLOG v2 `TaskStart`/`TaskEnd` event-log records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskStats {
     /// Task index within its stage (launch order).
     pub index: u32,
@@ -57,7 +55,7 @@ pub struct TaskStats {
 /// These are the "stage-level data statistics" the paper's `S`-feature
 /// baselines consume; NECS itself deliberately does *not* use them (they
 /// are only observable after running on the real input).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageStats {
     /// Stage index within the job.
     pub stage_id: usize,
@@ -85,12 +83,11 @@ pub struct StageStats {
     /// Per-task statistics. Empty unless the run was simulated with
     /// task-level observability enabled (the default `simulate` keeps this
     /// empty so dataset builds stay lean).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub tasks: Vec<TaskStats>,
 }
 
 /// Result of simulating one application run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Total simulated wall-clock time in seconds (including scheduler and
     /// driver time). For failed runs this is the time until failure.

@@ -16,11 +16,10 @@
 
 use crate::data::{DataSpec, SizeTier};
 use lite_sparksim::plan::{InputSource, JobPlan, OpDag, OpKind, StagePlan};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The fifteen evaluation applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum AppId {
     KMeans,
@@ -41,7 +40,7 @@ pub enum AppId {
 }
 
 /// Workload category (paper: ML, graph and MapReduce algorithms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
     /// Iterative machine-learning algorithms.
     Ml,

@@ -5,8 +5,6 @@
 //! partitions — are exactly the paper's Table I data features (`d_i ∈ R^4`,
 //! with zeros for entries an application does not define).
 
-use serde::{Deserialize, Serialize};
-
 /// Which rung of the paper's data ladder an instance uses.
 ///
 /// * `Train(k)`, `k = 0..4` — four small sizes per application per cluster,
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// * `Valid` — mid-scale validation data, noticeably larger than any
 ///   training size.
 /// * `Test` — large test data used on cluster C to emulate production jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeTier {
     /// k-th training size, `k < 4`.
     Train(u8),
@@ -56,7 +54,7 @@ impl SizeTier {
 }
 
 /// A concrete dataset for one application instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataSpec {
     /// Number of rows (records, ratings, edges, …).
     pub rows: u64,

@@ -6,7 +6,6 @@
 //! [`Vocab`] built from the training corpus with reserved `<pad>` and
 //! `<oov>` ids so unseen test-time tokens degrade gracefully.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Reserved id for padding (zero embedding).
@@ -27,7 +26,7 @@ pub fn tokenize(source: &str) -> Vec<String> {
 }
 
 /// A token vocabulary with reserved `<pad>` / `<oov>` entries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocab {
     token_to_id: HashMap<String, usize>,
     id_to_token: Vec<String>,

@@ -38,15 +38,15 @@ fn main() {
     let tuner = LiteTuner::from_dataset(&ds, NecsConfig { epochs: 4, ..Default::default() }, 7);
 
     let registry = Registry::new();
-    // The validating builder is the supported construction path: it rejects
-    // impossible configs (zero queue, inverted deadlines, non-positive
-    // drift thresholds) at build time instead of misbehaving at runtime.
-    let config = ServeConfig::builder()
-        .workers(4)
-        .update_batch(16)
-        .amu(AmuConfig { epochs: 1, half_batch: 64, ..Default::default() })
-        .build()
-        .expect("valid service config");
+    // `Service::start` refuses an impossible config (zero queue, inverted
+    // deadlines, non-positive drift thresholds) instead of misbehaving at
+    // runtime.
+    let config = ServeConfig {
+        workers: 4,
+        update_batch: 16,
+        amu: AmuConfig { epochs: 1, half_batch: 64, ..Default::default() },
+        ..Default::default()
+    };
     let service = Service::start(
         ModelSnapshot::from_tuner(&tuner),
         ds.clone(),

@@ -35,9 +35,7 @@ sed -i \
   -e 's|^rand = .*$|rand = { path = "../stubs/rand" }|' \
   -e 's|^rand_distr = .*$|rand_distr = { path = "../stubs/rand_distr" }|' \
   -e 's|^proptest = .*$|proptest = { path = "../stubs/proptest" }|' \
-  -e 's|^criterion = .*$|criterion = { path = "../stubs/criterion" }|' \
   -e 's|^bytes = .*$|bytes = { path = "../stubs/bytes" }|' \
-  -e 's|^serde = .*$|serde = { path = "../stubs/serde", features = ["derive"] }|' \
   Cargo.toml
 
 export CARGO_NET_OFFLINE=true
