@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the full pre-merge gate.
 
-.PHONY: verify fmt lint build test quick loadtest chaos scrape tail demo analyze rag prof benchdiff lsp ledger
+.PHONY: verify fmt lint build test quick demo analyze rag lsp ledger
 
 verify:
 	./scripts/verify.sh
@@ -22,32 +22,6 @@ quick:
 	LITE_BENCH_QUICK=1 cargo run --release -p lite-bench --bin fig01_knob_surface
 	LITE_BENCH_QUICK=1 cargo run --release -p lite-bench --bin fig09_augmentation
 
-# Load-test the tuning service (lite-serve): N client threads, batched
-# inference, at least one background hot-swap; manifest goes to
-# results/serve_loadtest.manifest.jsonl.
-loadtest:
-	cargo run --release -p lite-bench --bin serve_loadtest
-
-# Chaos scenario: the service under an armed fault injector (torn frames,
-# updater panics, failed swaps, scoring failures, simulator wounds) with
-# retrying circuit-breaking clients; fails on any permanently lost request
-# or Internal error. Manifest goes to results/chaos_loadtest.manifest.jsonl.
-chaos:
-	cargo run --release -p lite-bench --bin chaos_loadtest
-
-# Telemetry-plane scenario: scrape the stats/metrics/trace/health admin
-# ops under recommend traffic while induced prediction drift triggers a
-# hot-swap; writes results/telemetry_scrape.{manifest.jsonl,prom,trace.json}.
-scrape:
-	cargo run --release -p lite-bench --bin telemetry_scrape
-
-# Tail-forensics scenario: traced load against the serve plane, per-phase
-# latency attribution, slow-request exemplar capture, and the tracing
-# overhead gate (<5% vs an untraced server); writes
-# results/tail_forensics.{manifest.jsonl,trace.json}.
-tail:
-	cargo run --release -p lite-bench --bin tail_forensics
-
 # Static vs dynamic cold-start extraction (plus the incremental
 # re-analysis latency section): wall-time, StageCode equivalence and the
 # editor-loop p99 budget across all 15 workloads; manifest goes to
@@ -68,22 +42,6 @@ lsp:
 # results/rag_bench.manifest.jsonl.
 rag:
 	cargo run --release -p lite-bench --bin rag_bench
-
-# Profiling plane: run the <5% overhead gate for the sampling profiler,
-# then refresh the loadtest flamegraph artifacts
-# (results/serve_loadtest.{flame.svg,folded}).
-prof:
-	cargo test --release -p lite-obs --test prof_overhead
-	cargo run --release -p lite-bench --bin serve_loadtest
-
-# Compare the two newest states of a manifest: BASE/CAND default to the
-# loadtest manifest compared against itself (a smoke of the tool);
-# override on the command line, e.g.
-#   make benchdiff BASE=old.jsonl CAND=results/serve_loadtest.manifest.jsonl
-BASE ?= results/serve_loadtest.manifest.jsonl
-CAND ?= results/serve_loadtest.manifest.jsonl
-benchdiff:
-	cargo run --release -p benchdiff -- $(BASE) $(CAND)
 
 # The repo's benchmark (BENCHMARK.json): one end-to-end run per workload
 # at the benchmark's own run length; the last stdout line of each is its

@@ -12,8 +12,7 @@
 //! edits to every corpus main source pushed through the memoizing
 //! [`DocAnalyzer`] (reparse + dataflow + lints), against a from-scratch
 //! [`analyze_source`] baseline. The incremental p99 must stay under
-//! 5 ms — asserted here and gated against the committed manifest by
-//! benchdiff in `scripts/verify.sh`.
+//! 5 ms — asserted here, and run in quick mode by `scripts/verify.sh`.
 
 use std::time::Instant;
 

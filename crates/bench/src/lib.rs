@@ -1,17 +1,13 @@
 //! # lite-bench — the experiment harness
 //!
-//! One binary per paper table/figure (see DESIGN.md §3) plus criterion
-//! micro-benches. This library holds the shared protocol pieces:
+//! One binary per paper table/figure (see DESIGN.md §3). This library
+//! holds the shared protocol pieces:
 //! dataset construction, the evaluation settings grid (clusters A/B/C on
 //! validation data + "Large" on cluster C test data), gold-ranking
-//! evaluation, the rule-based "Manual" tuner, and table printing.
+//! evaluation, the rule-based "Manual" tuner, and cell formatting.
 //!
 //! Set `LITE_BENCH_QUICK=1` to shrink every experiment (fewer sampled
 //! configurations, fewer epochs) for smoke runs.
-
-// The table printers below are a legitimate stdout owner (bench output is
-// the deliverable), exempted from the workspace print_stdout deny.
-#![allow(clippy::print_stdout)]
 
 pub mod tuning;
 
@@ -32,7 +28,7 @@ pub fn quick_mode() -> bool {
 
 /// Directory run manifests are appended to (override with
 /// `LITE_BENCH_RESULTS`; defaults to `results/` under the cwd).
-pub fn results_dir() -> std::path::PathBuf {
+fn results_dir() -> std::path::PathBuf {
     std::env::var_os("LITE_BENCH_RESULTS")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("results"))
@@ -181,15 +177,6 @@ pub fn manual_conf(space: &ConfSpace, cluster: &ClusterSpec) -> SparkConf {
     c.set(space, Knob::ShuffleSpillCompress, 1.0);
     c.set(space, Knob::ShuffleFileBufferKb, 64.0);
     c
-}
-
-/// Print a markdown-ish table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::from("|");
-    for (c, w) in cells.iter().zip(widths.iter()) {
-        line.push_str(&format!(" {c:>w$} |"));
-    }
-    println!("{line}");
 }
 
 /// Format a float to 4 decimal places (ranking metrics).

@@ -229,49 +229,3 @@ pub fn app_code_features(ds: &Dataset, app: AppId, data: &DataSpec) -> Vec<f32> 
     }
     hist
 }
-
-/// Unified-dispatch runner: any tuner behind the
-/// [`Tuner`](lite_core::tuner::Tuner) trait proposes, the simulator
-/// executes, and the outcome feeds back through `observe` — the bench-side
-/// twin of `Service::start_tuner`, so benches exercise exactly the
-/// propose/observe contract the service serves.
-pub fn tune_unified(
-    tuner: &mut dyn lite_core::tuner::Tuner,
-    cluster: &ClusterSpec,
-    app: AppId,
-    data: &DataSpec,
-    rounds: usize,
-    seed: u64,
-) -> TuneOutcome {
-    use lite_core::tuner::{Feedback, TuneRequest};
-    let plan = build_job(app, data);
-    let mut best = f64::INFINITY;
-    let mut overhead = 0.0;
-    let mut trace = Vec::new();
-    let mut decide_wall_s = 0.0;
-    for i in 0..rounds.max(1) {
-        let round_seed = seed.wrapping_add(i as u64);
-        let wall = Instant::now();
-        let result = tuner.recommend(&TuneRequest {
-            app,
-            data: *data,
-            cluster: cluster.clone(),
-            k: 1,
-            seed: round_seed,
-        });
-        decide_wall_s += wall.elapsed().as_secs_f64();
-        let conf = match result {
-            Ok(r) if !r.ranked.is_empty() => r.ranked[0].conf.clone(),
-            // Degradation ladder: an unavailable or cold tuner falls back
-            // to the default configuration rather than aborting the run.
-            _ => ConfSpace::table_iv().default_conf(),
-        };
-        let run = simulate(cluster, &conf, &plan, round_seed ^ 0x0d15_ea5e);
-        let t = run.capped_time(EXECUTION_CAP_S);
-        overhead += t;
-        best = best.min(t);
-        trace.push((overhead, best));
-        tuner.observe(Feedback { app, data: *data, cluster: cluster.clone(), conf, result: run });
-    }
-    TuneOutcome { time_s: best, trace, decide_wall_s }
-}

@@ -31,7 +31,7 @@ use lite_analyze::DocAnalyzer;
 use lite_obs::json::Json;
 use lite_obs::Registry;
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::time::Instant;
 
 /// Read one `Content-Length`-framed JSON-RPC message. `Ok(None)` on a
@@ -55,8 +55,13 @@ pub fn read_message(r: &mut impl BufRead) -> io::Result<Option<Json>> {
         }
     }
     let n = len.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing length"))?;
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
+    // The header is the peer's claim: the buffer grows with the bytes that
+    // actually arrive, never to the claimed length up front.
+    let mut buf = Vec::new();
+    r.take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() < n {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "body shorter than its length"));
+    }
     let text = String::from_utf8(buf)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     Json::parse(&text)

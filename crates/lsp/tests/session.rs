@@ -6,13 +6,17 @@
 //! fix-all edit; check only the non-mechanically-fixable rules remain and
 //! no further quick fixes are offered; hover for the NECS-predicted
 //! runtime; break the document and check a `syntax-error` diagnostic;
-//! shut down cleanly.
+//! shut down cleanly. A second test feeds the binary hostile framing —
+//! lying `Content-Length`s, truncated bodies, seeded rewrites of a valid
+//! session — and requires an error or a clean exit, never a hang.
 
 use lite_lsp::{read_message, write_message};
 use lite_obs::json::Json;
+use lite_sparksim::fault::mutate_bytes;
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const URI: &str = "file:///defects.scala";
 
@@ -228,4 +232,59 @@ fn scripted_editor_session_end_to_end() {
     s.notify("exit", Json::obj(vec![]));
     let status = s.child.wait().expect("wait for server");
     assert!(status.success(), "server exited with {status}");
+}
+
+/// Feed `input` to a fresh server, close its stdin, and wait for it to end:
+/// its exit code (`None` when a signal killed it) and what it wrote to stderr.
+fn fed(input: &[u8]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lite-lsp"))
+        .env("LITE_LSP_QUICK", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lite-lsp");
+    // A server that already refused the stream may close the pipe first.
+    let _ = child.stdin.take().expect("piped stdin").write_all(input);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll server") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill hung server");
+            panic!("server hung on {:?}", String::from_utf8_lossy(input));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).expect("stderr");
+    (status.code(), stderr)
+}
+
+#[test]
+fn hostile_framing_ends_in_an_error_or_a_clean_exit_never_a_hang() {
+    let framed = |body: &str| format!("Content-Length: {}\r\n\r\n{body}", body.len()).into_bytes();
+    let init = framed(r#"{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}"#);
+    let open = framed(&format!(
+        r#"{{"jsonrpc":"2.0","method":"textDocument/didOpen","params":{{"textDocument":{{"uri":"{URI}","text":{}}}}}}}"#,
+        Json::Str(DEFECTS.to_string()).render()
+    ));
+    let session = [&init[..], &open[..]].concat();
+    assert_eq!(fed(&session), (Some(0), String::new()), "the unharmed session ends cleanly");
+
+    // A length no input can back must be refused from what actually
+    // arrives, not reserved up front; a body cut short is an error.
+    let lying = |len: &str| format!("Content-Length: {len}\r\n\r\n{{\"jsonrpc\"").into_bytes();
+    for input in [lying("18446744073709551615"), lying("4000000000"), lying("10")] {
+        let (code, stderr) = fed(&[&init[..], &input[..]].concat());
+        assert!(code == Some(1) && stderr.starts_with("lite-lsp: transport error"), "{stderr}");
+    }
+    // Anything else — an unparsable length is skipped as a stray header —
+    // ends either way, but never by a panic or a signal.
+    for input in (0..64).map(|seed| mutate_bytes(seed, &session, &init)).chain([lying("-1")]) {
+        let (code, stderr) = fed(&input);
+        let shown = String::from_utf8_lossy(&input);
+        assert!(matches!(code, Some(0 | 1)) && !stderr.contains("panicked"), "{shown}: {stderr}");
+    }
 }

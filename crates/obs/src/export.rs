@@ -16,16 +16,13 @@
 //! every span becomes a `B`/`E` duration pair, nested via the span's
 //! parent chain, with attributes as `args`.
 //!
-//! Two tail-forensics companions: [`prometheus_text_with_exemplars`]
+//! The tail-forensics companion [`prometheus_text_with_exemplars`]
 //! annotates histogram series with `# trace_id` comment lines linking a
-//! latency bucket back to the slow request that fed it, and
-//! [`chrome_trace_exemplars`] renders captured [`Exemplar`]s as one
-//! Perfetto track per slow request.
+//! latency bucket back to the slow request that fed it.
 
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
 use crate::span::{AttrValue, SpanRecord};
-use crate::trace::Exemplar;
 use std::fmt::Write as _;
 
 /// Sanitize a registry metric name into a valid Prometheus metric name
@@ -248,49 +245,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> Json {
     ])
 }
 
-/// Render tail-forensics [`Exemplar`]s as a Chrome trace-event JSON
-/// object. Each exemplar's phase spans become `X` (complete) events on a
-/// track keyed by the trace id, so one slow request reads as one lane in
-/// Perfetto with its phases laid end to end. Queue depth and the
-/// swap-in-progress flag ride along as `args`.
-pub fn chrome_trace_exemplars(exemplars: &[Exemplar]) -> Json {
-    // Nanoseconds as (possibly fractional) trace-event microseconds, in
-    // the parser's preferred representation so documents round-trip:
-    // whole microseconds render as integers, sub-µs remainders as floats.
-    fn us_json(ns: u64) -> Json {
-        if ns.is_multiple_of(1_000) {
-            uint_json(ns / 1_000)
-        } else {
-            Json::Num(ns as f64 / 1_000.0)
-        }
-    }
-    let mut events: Vec<Json> = Vec::new();
-    for e in exemplars {
-        for s in &e.spans {
-            let mut args = vec![
-                ("trace_id".to_string(), uint_json(s.trace_id)),
-                ("queue_depth".to_string(), uint_json(u64::from(s.queue_depth))),
-            ];
-            if s.swap_in_progress {
-                args.push(("swap_in_progress".to_string(), Json::Bool(true)));
-            }
-            events.push(Json::obj(vec![
-                ("name", Json::Str(s.phase.name().to_string())),
-                ("ph", Json::Str("X".to_string())),
-                ("ts", us_json(s.start_ns)),
-                ("dur", us_json(s.duration_ns())),
-                ("pid", Json::Int(1)),
-                ("tid", uint_json(e.trace_id)),
-                ("args", Json::Obj(args)),
-            ]));
-        }
-    }
-    Json::obj(vec![
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::Str("ms".to_string())),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,38 +376,6 @@ mod tests {
             },
         );
         assert_eq!(stripped, plain);
-    }
-
-    #[test]
-    fn exemplars_render_as_complete_events_per_trace() {
-        use crate::trace::{Phase, PhaseSpan};
-        let span = |phase, start_ns, end_ns| PhaseSpan {
-            trace_id: 99,
-            phase,
-            start_ns,
-            end_ns,
-            queue_depth: 4,
-            swap_in_progress: phase == Phase::Score,
-        };
-        let ex = Exemplar {
-            trace_id: 99,
-            total_ns: 5_000,
-            spans: vec![span(Phase::Parse, 0, 1_500), span(Phase::Score, 1_500, 5_000)],
-        };
-        let trace = chrome_trace_exemplars(&[ex]);
-        let events = trace.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
-        assert_eq!(events.len(), 2);
-        for ev in events {
-            assert_eq!(ev.get("ph").and_then(|p| p.as_str()), Some("X"));
-            assert_eq!(ev.get("tid").and_then(|t| t.as_u64()), Some(99));
-        }
-        assert_eq!(events[0].get("name").and_then(|n| n.as_str()), Some("parse"));
-        assert_eq!(
-            events[1].get("args").and_then(|a| a.get("swap_in_progress")),
-            Some(&Json::Bool(true))
-        );
-        // The rendered document parses back.
-        assert_eq!(Json::parse(&trace.render()).unwrap(), trace);
     }
 
     #[test]

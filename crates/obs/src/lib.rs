@@ -29,7 +29,7 @@
 //!
 //! The continuous-profiling and SLO plane completes the picture: [`prof`]
 //! is a cooperative sampling profiler over seqlock-published per-thread
-//! tag stacks (flamegraphs plus allocation attribution via an opt-in
+//! tag stacks (folded stacks plus allocation attribution via an opt-in
 //! `GlobalAlloc` wrapper), and [`slo`] turns cumulative histograms into
 //! windowed rollups (true `rate()`, windowed p50–p999) with a
 //! multi-window burn-rate evaluator over an error budget.
@@ -65,10 +65,7 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
-pub use export::{
-    chrome_trace, chrome_trace_exemplars, prometheus_text, prometheus_text_with_exemplars,
-    PromExemplar,
-};
+pub use export::{chrome_trace, prometheus_text, prometheus_text_with_exemplars, PromExemplar};
 pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramBatch, HistogramSummary, MetricsSnapshot, Registry,

@@ -11,7 +11,7 @@
 //! - A background **sampler thread** periodically snapshots every thread's
 //!   stack through the seqlock (retrying torn reads) and accumulates folded
 //!   stack counts, from which it renders collapsed-stack (flamegraph
-//!   "folded") output, an SVG flamegraph, and top-K self/total tables.
+//!   "folded") output and top-K self/total tables.
 //! - An opt-in [`TagAlloc`] `GlobalAlloc` wrapper attributes allocation
 //!   bytes/counts to the calling thread's current tag through a fixed table
 //!   of atomics — it takes no locks and never allocates, so it cannot
@@ -513,112 +513,6 @@ impl Profiler {
         }
         out
     }
-
-    /// Self-contained SVG flamegraph of the sampled stacks (deterministic:
-    /// sibling frames ordered by name, colors hashed from names).
-    pub fn flame_svg(&self, title: &str) -> String {
-        let Some(inner) = &self.inner else { return String::new() };
-        let stacks = inner.stacks.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let names = tag_names();
-        let mut root = FlameNode::default();
-        for (stack, &count) in stacks.iter() {
-            root.total += count;
-            let mut node = &mut root;
-            for &id in stack {
-                node = node.children.entry(tag_name(&names, id).to_string()).or_default();
-                node.total += count;
-            }
-        }
-        render_flame_svg(title, &root)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SVG flamegraph rendering
-
-#[derive(Default)]
-struct FlameNode {
-    total: u64,
-    children: BTreeMap<String, FlameNode>,
-}
-
-fn flame_depth(node: &FlameNode) -> usize {
-    1 + node.children.values().map(flame_depth).max().unwrap_or(0)
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
-}
-
-/// Deterministic warm color from a tag name (FNV-1a hash).
-fn flame_color(name: &str) -> String {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let r = 205 + (h % 50) as u8;
-    let g = 80 + ((h >> 8) % 120) as u8;
-    let b = ((h >> 16) % 55) as u8;
-    format!("rgb({r},{g},{b})")
-}
-
-fn render_flame_svg(title: &str, root: &FlameNode) -> String {
-    const WIDTH: f64 = 1200.0;
-    const BAR_H: f64 = 17.0;
-    const PAD: f64 = 24.0;
-    let depth = flame_depth(root);
-    let height = PAD + BAR_H * depth as f64 + 8.0;
-    let mut svg = format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{WIDTH}\" height=\"{height}\" \
-         font-family=\"monospace\" font-size=\"11\">\n\
-         <rect width=\"100%\" height=\"100%\" fill=\"#f8f8f8\"/>\n\
-         <text x=\"8\" y=\"16\">{} — {} samples</text>\n",
-        xml_escape(title),
-        root.total
-    );
-    // Root row spans the full width; children stack upward from the bottom.
-    fn emit(
-        svg: &mut String,
-        name: &str,
-        node: &FlameNode,
-        x: f64,
-        y: f64,
-        width: f64,
-        root_total: u64,
-    ) {
-        if width < 0.5 {
-            return;
-        }
-        let pct = 100.0 * node.total as f64 / root_total.max(1) as f64;
-        let label = if width > 40.0 { xml_escape(name) } else { String::new() };
-        svg.push_str(&format!(
-            "<g><title>{} ({} samples, {:.1}%)</title>\
-             <rect x=\"{:.2}\" y=\"{:.2}\" width=\"{:.2}\" height=\"16\" fill=\"{}\" \
-             stroke=\"#f8f8f8\"/>\
-             <text x=\"{:.2}\" y=\"{:.2}\" clip-path=\"none\">{}</text></g>\n",
-            xml_escape(name),
-            node.total,
-            pct,
-            x,
-            y,
-            width,
-            flame_color(name),
-            x + 3.0,
-            y + 12.0,
-            label
-        ));
-        let mut cx = x;
-        for (child_name, child) in &node.children {
-            let cw = width * child.total as f64 / node.total.max(1) as f64;
-            emit(svg, child_name, child, cx, y - BAR_H, cw, root_total);
-            cx += cw;
-        }
-    }
-    let base_y = height - BAR_H - 4.0;
-    emit(&mut svg, "all", root, 0.0, base_y, WIDTH, root.total.max(1));
-    svg.push_str("</svg>\n");
-    svg
 }
 
 // ---------------------------------------------------------------------------
@@ -926,21 +820,5 @@ mod tests {
         assert_eq!(reentrant_allocs(), skips0 + 1);
         let (b1, c1) = alloc_stats_named("prof.test.reentrant");
         assert_eq!((b1, c1), (b0, c0));
-    }
-
-    #[test]
-    fn flame_svg_is_well_formed() {
-        let prof = Profiler::new(Duration::from_millis(1));
-        {
-            let _a = prof.enter("prof.test.svg_outer");
-            let _b = prof.enter("prof.test.svg<inner>");
-            prof.sample_once();
-        }
-        let svg = prof.flame_svg("test & profile");
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.ends_with("</svg>\n"));
-        assert!(svg.contains("test &amp; profile"));
-        assert!(svg.contains("prof.test.svg&lt;inner&gt;"));
-        assert_eq!(svg.matches("<svg").count(), 1);
     }
 }

@@ -14,8 +14,6 @@
 #![allow(clippy::print_stdout)]
 
 use crate::json::Json;
-use crate::metrics::{MetricsSnapshot, Registry};
-use crate::span::SpanRecord;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -41,9 +39,6 @@ struct ReportInner {
     fields: Vec<(String, Json)>,
     tables: Vec<Table>,
     notes: Vec<String>,
-    metrics: Option<MetricsSnapshot>,
-    span_count: usize,
-    quiet: bool,
 }
 
 /// A run report. Cloning shares the report (hand clones to helpers).
@@ -63,18 +58,8 @@ impl Report {
                 fields: Vec::new(),
                 tables: Vec::new(),
                 notes: Vec::new(),
-                metrics: None,
-                span_count: 0,
-                quiet: false,
             })),
         }
-    }
-
-    /// Suppress stdout echo (tables/notes are only captured). For tests.
-    pub fn quiet(name: &str) -> Report {
-        let r = Report::new(name);
-        r.inner.lock().expect("report lock").quiet = true;
-        r
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ReportInner> {
@@ -96,32 +81,22 @@ impl Report {
         out
     }
 
-    /// Record an already-measured phase duration.
-    pub fn phase_s(&self, name: &str, wall_s: f64) {
-        self.lock().phases.push(Phase { name: name.to_string(), wall_s });
-    }
-
     /// Print a note line to stdout and capture it in the manifest.
     pub fn note(&self, line: &str) {
-        let mut g = self.lock();
-        if !g.quiet {
-            println!("{line}");
-        }
-        g.notes.push(line.to_string());
+        println!("{line}");
+        self.lock().notes.push(line.to_string());
     }
 
     /// Open a table: prints the header immediately, captures everything.
     pub fn table(&self, title: &str, header: &[&str], widths: &[usize]) -> TableWriter {
-        let mut g = self.lock();
-        if !g.quiet {
-            println!("\n# {title}\n");
-            print_cells(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>(), widths);
-            let mut line = String::from("|");
-            for w in widths {
-                line.push_str(&format!("{}|", "-".repeat(w + 2)));
-            }
-            println!("{line}");
+        println!("\n# {title}\n");
+        print_cells(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>(), widths);
+        let mut line = String::from("|");
+        for w in widths {
+            line.push_str(&format!("{}|", "-".repeat(w + 2)));
         }
+        println!("{line}");
+        let mut g = self.lock();
         g.tables.push(Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -129,42 +104,6 @@ impl Report {
         });
         let index = g.tables.len() - 1;
         TableWriter { report: self.clone(), index, widths: widths.to_vec() }
-    }
-
-    /// Attach a snapshot of a metrics registry (replaces any previous one).
-    pub fn metrics(&self, registry: &Registry) {
-        self.lock().metrics = Some(registry.snapshot());
-    }
-
-    /// Summarize finished spans into the manifest: per span name, the count
-    /// and total duration. (Full span dumps stay out of the manifest — it
-    /// is one line per run.)
-    pub fn spans(&self, spans: &[SpanRecord]) {
-        use std::collections::BTreeMap;
-        let mut agg: BTreeMap<&'static str, (u64, f64)> = BTreeMap::new();
-        for s in spans {
-            let e = agg.entry(s.name).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += s.duration_s();
-        }
-        let mut g = self.lock();
-        g.span_count += spans.len();
-        g.fields.push((
-            "spans".to_string(),
-            Json::Obj(
-                agg.into_iter()
-                    .map(|(name, (count, total_s))| {
-                        (
-                            name.to_string(),
-                            Json::obj(vec![
-                                ("count", Json::UInt(count)),
-                                ("total_s", Json::Num(total_s)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
     }
 
     /// Build the manifest JSON object.
@@ -231,9 +170,6 @@ impl Report {
                 Json::Arr(g.notes.iter().map(|n| Json::Str(n.clone())).collect()),
             ));
         }
-        if let Some(m) = &g.metrics {
-            pairs.push(("metrics".to_string(), snapshot_json(m)));
-        }
         Json::Obj(pairs)
     }
 
@@ -247,34 +183,6 @@ impl Report {
         writeln!(f, "{}", self.manifest().render())?;
         Ok(path)
     }
-
-    /// Render the manifest's phases/fields as a short human-readable block.
-    pub fn render_human(&self) -> String {
-        let g = self.lock();
-        let mut out = String::new();
-        out.push_str(&format!("run {} ({:.1}s wall)\n", g.name, g.started.elapsed().as_secs_f64()));
-        for (k, v) in &g.fields {
-            out.push_str(&format!("  {k}: {}\n", v.render()));
-        }
-        for p in &g.phases {
-            out.push_str(&format!("  phase {}: {:.2}s\n", p.name, p.wall_s));
-        }
-        if let Some(m) = &g.metrics {
-            for (k, v) in &m.counters {
-                out.push_str(&format!("  counter {k}: {v}\n"));
-            }
-            for (k, v) in &m.gauges {
-                out.push_str(&format!("  gauge {k}: {v:.4}\n"));
-            }
-            for (k, h) in &m.histograms {
-                out.push_str(&format!(
-                    "  histogram {k}: n={} mean={:.1} p50<={} p90<={} p99<={} p999<={}\n",
-                    h.count, h.mean, h.p50, h.p90, h.p99, h.p999
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// Writes rows of one table through the report (printing + capturing).
@@ -287,11 +195,8 @@ pub struct TableWriter {
 impl TableWriter {
     /// Append (and print) one row.
     pub fn row(&mut self, cells: &[String]) {
-        let mut g = self.report.lock();
-        if !g.quiet {
-            print_cells(cells, &self.widths);
-        }
-        g.tables[self.index].rows.push(cells.to_vec());
+        print_cells(cells, &self.widths);
+        self.report.lock().tables[self.index].rows.push(cells.to_vec());
     }
 }
 
@@ -303,46 +208,13 @@ fn print_cells(cells: &[String], widths: &[usize]) {
     println!("{line}");
 }
 
-fn snapshot_json(m: &MetricsSnapshot) -> Json {
-    Json::obj(vec![
-        (
-            "counters",
-            Json::Obj(m.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect()),
-        ),
-        ("gauges", Json::Obj(m.gauges.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect())),
-        (
-            "histograms",
-            Json::Obj(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::obj(vec![
-                                ("count", Json::UInt(h.count)),
-                                ("sum", Json::UInt(h.sum)),
-                                ("mean", Json::Num(h.mean)),
-                                ("p50", Json::UInt(h.p50)),
-                                ("p90", Json::UInt(h.p90)),
-                                ("p99", Json::UInt(h.p99)),
-                                ("p999", Json::UInt(h.p999)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Tracer;
 
     #[test]
     fn manifest_contains_fields_phases_tables_notes() {
-        let r = Report::quiet("unit");
+        let r = Report::new("unit");
         r.field("seed", 7u64);
         let x = r.phase("build", || 21 * 2);
         assert_eq!(x, 42);
@@ -359,37 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_lands_in_manifest() {
-        let reg = Registry::new();
-        reg.counter("c.x").add(5);
-        reg.gauge("g.y").set(1.25);
-        reg.histogram("h.z").record(10);
-        let r = Report::quiet("unit2");
-        r.metrics(&reg);
-        let j = r.manifest().render();
-        assert!(j.contains(r#""c.x":5"#), "{j}");
-        assert!(j.contains(r#""g.y":1.25"#), "{j}");
-        assert!(j.contains(r#""count":1"#), "{j}");
-    }
-
-    #[test]
-    fn span_summary_aggregates_by_name() {
-        let tracer = Tracer::new();
-        for _ in 0..3 {
-            drop(tracer.span("epoch"));
-        }
-        drop(tracer.span("run"));
-        let r = Report::quiet("unit3");
-        r.spans(&tracer.finished());
-        let j = r.manifest().render();
-        assert!(j.contains(r#""epoch":{"count":3"#), "{j}");
-        assert!(j.contains(r#""run":{"count":1"#), "{j}");
-    }
-
-    #[test]
     fn finish_appends_jsonl() {
         let dir = std::env::temp_dir().join(format!("lite-obs-test-{}", std::process::id()));
-        let r = Report::quiet("writer");
+        let r = Report::new("writer");
         r.field("k", "v");
         let p1 = r.finish(&dir).unwrap();
         let p2 = r.finish(&dir).unwrap();
@@ -402,20 +246,5 @@ mod tests {
             assert!(line.contains(r#""k":"v""#));
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn human_rendering_mentions_everything() {
-        let reg = Registry::new();
-        reg.counter("n").add(2);
-        let r = Report::quiet("hr");
-        r.field("seed", 1u64);
-        r.phase_s("train", 1.5);
-        r.metrics(&reg);
-        let h = r.render_human();
-        assert!(h.contains("run hr"));
-        assert!(h.contains("seed: 1"));
-        assert!(h.contains("phase train: 1.50s"));
-        assert!(h.contains("counter n: 2"));
     }
 }

@@ -81,7 +81,12 @@ fn sampler_allocating_under_tagalloc_does_not_deadlock() {
     prof.stop();
     let report = prof.report(8);
     assert!(report.sweeps > 0, "sampler never ran: {report:?}");
-    let (bytes, count) = alloc_stats_named("alloctest.churn");
-    let (inner_bytes, _) = alloc_stats_named("alloctest.churn.inner");
-    assert!(bytes + inner_bytes > 0 && count > 0, "worker churn must be attributed");
+    // Allocations land on the innermost tag. The outer row only sees the
+    // intern table growing, which depends on which sibling test ran first.
+    let (inner_bytes, inner_count) = alloc_stats_named("alloctest.churn.inner");
+    let churned: u64 = 3 * (0..200u64).map(|i| 64 + i).sum::<u64>();
+    assert!(
+        inner_bytes >= churned && inner_count >= 600,
+        "worker churn must be attributed: {inner_bytes} bytes in {inner_count} allocations"
+    );
 }

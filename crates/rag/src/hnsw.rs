@@ -389,6 +389,13 @@ impl Hnsw {
         if n > 0 && entry as usize >= n {
             return Err(DecodeError::Corrupt("entry point out of range"));
         }
+        // Everything below is sized from `n` and `dim`: refuse counts the
+        // input is too short to back (a point costs at least its level
+        // byte and its vector) before reserving anything for them.
+        let vector_bytes = n.checked_mul(dim).and_then(|floats| floats.checked_mul(4));
+        if n > bytes.len() || vector_bytes.is_none_or(|b| b > bytes.len()) {
+            return Err(DecodeError::Truncated);
+        }
         let mut levels = Vec::with_capacity(n);
         for _ in 0..n {
             let l = r.u8()?;
@@ -396,6 +403,12 @@ impl Hnsw {
                 return Err(DecodeError::Corrupt("level above cap"));
             }
             levels.push(l);
+        }
+        // The search descends from `entry` on every layer up to
+        // `max_level`, and follows a link on the layer it is stored under:
+        // both ends must exist there.
+        if n > 0 && levels[entry as usize] != max_level {
+            return Err(DecodeError::Corrupt("entry point is not on the top layer"));
         }
         let mut links = Vec::with_capacity(n);
         for &level in &levels {
@@ -414,6 +427,9 @@ impl Hnsw {
                     let nbr = r.u32()?;
                     if nbr as usize >= n {
                         return Err(DecodeError::Corrupt("neighbor id out of range"));
+                    }
+                    if (levels[nbr as usize] as usize) < per_node.len() {
+                        return Err(DecodeError::Corrupt("neighbor below the link's layer"));
                     }
                     layer.push(nbr);
                 }

@@ -1,12 +1,27 @@
 //! Property tests: HNSW recall against the brute-force oracle, and
-//! bit-identical serialize → deserialize → search behavior.
+//! bit-identical serialize → deserialize → search behavior. Then a soak of
+//! seeded hostile rewrites of an `LRAG` index file and a `RunStore` JSONL
+//! manifest: each decodes or is refused, without a panic and without
+//! reserving more than a small multiple of the bytes it was given.
 //!
 //! Corpora are generated from a single `u64` seed through splitmix64 (the
 //! offline proptest stub has no float-vector strategies, and a seed keeps
 //! failure reproduction a one-number affair anyway).
 
-use lite_rag::{exact_knn, Hnsw, HnswConfig};
+use lite_obs::prof::{alloc_stats_named, TagAlloc};
+use lite_obs::Profiler;
+use lite_rag::{exact_knn, CodeEmbedder, Hnsw, HnswConfig, RunRecord, RunStore, EMBED_DIM};
+use lite_sparksim::cluster::ClusterSpec;
+use lite_sparksim::conf::ConfSpace;
+use lite_sparksim::fault::mutate_bytes;
+use lite_workloads::apps::AppId;
+use lite_workloads::data::SizeTier;
 use proptest::prelude::*;
+
+/// Attributes every allocation to the allocating thread's current tag, so
+/// the soak below can price one decode on its own thread.
+#[global_allocator]
+static ALLOC: TagAlloc<std::alloc::System> = TagAlloc::new(std::alloc::System);
 
 fn splitmix64(z: &mut u64) -> u64 {
     *z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -105,5 +120,60 @@ proptest! {
             b.insert(&p);
         }
         prop_assert_eq!(a.to_bytes(), b.to_bytes());
+    }
+}
+
+#[test]
+fn hostile_index_files_and_manifests_are_refused_within_their_size() {
+    let prof = Profiler::new(std::time::Duration::from_secs(3600));
+    // Bytes this thread allocates inside `f`, which must stay within a small
+    // multiple of the `len` input bytes `f` was handed.
+    let bounded = |len: usize, seed: u64, f: &mut dyn FnMut()| {
+        let _tag = prof.enter("soak.decode");
+        let before = alloc_stats_named("soak.decode").0;
+        f();
+        let spent = alloc_stats_named("soak.decode").0 - before;
+        assert!(spent <= 64 * len as u64 + (64 << 10), "seed {seed}: {spent} bytes for {len}");
+    };
+
+    // A flat graph, then a tall one: m = 2 puts half the points on upper
+    // layers, so the rewrites reach the layered links too. Each found a
+    // defect `from_bytes` now refuses: seed 692 reserved 2 MB for a count
+    // the 20 KB input could not back, 812 decoded an entry point below the
+    // top layer, 1832 a link to a point below the link's layer.
+    let flat = build(&corpus(11, 120, 8), 8, 11).to_bytes();
+    let mut tall = Hnsw::new(8, HnswConfig { m: 2, m0: 4, seed: 11, ..HnswConfig::default() });
+    for p in corpus(11, 120, 8) {
+        tall.insert(&p);
+    }
+    let bases = [flat, tall.to_bytes()];
+    let query = [0.25f32; 8];
+    for seed in 0..2_000u64 {
+        let tall_half = (seed / 1_000) as usize;
+        let hostile = mutate_bytes(seed, &bases[tall_half], &bases[1 - tall_half]);
+        bounded(hostile.len(), seed, &mut || {
+            // An index that decodes must also be safe to walk.
+            if let Ok(h) = Hnsw::from_bytes(&hostile) {
+                h.search(&query[..h.dim().min(8)], 5);
+            }
+        });
+    }
+
+    let space = ConfSpace::table_iv();
+    let embedder = CodeEmbedder::new();
+    let mut store = RunStore::new(EMBED_DIM, HnswConfig::default());
+    for app in AppId::all() {
+        let (data, cluster) = (app.dataset(SizeTier::Valid), ClusterSpec::cluster_a());
+        let record = RunRecord { app, data, cluster, conf: space.default_conf(), runtime_s: 10.0 };
+        store.push(&embedder.embed(app, &record.data, &record.cluster), record);
+    }
+    let manifest = store.export_jsonl().into_bytes();
+    for seed in 0..300u64 {
+        let hostile = mutate_bytes(seed, &manifest, &bases[0]);
+        let text = String::from_utf8_lossy(&hostile);
+        bounded(hostile.len(), seed, &mut || {
+            let mut back = RunStore::new(EMBED_DIM, HnswConfig::default());
+            assert!(back.ingest_jsonl(&space, &embedder, &text) <= store.len());
+        });
     }
 }

@@ -193,14 +193,17 @@ fn induced_drift_triggers_swap_before_batch_count() {
     let cluster = ds.clusters[0].clone();
     let registry = Registry::new();
     // The batch trigger is set far out of reach, so only the drift path
-    // can cause a swap.
+    // can cause a swap. The MAPE threshold sits between the two regimes fed
+    // below: a top-1 prediction is the model's most optimistic, so honest
+    // feedback reads ~0.7, and a 10x faster cluster reads 1.8 or more. A
+    // uniform speed-up keeps ranking, so the inversion gate is off.
     let config = ServeConfig {
         update_batch: 100_000,
         drift: DriftConfig {
             window: 64,
             min_samples: 8,
-            mape_threshold: 0.3,
-            inversion_threshold: 0.45,
+            mape_threshold: 1.2,
+            inversion_threshold: 2.0,
         },
         ..quick_config()
     };
@@ -209,24 +212,38 @@ fn induced_drift_triggers_swap_before_batch_count() {
 
     let data = AppId::KMeans.dataset(SizeTier::Valid);
     let plan = build_job(AppId::KMeans, &data);
-    let deadline = Instant::now() + Duration::from_secs(120);
     let mut seed = 4100u64;
-    let mut observes = 0u64;
-    while handle.swap_count() == 0 {
-        assert!(Instant::now() < deadline, "drift never triggered a swap");
+    let mut feed = |skew: f64| {
         let rec = handle.recommend(AppId::KMeans, &data, &cluster, 1, seed).expect("recommend");
         let mut result = simulate(&cluster, &rec.ranked[0].conf, &plan, seed);
-        // Skew the response surface: the "cluster" now runs 4x slower than
-        // anything the model was trained on, so MAPE blows past 0.3.
-        result.total_time_s *= 4.0;
+        result.total_time_s *= skew;
         for stage in &mut result.stages {
-            stage.duration_s *= 4.0;
+            stage.duration_s *= skew;
         }
         handle
             .observe(AppId::KMeans, &data, &cluster, &rec.ranked[0].conf, &result)
             .expect("observe");
-        observes += 1;
         seed += 1;
+    };
+
+    // An honest window first: on the response surface it was trained on the
+    // monitor stays quiet through several updater polls, and nothing swaps.
+    for _ in 0..16 {
+        feed(1.0);
+    }
+    std::thread::sleep(Duration::from_millis(250));
+    let honest = handle.drift();
+    assert!(honest.samples == 16 && !honest.drifted, "honest feedback read as drift: {honest:?}");
+    assert_eq!(handle.swap_count(), 0, "no swap may happen while feedback is honest");
+
+    // Then skew the response surface: the "cluster" now runs 10x faster than
+    // anything the model was trained on, so MAPE blows past the threshold.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut observes = 16u64;
+    while handle.swap_count() == 0 {
+        assert!(Instant::now() < deadline, "drift never triggered a swap");
+        feed(0.1);
+        observes += 1;
     }
 
     assert!((handle.feedback_len() as u64) < 100_000, "drift must fire before the batch count");

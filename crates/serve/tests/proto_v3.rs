@@ -8,12 +8,14 @@
 //!   is frozen as a string literal for every op, and decodes back to the
 //!   same typed request,
 //! - one server concurrently speaking v2 and pipelined v3, answering every
-//!   op identically through both codecs.
+//!   op identically through both codecs,
+//! - a soak of 2,000 seeded hostile rewrites of both codecs' frames against
+//!   the live reactor: no panic, no hang, no leaked descriptor.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lite_core::amu::AmuConfig;
 use lite_core::experiment::{Dataset, DatasetBuilder};
@@ -30,7 +32,7 @@ use lite_serve::{
 };
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::{ConfSpace, SparkConf, NUM_KNOBS};
-use lite_sparksim::fault::mix64;
+use lite_sparksim::fault::{mix64, mutate_bytes};
 use lite_sparksim::result::{FailureReason, RunResult, StageStats};
 use lite_workloads::apps::AppId;
 use lite_workloads::data::{DataSpec, SizeTier};
@@ -591,6 +593,71 @@ fn one_server_speaks_v2_and_pipelined_v3_concurrently() {
     assert!(v2.call(&Request::Stats).expect("v2 stats").is_ok());
 
     drop((v2, v3));
+    server.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn hostile_frames_at_length_leave_the_live_server_serving() {
+    let (ds, snapshot) = trained();
+    let cluster = ClusterRef::Preset(ds.clusters[0].name.clone());
+    let service =
+        Service::start(snapshot, ds, quick_config(), &Registry::new(), Tracer::disabled());
+    let server = lite_serve::net::serve_tcp(service.handle(), "127.0.0.1:0").expect("bind");
+    let space = ConfSpace::table_iv();
+    let open_fds = || std::fs::read_dir("/proc/self/fd").expect("procfs").count();
+    // Prefix + payload, as the bytes cross the socket.
+    let wire = |payload: &[u8]| {
+        let mut image = Vec::new();
+        lite_serve::net::write_frame(&mut image, payload).expect("frame");
+        image
+    };
+
+    let before = open_fds();
+    for seed in 0..2_000u64 {
+        let req = arb_request(seed, OpCode::ALL[seed as usize % OpCode::ALL.len()], &space);
+        let mut images =
+            [wire(&encode_request(&req, seed as u32)), wire(req.to_json(2).render().as_bytes())];
+        images.rotate_left((seed / 13 % 2) as usize);
+        let hostile = mutate_bytes(seed, &images[0], &images[1]);
+
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        // A server that neither answers nor closes fails here, not forever.
+        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+        stream.write_all(&hostile).expect("write");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        // Whatever comes back is whole, well-formed frames; then the
+        // connection ends (a reset is the server refusing unread bytes).
+        loop {
+            match lite_serve::net::read_frame(&mut stream) {
+                Ok(Some(payload)) => {
+                    let whole = match payload.first() {
+                        Some(&V3_MAGIC) => decode_response(&payload, &space).is_ok(),
+                        _ => std::str::from_utf8(&payload).is_ok_and(|t| Json::parse(t).is_ok()),
+                    };
+                    assert!(whole, "seed {seed}: malformed answer {payload:?}");
+                }
+                Ok(None) => break,
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("seed {seed}: connection neither answered nor closed: {e}"),
+            }
+        }
+    }
+
+    // The server is unharmed: a fresh client is served, every descriptor the
+    // soak opened is closed again, and no serve thread died (the shutdowns
+    // below join them and panic if one did).
+    let mut fresh = ClientBuilder::new().connect(server.local_addr()).expect("connect");
+    let data = AppId::Sort.dataset(SizeTier::Valid);
+    let rec = Request::Recommend { app: AppId::Sort, data, cluster, k: 2, seed: 1, trace: None };
+    let resp = fresh.call(&rec).expect("recommend after the soak");
+    assert!(matches!(&resp, Response::Recommend { ranked, .. } if ranked.len() == 2), "{resp:?}");
+    drop(fresh);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while open_fds() > before {
+        assert!(Instant::now() < deadline, "{} descriptors leaked", open_fds() - before);
+        std::thread::sleep(Duration::from_millis(20));
+    }
     server.shutdown();
     service.shutdown();
 }

@@ -410,17 +410,38 @@ fn tcp_serves_v2_envelopes_with_structured_errors() {
 
 #[test]
 fn resilient_client_loses_nothing_to_torn_frames() {
+    use FaultKind::*;
+    let ms = Duration::from_millis;
+    loses_nothing_under(FaultInjector::new(23).with(TornFrame, 0.3), &[TornFrame]);
+    // The full chaos mix: every wire and model fault a request can meet,
+    // beside an updater that panics, fails and delays its swaps.
+    let mix = FaultInjector::new(0xC4A0)
+        .with(TornFrame, 0.25)
+        .with_delay(RequestDelay, 0.1, ms(2))
+        .with(ScoreFail, 0.2)
+        .with(UpdaterPanic, 0.6)
+        .with_delay(SwapDelay, 0.3, ms(5))
+        .with(SwapFail, 0.25);
+    loses_nothing_under(mix, &[TornFrame, RequestDelay, ScoreFail]);
+}
+
+/// Recommend → execute → observe rounds through the resilient client while
+/// `faults` is armed: every call is answered, each of `must_fire` fired.
+fn loses_nothing_under(faults: FaultInjector, must_fire: &[FaultKind]) {
     let (ds, snapshot) = trained();
     let cluster = ds.clusters[0].clone();
-    let faults = Arc::new(FaultInjector::new(23).with(FaultKind::TornFrame, 0.3));
+    let faults = Arc::new(faults);
     let config = ServeConfig {
         workers: 2,
         queue_capacity: 32,
+        update_batch: 4,
+        amu: AmuConfig { epochs: 1, half_batch: 16, ..Default::default() },
         faults: Some(faults.clone()),
         ..Default::default()
     };
     let registry = Registry::new();
     let service = Service::start(snapshot, ds, config, &registry, Tracer::disabled());
+    let handle = service.handle();
     let server = lite_serve::net::serve_tcp(service.handle(), "127.0.0.1:0").expect("bind");
 
     let mut client = ResilientClient::single(
@@ -437,6 +458,7 @@ fn resilient_client_loses_nothing_to_torn_frames() {
     );
 
     let data = AppId::Sort.dataset(SizeTier::Valid);
+    let plan = build_job(AppId::Sort, &data);
     for seed in 0..30u64 {
         let resp = client
             .call(&Request::Recommend {
@@ -448,9 +470,27 @@ fn resilient_client_loses_nothing_to_torn_frames() {
                 trace: None,
             })
             .expect("no request may be lost forever");
+        let Response::Recommend { ranked, .. } = resp else { panic!("{resp:?}") };
+        let conf = ranked[0].conf.clone();
+        let result = Box::new(simulate(&cluster, &conf, &plan, seed));
+        let cluster = ClusterRef::Preset(cluster.name.clone());
+        let resp = client
+            .call(&Request::Observe { app: AppId::Sort, data, cluster, conf, result })
+            .expect("no feedback may be lost forever");
         assert!(resp.is_ok(), "{resp:?}");
     }
-    assert!(faults.fired(FaultKind::TornFrame) >= 1, "chaos never actually fired");
+    for kind in must_fire {
+        assert!(faults.fired(*kind) >= 1, "{kind:?} never fired: chaos was not exercised");
+    }
+    // Retries would mask a scoring failure answered `Internal`: every firing
+    // must have been served as a fallback instead.
+    assert!(handle.stats().fallbacks >= faults.fired(FaultKind::ScoreFail));
+    // The armed updater met that feedback while the service kept answering.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while handle.stats().updater_failures == 0 && handle.swap_count() == 0 {
+        assert!(Instant::now() < deadline, "updater never attempted an update");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     server.shutdown();
     service.shutdown();

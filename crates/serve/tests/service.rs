@@ -46,24 +46,63 @@ fn quick_config() -> ServeConfig {
     }
 }
 
-/// Drive observations until the background updater publishes at least one
-/// new model version.
+/// Feed the updater exactly one feedback batch — the same runs whatever the
+/// timing, because feeding stops at the observe that fills the batch — and
+/// wait until it publishes the new model version.
 fn drive_one_swap(handle: &lite_serve::ServiceHandle, cluster: &ClusterSpec) {
     let data = AppId::KMeans.dataset(SizeTier::Valid);
     let plan = build_job(AppId::KMeans, &data);
-    let deadline = Instant::now() + Duration::from_secs(120);
+    let update_batch = handle.stats().update_batch;
     let mut seed = 900u64;
-    while handle.swap_count() == 0 {
-        assert!(Instant::now() < deadline, "no hot-swap within 120 s");
+    let mut fed = 0;
+    while fed < update_batch {
         let rec = handle
             .recommend(AppId::KMeans, &data, cluster, 1, seed)
             .expect("recommend during feedback loop");
         let result = simulate(cluster, &rec.ranked[0].conf, &plan, seed);
-        handle
+        fed = handle
             .observe(AppId::KMeans, &data, cluster, &rec.ranked[0].conf, &result)
             .expect("observe");
         seed += 1;
     }
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while handle.swap_count() == 0 {
+        assert!(Instant::now() < deadline, "no hot-swap within 120 s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The whole pipeline is a function of its seeds: two independently built
+/// datasets and tuners, served by 1 worker (1 shard) and by 4, answer alike
+/// to the bit, before and after a hot swap driven by the same feedback.
+#[test]
+fn same_seeds_serve_bit_identical_top_k_whatever_the_worker_count() {
+    let served = |workers: usize| {
+        let (ds, snapshot) = trained();
+        let cluster = ds.clusters[0].clone();
+        let config = ServeConfig { workers, ..quick_config() };
+        let service = Service::start(snapshot, ds, config, &Registry::new(), Tracer::disabled());
+        let handle = service.handle();
+        let top_k = || -> Vec<u64> {
+            let mut bits = Vec::new();
+            for (app, seed) in [(AppId::Sort, 7), (AppId::KMeans, 7), (AppId::KMeans, 8)] {
+                let data = app.dataset(SizeTier::Valid);
+                let resp = handle.recommend(app, &data, &cluster, 5, seed).expect("recommend");
+                for r in &resp.ranked {
+                    bits.extend(r.conf.values().iter().map(|v| v.to_bits()));
+                    bits.push(r.predicted_s.to_bits());
+                }
+            }
+            bits
+        };
+        let before = top_k();
+        drive_one_swap(&handle, &cluster);
+        (before, top_k())
+    };
+    let (one, four) = (served(1), served(4));
+    assert_ne!(one.0, one.1, "the swap must have changed the model");
+    assert_eq!(one.0, four.0, "pre-swap top-k differs between builds / worker counts");
+    assert_eq!(one.1, four.1, "post-swap top-k differs between builds / worker counts");
 }
 
 #[test]

@@ -21,7 +21,9 @@
 //!   [`FaultKind::ScoreFail`] (NECS scoring unavailable),
 //!   [`FaultKind::TornFrame`] (a TCP response is cut mid-frame and the
 //!   connection dropped) and [`FaultKind::RequestDelay`] (injected request
-//!   latency).
+//!   latency);
+//! * **input wounds** — [`mutate_bytes`], the seeded byte mutator the soak
+//!   tests drive over every input boundary (wire frames, index files, JSONL).
 //!
 //! Fault points take an `Option<&FaultInjector>` (or an
 //! `Option<Arc<FaultInjector>>` field); when the option is `None` the hook
@@ -52,6 +54,42 @@ pub fn mix64(mut z: u64) -> u64 {
 #[inline]
 pub fn unit64(h: u64) -> f64 {
     ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+}
+
+/// One seeded hostile rewrite of `bytes`, for soaking an input boundary: a
+/// few bit flips, a truncation, a four-byte length field (at the front half
+/// the time, either endianness) inflated or deflated, a splice into the tail
+/// of `other`, or appended garbage. Pure in `(seed, bytes, other)`.
+pub fn mutate_bytes(seed: u64, bytes: &[u8], other: &[u8]) -> Vec<u8> {
+    let mut h = seed;
+    let mut next = move || {
+        h = mix64(h);
+        h
+    };
+    let at = |r: u64, len: usize| (r % len.max(1) as u64) as usize;
+    let mut out = bytes.to_vec();
+    match next() % 5 {
+        0 if !out.is_empty() => {
+            for _ in 0..1 + next() % 4 {
+                let i = at(next(), out.len());
+                out[i] ^= 1 << (next() % 8);
+            }
+        }
+        1 => out.truncate(at(next(), out.len())),
+        2 if out.len() >= 4 => {
+            let i = if next() % 2 == 0 { 0 } else { at(next(), out.len() - 3) };
+            let len =
+                [0, u32::MAX, 1 << 30, (next() % (4 * out.len() as u64)) as u32][at(next(), 4)];
+            let field = if next() % 2 == 0 { len.to_be_bytes() } else { len.to_le_bytes() };
+            out[i..i + 4].copy_from_slice(&field);
+        }
+        3 => {
+            out.truncate(at(next(), out.len()));
+            out.extend_from_slice(&other[at(next(), other.len())..]);
+        }
+        _ => out.extend((0..1 + next() % 64).map(|_| next() as u8)),
+    }
+    out
 }
 
 /// Number of fault kinds (array sizes below).
@@ -85,36 +123,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All kinds, indexable by `as usize`.
-    pub const ALL: [FaultKind; NUM_FAULT_KINDS] = [
-        FaultKind::ExecutorLoss,
-        FaultKind::Straggler,
-        FaultKind::ForcedOom,
-        FaultKind::ForcedSpill,
-        FaultKind::UpdaterPanic,
-        FaultKind::SwapDelay,
-        FaultKind::SwapFail,
-        FaultKind::ScoreFail,
-        FaultKind::TornFrame,
-        FaultKind::RequestDelay,
-    ];
-
-    /// Stable snake_case label (manifest / metrics names).
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::ExecutorLoss => "executor_loss",
-            FaultKind::Straggler => "straggler",
-            FaultKind::ForcedOom => "forced_oom",
-            FaultKind::ForcedSpill => "forced_spill",
-            FaultKind::UpdaterPanic => "updater_panic",
-            FaultKind::SwapDelay => "swap_delay",
-            FaultKind::SwapFail => "swap_fail",
-            FaultKind::ScoreFail => "score_fail",
-            FaultKind::TornFrame => "torn_frame",
-            FaultKind::RequestDelay => "request_delay",
-        }
-    }
-
     /// Per-kind salt so the same key rolls independently per kind.
     fn salt(self) -> u64 {
         0xFA01_7000 + self as u64
@@ -159,11 +167,6 @@ impl FaultInjector {
     pub fn with_delay(mut self, kind: FaultKind, prob: f64, delay: Duration) -> FaultInjector {
         self.delays[kind as usize] = delay;
         self.with(kind, prob)
-    }
-
-    /// The injector's seed (chaos manifests record it for reproduction).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Stop firing (all `fires` return false) without dropping the
@@ -220,11 +223,6 @@ impl FaultInjector {
     /// Total firings across all kinds.
     pub fn total_fired(&self) -> u64 {
         self.fired.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// `(label, count)` per kind with at least one firing — manifest rows.
-    pub fn summary(&self) -> Vec<(&'static str, u64)> {
-        FaultKind::ALL.iter().map(|&k| (k.label(), self.fired(k))).filter(|&(_, n)| n > 0).collect()
     }
 }
 
@@ -290,15 +288,6 @@ mod tests {
         );
         assert_eq!(inj.fire_delay(FaultKind::RequestDelay, 9), Some(Duration::from_millis(5)));
         assert_eq!(inj.fire_delay(FaultKind::SwapDelay, 9), None);
-    }
-
-    #[test]
-    fn summary_lists_only_fired_kinds() {
-        let inj = FaultInjector::new(4).with(FaultKind::UpdaterPanic, 1.0);
-        assert!(inj.summary().is_empty());
-        inj.fires(FaultKind::UpdaterPanic, 0);
-        assert_eq!(inj.summary(), vec![("updater_panic", 1)]);
-        assert_eq!(inj.total_fired(), 1);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 #      whose name starts with one of a row's prefixes must be one of that
 #      row's canonical names, and every canonical name must be registered
 #      somewhere. A typo'd or ad-hoc series would silently fork the
-#      dashboards, alerts (`serve.slo.alert`) and loadtest gates that key
-#      on these families, without failing any Rust test.
+#      dashboards and alerts (`serve.slo.alert`) that key on these
+#      families, without failing any Rust test.
 #
 # (Phase ↔ `serve.phase.<name>_ns` histogram pairing needs no rule: both
 # expand from one table in crates/obs/src/trace.rs.)

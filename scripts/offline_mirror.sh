@@ -9,7 +9,7 @@
 #
 # Usage: scripts/offline_mirror.sh <cargo args...>
 #   e.g. scripts/offline_mirror.sh test -q --workspace
-#        scripts/offline_mirror.sh run --release -p lite-bench --bin tail_forensics
+#        scripts/offline_mirror.sh run --release -p lite-bench --bin rag_bench
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
