@@ -180,25 +180,6 @@ pub fn apply_fixes(source: &str) -> Result<FixOutcome, FixError> {
     Ok(FixOutcome { source: fixed, applied, passes, remaining: lint::run_lints(&new_flow) })
 }
 
-/// Instrumented variant of [`apply_fixes`]: records `analyze.fix.*`
-/// series on `metrics` (planned/applied counters, passes histogram, and
-/// a rejected counter for unsafe or non-converging rewrites).
-pub fn apply_fixes_metered(
-    source: &str,
-    metrics: &lite_obs::Registry,
-) -> Result<FixOutcome, FixError> {
-    let out = apply_fixes(source);
-    match &out {
-        Ok(o) => {
-            metrics.counter("analyze.fix.planned").add(o.applied.len() as u64);
-            metrics.counter("analyze.fix.applied").add(o.applied.len() as u64);
-            metrics.histogram("analyze.fix.passes").record(o.passes as u64);
-        }
-        Err(_) => metrics.counter("analyze.fix.rejected").inc(),
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Rewrites
 // ---------------------------------------------------------------------------
@@ -504,16 +485,5 @@ mod tests {
         assert!(out.source.contains("a.filter(f).cache()"));
         assert!(!out.source.contains("map(x => x).cache()"));
         assert!(out.remaining.is_empty());
-    }
-
-    #[test]
-    fn metered_wrapper_registers_the_fix_series() {
-        let reg = lite_obs::Registry::new();
-        let src = format!(
-            "{PRELUDE}val parsed = sc.textFile(p).map(x => x)\nval a = parsed.count\nval b = parsed.count\n"
-        );
-        apply_fixes_metered(&src, &reg).expect("fixes apply");
-        let snap = reg.snapshot();
-        assert!(snap.counters.iter().any(|(k, v)| k == "analyze.fix.applied" && *v == 1));
     }
 }

@@ -11,4 +11,4 @@ pub mod gp;
 pub mod tuner;
 
 pub use gp::{GaussianProcess, GpConfig};
-pub use tuner::{BoObservation, BoServeTuner, BoTuner, TuneTrace};
+pub use tuner::{BoObservation, BoTuner, TuneTrace};

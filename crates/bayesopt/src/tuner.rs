@@ -7,7 +7,6 @@
 //! charges BO's overhead — is exhausted.
 
 use crate::gp::{GaussianProcess, GpConfig};
-use lite_obs::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,9 +42,6 @@ pub struct BoTuner {
     pub xi: f64,
     /// GP hyper-parameters.
     pub gp: GpConfig,
-    /// Span tracer: one `bo.iter` span per evaluated configuration
-    /// (disabled by default).
-    pub tracer: Tracer,
     seed: u64,
 }
 
@@ -57,7 +53,6 @@ impl BoTuner {
             acquisition_pool: 512,
             xi: 0.01,
             gp: GpConfig { length_scales: vec![0.25], ..Default::default() },
-            tracer: Tracer::disabled(),
             seed,
         }
     }
@@ -90,14 +85,7 @@ impl BoTuner {
 
         // Always spend at least one evaluation, even on tiny budgets (the
         // paper's BO baseline runs "at least 2 hours").
-        let mut run_span = self.tracer.span("bo.run");
-        if run_span.is_recording() {
-            run_span.attr_u64("warm_observations", warm.len() as u64);
-            run_span.attr_f64("budget_s", budget_s);
-        }
-        let mut iteration = 0u64;
         loop {
-            let mut iter_span = self.tracer.span("bo.iter");
             let point = if xs.is_empty() {
                 uniform_point(self.dim, &mut rng)
             } else {
@@ -123,14 +111,6 @@ impl BoTuner {
                 best_point = point.clone();
             }
             trace.push(TuneTrace { overhead_s: overhead, time_s: t, best_s: best });
-            if iter_span.is_recording() {
-                iter_span.attr_u64("iteration", iteration);
-                iter_span.attr_str("candidate", &format!("{point:.3?}"));
-                iter_span.attr_f64("actual_s", t);
-                iter_span.attr_f64("best_s", best);
-                iter_span.attr_f64("overhead_s", overhead);
-            }
-            iteration += 1;
             xs.push(point);
             ys.push((1.0 + t).ln());
             raw.push(t);
@@ -139,10 +119,6 @@ impl BoTuner {
                 break;
             }
         }
-        if run_span.is_recording() {
-            run_span.attr_u64("evaluations", iteration);
-            run_span.attr_f64("best_s", best);
-        }
         (trace, best_point)
     }
 }
@@ -150,102 +126,6 @@ impl BoTuner {
 fn uniform_point(dim: usize, rng: &mut StdRng) -> Vec<f64> {
     use rand::Rng;
     (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect()
-}
-
-/// [`BoTuner`] behind the unified [`Tuner`] trait: an *online* BO loop
-/// driven from the outside. Each `recommend` fits the GP surrogate on the
-/// observations accumulated for that (app, data, cluster) target and ranks
-/// an EI-maximizing candidate pool; each `observe` appends to the target's
-/// history. Before `min_fit` observations it explores with seeded uniform
-/// samples — a GP fit on one point is noise.
-pub struct BoServeTuner {
-    /// The configuration space proposals decode into.
-    pub space: lite_sparksim::conf::ConfSpace,
-    /// GP / acquisition settings (the seed inside is unused here; every
-    /// `recommend` derives randomness from the request seed instead).
-    pub bo: BoTuner,
-    /// Observations before the surrogate is trusted.
-    pub min_fit: usize,
-    /// Failure/time cap applied to observed runtimes.
-    pub cap_s: f64,
-    history: std::collections::HashMap<TargetKey, Vec<BoObservation>>,
-}
-
-/// One tuning target: observations never leak across applications, data
-/// scales or clusters (their response surfaces differ).
-type TargetKey = (lite_workloads::apps::AppId, u64, String);
-
-impl BoServeTuner {
-    /// An online BO tuner over `space`.
-    pub fn new(space: lite_sparksim::conf::ConfSpace, seed: u64) -> BoServeTuner {
-        let bo = BoTuner::new(lite_sparksim::conf::NUM_KNOBS, seed);
-        BoServeTuner { space, bo, min_fit: 3, cap_s: 7200.0, history: Default::default() }
-    }
-
-    /// Observations accumulated for a target.
-    pub fn history_len(&self, req: &lite_core::tuner::TuneRequest) -> usize {
-        self.history.get(&Self::key(&req.app, &req.data, &req.cluster)).map_or(0, Vec::len)
-    }
-
-    fn key(
-        app: &lite_workloads::apps::AppId,
-        data: &lite_workloads::data::DataSpec,
-        cluster: &lite_sparksim::cluster::ClusterSpec,
-    ) -> TargetKey {
-        (*app, data.bytes, cluster.name.clone())
-    }
-}
-
-impl lite_core::tuner::Tuner for BoServeTuner {
-    fn name(&self) -> &'static str {
-        "bo"
-    }
-
-    fn recommend(
-        &self,
-        req: &lite_core::tuner::TuneRequest,
-    ) -> Result<lite_core::tuner::TuneResult, lite_core::tuner::TuneError> {
-        use lite_core::recommend::RankedCandidate;
-        let mut rng = StdRng::seed_from_u64(req.seed ^ 0xB0);
-        let k = req.k.max(1);
-        let obs = self.history.get(&Self::key(&req.app, &req.data, &req.cluster));
-        let ranked: Vec<RankedCandidate> = match obs {
-            Some(obs) if obs.len() >= self.min_fit => {
-                let xs: Vec<Vec<f64>> = obs.iter().map(|o| o.point.clone()).collect();
-                let ys: Vec<f64> = obs.iter().map(|o| (1.0 + o.time_s).ln()).collect();
-                let gp = GaussianProcess::fit(xs, &ys, self.bo.gp.clone());
-                let best_log = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-                let mut pool: Vec<(f64, Vec<f64>)> = (0..self.bo.acquisition_pool)
-                    .map(|_| {
-                        let p = uniform_point(self.bo.dim, &mut rng);
-                        (gp.expected_improvement(&p, best_log, self.bo.xi), p)
-                    })
-                    .collect();
-                pool.sort_by(|a, b| b.0.total_cmp(&a.0));
-                pool.into_iter()
-                    .take(k)
-                    .map(|(_, p)| {
-                        let (mu, _) = gp.predict(&p);
-                        let mut u = [0.0; lite_sparksim::conf::NUM_KNOBS];
-                        u.copy_from_slice(&p);
-                        RankedCandidate { conf: self.space.decode(&u), predicted_s: mu.exp() - 1.0 }
-                    })
-                    .collect()
-            }
-            _ => (0..k)
-                .map(|_| RankedCandidate { conf: self.space.sample(&mut rng), predicted_s: 0.0 })
-                .collect(),
-        };
-        Ok(lite_core::tuner::TuneResult { ranked, degraded: false })
-    }
-
-    fn observe(&mut self, fb: lite_core::tuner::Feedback) {
-        let key = Self::key(&fb.app, &fb.data, &fb.cluster);
-        self.history.entry(key).or_default().push(BoObservation {
-            point: fb.conf.normalized(&self.space).to_vec(),
-            time_s: fb.result.capped_time(self.cap_s),
-        });
-    }
 }
 
 #[cfg(test)]
@@ -292,79 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn iteration_spans_match_the_trace() {
-        let mut tuner = BoTuner::new(2, 11);
-        tuner.tracer = Tracer::new();
-        let (trace, _) = tuner.run(&[], bowl, 1000.0);
-        let spans = tuner.tracer.finished();
-        let run = spans.iter().find(|s| s.name == "bo.run").expect("run span");
-        let iters: Vec<_> = spans.iter().filter(|s| s.name == "bo.iter").collect();
-        assert_eq!(iters.len(), trace.len());
-        assert!(iters.iter().all(|s| s.parent == Some(run.id)));
-        for (step, span) in trace.iter().zip(iters.iter()) {
-            match span.attr("actual_s") {
-                Some(lite_obs::AttrValue::F64(v)) => assert_eq!(*v, step.time_s),
-                other => panic!("missing actual_s: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let t1 = BoTuner::new(2, 9);
         let t2 = BoTuner::new(2, 9);
         let (a, _) = t1.run(&[], bowl, 800.0);
         let (b, _) = t2.run(&[], bowl, 800.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serve_tuner_learns_through_the_unified_trait() {
-        use lite_core::tuner::{Feedback, TuneRequest, Tuner};
-        use lite_sparksim::cluster::ClusterSpec;
-        use lite_sparksim::conf::ConfSpace;
-        use lite_sparksim::exec::simulate;
-        use lite_workloads::apps::{build_job, AppId};
-        use lite_workloads::data::SizeTier;
-
-        let space = ConfSpace::table_iv();
-        let mut tuner = BoServeTuner::new(space.clone(), 21);
-        let cluster = ClusterSpec::cluster_a();
-        let data = AppId::Sort.dataset(SizeTier::Valid);
-        let plan = build_job(AppId::Sort, &data);
-        let req = |seed: u64| TuneRequest {
-            app: AppId::Sort,
-            data,
-            cluster: cluster.clone(),
-            k: 2,
-            seed,
-        };
-
-        // Before min_fit observations: seeded exploration, deterministic.
-        let a = tuner.recommend(&req(5)).unwrap();
-        let b = tuner.recommend(&req(5)).unwrap();
-        assert_eq!(a.ranked.len(), 2);
-        assert_eq!(a.ranked[0].conf, b.ranked[0].conf);
-
-        // Feed a few runs; the GP path must then answer with valid confs.
-        for seed in 0..4u64 {
-            let r = tuner.recommend(&req(seed)).unwrap();
-            let conf = r.ranked[0].conf.clone();
-            let result = simulate(&cluster, &conf, &plan, 900 + seed);
-            tuner.observe(Feedback {
-                app: AppId::Sort,
-                data,
-                cluster: cluster.clone(),
-                conf,
-                result,
-            });
-        }
-        assert_eq!(tuner.history_len(&req(0)), 4);
-        let r = tuner.recommend(&req(77)).unwrap();
-        assert_eq!(r.ranked.len(), 2);
-        for c in &r.ranked {
-            assert!(space.is_valid(&c.conf));
-            assert!(c.predicted_s.is_finite());
-        }
     }
 }

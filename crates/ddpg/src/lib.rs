@@ -13,4 +13,4 @@ pub mod agent;
 pub mod tuner;
 
 pub use agent::{DdpgAgent, DdpgConfig};
-pub use tuner::{DdpgServeTuner, DdpgTuner, TuneTrace};
+pub use tuner::{DdpgTuner, TuneTrace};

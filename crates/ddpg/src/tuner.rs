@@ -1,7 +1,6 @@
 //! Budgeted DDPG tuning loop (the paper's DDPG(2h) / DDPG-C(2h)).
 
 use crate::agent::{DdpgAgent, DdpgConfig};
-use lite_obs::Tracer;
 
 /// One step of a tuning trajectory (same shape as the BO trace so Figure 8
 /// can overlay them).
@@ -27,9 +26,6 @@ pub struct DdpgTuner {
     agent: DdpgAgent,
     /// Gradient updates per environment step.
     pub updates_per_step: usize,
-    /// Span tracer: one `ddpg.step` span per environment trial (disabled
-    /// by default).
-    pub tracer: Tracer,
 }
 
 impl DdpgTuner {
@@ -39,7 +35,6 @@ impl DdpgTuner {
         DdpgTuner {
             agent: DdpgAgent::new(DdpgConfig::new(state_dim, action_dim), seed),
             updates_per_step: 4,
-            tracer: Tracer::disabled(),
         }
     }
 
@@ -56,19 +51,12 @@ impl DdpgTuner {
         mut step: impl FnMut(&[f32]) -> (f64, Vec<f32>),
         budget_s: f64,
     ) -> (Vec<TuneTrace>, Vec<f32>) {
-        let mut run_span = self.tracer.span("ddpg.run");
-        if run_span.is_recording() {
-            run_span.attr_f64("budget_s", budget_s);
-            run_span.attr_f64("t_default_s", t_default);
-        }
         let mut state = initial_state;
         let mut overhead = 0.0;
         let mut best = f64::INFINITY;
         let mut best_action = vec![0.5; self.agent.config.action_dim];
         let mut trace = Vec::new();
-        let mut iteration = 0u64;
         loop {
-            let mut step_span = self.tracer.span("ddpg.step");
             let action = self.agent.act_noisy(&state);
             let (t, next_state) = step(&action);
             overhead += t;
@@ -85,103 +73,11 @@ impl DdpgTuner {
             }
             state = next_state;
             trace.push(TuneTrace { overhead_s: overhead, time_s: t, best_s: best });
-            if step_span.is_recording() {
-                step_span.attr_u64("iteration", iteration);
-                step_span.attr_str("candidate", &format!("{action:.3?}"));
-                step_span.attr_f64("actual_s", t);
-                step_span.attr_f64("reward", f64::from(reward));
-                step_span.attr_f64("best_s", best);
-                step_span.attr_f64("overhead_s", overhead);
-            }
-            iteration += 1;
             if overhead >= budget_s {
                 break;
             }
         }
-        if run_span.is_recording() {
-            run_span.attr_u64("steps", iteration);
-            run_span.attr_f64("best_s", best);
-        }
         (trace, best_action)
-    }
-}
-
-/// [`DdpgAgent`] behind the unified [`Tuner`](lite_core::tuner::Tuner)
-/// trait: an online CDBTune-style loop driven from the outside. The
-/// environment state is the engine's inner-status summary of the most
-/// recently observed run; the first observed runtime anchors rewards.
-///
-/// The agent's actor carries an RNG (OU exploration noise), so
-/// `recommend(&self)` wraps it in a mutex — recommendation cost is one
-/// small forward pass, the lock is held for microseconds.
-pub struct DdpgServeTuner {
-    /// The configuration space actions decode into.
-    pub space: lite_sparksim::conf::ConfSpace,
-    /// Gradient updates per observed run.
-    pub updates_per_step: usize,
-    /// Failure/time cap applied to observed runtimes.
-    pub cap_s: f64,
-    agent: std::sync::Mutex<DdpgAgent>,
-    /// (rolling state, reward anchor): the inner status of the last
-    /// observed run and the first run's capped time.
-    env: std::sync::Mutex<(Vec<f32>, Option<f64>)>,
-}
-
-impl DdpgServeTuner {
-    /// An online DDPG tuner over `space`. State dim is the engine's
-    /// inner-status width (8), action dim the knob count.
-    pub fn new(space: lite_sparksim::conf::ConfSpace, seed: u64) -> DdpgServeTuner {
-        let agent = DdpgAgent::new(DdpgConfig::new(8, lite_sparksim::conf::NUM_KNOBS), seed);
-        DdpgServeTuner {
-            space,
-            updates_per_step: 4,
-            cap_s: 7200.0,
-            agent: std::sync::Mutex::new(agent),
-            env: std::sync::Mutex::new((vec![0.0; 8], None)),
-        }
-    }
-}
-
-impl lite_core::tuner::Tuner for DdpgServeTuner {
-    fn name(&self) -> &'static str {
-        "ddpg"
-    }
-
-    /// One noisy policy action decoded into a configuration. DDPG is a
-    /// trial-driven tuner: it proposes a single candidate per call
-    /// regardless of `k`.
-    fn recommend(
-        &self,
-        _req: &lite_core::tuner::TuneRequest,
-    ) -> Result<lite_core::tuner::TuneResult, lite_core::tuner::TuneError> {
-        let state = self.env.lock().expect("env lock").0.clone();
-        let action = self.agent.lock().expect("agent lock").act_noisy(&state);
-        let mut u = [0.0; lite_sparksim::conf::NUM_KNOBS];
-        for (ui, ai) in u.iter_mut().zip(action.iter()) {
-            *ui = f64::from(*ai).clamp(0.0, 1.0);
-        }
-        let conf = self.space.decode(&u);
-        Ok(lite_core::tuner::TuneResult {
-            ranked: vec![lite_core::recommend::RankedCandidate { conf, predicted_s: 0.0 }],
-            degraded: false,
-        })
-    }
-
-    /// Store the transition (previous state, executed action, anchored
-    /// reward, observed inner status) and train.
-    fn observe(&mut self, fb: lite_core::tuner::Feedback) {
-        let t = fb.result.capped_time(self.cap_s);
-        let next_state: Vec<f32> = fb.result.inner_status().iter().map(|&v| v as f32).collect();
-        let action: Vec<f32> = fb.conf.normalized(&self.space).iter().map(|&v| v as f32).collect();
-        let mut env = self.env.lock().expect("env lock");
-        let anchor = *env.1.get_or_insert(t);
-        let reward = (((anchor - t) / anchor.max(1e-9)).clamp(-2.0, 1.0)) as f32;
-        let mut agent = self.agent.lock().expect("agent lock");
-        agent.remember(&env.0, &action, reward, &next_state, false);
-        for _ in 0..self.updates_per_step {
-            agent.train_step();
-        }
-        env.0 = next_state;
     }
 }
 
@@ -207,57 +103,6 @@ mod tests {
         for w in trace.windows(2) {
             assert!(w[1].best_s <= w[0].best_s);
         }
-    }
-
-    #[test]
-    fn step_spans_match_the_trace() {
-        let mut tuner = DdpgTuner::new(2, 2, 17);
-        tuner.tracer = Tracer::new();
-        let (trace, _) = tuner.run(vec![0.5, 0.5], 100.0, env, 500.0);
-        let spans = tuner.tracer.finished();
-        let run = spans.iter().find(|s| s.name == "ddpg.run").expect("run span");
-        let steps: Vec<_> = spans.iter().filter(|s| s.name == "ddpg.step").collect();
-        assert_eq!(steps.len(), trace.len());
-        assert!(steps.iter().all(|s| s.parent == Some(run.id)));
-        for (step, span) in trace.iter().zip(steps.iter()) {
-            match span.attr("actual_s") {
-                Some(lite_obs::AttrValue::F64(v)) => assert_eq!(*v, step.time_s),
-                other => panic!("missing actual_s: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn serve_tuner_proposes_and_learns_through_the_unified_trait() {
-        use lite_core::tuner::{Feedback, TuneRequest, Tuner};
-        use lite_sparksim::cluster::ClusterSpec;
-        use lite_sparksim::conf::ConfSpace;
-        use lite_sparksim::exec::simulate;
-        use lite_workloads::apps::{build_job, AppId};
-        use lite_workloads::data::SizeTier;
-
-        let space = ConfSpace::table_iv();
-        let mut tuner = DdpgServeTuner::new(space.clone(), 31);
-        let cluster = ClusterSpec::cluster_a();
-        let data = AppId::Terasort.dataset(SizeTier::Valid);
-        let plan = build_job(AppId::Terasort, &data);
-        let req =
-            TuneRequest { app: AppId::Terasort, data, cluster: cluster.clone(), k: 3, seed: 1 };
-        for seed in 0..3u64 {
-            let r = tuner.recommend(&req).unwrap();
-            assert_eq!(r.ranked.len(), 1, "DDPG proposes one trial at a time");
-            let conf = r.ranked[0].conf.clone();
-            assert!(space.is_valid(&conf));
-            let result = simulate(&cluster, &conf, &plan, 700 + seed);
-            tuner.observe(Feedback {
-                app: AppId::Terasort,
-                data,
-                cluster: cluster.clone(),
-                conf,
-                result,
-            });
-        }
-        assert!(tuner.agent.lock().unwrap().buffer_len() >= 3);
     }
 
     #[test]

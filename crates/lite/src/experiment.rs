@@ -88,15 +88,6 @@ impl DatasetBuilder {
 
     /// Run every cell and assemble the dataset.
     pub fn build(&self) -> Dataset {
-        self.build_with(&lite_obs::Tracer::disabled())
-    }
-
-    /// [`build`](DatasetBuilder::build) with observability: a
-    /// `dataset.build` span wrapping one `dataset.cell` span per
-    /// (app, cluster, tier) cell, each carrying the cell's run and
-    /// instance counts. A disabled tracer makes this identical to `build`.
-    pub fn build_with(&self, tracer: &lite_obs::Tracer) -> Dataset {
-        let mut build_span = tracer.span("dataset.build");
         let space = ConfSpace::table_iv();
         let registry = TemplateRegistry::build(&self.apps);
         let mut runs = Vec::new();
@@ -105,8 +96,6 @@ impl DatasetBuilder {
         for &app in &self.apps {
             for (ci, cluster) in self.clusters.iter().enumerate() {
                 for &tier in &self.tiers {
-                    let mut cell_span = tracer.span("dataset.cell");
-                    let (runs_before, instances_before) = (runs.len(), instances.len());
                     let data = app.dataset(tier);
                     let mut confs: Vec<SparkConf> =
                         (0..self.confs_per_cell).map(|_| space.sample(&mut rng)).collect();
@@ -133,21 +122,8 @@ impl DatasetBuilder {
                         );
                         runs.push(AppRun { app, tier, cluster: ci, data, conf, result });
                     }
-                    if cell_span.is_recording() {
-                        cell_span.attr_str("app", &app.to_string());
-                        cell_span.attr_u64("cluster", ci as u64);
-                        cell_span.attr_str("tier", &format!("{tier:?}"));
-                        cell_span.attr_u64("runs", (runs.len() - runs_before) as u64);
-                        cell_span
-                            .attr_u64("instances", (instances.len() - instances_before) as u64);
-                    }
                 }
             }
-        }
-        if build_span.is_recording() {
-            build_span.attr_u64("runs", runs.len() as u64);
-            build_span.attr_u64("instances", instances.len() as u64);
-            build_span.attr_u64("templates", registry.len() as u64);
         }
         Dataset { space, clusters: self.clusters.clone(), registry, runs, instances }
     }
@@ -254,13 +230,8 @@ pub fn gold_times(
         .collect()
 }
 
-/// SplitMix64 (seed derivation).
-pub fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
+/// SplitMix64 (seed derivation): the simulator's own per-key hash.
+pub use lite_sparksim::fault::mix64 as splitmix;
 
 #[cfg(test)]
 mod tests {
@@ -289,32 +260,6 @@ mod tests {
             assert!(inst.app_instance < ds.runs.len());
             assert!(inst.template.0 < ds.registry.len());
             assert!(inst.y > 0.0);
-        }
-    }
-
-    #[test]
-    fn build_with_emits_one_cell_span_per_cell() {
-        let tracer = lite_obs::Tracer::new();
-        let ds = tiny_builder().build_with(&tracer);
-        let spans = tracer.finished();
-        let build = spans.iter().find(|s| s.name == "dataset.build").expect("build span");
-        let cells: Vec<_> = spans.iter().filter(|s| s.name == "dataset.cell").collect();
-        // 2 apps x 1 cluster x 2 tiers.
-        assert_eq!(cells.len(), 4);
-        assert!(cells.iter().all(|c| c.parent == Some(build.id)));
-        let total_runs: u64 = cells
-            .iter()
-            .map(|c| match c.attr("runs") {
-                Some(lite_obs::AttrValue::U64(n)) => *n,
-                other => panic!("missing runs attr: {other:?}"),
-            })
-            .sum();
-        assert_eq!(total_runs, ds.runs.len() as u64);
-        // Tracing must not perturb the build itself.
-        let plain = tiny_builder().build();
-        assert_eq!(plain.runs.len(), ds.runs.len());
-        for (x, y) in plain.runs.iter().zip(ds.runs.iter()) {
-            assert_eq!(x.result.total_time_s, y.result.total_time_s);
         }
     }
 

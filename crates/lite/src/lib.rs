@@ -29,13 +29,9 @@ pub mod experiment;
 pub mod features;
 pub mod necs;
 pub mod recommend;
-pub mod tuner;
 
 pub use acg::AdaptiveCandidateGenerator;
 pub use experiment::{Dataset, DatasetBuilder};
 pub use features::{StageInstance, TemplateKey, TemplateRegistry};
 pub use necs::{Necs, NecsConfig};
 pub use recommend::LiteTuner;
-pub use tuner::{
-    DefaultConfTuner, Feedback, RandomTuner, TuneError, TuneRequest, TuneResult, Tuner,
-};

@@ -22,7 +22,6 @@ use lite_nn::layers::{Conv1dBank, Dense, GcnLayer, TowerMlp};
 use lite_nn::optim::{clip_grad_norm, Adam};
 use lite_nn::tape::{ParamId, Params, Tape, Var};
 use lite_nn::tensor::Tensor;
-use lite_obs::Tracer;
 use lite_sparksim::conf::{ConfSpace, SparkConf};
 use lite_workloads::data::DataSpec;
 use rand::seq::SliceRandom;
@@ -226,32 +225,13 @@ impl Necs {
 
     /// Train with Adam on MSE over normalized log targets (Eq. 4).
     pub fn fit(&mut self, registry: &TemplateRegistry, instances: &[&StageInstance]) {
-        self.fit_with(registry, instances, &Tracer::disabled());
-    }
-
-    /// [`fit`](Necs::fit) with observability: one `necs.epoch` span per
-    /// epoch carrying the mean minibatch loss and the mean pre-clip
-    /// gradient norm. A disabled tracer makes this identical to `fit`.
-    pub fn fit_with(
-        &mut self,
-        registry: &TemplateRegistry,
-        instances: &[&StageInstance],
-        tracer: &Tracer,
-    ) {
         assert!(!instances.is_empty(), "cannot fit on an empty training set");
-        let mut fit_span = tracer.span("necs.fit");
-        if fit_span.is_recording() {
-            fit_span.attr_u64("instances", instances.len() as u64);
-            fit_span.attr_u64("epochs", self.config.epochs as u64);
-        }
         let mut order: Vec<usize> = (0..instances.len()).collect();
         let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(self.config.seed ^ 0x5f);
         let mut opt = Adam::new(self.config.lr);
-        for epoch in 0..self.config.epochs {
-            let mut epoch_span = tracer.span("necs.epoch");
+        for _ in 0..self.config.epochs {
             order.shuffle(&mut shuffle_rng);
             let mut epoch_loss = 0.0f32;
-            let mut grad_norm_sum = 0.0f32;
             let mut batches = 0;
             for chunk in order.chunks(self.config.batch_size) {
                 let batch: Vec<&StageInstance> = chunk.iter().map(|&i| instances[i]).collect();
@@ -267,17 +247,11 @@ impl Necs {
                 epoch_loss += tape.value(loss).get(0, 0);
                 batches += 1;
                 tape.backward(loss, &mut self.params);
-                grad_norm_sum += clip_grad_norm(&mut self.params, 5.0);
+                clip_grad_norm(&mut self.params, 5.0);
                 opt.step(&mut self.params);
             }
             let mean_loss = epoch_loss / batches.max(1) as f32;
             self.loss_history.push(mean_loss);
-            if epoch_span.is_recording() {
-                epoch_span.attr_u64("epoch", epoch as u64);
-                epoch_span.attr_u64("batches", batches as u64);
-                epoch_span.attr_f64("loss", f64::from(mean_loss));
-                epoch_span.attr_f64("grad_norm", f64::from(grad_norm_sum / batches.max(1) as f32));
-            }
         }
     }
 
@@ -479,35 +453,6 @@ mod tests {
             ctx.stages.iter().map(|&t| (t, &conf, &ctx.data, &ctx.env)).collect();
         let manual: f64 = model.predict_stages(&ds.registry, &items).iter().sum();
         assert!((total - manual).abs() < 1e-6 * manual.max(1.0), "{total} vs {manual}");
-    }
-
-    #[test]
-    fn fit_with_emits_epoch_spans_with_loss_and_grad_norm() {
-        let ds = small_dataset();
-        let refs: Vec<&StageInstance> = ds.instances.iter().collect();
-        let cfg = NecsConfig { epochs: 3, ..quick_config() };
-        let owned: Vec<StageInstance> = refs.iter().map(|i| (*i).clone()).collect();
-        let norm = FeatNorm::fit(&ds.space, &owned);
-        let mut model = Necs::new(&ds.registry, ds.space.clone(), norm, cfg);
-        let tracer = Tracer::new();
-        model.fit_with(&ds.registry, &refs, &tracer);
-        let spans = tracer.finished();
-        let fit = spans.iter().find(|s| s.name == "necs.fit").expect("fit span");
-        let epochs: Vec<_> = spans.iter().filter(|s| s.name == "necs.epoch").collect();
-        assert_eq!(epochs.len(), 3);
-        assert!(epochs.iter().all(|e| e.parent == Some(fit.id)));
-        for (i, e) in epochs.iter().enumerate() {
-            match e.attr("loss") {
-                Some(lite_obs::AttrValue::F64(l)) => {
-                    assert!((l - f64::from(model.loss_history[i])).abs() < 1e-6);
-                }
-                other => panic!("epoch {i} missing loss attr: {other:?}"),
-            }
-            match e.attr("grad_norm") {
-                Some(lite_obs::AttrValue::F64(g)) => assert!(*g > 0.0 && g.is_finite()),
-                other => panic!("epoch {i} missing grad_norm attr: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub struct RankedCandidate {
 /// are scored in **one** batched NECS pass ([`Necs::predict_app_batch`]).
 /// Returns one prediction per input candidate, in input order. Shared by
 /// [`LiteTuner`] and the serving path (which interleaves a cache, so it
-/// needs scoring separate from sampling and sorting).
+/// needs scoring separate from sampling and sorting, and records one
+/// `lite.candidate` span per score on its own tracer).
 pub fn score_candidates(
     model: &Necs,
     registry: &TemplateRegistry,
@@ -89,9 +90,6 @@ pub struct LiteTuner {
     pub num_candidates: usize,
     /// Feedback batch size that triggers an adaptive update.
     pub update_batch: usize,
-    /// Span tracer for recommendation loops (disabled by default; set an
-    /// enabled tracer to record `lite.recommend`/`lite.candidate` spans).
-    pub tracer: Tracer,
     feedback: Vec<StageInstance>,
     feedback_runs: usize,
 }
@@ -108,7 +106,6 @@ impl LiteTuner {
             registry: ds.registry.clone(),
             num_candidates: 30,
             update_batch: 50,
-            tracer: Tracer::disabled(),
             feedback: Vec::new(),
             feedback_runs: 0,
         }
@@ -147,16 +144,16 @@ impl LiteTuner {
         cluster: &ClusterSpec,
         seed: u64,
     ) -> Vec<RankedCandidate> {
-        let mut rec_span = self.tracer.span("lite.recommend");
-        if rec_span.is_recording() {
-            rec_span.attr_str("app", &ctx.app.to_string());
-            rec_span.attr_u64("candidates", self.num_candidates as u64);
-            rec_span.attr_u64("seed", seed);
-        }
         let confs =
             self.acg.candidates_seeded(ctx.app, &ctx.data, &ctx.env, self.num_candidates, seed);
-        let scores =
-            score_candidates(&self.model, &self.registry, ctx, cluster, &confs, &self.tracer);
+        let scores = score_candidates(
+            &self.model,
+            &self.registry,
+            ctx,
+            cluster,
+            &confs,
+            &Tracer::disabled(),
+        );
         let mut ranked: Vec<RankedCandidate> = confs
             .into_iter()
             .zip(scores)
@@ -165,11 +162,6 @@ impl LiteTuner {
         // total_cmp, not partial_cmp: a non-finite prediction must degrade
         // the ranking (NaN sorts last), never panic a serving thread.
         ranked.sort_by(|a, b| a.predicted_s.total_cmp(&b.predicted_s));
-        if rec_span.is_recording() {
-            if let Some(best) = ranked.first() {
-                rec_span.attr_f64("best_predicted_s", best.predicted_s);
-            }
-        }
         ranked
     }
 
@@ -269,24 +261,6 @@ mod tests {
         let t_best = simulate(cluster, &best, &plan, 77).capped_time(7200.0);
         let t_default = simulate(cluster, &ds.space.default_conf(), &plan, 77).capped_time(7200.0);
         assert!(t_best < t_default, "LITE did not beat default: {t_best} vs {t_default}");
-    }
-
-    #[test]
-    fn recommendation_emits_candidate_spans() {
-        let (ds, mut tuner) = tuner();
-        tuner.tracer = Tracer::new();
-        let data = AppId::KMeans.dataset(SizeTier::Valid);
-        let ranked = tuner.recommend(AppId::KMeans, &data, &ds.clusters[0], 1).expect("warm");
-        let spans = tuner.tracer.finished();
-        let rec = spans.iter().find(|s| s.name == "lite.recommend").expect("recommend span");
-        let cands: Vec<_> = spans.iter().filter(|s| s.name == "lite.candidate").collect();
-        assert_eq!(cands.len(), tuner.num_candidates);
-        assert!(cands.iter().all(|c| c.parent == Some(rec.id)));
-        // The recorded best matches the returned ranking.
-        match rec.attr("best_predicted_s") {
-            Some(lite_obs::AttrValue::F64(b)) => assert_eq!(*b, ranked[0].predicted_s),
-            other => panic!("missing best_predicted_s: {other:?}"),
-        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl HoverScorer {
             &ctx,
             &self.cluster,
             &confs,
-            &self.tuner.tracer,
+            &lite_obs::Tracer::disabled(),
         );
         let default_s = *scores.last()?;
         let best_s = scores[..n_candidates].iter().copied().fold(f64::INFINITY, f64::min);

@@ -274,9 +274,11 @@ fn hostile_framing_ends_in_an_error_or_a_clean_exit_never_a_hang() {
     assert_eq!(fed(&session), (Some(0), String::new()), "the unharmed session ends cleanly");
 
     // A length no input can back must be refused from what actually
-    // arrives, not reserved up front; a body cut short is an error.
+    // arrives, not reserved up front; a body cut short is an error, and so
+    // is one nested deeper than any stack could follow.
     let lying = |len: &str| format!("Content-Length: {len}\r\n\r\n{{\"jsonrpc\"").into_bytes();
-    for input in [lying("18446744073709551615"), lying("4000000000"), lying("10")] {
+    let deep = framed(&"[".repeat(1 << 20));
+    for input in [lying("18446744073709551615"), lying("4000000000"), lying("10"), deep] {
         let (code, stderr) = fed(&[&init[..], &input[..]].concat());
         assert!(code == Some(1) && stderr.starts_with("lite-lsp: transport error"), "{stderr}");
     }

@@ -49,21 +49,6 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Escape a label value per the exposition format: backslash, double
-/// quote and newline get backslash escapes.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
 /// Render a float the way the exposition format expects (`+Inf`, `-Inf`,
 /// `NaN` spellings for the non-finite values).
 fn render_value(v: f64) -> String {
@@ -258,12 +243,6 @@ mod tests {
         assert_eq!(sanitize_metric_name("a-b c"), "a_b_c");
         assert_eq!(sanitize_metric_name(""), "_");
         assert_eq!(sanitize_metric_name("ok_name:x1"), "ok_name:x1");
-    }
-
-    #[test]
-    fn label_values_are_escaped() {
-        assert_eq!(escape_label_value(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape_label_value("line\nbreak"), "line\\nbreak");
     }
 
     #[test]

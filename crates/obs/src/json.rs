@@ -53,12 +53,14 @@ impl Json {
     }
 
     /// Parse a JSON document (the inverse of [`Json::render`]). Rejects
-    /// trailing garbage. Integral numbers parse to `Int`/`UInt`, others to
+    /// trailing garbage and nesting deeper than [`MAX_DEPTH`] (the parser
+    /// recurses per level, and its input arrives off the wire). Integral
+    /// numbers parse to `Int`/`UInt`, others to
     /// `Num`; duplicate object keys are kept in order (last wins on
     /// [`Json::get`] lookups being first-match keeps round-trips honest,
     /// so `get` returns the *first* occurrence).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -173,9 +175,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace renders is under ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -217,11 +225,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -593,6 +614,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed input: {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_depth_cap() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err().msg, "nesting too deep");
+        // Objects count against the same budget, and siblings do not add up.
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objs).is_err());
+        assert!(Json::parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+        // A frame-sized run of openers stops at the cap instead of recursing.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

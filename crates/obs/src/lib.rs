@@ -1,17 +1,17 @@
 //! # lite-obs — observability for the LITE reproduction
 //!
-//! Three pieces, deliberately dependency-free so they can sit *below* the
-//! simulator in the workspace graph and cost nothing when disabled:
+//! Three pieces, deliberately dependency-free so they cost nothing when
+//! disabled:
 //!
 //! * [`span`] — a hierarchical span tracer. Thread-safe, monotonic-clock,
 //!   nestable spans with key/value attributes. A disabled tracer's
 //!   [`span::Tracer::span`] is a branch and nothing else, so call sites can
-//!   stay unconditionally instrumented. High-volume spans sit behind a
-//!   fine-detail level ([`span::Tracer::new_fine`]), the span analogue of
-//!   DEBUG vs INFO logging.
+//!   stay unconditionally instrumented; an enabled one retains a bounded
+//!   ring of the newest finished spans. Its one producer plane is
+//!   `lite-serve` (`serve.request`, `serve.swap`, `lite.candidate`).
 //! * [`metrics`] — a registry of named counters, gauges and histograms.
 //!   Counters and histograms are sharded across cache-line-padded atomics so
-//!   concurrent increments from simulator threads do not contend.
+//!   concurrent increments from worker threads do not contend.
 //! * [`report`] — run manifests: phase wall-clock timings, free-form fields,
 //!   tables (printed to stdout *and* captured, so the human table and the
 //!   machine manifest cannot drift apart), notes and a metrics snapshot,
@@ -40,7 +40,7 @@
 //!
 //! let tracer = Tracer::new();
 //! let reg = Registry::new();
-//! let tasks = reg.counter("sim.tasks_launched");
+//! let tasks = reg.counter("demo.tasks_launched");
 //! {
 //!     let mut run = tracer.span("run");
 //!     run.attr_u64("seed", 42);
@@ -67,11 +67,9 @@ pub mod trace;
 
 pub use export::{chrome_trace, prometheus_text, prometheus_text_with_exemplars, PromExemplar};
 pub use json::{Json, JsonError};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramBatch, HistogramSummary, MetricsSnapshot, Registry,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use prof::{ProfReport, Profiler, TagAlloc, TagGuard, TagStat};
 pub use report::Report;
 pub use slo::{RollupRing, Slo, SloConfig, SloStatus, TimeBucket, WindowStats};
-pub use span::{AttrValue, SpanGuard, SpanRecord, SynthSpan, Tracer};
+pub use span::{AttrValue, SpanGuard, SpanRecord, Tracer};
 pub use trace::{Exemplar, Phase, PhaseHistograms, PhaseSpan, TraceId, TraceSink};

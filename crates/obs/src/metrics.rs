@@ -1,7 +1,7 @@
 //! A registry of named counters, gauges and histograms.
 //!
-//! Counters and histograms are the hot-path primitives (the simulator bumps
-//! them per task); both spread their state over [`SHARDS`]
+//! Counters and histograms are the hot-path primitives (the serve workers
+//! bump them per request); both spread their state over [`SHARDS`]
 //! cache-line-padded atomics indexed by a per-thread slot, so concurrent
 //! writers do not bounce a single cache line. Reads sum the shards.
 //!
@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::sketch::{bucket_index, nonempty_buckets, quantile_from_counts, SKETCH_BUCKETS};
 
@@ -135,8 +135,8 @@ pub struct Histogram {
 /// Aggregated view of a histogram.
 ///
 /// Units are whatever the caller recorded. Durations recorded through
-/// [`Histogram::record_secs`] / [`HistogramBatch::observe_secs`] are in
-/// **nanoseconds** (sub-microsecond observations stay distinguishable).
+/// [`Histogram::record_secs`] are in **nanoseconds** (sub-microsecond
+/// observations stay distinguishable).
 /// Quantiles are sketch-bucket upper bounds: never below the true sample
 /// quantile, and within ~3.1% above it.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,23 +223,6 @@ impl Histogram {
         }
     }
 
-    /// Merge a locally accumulated [`HistogramBatch`]: two shard adds plus
-    /// one atomic add per non-empty bucket, instead of three atomics per
-    /// observation. No-op for an empty batch.
-    pub fn record_batch(&self, batch: &HistogramBatch) {
-        if batch.count == 0 {
-            return;
-        }
-        let s = shard_index();
-        self.inner.count[s].0.fetch_add(batch.count, Ordering::Relaxed);
-        self.inner.sum[s].0.fetch_add(batch.sum, Ordering::Relaxed);
-        for (i, &c) in batch.buckets.iter().enumerate() {
-            if c > 0 {
-                self.inner.buckets[i].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Aggregate the histogram.
     pub fn summary(&self) -> HistogramSummary {
         let count: u64 = self.inner.count.iter().map(|s| s.0.load(Ordering::Relaxed)).sum();
@@ -279,50 +262,6 @@ impl Histogram {
     }
 }
 
-/// Thread-local histogram accumulation for hot loops: plain integer adds
-/// per observation, then one [`Histogram::record_batch`] per phase.
-#[derive(Clone)]
-pub struct HistogramBatch {
-    buckets: Box<[u64]>, // SKETCH_BUCKETS entries
-    count: u64,
-    sum: u64,
-}
-
-impl HistogramBatch {
-    /// An empty batch.
-    pub fn new() -> HistogramBatch {
-        HistogramBatch { buckets: vec![0u64; SKETCH_BUCKETS].into_boxed_slice(), count: 0, sum: 0 }
-    }
-
-    /// Record one observation into the local batch.
-    #[inline]
-    pub fn observe(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v;
-        self.buckets[bucket_index(v)] += 1;
-    }
-
-    /// Record a duration as whole **nanoseconds** (see
-    /// [`Histogram::record_secs`]).
-    #[inline]
-    pub fn observe_secs(&mut self, seconds: f64) {
-        if let Some(ns) = secs_to_ns(seconds) {
-            self.observe(ns);
-        }
-    }
-
-    /// Number of observations accumulated.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl Default for HistogramBatch {
-    fn default() -> HistogramBatch {
-        HistogramBatch::new()
-    }
-}
-
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
@@ -340,12 +279,6 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry { inner: Arc::new(Mutex::new(RegistryInner::default())) }
-    }
-
-    /// The process-wide default registry (what bench binaries snapshot).
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
@@ -487,28 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_records_match_direct_records() {
-        let reg = Registry::new();
-        let direct = reg.histogram("t.direct");
-        let batched = reg.histogram("t.batched");
-        let mut batch = HistogramBatch::new();
-        let values = [0u64, 1, 5, 5, 900, 70_000, u64::MAX / 2];
-        for &v in &values {
-            direct.record(v);
-            batch.observe(v);
-        }
-        assert_eq!(batch.count(), values.len() as u64);
-        batched.record_batch(&batch);
-        assert_eq!(direct.summary(), batched.summary());
-        // Flushing the same batch twice doubles the counts.
-        batched.record_batch(&batch);
-        assert_eq!(batched.summary().count, 2 * values.len() as u64);
-        // Empty batches are no-ops.
-        reg.histogram("t.empty_flush").record_batch(&HistogramBatch::new());
-        assert_eq!(reg.histogram("t.empty_flush").summary().count, 0);
-    }
-
-    #[test]
     fn record_secs_keeps_sub_microsecond_resolution() {
         let reg = Registry::new();
         let h = reg.histogram("t.lat_ns");
@@ -525,10 +436,6 @@ mod tests {
         // Negative durations clamp to zero rather than wrapping.
         h.record_secs(-1.0);
         assert_eq!(h.summary().count, 4);
-
-        let mut batch = HistogramBatch::new();
-        batch.observe_secs(250e-9);
-        assert_eq!(batch.count(), 1);
     }
 
     #[test]

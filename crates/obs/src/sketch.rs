@@ -9,11 +9,11 @@
 //! true quantile) and within `1 / SUB_BUCKETS` relative error above it —
 //! compared to the up-to-2× error of a plain log₂ histogram.
 //!
-//! The bucket *layout* lives here as plain functions so both the atomic
-//! [`crate::metrics::Histogram`] and the thread-local
-//! [`crate::metrics::HistogramBatch`] index the same array shape, and any
-//! two count arrays merge by element-wise addition (the sketch is
-//! mergeable by construction: bucket boundaries are value-independent).
+//! The bucket *layout* lives here as plain functions so the atomic
+//! [`crate::metrics::Histogram`] and the windowed rollups of [`crate::slo`]
+//! index the same array shape, and any two count arrays merge by
+//! element-wise addition (the sketch is mergeable by construction: bucket
+//! boundaries are value-independent).
 
 /// log₂ of the linear sub-buckets per octave.
 pub const SUB_BITS: u32 = 5;

@@ -5,19 +5,18 @@
 //! the same thread becomes its child. Finished spans are collected into the
 //! tracer and can be drained for reporting.
 //!
-//! Design constraints (the simulator calls `span()` in its hot loop):
+//! Design constraints (the serve workers call `span()` per request and per
+//! scored candidate):
 //!
 //! * a **disabled** tracer produces inert guards — one branch, no clock
 //!   read, no allocation;
 //! * an enabled tracer reads the monotonic clock twice per span and takes
-//!   one short mutex hold when the span finishes (tracing is for runs and
-//!   stages, not per-task events — those go through `metrics`);
-//! * retrospective spans describing *simulated* time (e.g. one span per
-//!   scheduling wave) are built as [`SynthSpan`]s and recorded through
-//!   [`Tracer::record_batch`], which allocates ids and takes the finish
-//!   lock once for the whole batch instead of once per span.
+//!   one short mutex hold when the span finishes;
+//! * a tracer holds the newest [`FINISHED_CAP`] finished spans: a service
+//!   traced for weeks keeps a bounded tail and counts what fell off.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -100,11 +99,21 @@ thread_local! {
     static OPEN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Finished spans a tracer retains; a span finishing beyond it evicts the
+/// oldest. Four times what one `trace` admin frame can carry.
+pub const FINISHED_CAP: usize = 16_384;
+
+/// The newest finished spans, oldest first, and how many were evicted.
+#[derive(Default)]
+struct Finished {
+    ring: VecDeque<SpanRecord>,
+    evicted: usize,
+}
+
 struct TracerInner {
     tracer_id: usize,
-    fine: bool,
     next_span_id: AtomicU64,
-    finished: Mutex<Vec<SpanRecord>>,
+    finished: Mutex<Finished>,
     /// Optional sampling-profiler hookup: every span enter/exit also
     /// pushes/pops a tag frame, so span-instrumented code profiles for
     /// free (set once via [`Tracer::attach_profiler`]).
@@ -119,34 +128,18 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// An enabled tracer recording at standard detail: call sites gate
-    /// their highest-volume spans (e.g. the simulator's per-wave spans)
-    /// behind [`Tracer::is_fine`], the span analogue of a DEBUG log level.
-    /// Timestamps are relative to the shared process epoch (see
-    /// [`epoch_us`]), so spans from distinct tracers and threads order
-    /// against each other.
+    /// An enabled tracer. Timestamps are relative to the shared process
+    /// epoch (see [`epoch_us`]), so spans from distinct tracers and threads
+    /// order against each other.
     pub fn new() -> Tracer {
-        Tracer::with_detail(false)
-    }
-
-    /// An enabled tracer that also records fine-detail spans. Fine spans
-    /// carry per-wave/per-item payloads whose volume is proportional to
-    /// simulated work, so this level trades hot-loop overhead for depth —
-    /// use it for deep dives, not steady-state runs.
-    pub fn new_fine() -> Tracer {
-        Tracer::with_detail(true)
-    }
-
-    fn with_detail(fine: bool) -> Tracer {
         // Pin the shared epoch no later than first tracer creation so
         // `start_us` stays small and `as u64` casts never saturate.
         let _ = process_epoch();
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 tracer_id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
-                fine,
                 next_span_id: AtomicU64::new(1),
-                finished: Mutex::new(Vec::new()),
+                finished: Mutex::new(Finished::default()),
                 profiler: OnceLock::new(),
             })),
         }
@@ -173,12 +166,6 @@ impl Tracer {
     /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether fine-detail (per-wave / per-item) spans should be emitted.
-    /// Always implies [`Tracer::is_enabled`].
-    pub fn is_fine(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.fine)
     }
 
     /// Open a span. Drop the guard to close it. While the guard lives,
@@ -211,95 +198,34 @@ impl Tracer {
         }
     }
 
-    /// Snapshot of all finished spans, in finish order.
+    /// Snapshot of the retained finished spans, in finish order.
     pub fn finished(&self) -> Vec<SpanRecord> {
-        match &self.inner {
-            Some(inner) => inner.finished.lock().expect("tracer lock").clone(),
-            None => Vec::new(),
-        }
+        self.finished_tail(FINISHED_CAP).0
     }
 
     /// Snapshot of at most the `max` most recently finished spans, plus
-    /// the number of older spans left out. Clones only the tail — on a
-    /// long-lived tracer with a large buffer this is the accessor exporters
-    /// should use instead of [`Tracer::finished`].
+    /// the number of older spans left out — those still retained and those
+    /// the ring already evicted. Clones only the tail.
     pub fn finished_tail(&self, max: usize) -> (Vec<SpanRecord>, usize) {
         match &self.inner {
             Some(inner) => {
                 let buf = inner.finished.lock().expect("tracer lock");
-                let skip = buf.len().saturating_sub(max);
-                (buf[skip..].to_vec(), skip)
+                let skip = buf.ring.len().saturating_sub(max);
+                (buf.ring.range(skip..).cloned().collect(), buf.evicted + skip)
             }
             None => (Vec::new(), 0),
         }
     }
 
-    /// Drain finished spans, leaving the tracer empty.
+    /// Drain the retained finished spans, leaving the tracer empty.
     pub fn take_finished(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => std::mem::take(&mut *inner.finished.lock().expect("tracer lock")),
+            Some(inner) => {
+                std::mem::take(&mut inner.finished.lock().expect("tracer lock").ring).into()
+            }
             None => Vec::new(),
         }
     }
-
-    /// Microseconds since the process trace epoch (0 when disabled). One
-    /// clock read; lets hot paths stamp many [`SynthSpan`]s from one
-    /// reading.
-    pub fn now_us(&self) -> u64 {
-        match &self.inner {
-            Some(_) => epoch_us(),
-            None => 0,
-        }
-    }
-
-    /// Id of the innermost span of *this* tracer open on the current
-    /// thread, for parenting [`SynthSpan`]s. `None` when disabled or no
-    /// span is open.
-    pub fn current_span_id(&self) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        OPEN_STACK.with(|s| {
-            s.borrow().iter().rev().find(|(tid, _)| *tid == inner.tracer_id).map(|(_, sid)| *sid)
-        })
-    }
-
-    /// Record a batch of pre-built spans: ids are allocated contiguously
-    /// and the finish lock is taken once. No-op when disabled or empty.
-    pub fn record_batch(&self, spans: Vec<SynthSpan>) {
-        let Some(inner) = &self.inner else { return };
-        if spans.is_empty() {
-            return;
-        }
-        let first = inner.next_span_id.fetch_add(spans.len() as u64, Ordering::Relaxed);
-        let mut finished = inner.finished.lock().expect("tracer lock");
-        finished.reserve(spans.len());
-        for (i, s) in spans.into_iter().enumerate() {
-            finished.push(SpanRecord {
-                id: first + i as u64,
-                parent: s.parent,
-                name: s.name,
-                start_us: s.start_us,
-                end_us: s.end_us,
-                attrs: s.attrs,
-            });
-        }
-    }
-}
-
-/// A pre-built span for [`Tracer::record_batch`]: everything in a
-/// [`SpanRecord`] except the id, which the tracer assigns at record time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SynthSpan {
-    /// Parent span id (usually [`Tracer::current_span_id`]).
-    pub parent: Option<u64>,
-    /// Static span name.
-    pub name: &'static str,
-    /// Microseconds since the process trace epoch at open
-    /// ([`Tracer::now_us`]).
-    pub start_us: u64,
-    /// Microseconds since the process trace epoch at close.
-    pub end_us: u64,
-    /// Key/value attributes in insertion order.
-    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl Default for Tracer {
@@ -380,7 +306,18 @@ impl Drop for SpanGuard {
                 s.remove(pos);
             }
         });
-        active.tracer.finished.lock().expect("tracer lock").push(active.record);
+        // The evicted record is freed after the lock is released.
+        let _evicted = {
+            let mut finished = active.tracer.finished.lock().expect("tracer lock");
+            let evicted = if finished.ring.len() == FINISHED_CAP {
+                finished.evicted += 1;
+                finished.ring.pop_front()
+            } else {
+                None
+            };
+            finished.ring.push_back(active.record);
+            evicted
+        };
     }
 }
 
@@ -499,40 +436,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_recorded_spans_get_unique_ids_and_keep_parents() {
+    fn a_full_ring_evicts_the_oldest_and_counts_it() {
         let t = Tracer::new();
-        {
-            let _run = t.span("run");
-            let parent = t.current_span_id();
-            assert!(parent.is_some());
-            let now = t.now_us();
-            t.record_batch(
-                (0..3)
-                    .map(|w| SynthSpan {
-                        parent,
-                        name: "wave",
-                        start_us: now,
-                        end_us: now,
-                        attrs: vec![("wave", AttrValue::U64(w))],
-                    })
-                    .collect(),
-            );
+        for i in 0..FINISHED_CAP as u64 + 10 {
+            t.span("x").attr_u64("i", i);
         }
-        let spans = t.finished();
-        let run_id = spans.iter().find(|s| s.name == "run").unwrap().id;
-        let waves: Vec<_> = spans.iter().filter(|s| s.name == "wave").collect();
-        assert_eq!(waves.len(), 3);
-        assert!(waves.iter().all(|s| s.parent == Some(run_id)));
-        // Batch ids never collide with guard ids.
-        let mut ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), spans.len());
-        // Disabled tracers ignore batches; empty batches are fine.
-        Tracer::disabled().record_batch(vec![]);
-        assert_eq!(Tracer::disabled().current_span_id(), None);
-        assert_eq!(Tracer::disabled().now_us(), 0);
-        t.record_batch(vec![]);
+        let (tail, left_out) = t.finished_tail(4);
+        assert_eq!(left_out, FINISHED_CAP + 10 - 4);
+        let newest: Vec<_> = tail.iter().map(|s| s.attr("i").cloned()).collect();
+        let expect = |i: usize| Some(AttrValue::U64((FINISHED_CAP + i) as u64));
+        assert_eq!(newest, vec![expect(6), expect(7), expect(8), expect(9)]);
+        let all = t.finished();
+        assert_eq!(all.len(), FINISHED_CAP);
+        assert_eq!(all[0].attr("i"), Some(&AttrValue::U64(10)));
+        assert_eq!(t.take_finished().len(), FINISHED_CAP);
+        assert!(t.finished().is_empty());
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod vecs;
 pub use embed::{CodeEmbedder, EMBED_DIM};
 pub use hnsw::{DecodeError, Hnsw, HnswConfig};
 pub use store::{record_from_json, record_to_json, Hit, RunRecord, RunStore};
-pub use tuner::{adapt_conf, scale_runtime, RagConfig, RagTuner, Retrieved};
+pub use tuner::{adapt_conf, scale_runtime, RagConfig, RagTuner, RetrieveError, Retrieved};
 pub use vecs::{exact_knn, l2_sq, Neighbor, VecSet};

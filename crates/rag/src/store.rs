@@ -11,11 +11,10 @@ use crate::embed::CodeEmbedder;
 use crate::hnsw::{Hnsw, HnswConfig};
 use crate::vecs::Neighbor as IndexNeighbor;
 use lite_core::experiment::Dataset;
-use lite_obs::{Counter, Gauge, Histogram, Json, Registry};
+use lite_obs::Json;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::{ConfSpace, SparkConf, NUM_KNOBS};
 use lite_workloads::{AppId, DataSpec};
-use std::time::Instant;
 
 /// One historical run: the payload behind one indexed embedding.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,32 +42,11 @@ pub struct Hit<'a> {
     pub record: &'a RunRecord,
 }
 
-/// Metrics registered under the `rag.` prefix when attached.
-#[derive(Clone)]
-struct StoreMetrics {
-    searches: Counter,
-    search_ns: Histogram,
-    inserts: Counter,
-    size: Gauge,
-}
-
-impl StoreMetrics {
-    fn new(registry: &Registry) -> StoreMetrics {
-        StoreMetrics {
-            searches: registry.counter("rag.searches"),
-            search_ns: registry.histogram("rag.search_ns"),
-            inserts: registry.counter("rag.inserts"),
-            size: registry.gauge("rag.index_size"),
-        }
-    }
-}
-
 /// HNSW index + aligned record payloads.
 #[derive(Clone)]
 pub struct RunStore {
     index: Hnsw,
     records: Vec<RunRecord>,
-    metrics: Option<StoreMetrics>,
 }
 
 impl std::fmt::Debug for RunStore {
@@ -76,7 +54,6 @@ impl std::fmt::Debug for RunStore {
         f.debug_struct("RunStore")
             .field("records", &self.records.len())
             .field("dim", &self.index.dim())
-            .field("metrics", &self.metrics.is_some())
             .finish()
     }
 }
@@ -84,7 +61,7 @@ impl std::fmt::Debug for RunStore {
 impl RunStore {
     /// Empty store over `dim`-dimensional embeddings.
     pub fn new(dim: usize, cfg: HnswConfig) -> RunStore {
-        RunStore { index: Hnsw::new(dim, cfg), records: Vec::new(), metrics: None }
+        RunStore { index: Hnsw::new(dim, cfg), records: Vec::new() }
     }
 
     /// Ingest every run of a training dataset, embedding with `embedder`.
@@ -105,13 +82,6 @@ impl RunStore {
             );
         }
         store
-    }
-
-    /// Register `rag.` metrics (searches, search_ns, inserts, index_size).
-    pub fn attach_metrics(&mut self, registry: &Registry) {
-        let m = StoreMetrics::new(registry);
-        m.size.set(self.len() as f64);
-        self.metrics = Some(m);
     }
 
     /// Number of stored runs.
@@ -138,22 +108,12 @@ impl RunStore {
     pub fn push(&mut self, embedding: &[f32], record: RunRecord) -> u32 {
         let id = self.index.insert(embedding);
         self.records.push(record);
-        if let Some(m) = &self.metrics {
-            m.inserts.inc();
-            m.size.set(self.len() as f64);
-        }
         id
     }
 
     /// Top-k retrieval, nearest first.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit<'_>> {
-        let t0 = Instant::now();
-        let neighbors = self.index.search(query, k);
-        if let Some(m) = &self.metrics {
-            m.searches.inc();
-            m.search_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-        neighbors.into_iter().map(|n| self.hit(n)).collect()
+        self.index.search(query, k).into_iter().map(|n| self.hit(n)).collect()
     }
 
     fn hit(&self, n: IndexNeighbor) -> Hit<'_> {

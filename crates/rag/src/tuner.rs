@@ -17,37 +17,28 @@
 //! * executor/driver memory with the per-node memory ratio;
 //! * every remaining knob (compression flags, fractions, buffers) carries
 //!   over unchanged — these encode workload shape, not scale.
-//!
-//! [`RagTuner::warm_start`] exposes the adapted neighbor confs as seeds
-//! for ACG/BO so an execution-driven tuner can start from retrieved
-//! optima instead of from scratch, cutting its candidate budget.
 
 use crate::embed::CodeEmbedder;
 use crate::hnsw::HnswConfig;
 use crate::store::{RunRecord, RunStore};
 use lite_core::experiment::Dataset;
 use lite_core::recommend::RankedCandidate;
-use lite_core::tuner::{Feedback, TuneError, TuneRequest, TuneResult, Tuner};
 use lite_metrics::ranking::EXECUTION_CAP_S;
-use lite_obs::Registry;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::{ConfSpace, Knob, SparkConf};
 use lite_workloads::{AppId, DataSpec};
 
 /// Retrieval parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RagConfig {
-    /// Neighbors retrieved per recommendation (candidates before dedup).
-    pub neighbors: usize,
     /// Index build/search parameters.
     pub hnsw: HnswConfig,
 }
 
-impl Default for RagConfig {
-    fn default() -> Self {
-        RagConfig { neighbors: 8, hnsw: HnswConfig::default() }
-    }
-}
+/// Why a retrieval could not answer; the reason is the message the wire
+/// error carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetrieveError(pub &'static str);
 
 /// One retrieval hit after adaptation to the target scale.
 #[derive(Debug, Clone)]
@@ -68,35 +59,26 @@ pub struct Retrieved {
 pub struct RagTuner {
     store: RunStore,
     embedder: CodeEmbedder,
-    cfg: RagConfig,
     space: ConfSpace,
 }
 
 impl std::fmt::Debug for RagTuner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RagTuner")
-            .field("records", &self.store.len())
-            .field("neighbors", &self.cfg.neighbors)
-            .finish()
+        f.debug_struct("RagTuner").field("records", &self.store.len()).finish()
     }
 }
 
 impl RagTuner {
     /// Pure-retrieval tuner over an existing store.
-    pub fn new(store: RunStore, space: ConfSpace, cfg: RagConfig) -> RagTuner {
-        RagTuner { store, embedder: CodeEmbedder::new(), cfg, space }
+    pub fn new(store: RunStore, space: ConfSpace) -> RagTuner {
+        RagTuner { store, embedder: CodeEmbedder::new(), space }
     }
 
     /// Build the store from a training dataset's run history.
     pub fn from_dataset(ds: &Dataset, cfg: RagConfig) -> RagTuner {
         let embedder = CodeEmbedder::new();
         let store = RunStore::from_dataset(ds, &embedder, cfg.hnsw);
-        RagTuner { store, embedder, cfg, space: ds.space.clone() }
-    }
-
-    /// Register `rag.` metrics on `registry`.
-    pub fn attach_metrics(&mut self, registry: &Registry) {
-        self.store.attach_metrics(registry);
+        RagTuner { store, embedder, space: ds.space.clone() }
     }
 
     /// Borrow the run store.
@@ -120,13 +102,13 @@ impl RagTuner {
         data: &DataSpec,
         cluster: &ClusterSpec,
         k: usize,
-    ) -> Result<Vec<Retrieved>, TuneError> {
+    ) -> Result<Vec<Retrieved>, RetrieveError> {
         if self.store.is_empty() {
-            return Err(TuneError::Unavailable("retrieval store is empty"));
+            return Err(RetrieveError("retrieval store is empty"));
         }
         let hits = self.store.search(q, k.max(1));
         if hits.is_empty() {
-            return Err(TuneError::Unavailable("retrieval returned no neighbors"));
+            return Err(RetrieveError("retrieval returned no neighbors"));
         }
         Ok(hits
             .into_iter()
@@ -151,7 +133,7 @@ impl RagTuner {
         data: &DataSpec,
         cluster: &ClusterSpec,
         k: usize,
-    ) -> Result<Vec<Retrieved>, TuneError> {
+    ) -> Result<Vec<Retrieved>, RetrieveError> {
         let q = self.embedder.embed(app, data, cluster);
         self.retrieve_embedded(&q, data, cluster, k)
     }
@@ -163,11 +145,11 @@ impl RagTuner {
         data: &DataSpec,
         cluster: &ClusterSpec,
         k: usize,
-    ) -> Result<Vec<Retrieved>, TuneError> {
+    ) -> Result<Vec<Retrieved>, RetrieveError> {
         let q = self
             .embedder
             .embed_source(source, data, cluster)
-            .map_err(|_| TuneError::Unavailable("source analysis failed"))?;
+            .map_err(|_| RetrieveError("source analysis failed"))?;
         self.retrieve_embedded(&q, data, cluster, k)
     }
 
@@ -194,65 +176,6 @@ impl RagTuner {
         ranked.sort_by(|a, b| a.predicted_s.total_cmp(&b.predicted_s));
         ranked.truncate(k.max(1));
         ranked
-    }
-
-    /// Adapted neighbor confs as warm-start seeds for ACG/BO (deduped,
-    /// best-estimate first). Empty when the store cannot answer.
-    pub fn warm_start(
-        &self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
-        n: usize,
-    ) -> Vec<SparkConf> {
-        let Ok(mut retrieved) = self.retrieve(app, data, cluster, n.max(1) * 2) else {
-            return Vec::new();
-        };
-        retrieved.sort_by(|a, b| a.estimate_s.total_cmp(&b.estimate_s));
-        let mut seen: Vec<[u64; lite_sparksim::conf::NUM_KNOBS]> = Vec::new();
-        let mut out = Vec::new();
-        for r in retrieved {
-            let bits = r.conf.values().map(f64::to_bits);
-            if seen.contains(&bits) {
-                continue;
-            }
-            seen.push(bits);
-            out.push(r.conf);
-            if out.len() >= n {
-                break;
-            }
-        }
-        out
-    }
-}
-
-impl Tuner for RagTuner {
-    fn name(&self) -> &'static str {
-        "rag"
-    }
-
-    fn recommend(&self, req: &TuneRequest) -> Result<TuneResult, TuneError> {
-        let k = self.cfg.neighbors.max(req.k).max(1);
-        let retrieved = self.retrieve(req.app, &req.data, &req.cluster, k)?;
-        let ranked = self.rank(Some(req.app), &req.data, &req.cluster, &retrieved, req.k.max(1));
-        if ranked.is_empty() {
-            return Err(TuneError::Unavailable("no candidates after dedup"));
-        }
-        Ok(TuneResult { ranked, degraded: false })
-    }
-
-    fn observe(&mut self, fb: Feedback) {
-        let embedding = self.embedder.embed(fb.app, &fb.data, &fb.cluster);
-        self.store.push(
-            &embedding,
-            RunRecord {
-                app: fb.app,
-                data: fb.data,
-                cluster: fb.cluster,
-                conf: fb.conf,
-                runtime_s: fb.result.capped_time(EXECUTION_CAP_S),
-            },
-        );
     }
 }
 
@@ -312,7 +235,7 @@ mod tests {
                 store.push(&v, rec);
             }
         }
-        RagTuner::new(store, space, RagConfig::default())
+        RagTuner::new(store, space)
     }
 
     #[test]
@@ -333,72 +256,31 @@ mod tests {
     }
 
     #[test]
-    fn recommend_prefers_same_app_neighbors() {
+    fn retrieval_prefers_same_app_neighbors_and_ranks_distinct_confs() {
         let tuner = small_tuner();
-        let req = TuneRequest {
-            app: AppId::KMeans,
-            data: AppId::KMeans.dataset(SizeTier::Valid),
-            cluster: ClusterSpec::cluster_a(),
-            k: 3,
-            seed: 7,
-        };
+        let data = AppId::KMeans.dataset(SizeTier::Valid);
+        let cluster = ClusterSpec::cluster_a();
         let retrieved =
-            tuner.retrieve(req.app, &req.data, &req.cluster, 4).expect("non-empty store answers");
+            tuner.retrieve(AppId::KMeans, &data, &cluster, 4).expect("non-empty store answers");
         assert_eq!(retrieved[0].app, AppId::KMeans, "nearest neighbor shares stage code");
-        let result = tuner.recommend(&req).expect("recommendation succeeds");
-        assert!(!result.ranked.is_empty() && !result.degraded);
-        assert!(result
-            .ranked
-            .windows(2)
-            .all(|w| w[0].predicted_s <= w[1].predicted_s || w[1].predicted_s.is_nan()));
+        let ranked = tuner.rank(Some(AppId::KMeans), &data, &cluster, &retrieved, 3);
+        assert!(!ranked.is_empty() && ranked.len() <= 3);
+        assert!(ranked.windows(2).all(|w| w[0].predicted_s <= w[1].predicted_s));
+        for (i, a) in ranked.iter().enumerate() {
+            for b in &ranked[i + 1..] {
+                assert_ne!(a.conf.values(), b.conf.values(), "ranked confs are distinct");
+            }
+        }
     }
 
     #[test]
     fn empty_store_is_unavailable() {
-        let space = ConfSpace::table_iv();
         let store = RunStore::new(crate::embed::EMBED_DIM, HnswConfig::default());
-        let tuner = RagTuner::new(store, space, RagConfig::default());
-        let req = TuneRequest {
-            app: AppId::Sort,
-            data: AppId::Sort.dataset(SizeTier::Valid),
-            cluster: ClusterSpec::cluster_a(),
-            k: 1,
-            seed: 1,
-        };
-        assert!(matches!(tuner.recommend(&req), Err(TuneError::Unavailable(_))));
-    }
-
-    #[test]
-    fn observe_grows_the_store() {
-        let mut tuner = small_tuner();
-        let before = tuner.len();
-        let conf = ConfSpace::table_iv().default_conf();
+        let tuner = RagTuner::new(store, ConfSpace::table_iv());
         let data = AppId::Sort.dataset(SizeTier::Valid);
-        let cluster = ClusterSpec::cluster_b();
-        let result = lite_sparksim::exec::simulate(
-            &cluster,
-            &conf,
-            &lite_workloads::build_job(AppId::Sort, &data),
-            42,
+        assert_eq!(
+            tuner.retrieve(AppId::Sort, &data, &ClusterSpec::cluster_a(), 1).unwrap_err(),
+            RetrieveError("retrieval store is empty")
         );
-        tuner.observe(Feedback { app: AppId::Sort, data, cluster, conf, result });
-        assert_eq!(tuner.len(), before + 1);
-    }
-
-    #[test]
-    fn warm_start_yields_deduped_confs() {
-        let tuner = small_tuner();
-        let seeds = tuner.warm_start(
-            AppId::Svm,
-            &AppId::Svm.dataset(SizeTier::Test),
-            &ClusterSpec::cluster_c(),
-            4,
-        );
-        assert!(!seeds.is_empty());
-        for (i, a) in seeds.iter().enumerate() {
-            for b in &seeds[i + 1..] {
-                assert_ne!(a.values(), b.values(), "warm-start seeds are distinct");
-            }
-        }
     }
 }

@@ -176,4 +176,11 @@ fn hostile_index_files_and_manifests_are_refused_within_their_size() {
             assert!(back.ingest_jsonl(&space, &embedder, &text) <= store.len());
         });
     }
+    // The mutator never nests: a line of 100,000 `[` is skipped like any
+    // other unparsable line, and the records after it still land.
+    let deep = format!("{}\n{}", "[".repeat(100_000), String::from_utf8_lossy(&manifest));
+    bounded(deep.len(), 0, &mut || {
+        let mut back = RunStore::new(EMBED_DIM, HnswConfig::default());
+        assert_eq!(back.ingest_jsonl(&space, &embedder, &deep), store.len());
+    });
 }

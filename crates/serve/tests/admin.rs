@@ -84,6 +84,7 @@ fn admin_ops_answer_over_tcp() {
     assert_eq!(stats.get("workers").and_then(Json::as_u64), Some(2));
     assert_eq!(stats.get("queue_capacity").and_then(Json::as_u64), Some(32));
     assert_eq!(stats.get("update_batch").and_then(Json::as_u64), Some(12));
+    assert_eq!(stats.get("backend").and_then(Json::as_str), Some("snapshot"));
     assert!(stats.get("uptime_s").and_then(Json::as_f64).unwrap_or(-1.0) >= 0.0);
     assert!(stats.get("requests").and_then(Json::as_u64).unwrap_or(0) >= 1);
     let cache = stats.get("cache").expect("cache object");
@@ -116,6 +117,44 @@ fn admin_ops_answer_over_tcp() {
 
     drop(client);
     server.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn a_traced_service_keeps_a_bounded_span_tail_and_counts_the_rest_dropped() {
+    use lite_obs::span::FINISHED_CAP;
+    let (ds, snapshot) = trained();
+    let cluster = ds.clusters[0].clone();
+    let candidates = snapshot.num_candidates;
+    let tracer = Tracer::new();
+    let service =
+        Service::start(snapshot, ds.clone(), quick_config(), &Registry::new(), tracer.clone());
+    let handle = service.handle();
+
+    // A never-repeated seed is a miss: one `serve.request` span over one
+    // `lite.candidate` span per scored candidate.
+    let data = AppId::KMeans.dataset(SizeTier::Valid);
+    for seed in 0..(FINISHED_CAP / (1 + candidates) + 1_000) as u64 {
+        handle.recommend(AppId::KMeans, &data, &cluster, 1, seed).expect("recommend");
+    }
+    let spans = tracer.finished();
+    assert!(spans.len() <= FINISHED_CAP, "{} spans retained", spans.len());
+    // The newest request is whole: children finish before their parent.
+    let (request, earlier) = spans.split_last().expect("spans");
+    assert_eq!(request.name, "serve.request");
+    let children = &earlier[earlier.len() - candidates..];
+    assert!(
+        children.iter().all(|c| c.name == "lite.candidate" && c.parent == Some(request.id)),
+        "{children:?}"
+    );
+    // What fell off the ring is counted, not forgotten: ids are handed out
+    // in open order from 1, so the largest is how many spans ever opened,
+    // and each is either in the `trace` document or reported dropped.
+    let opened = spans.iter().map(|s| s.id).max().expect("spans") as usize;
+    assert!(opened > FINISHED_CAP, "{opened} spans never filled the ring");
+    let (doc, dropped) = handle.trace_json_capped(lite_serve::MAX_FRAME as usize / 2);
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    assert_eq!(events.len() / 2 + dropped, opened);
     service.shutdown();
 }
 

@@ -116,8 +116,6 @@ impl Gen {
                     gc_time_s: self.f64(0.5),
                     peak_task_memory: self.next() % (1 << 32),
                     cached_fraction: (self.next() % 101) as f64 / 100.0,
-                    // The wire does not carry task-level stats.
-                    tasks: Vec::new(),
                 })
                 .collect(),
             // The wire carries a single failed flag that decodes to
@@ -270,7 +268,6 @@ fn pinned_requests(space: &ConfSpace) -> Vec<(OpCode, Request)> {
             gc_time_s: 0.5,
             peak_task_memory: 4096,
             cached_fraction: 1.0,
-            tasks: Vec::new(),
         }],
         failure: None,
         executors: 2,
@@ -613,36 +610,47 @@ fn hostile_frames_at_length_leave_the_live_server_serving() {
         image
     };
 
+    // One hostile image per connection; whatever comes back is whole,
+    // well-formed frames, then the connection ends (a reset is the server
+    // refusing unread bytes). Returns the JSON answers among them.
+    let exchange = |label: &str, hostile: &[u8]| {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        // A server that neither answers nor closes fails here, not forever.
+        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+        stream.write_all(hostile).expect("write");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut json_answers = Vec::new();
+        loop {
+            match lite_serve::net::read_frame(&mut stream) {
+                Ok(Some(payload)) if payload.first() == Some(&V3_MAGIC) => {
+                    let whole = decode_response(&payload, &space).is_ok();
+                    assert!(whole, "{label}: malformed answer {payload:?}");
+                }
+                Ok(Some(payload)) => {
+                    let doc = std::str::from_utf8(&payload).ok().and_then(|t| Json::parse(t).ok());
+                    json_answers.push(doc.unwrap_or_else(|| panic!("{label}: {payload:?}")));
+                }
+                Ok(None) => break,
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("{label}: connection neither answered nor closed: {e}"),
+            }
+        }
+        json_answers
+    };
+
     let before = open_fds();
     for seed in 0..2_000u64 {
         let req = arb_request(seed, OpCode::ALL[seed as usize % OpCode::ALL.len()], &space);
         let mut images =
             [wire(&encode_request(&req, seed as u32)), wire(req.to_json(2).render().as_bytes())];
         images.rotate_left((seed / 13 % 2) as usize);
-        let hostile = mutate_bytes(seed, &images[0], &images[1]);
-
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        // A server that neither answers nor closes fails here, not forever.
-        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
-        stream.write_all(&hostile).expect("write");
-        stream.shutdown(Shutdown::Write).expect("half-close");
-        // Whatever comes back is whole, well-formed frames; then the
-        // connection ends (a reset is the server refusing unread bytes).
-        loop {
-            match lite_serve::net::read_frame(&mut stream) {
-                Ok(Some(payload)) => {
-                    let whole = match payload.first() {
-                        Some(&V3_MAGIC) => decode_response(&payload, &space).is_ok(),
-                        _ => std::str::from_utf8(&payload).is_ok_and(|t| Json::parse(t).is_ok()),
-                    };
-                    assert!(whole, "seed {seed}: malformed answer {payload:?}");
-                }
-                Ok(None) => break,
-                Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
-                Err(e) => panic!("seed {seed}: connection neither answered nor closed: {e}"),
-            }
-        }
+        exchange(&format!("seed {seed}"), &mutate_bytes(seed, &images[0], &images[1]));
     }
+    // The mutator never nests: a frame-sized run of `[` is parsed on the
+    // reactor thread, whose stack a recursive descent that deep overflows.
+    let answers = exchange("deep nesting", &wire(&vec![b'['; lite_serve::MAX_FRAME as usize]));
+    let codes: Vec<_> = answers.iter().map(|a| a.get("code").and_then(Json::as_str)).collect();
+    assert_eq!(codes, [Some("bad_request")], "{answers:?}");
 
     // The server is unharmed: a fresh client is served, every descriptor the
     // soak opened is closed again, and no serve thread died (the shutdowns

@@ -1,7 +1,6 @@
 //! Resilience-plane tests: circuit-breaker and backoff properties,
-//! graceful degradation under injected faults, the unified `Tuner` trait
-//! served end-to-end, protocol-v2 round-trips, and torn-frame recovery
-//! through the resilient client.
+//! graceful degradation under injected faults, protocol-v2 round-trips,
+//! and torn-frame recovery through the resilient client.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,14 +9,12 @@ use lite_core::amu::AmuConfig;
 use lite_core::experiment::{Dataset, DatasetBuilder};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
-use lite_core::tuner::Tuner;
 use lite_obs::{Json, Registry, Tracer};
 use lite_serve::{
     BreakerConfig, BreakerState, CircuitBreaker, ClientBuilder, ClusterRef, ErrorCode,
     ModelSnapshot, OpCode, Request, ResilientClient, Response, RetryPolicy, ServeConfig, Service,
 };
 use lite_sparksim::cluster::ClusterSpec;
-use lite_sparksim::conf::ConfSpace;
 use lite_sparksim::exec::simulate;
 use lite_sparksim::fault::{FaultInjector, FaultKind};
 use lite_workloads::apps::{build_job, AppId};
@@ -281,63 +278,6 @@ fn score_failure_falls_back_to_the_default_configuration() {
     assert!(!resp.degraded);
     assert_eq!(resp.ranked.len(), 5);
     service.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Unified Tuner trait served end-to-end (S1)
-
-#[test]
-fn lite_bo_ddpg_and_baselines_serve_through_the_unified_trait() {
-    let (ds, _snapshot) = trained();
-    let lite = LiteTuner::from_dataset(
-        &ds,
-        NecsConfig { epochs: 1, batch_size: 256, ..Default::default() },
-        43,
-    );
-    let space = ConfSpace::table_iv();
-    let tuners: Vec<Box<dyn Tuner>> = vec![
-        Box::new(lite),
-        Box::new(lite_bayesopt::BoServeTuner::new(space.clone(), 7)),
-        Box::new(lite_ddpg::DdpgServeTuner::new(space.clone(), 7)),
-        Box::new(lite_core::tuner::RandomTuner { space: space.clone() }),
-        Box::new(lite_core::tuner::DefaultConfTuner { space: space.clone() }),
-    ];
-    let cluster = ClusterSpec::cluster_a();
-    let data = AppId::Sort.dataset(SizeTier::Valid);
-    let plan = build_job(AppId::Sort, &data);
-
-    let mut names = Vec::new();
-    for tuner in tuners {
-        let name = tuner.name();
-        let registry = Registry::new();
-        let config = ServeConfig { workers: 1, queue_capacity: 8, ..Default::default() };
-        let service = Service::start_tuner(tuner, config, &registry, Tracer::disabled());
-        let handle = service.handle();
-        assert_eq!(handle.backend(), name);
-        assert!(handle.snapshot().is_none(), "tuner backends have no snapshot");
-
-        // Two full recommend → execute → observe rounds per backend.
-        for seed in 0..2u64 {
-            let rec = handle
-                .recommend(AppId::Sort, &data, &cluster, 3, seed)
-                .unwrap_or_else(|e| panic!("{name}: recommend failed: {e}"));
-            assert!(!rec.ranked.is_empty(), "{name}: empty recommendation");
-            assert!(space.is_valid(&rec.ranked[0].conf), "{name}: invalid conf");
-            let result = simulate(&cluster, &rec.ranked[0].conf, &plan, 40 + seed);
-            let observed = handle
-                .observe(AppId::Sort, &data, &cluster, &rec.ranked[0].conf, &result)
-                .unwrap_or_else(|e| panic!("{name}: observe failed: {e}"));
-            assert_eq!(observed, seed as usize + 1, "{name}: observed-run count");
-        }
-        assert_eq!(handle.version(), 2, "{name}: version tracks observed runs");
-        assert_eq!(handle.stats().backend, name);
-        names.push(name);
-        service.shutdown();
-    }
-    assert!(
-        names.contains(&"lite") && names.contains(&"bo") && names.contains(&"ddpg"),
-        "the three paper tuners must serve through the trait, got {names:?}"
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -73,11 +73,6 @@ impl ClusterSpec {
         self.nodes * self.cores_per_node
     }
 
-    /// Total memory across the cluster in bytes.
-    pub fn total_mem_bytes(&self) -> u64 {
-        (self.mem_gb_per_node * self.nodes as f64 * GB) as u64
-    }
-
     /// Memory per node in bytes.
     pub fn mem_bytes_per_node(&self) -> u64 {
         (self.mem_gb_per_node * GB) as u64
@@ -163,11 +158,5 @@ mod tests {
         assert!(a.mem_bandwidth_bytes_per_sec() > a.disk_bytes_per_sec());
         let c = ClusterSpec::cluster_c();
         assert!(c.net_bytes_per_sec() < c.disk_bytes_per_sec());
-    }
-
-    #[test]
-    fn total_memory_scales_with_nodes() {
-        let b = ClusterSpec::cluster_b();
-        assert_eq!(b.total_mem_bytes(), 3 * b.mem_bytes_per_node());
     }
 }

@@ -178,15 +178,6 @@ impl KnobDomain {
             KnobDomain::Bool => v == 0.0 || v == 1.0,
         }
     }
-
-    /// Number of distinct values when the domain is enumerated on a grid.
-    pub fn cardinality(&self, frac_steps: usize) -> usize {
-        match *self {
-            KnobDomain::Int { min, max, step } => ((max - min) / step + 1) as usize,
-            KnobDomain::Frac { .. } => frac_steps,
-            KnobDomain::Bool => 2,
-        }
-    }
 }
 
 /// A concrete assignment of all sixteen knobs, in canonical order.
@@ -484,7 +475,6 @@ mod tests {
         let d = KnobDomain::Bool;
         assert_eq!(d.clamp(0.7), 1.0);
         assert_eq!(d.clamp(0.2), 0.0);
-        assert_eq!(d.cardinality(10), 2);
     }
 
     #[test]

@@ -7,31 +7,20 @@
 //! wire format (rather than passing structs around) keeps the feature
 //! extractor honest: it only sees what a log would contain.
 //!
-//! Two format versions share one record vocabulary:
-//!
-//! | magic | version | records |
-//! |---|---|---|
-//! | `SLOG` | v1 | tags 1–4 (app/stage granularity) |
-//! | `SLG2` | v2 | tags 1–7 (v1 plus task granularity and trace ids) |
-//!
 //! | tag | record | payload (little-endian) |
 //! |---|---|---|
 //! | 1 | `AppStart` | str app, u32 stages |
 //! | 2 | `StageSubmitted` | u32 stage_id, str name, u32 n, n×u16 op, u32 e, e×(u32,u32) edge |
 //! | 3 | `StageCompleted` | u32 stage_id, f64 duration_s, u32 num_tasks, u64 input_bytes |
 //! | 4 | `AppEnd` | u8 success, f64 total_time_s |
-//! | 5 | `TaskStart` | u32 stage_id, u32 index, u32 wave, f64 start_s |
-//! | 6 | `TaskEnd` | u32 stage_id, u32 index, u32 wave, f64 duration_s, u64 spill, f64 gc_s, u64 shuffle_read, u64 shuffle_write |
-//! | 7 | `TraceId` | u64 trace_id |
 //!
-//! `str` is `u32` length + UTF-8 bytes. [`decode`] dispatches on the magic,
-//! so every v1 buffer ever written keeps decoding unchanged, and a v1
-//! decoder pass over a v2 buffer fails loudly on the magic rather than
-//! mis-parsing task records.
+//! A log is the magic `SLOG`, a `u32` record count, then the records; `str`
+//! is `u32` length + UTF-8 bytes. [`decode`] is an input boundary: every
+//! length is checked against the bytes that remain before anything is read
+//! or sized from it.
 
 use crate::plan::{JobPlan, OpDag, OpKind};
 use crate::result::RunResult;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Event-log records, in emission order.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,58 +33,16 @@ pub enum Event {
     StageCompleted { stage_id: u32, duration_s: f64, num_tasks: u32, input_bytes: u64 },
     /// Application finished (success flag + total time).
     AppEnd { success: bool, total_time_s: f64 },
-    /// Task launched (v2 only): position within its stage and the
-    /// simulated launch time relative to the stage start.
-    TaskStart { stage_id: u32, index: u32, wave: u32, start_s: f64 },
-    /// Task finished (v2 only): runtime plus the per-task resource signals
-    /// the Spark UI exposes per task.
-    TaskEnd {
-        /// Stage the task belongs to.
-        stage_id: u32,
-        /// Task index within the stage (launch order).
-        index: u32,
-        /// Scheduling wave the task ran in.
-        wave: u32,
-        /// Simulated task duration in seconds.
-        duration_s: f64,
-        /// Bytes spilled to disk.
-        spill_bytes: u64,
-        /// Seconds lost to garbage collection.
-        gc_time_s: f64,
-        /// Shuffle bytes fetched.
-        shuffle_read_bytes: u64,
-        /// Shuffle bytes written.
-        shuffle_write_bytes: u64,
-    },
-    /// The serve-plane request trace id this log was produced under (v2
-    /// only). Lets tail-forensics exemplars be joined against the task
-    /// logs of the run that answered them.
-    TraceId {
-        /// The nonzero tail-forensics trace id.
-        trace_id: u64,
-    },
-}
-
-impl Event {
-    /// Whether this record requires the v2 format.
-    pub fn is_v2_only(&self) -> bool {
-        matches!(self, Event::TaskStart { .. } | Event::TaskEnd { .. } | Event::TraceId { .. })
-    }
 }
 
 const TAG_APP_START: u8 = 1;
 const TAG_STAGE_SUBMITTED: u8 = 2;
 const TAG_STAGE_COMPLETED: u8 = 3;
 const TAG_APP_END: u8 = 4;
-const TAG_TASK_START: u8 = 5;
-const TAG_TASK_END: u8 = 6;
-const TAG_TRACE_ID: u8 = 7;
 
-const MAGIC_V1: &[u8; 4] = b"SLOG";
-const MAGIC_V2: &[u8; 4] = b"SLG2";
+const MAGIC: &[u8; 4] = b"SLOG";
 
-/// Emit the event log for a finished run (v1 vocabulary: app and stage
-/// records only).
+/// Emit the event log for a finished run.
 pub fn emit(plan: &JobPlan, result: &RunResult) -> Vec<Event> {
     let mut events = Vec::with_capacity(plan.stages.len() * 2 + 2);
     events.push(Event::AppStart { app: plan.app_name.clone(), stages: plan.stages.len() as u32 });
@@ -117,168 +64,52 @@ pub fn emit(plan: &JobPlan, result: &RunResult) -> Vec<Event> {
     events
 }
 
-/// Emit a v2 event log: [`emit`] plus `TaskStart`/`TaskEnd` records for
-/// every per-task record present in the result (i.e. runs simulated with
-/// `SimObs::collect_tasks`). Per stage the order mirrors Spark's log:
-/// `StageSubmitted`, all task records in launch order, `StageCompleted`.
-pub fn emit_v2(plan: &JobPlan, result: &RunResult) -> Vec<Event> {
-    let tasks: usize = result.stages.iter().map(|s| s.tasks.len()).sum();
-    let mut events = Vec::with_capacity(plan.stages.len() * 2 + 2 + tasks * 2);
-    events.push(Event::AppStart { app: plan.app_name.clone(), stages: plan.stages.len() as u32 });
-    for stats in &result.stages {
-        let stage = &plan.stages[stats.stage_id];
-        events.push(Event::StageSubmitted {
-            stage_id: stats.stage_id as u32,
-            name: stage.name.clone(),
-            dag: stage.ops.clone(),
-        });
-        for t in &stats.tasks {
-            events.push(Event::TaskStart {
-                stage_id: stats.stage_id as u32,
-                index: t.index,
-                wave: t.wave,
-                start_s: t.start_s,
-            });
-        }
-        for t in &stats.tasks {
-            events.push(Event::TaskEnd {
-                stage_id: stats.stage_id as u32,
-                index: t.index,
-                wave: t.wave,
-                duration_s: t.duration_s,
-                spill_bytes: t.spill_bytes,
-                gc_time_s: t.gc_time_s,
-                shuffle_read_bytes: t.shuffle_read_bytes,
-                shuffle_write_bytes: t.shuffle_write_bytes,
-            });
-        }
-        events.push(Event::StageCompleted {
-            stage_id: stats.stage_id as u32,
-            duration_s: stats.duration_s,
-            num_tasks: stats.num_tasks,
-            input_bytes: stats.input_bytes,
-        });
-    }
-    events.push(Event::AppEnd { success: result.ok(), total_time_s: result.total_time_s });
-    events
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(DecodeError::Truncated);
-    }
-    let bytes = buf.copy_to_bytes(n);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-}
-
-/// Encode events into the binary log format, choosing the oldest version
-/// that can represent them: streams without task records produce
-/// byte-identical v1 (`SLOG`) output, streams with task records produce v2
-/// (`SLG2`).
-pub fn encode(events: &[Event]) -> Bytes {
-    if events.iter().any(Event::is_v2_only) {
-        encode_v2(events)
-    } else {
-        encode_with_magic(events, MAGIC_V1)
-    }
-}
-
-/// Encode events as v2 (`SLG2`) regardless of content.
-pub fn encode_v2(events: &[Event]) -> Bytes {
-    encode_with_magic(events, MAGIC_V2)
-}
-
-/// [`emit_v2`] stamped with the serve-plane trace id that triggered the
-/// run: the `TraceId` record leads the log, so a tail exemplar can be
-/// joined to the task-level view of the run behind it.
-pub fn emit_v2_traced(plan: &JobPlan, result: &RunResult, trace_id: u64) -> Vec<Event> {
-    let mut events = Vec::with_capacity(1);
-    events.push(Event::TraceId { trace_id });
-    events.extend(emit_v2(plan, result));
-    events
-}
-
-fn encode_with_magic(events: &[Event], magic: &[u8; 4]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(magic);
-    buf.put_u32_le(events.len() as u32);
+/// Encode events into the binary log format.
+pub fn encode(events: &[Event]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
     for ev in events {
-        debug_assert!(magic == MAGIC_V2 || !ev.is_v2_only(), "task record in a v1 log");
         match ev {
             Event::AppStart { app, stages } => {
-                buf.put_u8(TAG_APP_START);
+                buf.push(TAG_APP_START);
                 put_str(&mut buf, app);
-                buf.put_u32_le(*stages);
+                buf.extend_from_slice(&stages.to_le_bytes());
             }
             Event::StageSubmitted { stage_id, name, dag } => {
-                buf.put_u8(TAG_STAGE_SUBMITTED);
-                buf.put_u32_le(*stage_id);
+                buf.push(TAG_STAGE_SUBMITTED);
+                buf.extend_from_slice(&stage_id.to_le_bytes());
                 put_str(&mut buf, name);
-                buf.put_u32_le(dag.nodes.len() as u32);
+                buf.extend_from_slice(&(dag.nodes.len() as u32).to_le_bytes());
                 for n in &dag.nodes {
-                    buf.put_u16_le(n.id() as u16);
+                    buf.extend_from_slice(&(n.id() as u16).to_le_bytes());
                 }
-                buf.put_u32_le(dag.edges.len() as u32);
+                buf.extend_from_slice(&(dag.edges.len() as u32).to_le_bytes());
                 for &(u, v) in &dag.edges {
-                    buf.put_u32_le(u as u32);
-                    buf.put_u32_le(v as u32);
+                    buf.extend_from_slice(&(u as u32).to_le_bytes());
+                    buf.extend_from_slice(&(v as u32).to_le_bytes());
                 }
             }
             Event::StageCompleted { stage_id, duration_s, num_tasks, input_bytes } => {
-                buf.put_u8(TAG_STAGE_COMPLETED);
-                buf.put_u32_le(*stage_id);
-                buf.put_f64_le(*duration_s);
-                buf.put_u32_le(*num_tasks);
-                buf.put_u64_le(*input_bytes);
+                buf.push(TAG_STAGE_COMPLETED);
+                buf.extend_from_slice(&stage_id.to_le_bytes());
+                buf.extend_from_slice(&duration_s.to_le_bytes());
+                buf.extend_from_slice(&num_tasks.to_le_bytes());
+                buf.extend_from_slice(&input_bytes.to_le_bytes());
             }
             Event::AppEnd { success, total_time_s } => {
-                buf.put_u8(TAG_APP_END);
-                buf.put_u8(u8::from(*success));
-                buf.put_f64_le(*total_time_s);
-            }
-            Event::TaskStart { stage_id, index, wave, start_s } => {
-                buf.put_u8(TAG_TASK_START);
-                buf.put_u32_le(*stage_id);
-                buf.put_u32_le(*index);
-                buf.put_u32_le(*wave);
-                buf.put_f64_le(*start_s);
-            }
-            Event::TaskEnd {
-                stage_id,
-                index,
-                wave,
-                duration_s,
-                spill_bytes,
-                gc_time_s,
-                shuffle_read_bytes,
-                shuffle_write_bytes,
-            } => {
-                buf.put_u8(TAG_TASK_END);
-                buf.put_u32_le(*stage_id);
-                buf.put_u32_le(*index);
-                buf.put_u32_le(*wave);
-                buf.put_f64_le(*duration_s);
-                buf.put_u64_le(*spill_bytes);
-                buf.put_f64_le(*gc_time_s);
-                buf.put_u64_le(*shuffle_read_bytes);
-                buf.put_u64_le(*shuffle_write_bytes);
-            }
-            Event::TraceId { trace_id } => {
-                buf.put_u8(TAG_TRACE_ID);
-                buf.put_u64_le(*trace_id);
+                buf.push(TAG_APP_END);
+                buf.push(u8::from(*success));
+                buf.extend_from_slice(&total_time_s.to_le_bytes());
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Errors produced while decoding an event log.
@@ -296,119 +127,95 @@ pub enum DecodeError {
     BadUtf8,
 }
 
-/// Decode a binary event log of either version, dispatching on the magic.
-/// v1 (`SLOG`) buffers decode exactly as they always have; task-record
-/// tags inside a v1 buffer are rejected as [`DecodeError::BadTag`].
-pub fn decode(mut buf: Bytes) -> Result<Vec<Event>, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let v2 = match &magic {
-        m if m == MAGIC_V1 => false,
-        m if m == MAGIC_V2 => true,
-        _ => return Err(DecodeError::BadMagic),
-    };
-    let n = buf.get_u32_le() as usize;
-    let ops = OpKind::all();
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 1 {
+/// The undecoded tail of a log; every read is length-checked.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.0.len() < n {
             return Err(DecodeError::Truncated);
         }
-        let tag = buf.get_u8();
-        let ev = match tag {
-            TAG_APP_START => {
-                let app = get_str(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                Event::AppStart { app, stages: buf.get_u32_le() }
-            }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// A `u32` element count followed by `count × width` bytes, as a
+    /// reader over exactly those bytes — so a lying count is refused before
+    /// anything is sized from it.
+    fn counted(&mut self, width: usize) -> Result<Reader<'a>, DecodeError> {
+        let n = self.u32()? as usize;
+        self.take(n.checked_mul(width).ok_or(DecodeError::Truncated)?).map(Reader)
+    }
+
+    fn str(&mut self) -> Result<String, DecodeError> {
+        String::from_utf8(self.counted(1)?.0.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    }
+}
+
+/// Decode a binary event log.
+pub fn decode(buf: &[u8]) -> Result<Vec<Event>, DecodeError> {
+    if buf.len() < 8 || &buf[..4] != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let mut r = Reader(&buf[4..]);
+    let n = r.u32()? as usize;
+    let ops = OpKind::all();
+    // Every record is at least one byte, so the count is bounded by the
+    // input before it sizes the vector.
+    let mut events = Vec::with_capacity(n.min(r.0.len()));
+    for _ in 0..n {
+        let ev = match r.u8()? {
+            TAG_APP_START => Event::AppStart { app: r.str()?, stages: r.u32()? },
             TAG_STAGE_SUBMITTED => {
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
+                let stage_id = r.u32()?;
+                let name = r.str()?;
+                let mut raw = r.counted(2)?;
+                let mut nodes = Vec::with_capacity(raw.0.len() / 2);
+                while !raw.0.is_empty() {
+                    let id = raw.u16()?;
+                    nodes.push(*ops.get(id as usize).ok_or(DecodeError::BadOp(id))?);
                 }
-                let stage_id = buf.get_u32_le();
-                let name = get_str(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let nn = buf.get_u32_le() as usize;
-                if buf.remaining() < nn * 2 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut nodes = Vec::with_capacity(nn);
-                for _ in 0..nn {
-                    let id = buf.get_u16_le();
-                    let op = *ops.get(id as usize).ok_or(DecodeError::BadOp(id))?;
-                    nodes.push(op);
-                }
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let ne = buf.get_u32_le() as usize;
-                if buf.remaining() < ne * 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut edges = Vec::with_capacity(ne);
-                for _ in 0..ne {
-                    let u = buf.get_u32_le() as usize;
-                    let v = buf.get_u32_le() as usize;
-                    edges.push((u, v));
+                let mut raw = r.counted(8)?;
+                let mut edges = Vec::with_capacity(raw.0.len() / 8);
+                while !raw.0.is_empty() {
+                    edges.push((raw.u32()? as usize, raw.u32()? as usize));
                 }
                 Event::StageSubmitted { stage_id, name, dag: OpDag { nodes, edges } }
             }
-            TAG_STAGE_COMPLETED => {
-                if buf.remaining() < 4 + 8 + 4 + 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                Event::StageCompleted {
-                    stage_id: buf.get_u32_le(),
-                    duration_s: buf.get_f64_le(),
-                    num_tasks: buf.get_u32_le(),
-                    input_bytes: buf.get_u64_le(),
-                }
-            }
-            TAG_APP_END => {
-                if buf.remaining() < 9 {
-                    return Err(DecodeError::Truncated);
-                }
-                Event::AppEnd { success: buf.get_u8() != 0, total_time_s: buf.get_f64_le() }
-            }
-            TAG_TASK_START if v2 => {
-                if buf.remaining() < 4 + 4 + 4 + 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                Event::TaskStart {
-                    stage_id: buf.get_u32_le(),
-                    index: buf.get_u32_le(),
-                    wave: buf.get_u32_le(),
-                    start_s: buf.get_f64_le(),
-                }
-            }
-            TAG_TASK_END if v2 => {
-                if buf.remaining() < 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                Event::TaskEnd {
-                    stage_id: buf.get_u32_le(),
-                    index: buf.get_u32_le(),
-                    wave: buf.get_u32_le(),
-                    duration_s: buf.get_f64_le(),
-                    spill_bytes: buf.get_u64_le(),
-                    gc_time_s: buf.get_f64_le(),
-                    shuffle_read_bytes: buf.get_u64_le(),
-                    shuffle_write_bytes: buf.get_u64_le(),
-                }
-            }
-            TAG_TRACE_ID if v2 => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                Event::TraceId { trace_id: buf.get_u64_le() }
-            }
+            TAG_STAGE_COMPLETED => Event::StageCompleted {
+                stage_id: r.u32()?,
+                duration_s: r.f64()?,
+                num_tasks: r.u32()?,
+                input_bytes: r.u64()?,
+            },
+            TAG_APP_END => Event::AppEnd { success: r.u8()? != 0, total_time_s: r.f64()? },
             t => return Err(DecodeError::BadTag(t)),
         };
         events.push(ev);
@@ -429,31 +236,41 @@ mod tests {
         let result =
             simulate(&ClusterSpec::cluster_a(), &ConfSpace::table_iv().default_conf(), &plan, 1);
         let events = emit(&plan, &result);
-        let decoded = decode(encode(&events)).unwrap();
+        let bytes = encode(&events);
+        assert_eq!(&bytes[..4], b"SLOG");
+        let decoded = decode(&bytes).unwrap();
         assert_eq!(events, decoded);
         // First event is AppStart, last is AppEnd with success.
         assert!(matches!(decoded.first(), Some(Event::AppStart { .. })));
         assert!(matches!(decoded.last(), Some(Event::AppEnd { success: true, .. })));
+        // Any strict prefix is an error, never a silent partial parse.
+        for cut in [bytes.len() - 1, bytes.len() - 20, 10] {
+            assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} parsed");
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(decode(Bytes::from_static(b"nope")), Err(DecodeError::BadMagic));
-        assert_eq!(decode(Bytes::from_static(b"XXXX\x01\x00\x00\x00")), Err(DecodeError::BadMagic));
+        assert_eq!(decode(b"nope"), Err(DecodeError::BadMagic));
+        assert_eq!(decode(b"XXXX\x01\x00\x00\x00"), Err(DecodeError::BadMagic));
         // Valid magic, truncated body.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLOG");
-        buf.put_u32_le(1);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::Truncated));
+        assert_eq!(decode(b"SLOG\x01\x00\x00\x00"), Err(DecodeError::Truncated));
+        // A record count far beyond the input is refused, not allocated for.
+        assert_eq!(decode(b"SLOG\xff\xff\xff\xff"), Err(DecodeError::Truncated));
+        // So is an operator count that lies about the bytes behind it.
+        let mut lying = b"SLOG\x01\x00\x00\x00\x02".to_vec();
+        lying.extend_from_slice(&0u32.to_le_bytes()); // stage_id
+        lying.extend_from_slice(&0u32.to_le_bytes()); // empty name
+        lying.extend_from_slice(&u32::MAX.to_le_bytes()); // node count
+        assert_eq!(decode(&lying), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLOG");
-        buf.put_u32_le(1);
-        buf.put_u8(99);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::BadTag(99)));
+        assert_eq!(decode(b"SLOG\x01\x00\x00\x00\x63"), Err(DecodeError::BadTag(99)));
+        // So are the tags either side of the four records.
+        assert_eq!(decode(b"SLOG\x01\x00\x00\x00\x00"), Err(DecodeError::BadTag(0)));
+        assert_eq!(decode(b"SLOG\x01\x00\x00\x00\x05"), Err(DecodeError::BadTag(5)));
     }
 
     #[test]
@@ -472,8 +289,8 @@ mod tests {
         assert!(matches!(events.last(), Some(Event::AppEnd { success: false, .. })));
     }
 
-    /// A v1 buffer byte-for-byte as the seed's encoder produced it. This is
-    /// a frozen regression artifact: if this test breaks, previously written
+    /// A buffer byte-for-byte as the seed's encoder produced it. This is a
+    /// frozen regression artifact: if this test breaks, previously written
     /// logs have been orphaned.
     #[test]
     fn golden_v1_bytes_decode_unchanged() {
@@ -487,126 +304,12 @@ mod tests {
         golden.push(4); // AppEnd
         golden.push(1);
         golden.extend_from_slice(&42.5f64.to_le_bytes());
-        let decoded = decode(Bytes::from(golden)).unwrap();
-        assert_eq!(
-            decoded,
-            vec![
-                Event::AppStart { app: "wc".into(), stages: 3 },
-                Event::AppEnd { success: true, total_time_s: 42.5 },
-            ]
-        );
-    }
-
-    #[test]
-    fn v1_streams_still_encode_as_v1() {
-        let plan = JobPlan::example_shuffle_job(128 << 20);
-        let result =
-            simulate(&ClusterSpec::cluster_a(), &ConfSpace::table_iv().default_conf(), &plan, 1);
-        let events = emit(&plan, &result);
-        let bytes = encode(&events);
-        assert_eq!(&bytes[..4], b"SLOG");
-        assert_eq!(decode(bytes).unwrap(), events);
-    }
-
-    fn task_level_result() -> (JobPlan, RunResult) {
-        let plan = JobPlan::example_shuffle_job(512 << 20);
-        let obs = crate::exec::SimObs {
-            tracer: lite_obs::Tracer::disabled(),
-            metrics: None,
-            collect_tasks: true,
-        };
-        let result = crate::exec::simulate_obs(
-            &ClusterSpec::cluster_a(),
-            &ConfSpace::table_iv().default_conf(),
-            &plan,
-            7,
-            &obs,
-        );
-        assert!(result.ok(), "{:?}", result.failure);
-        (plan, result)
-    }
-
-    #[test]
-    fn v2_roundtrip_preserves_task_records() {
-        let (plan, result) = task_level_result();
-        let events = emit_v2(&plan, &result);
-        let starts = events.iter().filter(|e| matches!(e, Event::TaskStart { .. })).count();
-        let ends = events.iter().filter(|e| matches!(e, Event::TaskEnd { .. })).count();
-        let tasks: usize = result.stages.iter().map(|s| s.tasks.len()).sum();
-        assert!(tasks > 0);
-        assert_eq!(starts, tasks);
-        assert_eq!(ends, tasks);
-        let bytes = encode(&events);
-        assert_eq!(&bytes[..4], b"SLG2");
-        assert_eq!(decode(bytes).unwrap(), events);
-        // Forcing v2 on a v1-vocabulary stream also round-trips.
-        let v1_events = emit(&plan, &result);
-        assert_eq!(decode(encode_v2(&v1_events)).unwrap(), v1_events);
-    }
-
-    #[test]
-    fn v1_decoder_rejects_task_tags() {
-        // A task record smuggled under the v1 magic must not silently parse.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLOG");
-        buf.put_u32_le(1);
-        buf.put_u8(5); // TAG_TASK_START
-        buf.put_u32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u32_le(0);
-        buf.put_f64_le(0.0);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::BadTag(5)));
-    }
-
-    #[test]
-    fn v2_roundtrip_preserves_trace_id_records() {
-        let (plan, result) = task_level_result();
-        let events = emit_v2_traced(&plan, &result, 0x9E3779B97F4A7C15);
-        assert_eq!(events[0], Event::TraceId { trace_id: 0x9E3779B97F4A7C15 });
-        let bytes = encode(&events);
-        assert_eq!(&bytes[..4], b"SLG2");
-        assert_eq!(decode(bytes).unwrap(), events);
-    }
-
-    #[test]
-    fn v1_decoder_rejects_trace_id_tag() {
-        // A trace-id record smuggled under the v1 magic must not parse.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLOG");
-        buf.put_u32_le(1);
-        buf.put_u8(7); // TAG_TRACE_ID
-        buf.put_u64_le(42);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::BadTag(7)));
-        // And a truncated payload under v2 is Truncated, not a partial parse.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLG2");
-        buf.put_u32_le(1);
-        buf.put_u8(7);
-        buf.put_u32_le(42);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn v2_decode_rejects_truncated_and_garbage_task_records() {
-        let (plan, result) = task_level_result();
-        let bytes = encode(&emit_v2(&plan, &result));
-        // Any strict prefix is an error, never a silent partial parse.
-        for cut in [bytes.len() - 1, bytes.len() - 20, 10] {
-            assert!(decode(bytes.slice(..cut)).is_err(), "prefix {cut} parsed");
-        }
-        // Garbage tag inside a v2 stream.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLG2");
-        buf.put_u32_le(1);
-        buf.put_u8(77);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::BadTag(77)));
-        // Truncated TaskEnd payload.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"SLG2");
-        buf.put_u32_le(1);
-        buf.put_u8(6); // TAG_TASK_END
-        buf.put_u32_le(0);
-        buf.put_u32_le(1);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::Truncated));
+        let expected = vec![
+            Event::AppStart { app: "wc".into(), stages: 3 },
+            Event::AppEnd { success: true, total_time_s: 42.5 },
+        ];
+        assert_eq!(decode(&golden).unwrap(), expected);
+        // The encoder still writes exactly those bytes.
+        assert_eq!(encode(&expected), golden);
     }
 }

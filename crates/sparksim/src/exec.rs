@@ -23,10 +23,9 @@
 
 use crate::cluster::{ClusterSpec, GB, MB};
 use crate::conf::{Knob, SparkConf};
-use crate::fault::{FaultInjector, FaultKind};
+use crate::fault::{mix64, unit64};
 use crate::plan::{InputSource, JobPlan, StagePlan};
-use crate::result::{FailureReason, RunResult, StageStats, TaskStats};
-use lite_obs::{AttrValue, Counter, Gauge, Histogram, HistogramBatch, Registry, SynthSpan, Tracer};
+use crate::result::{FailureReason, RunResult, StageStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -116,24 +115,10 @@ pub fn preflight(
     Ok(())
 }
 
-/// SplitMix64 hash: deterministic per-task randomness independent of
-/// scheduling order.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform (0,1) from a hash.
-fn unit(h: u64) -> f64 {
-    ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64
-}
-
 /// Standard normal via Box–Muller on two hash draws.
 fn std_normal(h: u64) -> f64 {
-    let u1 = unit(mix(h));
-    let u2 = unit(mix(h ^ 0xdeadbeef));
+    let u1 = unit64(mix64(h));
+    let u2 = unit64(mix64(h ^ 0xdeadbeef));
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -153,147 +138,11 @@ struct StageOutcome {
     end_time: f64,
 }
 
-/// Pre-registered handles to the engine's metric instruments. Registering
-/// once and cloning atomically-backed handles keeps the hot loop free of
-/// name lookups.
-#[derive(Clone)]
-pub struct SimMetrics {
-    /// Simulated runs started.
-    pub runs: Counter,
-    /// Runs that ended in any failure.
-    pub failures: Counter,
-    /// Runs killed by an executor OOM specifically.
-    pub oom_failures: Counter,
-    /// Tasks launched across all stages.
-    pub tasks_launched: Counter,
-    /// Scheduling waves executed (`ceil(tasks / slots)` per stage).
-    pub waves: Counter,
-    /// Tasks that hit the straggler multiplier.
-    pub stragglers: Counter,
-    /// Bytes spilled to disk.
-    pub spill_bytes: Counter,
-    /// Shuffle fetch round-trips performed by reduce tasks.
-    pub shuffle_fetch_rounds: Counter,
-    /// Per-stage GC time (recorded in microseconds of simulated time).
-    pub gc_seconds: Histogram,
-    /// Per-stage simulated duration (microseconds).
-    pub stage_duration: Histogram,
-    /// Per-task simulated duration (nanoseconds). Only populated when
-    /// [`SimObs::collect_tasks`] is set: per-task observation is opt-in
-    /// detail, like [`StageStats::tasks`] itself.
-    pub task_duration: Histogram,
-    /// Cached fraction observed by the most recent cache-reading stage.
-    pub cache_hit_rate: Gauge,
-}
-
-impl SimMetrics {
-    /// Create (or re-attach to) the engine's instruments in `registry`.
-    pub fn register(registry: &Registry) -> SimMetrics {
-        SimMetrics {
-            runs: registry.counter("sim.runs"),
-            failures: registry.counter("sim.failures"),
-            oom_failures: registry.counter("sim.failures.oom"),
-            tasks_launched: registry.counter("sim.tasks_launched"),
-            waves: registry.counter("sim.waves"),
-            stragglers: registry.counter("sim.stragglers"),
-            spill_bytes: registry.counter("sim.spill_bytes"),
-            shuffle_fetch_rounds: registry.counter("sim.shuffle.fetch_rounds"),
-            gc_seconds: registry.histogram("sim.stage.gc_ns"),
-            stage_duration: registry.histogram("sim.stage.duration_ns"),
-            task_duration: registry.histogram("sim.task.duration_ns"),
-            cache_hit_rate: registry.gauge("sim.cache_hit_rate"),
-        }
-    }
-}
-
-/// Observability configuration for a simulated run.
-///
-/// The default ([`SimObs::disabled`]) is fully inert: [`simulate`] routes
-/// through the same code path with every instrument compiled to a cheap
-/// branch, which the overhead test in `tests/obs_overhead.rs` pins below
-/// 5 %.
-#[derive(Clone, Default)]
-pub struct SimObs {
-    /// Span tracer. Disabled tracers produce inert guards.
-    pub tracer: Tracer,
-    /// Metric instruments, if metrics are wanted.
-    pub metrics: Option<SimMetrics>,
-    /// Collect per-task detail: [`TaskStats`] into each stage's
-    /// [`StageStats::tasks`], plus the per-task duration histogram
-    /// ([`SimMetrics::task_duration`]). Off by default: dataset builds
-    /// simulate millions of tasks and only need stage aggregates.
-    pub collect_tasks: bool,
-}
-
-impl SimObs {
-    /// Fully inert observability (the [`simulate`] default).
-    pub fn disabled() -> SimObs {
-        SimObs { tracer: Tracer::disabled(), metrics: None, collect_tasks: false }
-    }
-
-    /// Spans only.
-    pub fn with_tracer(tracer: Tracer) -> SimObs {
-        SimObs { tracer, metrics: None, collect_tasks: false }
-    }
-
-    /// Spans, metrics and per-task statistics.
-    pub fn full(tracer: Tracer, registry: &Registry) -> SimObs {
-        SimObs { tracer, metrics: Some(SimMetrics::register(registry)), collect_tasks: true }
-    }
-}
-
 /// Simulate a job and return its result. `seed` controls task skew,
 /// stragglers and run noise; the same inputs always give the same output.
 pub fn simulate(cluster: &ClusterSpec, conf: &SparkConf, plan: &JobPlan, seed: u64) -> RunResult {
-    simulate_obs(cluster, conf, plan, seed, &SimObs::disabled())
-}
-
-/// [`simulate`] with observability: a `sim.run` span wrapping one
-/// `sim.stage` span per executed stage (each wrapping `sim.wave` spans
-/// when the tracer records fine detail, see [`Tracer::new_fine`]),
-/// engine metrics, and optional per-task statistics. Passing
-/// [`SimObs::disabled`] is exactly [`simulate`] — the result is identical
-/// for identical inputs regardless of instrumentation.
-pub fn simulate_obs(
-    cluster: &ClusterSpec,
-    conf: &SparkConf,
-    plan: &JobPlan,
-    seed: u64,
-    obs: &SimObs,
-) -> RunResult {
-    simulate_faulted(cluster, conf, plan, seed, obs, None)
-}
-
-/// [`simulate_obs`] with fault injection. `faults: None` is exactly
-/// [`simulate_obs`] — every fault point branches on the option, so the
-/// healthy path stays byte-identical. With an armed injector, stages may
-/// lose executors at their boundary (the survivors rerun the lost slots'
-/// tasks on a shrunken slot pool), grow extra stragglers, or be forced
-/// into OOM/spill regardless of their memory arithmetic. All wounds are
-/// deterministic in `(injector seed, stage id, task index)`.
-pub fn simulate_faulted(
-    cluster: &ClusterSpec,
-    conf: &SparkConf,
-    plan: &JobPlan,
-    seed: u64,
-    obs: &SimObs,
-    faults: Option<&FaultInjector>,
-) -> RunResult {
     debug_assert!(plan.validate().is_ok(), "invalid plan: {:?}", plan.validate());
-    let mut run_span = obs.tracer.span("sim.run");
-    if run_span.is_recording() {
-        run_span.attr_str("app", &plan.app_name);
-        run_span.attr_u64("seed", seed);
-        run_span.attr_u64("planned_stages", plan.stages.len() as u64);
-    }
-    if let Some(m) = &obs.metrics {
-        m.runs.inc();
-    }
     let Some(alloc) = allocate(cluster, conf) else {
-        if let Some(m) = &obs.metrics {
-            m.failures.inc();
-        }
-        run_span.attr_str("failure", FailureReason::InfeasibleAllocation.label());
         return RunResult {
             total_time_s: 0.0,
             stages: Vec::new(),
@@ -302,48 +151,15 @@ pub fn simulate_faulted(
             slots: 0,
         };
     };
-    if run_span.is_recording() {
-        run_span.attr_u64("executors", u64::from(alloc.executors));
-        run_span.attr_u64("slots", u64::from(alloc.slots));
-    }
 
     let mut state = JobState { storage_used_per_exec: 0.0, last_cached_fraction: 1.0 };
     let mut stages = Vec::with_capacity(plan.stages.len());
     let mut clock = 0.0;
     let mut failure = None;
-    // Task durations accumulate locally across all stages and hit the shared
-    // histogram's atomics once per run. Per-task observation rides the
-    // `collect_tasks` tier: steady-state metrics are stage/run aggregates,
-    // so the hot loop pays nothing per task by default.
-    let mut task_hist =
-        if obs.collect_tasks { obs.metrics.as_ref().map(|_| HistogramBatch::new()) } else { None };
 
     for (stage_id, stage) in plan.stages.iter().enumerate() {
-        let mut stage_span = obs.tracer.span("sim.stage");
-        let out = run_stage(
-            cluster,
-            conf,
-            &alloc,
-            stage,
-            stage_id,
-            &mut state,
-            seed,
-            obs,
-            &mut task_hist,
-            faults,
-        );
+        let out = run_stage(cluster, conf, &alloc, stage, stage_id, &mut state, seed);
         clock += out.end_time;
-        if stage_span.is_recording() {
-            stage_span.attr_u64("stage_id", stage_id as u64);
-            stage_span.attr_str("name", &out.stats.name);
-            stage_span.attr_u64("tasks", u64::from(out.stats.num_tasks));
-            stage_span.attr_f64("sim_duration_s", out.stats.duration_s);
-            stage_span.attr_u64("spill_bytes", out.stats.spill_bytes);
-            stage_span.attr_f64("gc_s", out.stats.gc_time_s);
-            if let Some(f) = out.failure {
-                stage_span.attr_str("failure", f.label());
-            }
-        }
         stages.push(out.stats);
         if let Some(f) = out.failure {
             failure = Some(f);
@@ -352,22 +168,8 @@ pub fn simulate_faulted(
     }
 
     // Job-level multiplicative noise (environment jitter).
-    let noise = (0.04 * std_normal(mix(seed ^ 0x5eed))).exp();
+    let noise = (0.04 * std_normal(mix64(seed ^ 0x5eed))).exp();
     let total_time_s = clock * noise;
-    if let Some(m) = &obs.metrics {
-        if let Some(b) = &task_hist {
-            m.task_duration.record_batch(b);
-        }
-        if failure.is_some() {
-            m.failures.inc();
-        }
-    }
-    if run_span.is_recording() {
-        run_span.attr_f64("sim_total_s", total_time_s);
-        if let Some(f) = failure {
-            run_span.attr_str("failure", f.label());
-        }
-    }
     RunResult { total_time_s, stages, failure, executors: alloc.executors, slots: alloc.slots }
 }
 
@@ -385,7 +187,7 @@ pub fn stage_task_count(conf: &SparkConf, stage: &StagePlan) -> u32 {
     }
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines)]
 fn run_stage(
     cluster: &ClusterSpec,
     conf: &SparkConf,
@@ -394,13 +196,7 @@ fn run_stage(
     stage_id: usize,
     state: &mut JobState,
     seed: u64,
-    obs: &SimObs,
-    task_hist: &mut Option<HistogramBatch>,
-    faults: Option<&FaultInjector>,
 ) -> StageOutcome {
-    // Per-stage fault key: depends only on the run seed and stage id, so a
-    // wound reproduces regardless of what earlier stages did.
-    let stage_key = mix(seed ^ 0xFA017 ^ stage_id as u64);
     let exec_cores = conf.executor_cores().max(1) as f64;
     let heap = conf.executor_memory_bytes() as f64;
     let usable = (heap - RESERVED_HEAP_BYTES).max(64.0 * MB) * conf.get(Knob::MemoryFraction);
@@ -430,7 +226,6 @@ fn run_stage(
     let mut io_time = 0.0;
     let mut fetch_mem = 0.0;
     let mut cache_hit = 1.0;
-    let mut fetch_rounds_task = 0.0f64;
     match stage.input {
         InputSource::Hdfs => {
             io_time += bytes_task / disk_rate_task;
@@ -438,7 +233,6 @@ fn run_stage(
         InputSource::Shuffle => {
             let wire = bytes_task * if compress { COMPRESS_RATIO } else { 1.0 };
             let rounds = (wire / inflight).ceil().max(1.0);
-            fetch_rounds_task = rounds;
             io_time += wire / net_rate_task + rounds * FETCH_ROUND_S;
             if compress {
                 cpu_cycles += bytes_task * DECOMPRESS_CYCLES;
@@ -459,10 +253,7 @@ fn run_stage(
     // --------------------------------------------------------------- memory
     let working_set = bytes_task * DESER_FACTOR * stage.working_set_factor + fetch_mem;
     let partition_heap = bytes_task * DESER_FACTOR;
-    let forced_oom = faults.is_some_and(|f| f.fires(FaultKind::ForcedOom, stage_key));
-    if forced_oom
-        || partition_heap + working_set.min(exec_mem_per_task) > heap_per_task * OOM_HEADROOM
-    {
+    if partition_heap + working_set.min(exec_mem_per_task) > heap_per_task * OOM_HEADROOM {
         // Unsplittable partition blows the heap: retries won't help.
         let stats = StageStats {
             stage_id,
@@ -480,22 +271,13 @@ fn run_stage(
             gc_time_s: 0.0,
             peak_task_memory: (partition_heap + working_set) as u64,
             cached_fraction: cache_hit,
-            tasks: Vec::new(),
         };
-        if let Some(m) = &obs.metrics {
-            m.oom_failures.inc();
-        }
         // Time burned before the 4th retry kills the job: a few waves.
         let end_time = 45.0 + 4.0 * bytes_task / disk_rate_task;
         return StageOutcome { stats, failure: Some(FailureReason::ExecutorOom), end_time };
     }
 
-    let mut spill_per_task = (working_set - exec_mem_per_task).max(0.0);
-    if faults.is_some_and(|f| f.fires(FaultKind::ForcedSpill, stage_key ^ 0x5)) {
-        // The execution pool is suddenly half-evicted (a co-tenant grabbed
-        // the node): half the working set hits disk no matter the headroom.
-        spill_per_task = spill_per_task.max(0.5 * working_set);
-    }
+    let spill_per_task = (working_set - exec_mem_per_task).max(0.0);
     if spill_per_task > 0.0 {
         let disk_spill =
             spill_per_task * if conf.shuffle_spill_compress() { COMPRESS_RATIO } else { 1.0 };
@@ -538,127 +320,26 @@ fn run_stage(
     let driver_cores = conf.get(Knob::DriverCores).max(1.0);
     let sched_delay = tasks as f64 / (driver_cores * 220.0);
 
-    // Executor loss at the stage boundary: a quarter of the executors (at
-    // least one, never all) disappear. Their slots are gone for the whole
-    // stage, and the tasks they would have run when they died rerun on the
-    // survivors — extra work on a shrunken slot pool, which is exactly how
-    // the loss shows up in a real Spark UI (a longer tail, not a failure).
-    let mut sched_slots = alloc.slots;
-    let mut rerun_tasks = 0u32;
-    if let Some(f) = faults {
-        if alloc.executors > 1 && f.fires(FaultKind::ExecutorLoss, stage_key ^ 0x10) {
-            let cores_per_exec = (alloc.slots / alloc.executors).max(1);
-            let lost_slots = (alloc.executors / 4).max(1) * cores_per_exec;
-            sched_slots = alloc.slots.saturating_sub(lost_slots).max(1);
-            rerun_tasks = lost_slots.min(tasks);
-        }
-    }
-
     let mut slot_heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    for s in 0..sched_slots {
+    for s in 0..alloc.slots {
         slot_heap.push(Reverse((0, s)));
     }
-    // Per-task observability, kept off the critical path: wave spans are
-    // fine-detail (volume proportional to simulated work, so they are
-    // gated like a DEBUG log level) and aggregated in a single pass
-    // (count + simulated-time bounds per wave), task-duration metrics
-    // accumulate into the caller's run-level batch, and full `TaskStats`
-    // records are built only when the caller asked. Tasks launch in wave
-    // order, so the wave index is a running counter — no per-task division.
-    let fine = obs.tracer.is_fine();
-    let track_waves = fine || obs.collect_tasks;
-    let wave_slots = sched_slots.max(1);
-    let mut wave: u32 = 0;
-    let mut wave_fill: u32 = 0;
-    let mut task_stats: Vec<TaskStats> = Vec::new();
-    if obs.collect_tasks {
-        task_stats.reserve(tasks as usize);
-    }
-    let mut wave_agg: Vec<(u64, f64, f64)> = Vec::new(); // (tasks, start, end)
-    let task_spill = spill_per_task as u64;
-    let task_shuffle_read = if stage.input == InputSource::Shuffle { bytes_task as u64 } else { 0 };
-    let task_shuffle_write = (out_bytes_task * if compress { COMPRESS_RATIO } else { 1.0 }) as u64;
-    let mut stragglers = 0u64;
     let mut stage_end = 0.0f64;
-    for t in 0..tasks + rerun_tasks {
-        let h = mix(seed ^ mix((stage_id as u64) << 32 | t as u64));
+    for t in 0..tasks {
+        let h = mix64(seed ^ mix64((stage_id as u64) << 32 | t as u64));
         let sigma = stage.skew_sigma;
         let mut dur = base_task_s * (sigma * std_normal(h) - 0.5 * sigma * sigma).exp();
-        // Occasional straggler (slow disk, bad JIT, skewy key) — plus any
-        // the injector forces on top of the organic rate.
-        if unit(mix(h ^ 0x57a6)) < 1.2 / (tasks as f64 + 8.0)
-            || faults.is_some_and(|f| f.fires(FaultKind::Straggler, h))
-        {
+        // Occasional straggler (slow disk, bad JIT, skewy key).
+        if unit64(mix64(h ^ 0x57a6)) < 1.2 / (tasks as f64 + 8.0) {
             dur *= 2.5;
-            stragglers += 1;
         }
         let Reverse((free_ns, slot)) = slot_heap.pop().expect("slots non-empty");
         let start = free_ns as f64 * 1e-9;
         let end = start + dur;
         stage_end = stage_end.max(end);
         slot_heap.push(Reverse(((end * 1e9) as u64, slot)));
-        if track_waves {
-            if wave_fill == wave_slots {
-                wave += 1;
-                wave_fill = 0;
-            }
-            wave_fill += 1;
-            if fine {
-                if wave as usize == wave_agg.len() {
-                    wave_agg.push((1, start, end));
-                } else {
-                    let agg = wave_agg.last_mut().expect("current wave aggregated");
-                    agg.0 += 1;
-                    agg.1 = agg.1.min(start);
-                    agg.2 = agg.2.max(end);
-                }
-            }
-            // Rerun tasks occupy slots and waves but are not *planned*
-            // tasks: per-task records keep the plan's cardinality.
-            if obs.collect_tasks && t < tasks {
-                task_stats.push(TaskStats {
-                    index: t,
-                    wave,
-                    start_s: start,
-                    duration_s: dur,
-                    spill_bytes: task_spill,
-                    gc_time_s: gc_time_task * dur / base_task_s,
-                    shuffle_read_bytes: task_shuffle_read,
-                    shuffle_write_bytes: task_shuffle_write,
-                });
-            }
-        }
-        if let Some(b) = task_hist.as_mut() {
-            b.observe_secs(dur);
-        }
     }
     let duration = sched_delay + stage_end;
-    let num_waves = u64::from(tasks.div_ceil(alloc.slots.max(1)));
-
-    // One retrospective span per scheduling wave, carrying simulated-time
-    // bounds; one clock read and one lock hold for the whole stage.
-    if fine {
-        let parent = obs.tracer.current_span_id();
-        let now_us = obs.tracer.now_us();
-        obs.tracer.record_batch(
-            wave_agg
-                .iter()
-                .enumerate()
-                .map(|(w, &(n, sim_start, sim_end))| SynthSpan {
-                    parent,
-                    name: "sim.wave",
-                    start_us: now_us,
-                    end_us: now_us,
-                    attrs: vec![
-                        ("wave", AttrValue::U64(w as u64)),
-                        ("tasks", AttrValue::U64(n)),
-                        ("sim_start_s", AttrValue::F64(sim_start)),
-                        ("sim_end_s", AttrValue::F64(sim_end)),
-                    ],
-                })
-                .collect(),
-        );
-    }
 
     // -------------------------------------------------------------- caching
     let mut cached_fraction = cache_hit;
@@ -699,20 +380,7 @@ fn run_stage(
         gc_time_s: gc_time_task * tasks as f64,
         peak_task_memory: heap_demand as u64,
         cached_fraction,
-        tasks: task_stats,
     };
-    if let Some(m) = &obs.metrics {
-        m.tasks_launched.add(u64::from(tasks + rerun_tasks));
-        m.waves.add(num_waves);
-        m.stragglers.add(stragglers);
-        m.spill_bytes.add(stats.spill_bytes);
-        m.shuffle_fetch_rounds.add((fetch_rounds_task * f64::from(tasks)) as u64);
-        m.gc_seconds.record_secs(stats.gc_time_s);
-        m.stage_duration.record_secs(stats.duration_s);
-        if stage.input == InputSource::Cache {
-            m.cache_hit_rate.set(cache_hit);
-        }
-    }
     StageOutcome { stats, failure, end_time: duration + driver_time }
 }
 
@@ -943,165 +611,6 @@ mod tests {
                 assert!(st.duration_s.is_finite() && st.duration_s >= 0.0);
             }
         }
-    }
-
-    #[test]
-    fn instrumentation_does_not_change_results() {
-        let cluster = ClusterSpec::cluster_b();
-        let conf = space().default_conf();
-        let plan = JobPlan::example_shuffle_job(512 << 20);
-        let plain = simulate(&cluster, &conf, &plan, 41);
-        let reg = lite_obs::Registry::new();
-        let obs = SimObs::full(lite_obs::Tracer::new(), &reg);
-        let mut traced = simulate_obs(&cluster, &conf, &plan, 41, &obs);
-        // Identical modulo the opt-in per-task records.
-        for s in &mut traced.stages {
-            assert_eq!(s.tasks.len(), s.num_tasks as usize);
-            s.tasks.clear();
-        }
-        assert_eq!(plain, traced);
-    }
-
-    #[test]
-    fn spans_nest_run_stage_wave() {
-        let cluster = ClusterSpec::cluster_b();
-        let conf = space().default_conf();
-        let plan = JobPlan::example_shuffle_job(512 << 20);
-        // Wave spans are fine-detail; a standard tracer stops at stages.
-        let tracer = lite_obs::Tracer::new_fine();
-        let obs = SimObs::with_tracer(tracer.clone());
-        let r = simulate_obs(&cluster, &conf, &plan, 41, &obs);
-        assert!(r.ok(), "{:?}", r.failure);
-        let spans = tracer.finished();
-        let run = spans.iter().find(|s| s.name == "sim.run").expect("run span");
-        let stage_spans: Vec<_> = spans.iter().filter(|s| s.name == "sim.stage").collect();
-        assert_eq!(stage_spans.len(), r.stages.len());
-        assert!(stage_spans.iter().all(|s| s.parent == Some(run.id)));
-        let stage_ids: Vec<u64> = stage_spans.iter().map(|s| s.id).collect();
-        let waves: Vec<_> = spans.iter().filter(|s| s.name == "sim.wave").collect();
-        assert!(!waves.is_empty());
-        assert!(waves.iter().all(|w| stage_ids.contains(&w.parent.expect("wave has parent"))));
-        // Run span carries the simulated total.
-        match run.attr("sim_total_s") {
-            Some(lite_obs::AttrValue::F64(v)) => assert!((v - r.total_time_s).abs() < 1e-9),
-            other => panic!("missing sim_total_s: {other:?}"),
-        }
-        // A standard-detail tracer records the same tree minus the wave tier.
-        let std_tracer = lite_obs::Tracer::new();
-        let obs = SimObs::with_tracer(std_tracer.clone());
-        simulate_obs(&cluster, &conf, &plan, 41, &obs);
-        let spans = std_tracer.finished();
-        assert!(spans.iter().any(|s| s.name == "sim.stage"));
-        assert!(spans.iter().all(|s| s.name != "sim.wave"));
-    }
-
-    #[test]
-    fn metrics_count_tasks_and_waves() {
-        let cluster = ClusterSpec::cluster_b();
-        let conf = space().default_conf();
-        let plan = JobPlan::example_shuffle_job(512 << 20);
-        let reg = lite_obs::Registry::new();
-        let obs = SimObs::full(lite_obs::Tracer::disabled(), &reg);
-        let r = simulate_obs(&cluster, &conf, &plan, 41, &obs);
-        let snap = reg.snapshot();
-        let total_tasks: u64 = r.stages.iter().map(|s| u64::from(s.num_tasks)).sum();
-        assert_eq!(snap.counter("sim.runs"), Some(1));
-        assert_eq!(snap.counter("sim.tasks_launched"), Some(total_tasks));
-        let waves: u64 =
-            r.stages.iter().map(|s| u64::from(s.num_tasks.div_ceil(r.slots.max(1)))).sum();
-        assert_eq!(snap.counter("sim.waves"), Some(waves));
-        assert_eq!(snap.histogram("sim.task.duration_ns").map(|h| h.count), Some(total_tasks));
-    }
-
-    #[test]
-    fn task_stats_are_consistent_with_stage_stats() {
-        let cluster = ClusterSpec::cluster_a();
-        let s = space();
-        let mut conf = s.default_conf();
-        conf.set(&s, Knob::MemoryFraction, 0.3);
-        conf.set(&s, Knob::ExecutorMemoryGb, 2.0);
-        let mut plan = JobPlan::example_shuffle_job(4 << 30);
-        plan.stages[1].working_set_factor = 2.0;
-        let reg = lite_obs::Registry::new();
-        let obs = SimObs::full(lite_obs::Tracer::disabled(), &reg);
-        let r = simulate_obs(&cluster, &conf, &plan, 19, &obs);
-        assert!(r.ok(), "{:?}", r.failure);
-        let st = &r.stages[1];
-        assert_eq!(st.tasks.len(), st.num_tasks as usize);
-        assert!(st.spill_bytes > 0);
-        let spill_sum: u64 = st.tasks.iter().map(|t| t.spill_bytes).sum();
-        // Uniform per-task spill model: sums match to rounding.
-        assert!((spill_sum as i64 - st.spill_bytes as i64).abs() <= st.num_tasks as i64);
-        // Waves are contiguous and bounded by ceil(tasks/slots).
-        let max_wave = st.tasks.iter().map(|t| t.wave).max().unwrap();
-        assert_eq!(max_wave, (st.num_tasks - 1) / r.slots.max(1));
-        for t in &st.tasks {
-            assert_eq!(t.wave, t.index / r.slots.max(1));
-            assert!(t.duration_s > 0.0 && t.start_s >= 0.0);
-        }
-    }
-
-    #[test]
-    fn disabled_faults_are_byte_identical_and_wounds_are_deterministic() {
-        use crate::fault::{FaultInjector, FaultKind};
-        let cluster = ClusterSpec::cluster_b();
-        let conf = space().default_conf();
-        let plan = JobPlan::example_shuffle_job(512 << 20);
-        let plain = simulate(&cluster, &conf, &plan, 43);
-        // None and a zero-probability injector are both exactly `simulate`.
-        let none = simulate_faulted(&cluster, &conf, &plan, 43, &SimObs::disabled(), None);
-        assert_eq!(plain, none);
-        let idle = FaultInjector::new(9);
-        let with_idle =
-            simulate_faulted(&cluster, &conf, &plan, 43, &SimObs::disabled(), Some(&idle));
-        assert_eq!(plain, with_idle);
-        assert_eq!(idle.total_fired(), 0);
-        // An armed injector wounds the same run identically every time.
-        let mk = || {
-            FaultInjector::new(9).with(FaultKind::ExecutorLoss, 1.0).with(FaultKind::Straggler, 0.2)
-        };
-        let (a, b) = (mk(), mk());
-        let ra = simulate_faulted(&cluster, &conf, &plan, 43, &SimObs::disabled(), Some(&a));
-        let rb = simulate_faulted(&cluster, &conf, &plan, 43, &SimObs::disabled(), Some(&b));
-        assert_eq!(ra, rb);
-        assert!(a.fired(FaultKind::ExecutorLoss) > 0);
-    }
-
-    #[test]
-    fn executor_loss_slows_the_run_without_failing_it() {
-        use crate::fault::{FaultInjector, FaultKind};
-        let cluster = ClusterSpec::cluster_b();
-        let conf = space().default_conf();
-        let plan = JobPlan::example_shuffle_job(1 << 30);
-        let healthy = simulate(&cluster, &conf, &plan, 47);
-        assert!(healthy.ok());
-        let inj = FaultInjector::new(5).with(FaultKind::ExecutorLoss, 1.0);
-        let wounded = simulate_faulted(&cluster, &conf, &plan, 47, &SimObs::disabled(), Some(&inj));
-        assert!(wounded.ok(), "executor loss degrades, it does not fail: {:?}", wounded.failure);
-        assert!(
-            wounded.total_time_s > healthy.total_time_s,
-            "fewer slots + reruns must cost time: {} !> {}",
-            wounded.total_time_s,
-            healthy.total_time_s
-        );
-    }
-
-    #[test]
-    fn forced_oom_and_spill_fire_regardless_of_memory_arithmetic() {
-        use crate::fault::{FaultInjector, FaultKind};
-        let cluster = ClusterSpec::cluster_b();
-        let conf = space().default_conf();
-        let plan = JobPlan::example_shuffle_job(512 << 20);
-        assert!(simulate(&cluster, &conf, &plan, 53).ok());
-
-        let oom = FaultInjector::new(6).with(FaultKind::ForcedOom, 1.0);
-        let r = simulate_faulted(&cluster, &conf, &plan, 53, &SimObs::disabled(), Some(&oom));
-        assert_eq!(r.failure, Some(FailureReason::ExecutorOom));
-
-        let spill = FaultInjector::new(6).with(FaultKind::ForcedSpill, 1.0);
-        let r = simulate_faulted(&cluster, &conf, &plan, 53, &SimObs::disabled(), Some(&spill));
-        assert!(r.ok());
-        assert!(r.stages.iter().any(|s| s.spill_bytes > 0), "forced spill left no trace");
     }
 
     #[test]

@@ -8,13 +8,8 @@
 //! chaos scenario debuggable: a failure found under seed 7 is reproduced
 //! under seed 7.
 //!
-//! The taxonomy covers both layers of the stack (see DESIGN.md
-//! "Resilience"):
+//! The taxonomy (see DESIGN.md "Resilience"):
 //!
-//! * **simulator wounds** — [`FaultKind::ExecutorLoss`] (slots vanish
-//!   mid-stage and their running tasks are rescheduled),
-//!   [`FaultKind::Straggler`] (extra 2.5× slow tasks),
-//!   [`FaultKind::ForcedOom`] and [`FaultKind::ForcedSpill`];
 //! * **service wounds** — [`FaultKind::UpdaterPanic`] (the background
 //!   retrainer dies mid-update), [`FaultKind::SwapDelay`] /
 //!   [`FaultKind::SwapFail`] (slow or aborted snapshot publication),
@@ -25,11 +20,9 @@
 //! * **input wounds** — [`mutate_bytes`], the seeded byte mutator the soak
 //!   tests drive over every input boundary (wire frames, index files, JSONL).
 //!
-//! Fault points take an `Option<&FaultInjector>` (or an
-//! `Option<Arc<FaultInjector>>` field); when the option is `None` the hook
-//! compiles to a branch and the host code path is byte-identical to the
-//! un-instrumented one — the same zero-cost discipline the obs plane pins
-//! with its overhead tests.
+//! Fault points read an `Option<Arc<FaultInjector>>` field
+//! (`ServeConfig::faults`); when the option is `None` the hook is one
+//! branch and the host code path is the un-instrumented one.
 //!
 //! An injector can be [`disarm`](FaultInjector::disarm)ed and re-armed at
 //! runtime: chaos drills use this to model a fault *storm* that ends
@@ -39,9 +32,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// SplitMix64: the same per-key hash the execution engine uses for task
-/// skew, exported so every resilience component (backoff jitter, fault
-/// rolls) can derive deterministic randomness from `(seed, key)` pairs.
+/// SplitMix64: the per-key hash behind the execution engine's task skew,
+/// dataset seed derivation, backoff jitter and fault rolls — deterministic
+/// randomness from `(seed, key)` pairs, independent of evaluation order.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
@@ -93,39 +86,31 @@ pub fn mutate_bytes(seed: u64, bytes: &[u8], other: &[u8]) -> Vec<u8> {
 }
 
 /// Number of fault kinds (array sizes below).
-pub const NUM_FAULT_KINDS: usize = 10;
+pub const NUM_FAULT_KINDS: usize = 6;
 
 /// Everything the injector knows how to break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum FaultKind {
-    /// A quarter of the executors die at a stage boundary: the stage runs
-    /// on fewer slots and the lost executors' in-flight tasks rerun.
-    ExecutorLoss = 0,
-    /// Extra straggler tasks beyond the engine's organic straggler rate.
-    Straggler = 1,
-    /// A stage OOMs regardless of its memory arithmetic.
-    ForcedOom = 2,
-    /// A stage spills half its working set regardless of pool headroom.
-    ForcedSpill = 3,
     /// The background updater panics mid-retrain.
-    UpdaterPanic = 4,
+    UpdaterPanic = 0,
     /// Snapshot publication stalls for the configured delay.
-    SwapDelay = 5,
+    SwapDelay = 1,
     /// A finished retrain is discarded instead of swapped in.
-    SwapFail = 6,
+    SwapFail = 2,
     /// NECS candidate scoring fails for one request.
-    ScoreFail = 7,
+    ScoreFail = 3,
     /// A TCP response frame is truncated mid-write and the connection dies.
-    TornFrame = 8,
+    TornFrame = 4,
     /// A request is held for the configured delay before processing.
-    RequestDelay = 9,
+    RequestDelay = 5,
 }
 
 impl FaultKind {
-    /// Per-kind salt so the same key rolls independently per kind.
+    /// Per-kind salt so the same key rolls independently per kind. The
+    /// base is the value every committed chaos seed was chosen against.
     fn salt(self) -> u64 {
-        0xFA01_7000 + self as u64
+        0xFA01_7004 + self as u64
     }
 }
 
@@ -219,11 +204,6 @@ impl FaultInjector {
     pub fn fired(&self, kind: FaultKind) -> u64 {
         self.fired[kind as usize].load(Ordering::Relaxed)
     }
-
-    /// Total firings across all kinds.
-    pub fn total_fired(&self) -> u64 {
-        self.fired.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -232,29 +212,26 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_seed_and_key() {
-        let a = FaultInjector::new(7).with(FaultKind::Straggler, 0.5);
-        let b = FaultInjector::new(7).with(FaultKind::Straggler, 0.5);
+        let a = FaultInjector::new(7).with(FaultKind::ScoreFail, 0.5);
+        let b = FaultInjector::new(7).with(FaultKind::ScoreFail, 0.5);
         for key in 0..1000 {
-            assert_eq!(a.fires(FaultKind::Straggler, key), b.fires(FaultKind::Straggler, key));
+            assert_eq!(a.fires(FaultKind::ScoreFail, key), b.fires(FaultKind::ScoreFail, key));
         }
-        assert_eq!(a.fired(FaultKind::Straggler), b.fired(FaultKind::Straggler));
+        assert_eq!(a.fired(FaultKind::ScoreFail), b.fired(FaultKind::ScoreFail));
         // A different seed gives a different firing set (overwhelmingly).
-        let c = FaultInjector::new(8).with(FaultKind::Straggler, 0.5);
+        let c = FaultInjector::new(8).with(FaultKind::ScoreFail, 0.5);
         let diff = (0..1000)
-            .filter(|&k| a.fires(FaultKind::Straggler, k) != c.fires(FaultKind::Straggler, k))
+            .filter(|&k| a.fires(FaultKind::ScoreFail, k) != c.fires(FaultKind::ScoreFail, k))
             .count();
         assert!(diff > 100, "seeds 7 and 8 differ on only {diff}/1000 keys");
     }
 
     #[test]
     fn kinds_roll_independently() {
-        let inj = FaultInjector::new(3)
-            .with(FaultKind::ExecutorLoss, 0.5)
-            .with(FaultKind::ForcedOom, 0.5);
+        let inj =
+            FaultInjector::new(3).with(FaultKind::SwapFail, 0.5).with(FaultKind::TornFrame, 0.5);
         let diff = (0..1000)
-            .filter(|&k| {
-                inj.fires(FaultKind::ExecutorLoss, k) != inj.fires(FaultKind::ForcedOom, k)
-            })
+            .filter(|&k| inj.fires(FaultKind::SwapFail, k) != inj.fires(FaultKind::TornFrame, k))
             .count();
         assert!(diff > 100, "kinds agree on {}/1000 keys", 1000 - diff);
     }

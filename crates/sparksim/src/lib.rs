@@ -46,7 +46,7 @@ pub mod result;
 
 pub use cluster::ClusterSpec;
 pub use conf::{ConfSpace, Knob, KnobDomain, SparkConf};
-pub use exec::{simulate, simulate_faulted, simulate_obs, SimMetrics, SimObs};
+pub use exec::simulate;
 pub use fault::{FaultInjector, FaultKind};
 pub use plan::{JobPlan, OpDag, OpKind, StagePlan};
-pub use result::{FailureReason, RunResult, StageStats, TaskStats};
+pub use result::{FailureReason, RunResult, StageStats};

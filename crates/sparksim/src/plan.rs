@@ -252,38 +252,6 @@ impl OpDag {
         }
         Ok(())
     }
-
-    /// Fraction of nodes that are shuffle-producing operations — used by
-    /// the cost model to couple the operator mix to shuffle knobs.
-    pub fn shuffle_op_fraction(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let shuffles = self
-            .nodes
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    OpKind::GroupByKey
-                        | OpKind::ReduceByKey
-                        | OpKind::CombineByKey
-                        | OpKind::AggregateByKey
-                        | OpKind::FoldByKey
-                        | OpKind::SortByKey
-                        | OpKind::RepartitionAndSort
-                        | OpKind::PartitionBy
-                        | OpKind::Join
-                        | OpKind::LeftOuterJoin
-                        | OpKind::CoGroup
-                        | OpKind::Distinct
-                        | OpKind::Repartition
-                        | OpKind::ShuffledRdd
-                )
-            })
-            .count();
-        shuffles as f64 / self.nodes.len() as f64
-    }
 }
 
 /// Where a stage reads its input from; determines partitioning and scan
@@ -377,11 +345,6 @@ impl JobPlan {
         Ok(())
     }
 
-    /// Total bytes scanned from HDFS across stages.
-    pub fn total_input_bytes(&self) -> u64 {
-        self.stages.iter().filter(|s| s.input == InputSource::Hdfs).map(|s| s.input_bytes).sum()
-    }
-
     /// A tiny two-stage map/reduce job used in documentation examples and
     /// smoke tests: scan+map, then shuffle+reduce with a small collect.
     pub fn example_shuffle_job(input_bytes: u64) -> Self {
@@ -454,18 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_fraction_reflects_mix() {
-        let pure_map = OpDag::chain(&[OpKind::TextFile, OpKind::Map, OpKind::Filter]);
-        assert_eq!(pure_map.shuffle_op_fraction(), 0.0);
-        let heavy = OpDag::chain(&[OpKind::ShuffledRdd, OpKind::SortByKey]);
-        assert_eq!(heavy.shuffle_op_fraction(), 1.0);
-    }
-
-    #[test]
     fn example_job_is_valid() {
         let job = JobPlan::example_shuffle_job(1 << 20);
         job.validate().unwrap();
-        assert_eq!(job.total_input_bytes(), 1 << 20);
         assert_eq!(job.stages.len(), 2);
     }
 }

@@ -27,29 +27,6 @@ impl FailureReason {
     }
 }
 
-/// Per-task statistics, recorded when the engine runs with task-level
-/// observability enabled (see `exec::SimObs::collect_tasks`). These are the
-/// payload of the SLOG v2 `TaskStart`/`TaskEnd` event-log records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskStats {
-    /// Task index within its stage (launch order).
-    pub index: u32,
-    /// Scheduling wave the task launched in (`index / slots`).
-    pub wave: u32,
-    /// Simulated start time relative to the stage start, in seconds.
-    pub start_s: f64,
-    /// Simulated task duration in seconds.
-    pub duration_s: f64,
-    /// Bytes this task spilled to disk.
-    pub spill_bytes: u64,
-    /// Seconds this task lost to garbage collection.
-    pub gc_time_s: f64,
-    /// Shuffle bytes this task fetched over the network.
-    pub shuffle_read_bytes: u64,
-    /// Shuffle bytes this task wrote (post-compression).
-    pub shuffle_write_bytes: u64,
-}
-
 /// Spark-monitor-UI-style statistics for one executed stage.
 ///
 /// These are the "stage-level data statistics" the paper's `S`-feature
@@ -80,10 +57,6 @@ pub struct StageStats {
     /// Fraction of the stage's cached output that actually fit in the
     /// storage pool (1.0 when not caching or fully cached).
     pub cached_fraction: f64,
-    /// Per-task statistics. Empty unless the run was simulated with
-    /// task-level observability enabled (the default `simulate` keeps this
-    /// empty so dataset builds stay lean).
-    pub tasks: Vec<TaskStats>,
 }
 
 /// Result of simulating one application run.
@@ -165,7 +138,6 @@ mod tests {
             gc_time_s: 0.0,
             peak_task_memory: 1,
             cached_fraction: 1.0,
-            tasks: Vec::new(),
         }
     }
 

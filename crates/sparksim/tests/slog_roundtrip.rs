@@ -1,11 +1,8 @@
 //! Property tests for the SLOG wire format: arbitrary event sequences must
-//! survive encode/decode for both versions, and version auto-selection must
-//! keep v1-vocabulary streams in the v1 format.
+//! survive encode/decode, and no truncation of a log may panic the decoder.
 
-use lite_sparksim::eventlog::{decode, emit_v2, encode, encode_v2, Event};
-use lite_sparksim::exec::{simulate_obs, SimObs};
-use lite_sparksim::plan::{JobPlan, OpDag, OpKind};
-use lite_sparksim::{ClusterSpec, ConfSpace};
+use lite_sparksim::eventlog::{decode, encode, Event};
+use lite_sparksim::plan::{OpDag, OpKind};
 use proptest::prelude::*;
 
 fn arb_dag() -> impl Strategy<Value = OpDag> {
@@ -31,75 +28,24 @@ fn arb_event() -> impl Strategy<Value = Event> {
         ),
         (any::<bool>(), 0.0f64..1e9)
             .prop_map(|(success, total_time_s)| Event::AppEnd { success, total_time_s }),
-        (any::<u32>(), any::<u32>(), any::<u32>(), 0.0f64..1e9).prop_map(
-            |(stage_id, index, wave, start_s)| Event::TaskStart { stage_id, index, wave, start_s }
-        ),
-        (
-            (any::<u32>(), any::<u32>(), any::<u32>(), 0.0f64..1e9),
-            (any::<u64>(), 0.0f64..1e6, any::<u64>(), any::<u64>()),
-        )
-            .prop_map(
-                |(
-                    (stage_id, index, wave, duration_s),
-                    (spill_bytes, gc_time_s, shuffle_read_bytes, shuffle_write_bytes),
-                )| Event::TaskEnd {
-                    stage_id,
-                    index,
-                    wave,
-                    duration_s,
-                    spill_bytes,
-                    gc_time_s,
-                    shuffle_read_bytes,
-                    shuffle_write_bytes,
-                }
-            ),
-        any::<u64>().prop_map(|trace_id| Event::TraceId { trace_id }),
     ]
 }
 
 proptest! {
     #[test]
     fn random_event_sequences_roundtrip(events in prop::collection::vec(arb_event(), 0..40)) {
-        // Auto-versioned encoding.
         let bytes = encode(&events);
-        let expect_v2 = events.iter().any(Event::is_v2_only);
-        prop_assert_eq!(&bytes[..4], if expect_v2 { b"SLG2" } else { b"SLOG" });
-        prop_assert_eq!(decode(bytes).unwrap(), events.clone());
-        // Forced-v2 encoding decodes identically too.
-        prop_assert_eq!(decode(encode_v2(&events)).unwrap(), events);
+        prop_assert_eq!(&bytes[..4], b"SLOG");
+        prop_assert_eq!(decode(&bytes).unwrap(), events);
     }
 
     #[test]
     fn truncating_any_log_never_panics(events in prop::collection::vec(arb_event(), 1..12),
                                        frac in 0.0f64..1.0) {
-        let bytes = encode_v2(&events);
+        let bytes = encode(&events);
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
         // Every strict prefix must be a decode error, never a panic or a
         // silently shortened event list.
-        prop_assert!(decode(bytes.slice(..cut)).is_err());
-    }
-}
-
-#[test]
-fn simulated_run_roundtrips_with_task_records() {
-    let plan = JobPlan::example_shuffle_job(512 << 20);
-    let obs = SimObs { collect_tasks: true, ..SimObs::disabled() };
-    let result = simulate_obs(
-        &ClusterSpec::cluster_b(),
-        &ConfSpace::table_iv().default_conf(),
-        &plan,
-        9,
-        &obs,
-    );
-    assert!(result.ok(), "{:?}", result.failure);
-    let events = emit_v2(&plan, &result);
-    assert_eq!(decode(encode(&events)).unwrap(), events);
-    // Task records reconstruct the per-stage task counts.
-    for stats in &result.stages {
-        let ends = events
-            .iter()
-            .filter(|e| matches!(e, Event::TaskEnd { stage_id, .. } if *stage_id == stats.stage_id as u32))
-            .count();
-        assert_eq!(ends, stats.num_tasks as usize);
+        prop_assert!(decode(&bytes[..cut]).is_err());
     }
 }

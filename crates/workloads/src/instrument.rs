@@ -19,8 +19,8 @@ use crate::data::SizeTier;
 use crate::srcgen::expand_stage_source;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::ConfSpace;
-use lite_sparksim::eventlog::{decode, emit, emit_v2, encode, Event};
-use lite_sparksim::exec::{simulate, simulate_obs, SimObs};
+use lite_sparksim::eventlog::{decode, emit, encode, Event};
+use lite_sparksim::exec::simulate;
 use lite_sparksim::plan::OpDag;
 
 /// One instrumented stage template.
@@ -52,7 +52,7 @@ pub fn instrument_app(app: AppId) -> Vec<StageCode> {
 
     // Round-trip through the wire format: the extractor only sees log
     // contents, never in-memory plan structs.
-    let log = decode(encode(&emit(&plan, &result))).expect("own log decodes");
+    let log = decode(&encode(&emit(&plan, &result))).expect("own log decodes");
 
     let mut templates: Vec<StageCode> = Vec::new();
     for ev in &log {
@@ -111,112 +111,6 @@ pub fn augmentation_factor(templates: &[StageCode]) -> usize {
     templates.iter().map(|t| t.instances_per_run).sum()
 }
 
-/// Task-level signals for one stage template, aggregated from the SLOG v2
-/// `TaskEnd` records of an instrumentation run. These are the per-task
-/// Spark-UI metrics an operator inspects when diagnosing skew, spill and GC
-/// pressure; the stage-level [`StageCode`] view deliberately omits them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageTaskProfile {
-    /// Stable template name, matching [`StageCode::template`].
-    pub template: String,
-    /// Tasks observed across all instances of the template.
-    pub tasks: usize,
-    /// Scheduling waves (max wave index + 1, over instances).
-    pub waves: u32,
-    /// Mean task duration in seconds.
-    pub mean_task_s: f64,
-    /// Slowest task duration in seconds.
-    pub max_task_s: f64,
-    /// Skew ratio: slowest task over mean task duration (≥ 1).
-    pub skew: f64,
-    /// Total bytes spilled by the template's tasks.
-    pub spill_bytes: u64,
-    /// Total GC seconds across the template's tasks.
-    pub gc_time_s: f64,
-    /// Total shuffle bytes fetched.
-    pub shuffle_read_bytes: u64,
-    /// Total shuffle bytes written.
-    pub shuffle_write_bytes: u64,
-}
-
-/// Instrument an application at task granularity: run it once on the
-/// smallest dataset with per-task statistics enabled, round-trip the v2
-/// event log, and aggregate `TaskEnd` records per stage template.
-///
-/// Like [`instrument_app`], the extractor only reads decoded log records —
-/// the `stage_id → template` mapping itself comes from the
-/// `StageSubmitted` records in the same log.
-pub fn task_profiles(app: AppId) -> Vec<StageTaskProfile> {
-    let data = app.dataset(SizeTier::Train(0));
-    let plan = build_job(app, &data);
-    let cluster = ClusterSpec::cluster_a();
-    let conf = ConfSpace::table_iv().default_conf();
-    let obs = SimObs { collect_tasks: true, ..SimObs::disabled() };
-    let result = simulate_obs(&cluster, &conf, &plan, 0x11f3, &obs);
-    let log = decode(encode(&emit_v2(&plan, &result))).expect("own v2 log decodes");
-
-    let mut stage_template: Vec<(u32, String)> = Vec::new();
-    let mut profiles: Vec<StageTaskProfile> = Vec::new();
-    for ev in &log {
-        match ev {
-            Event::StageSubmitted { stage_id, name, .. } => {
-                stage_template.push((*stage_id, name.clone()));
-                if !profiles.iter().any(|p| &p.template == name) {
-                    profiles.push(StageTaskProfile {
-                        template: name.clone(),
-                        tasks: 0,
-                        waves: 0,
-                        mean_task_s: 0.0,
-                        max_task_s: 0.0,
-                        skew: 1.0,
-                        spill_bytes: 0,
-                        gc_time_s: 0.0,
-                        shuffle_read_bytes: 0,
-                        shuffle_write_bytes: 0,
-                    });
-                }
-            }
-            Event::TaskEnd {
-                stage_id,
-                wave,
-                duration_s,
-                spill_bytes,
-                gc_time_s,
-                shuffle_read_bytes,
-                shuffle_write_bytes,
-                ..
-            } => {
-                let template = stage_template
-                    .iter()
-                    .find(|(id, _)| id == stage_id)
-                    .map(|(_, name)| name.clone())
-                    .expect("TaskEnd before StageSubmitted");
-                let p =
-                    profiles.iter_mut().find(|p| p.template == template).expect("profile exists");
-                p.tasks += 1;
-                p.waves = p.waves.max(wave + 1);
-                // Accumulate the sum in `mean_task_s`; normalized below.
-                p.mean_task_s += duration_s;
-                p.max_task_s = p.max_task_s.max(*duration_s);
-                p.spill_bytes += spill_bytes;
-                p.gc_time_s += gc_time_s;
-                p.shuffle_read_bytes += shuffle_read_bytes;
-                p.shuffle_write_bytes += shuffle_write_bytes;
-            }
-            _ => {}
-        }
-    }
-    for p in &mut profiles {
-        if p.tasks > 0 {
-            p.mean_task_s /= p.tasks as f64;
-            p.skew = (p.max_task_s / p.mean_task_s.max(1e-12)).max(1.0);
-        }
-    }
-    profiles.retain(|p| p.tasks > 0);
-    assert!(!profiles.is_empty(), "{app}: no task records in v2 log");
-    profiles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,37 +166,5 @@ mod tests {
         let a = instrument_app(AppId::Svm);
         let b = instrument_app(AppId::Svm);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn task_profiles_cover_every_stage_template() {
-        let templates = instrument_app(AppId::PageRank);
-        let profiles = task_profiles(AppId::PageRank);
-        for t in &templates {
-            let p = profiles
-                .iter()
-                .find(|p| p.template == t.template)
-                .unwrap_or_else(|| panic!("no task profile for {}", t.template));
-            assert!(p.tasks > 0);
-            assert!(p.waves >= 1);
-            assert!(p.mean_task_s > 0.0);
-            assert!(p.skew >= 1.0);
-            assert!(p.max_task_s >= p.mean_task_s);
-        }
-    }
-
-    #[test]
-    fn shuffle_heavy_templates_show_shuffle_reads() {
-        // Terasort's sort stage reads its input over the shuffle.
-        let profiles = task_profiles(AppId::Terasort);
-        assert!(
-            profiles.iter().any(|p| p.shuffle_read_bytes > 0),
-            "no shuffle reads in {profiles:?}"
-        );
-    }
-
-    #[test]
-    fn task_profiles_are_deterministic() {
-        assert_eq!(task_profiles(AppId::Sort), task_profiles(AppId::Sort));
     }
 }

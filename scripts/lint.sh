@@ -80,14 +80,14 @@ fi
 # -- 4. closed metric namespaces ---------------------------------------------
 # One row per family: the prefixes it owns (as a grep -E alternation), then
 # its canonical series, sorted.
-namespaces='rag\.|serve\.retrieve\.
-rag.index_size rag.inserts rag.search_ns rag.searches serve.retrieve.errors serve.retrieve.latency_ns serve.retrieve.neighbors serve.retrieve.requests
+namespaces='serve\.retrieve\.
+serve.retrieve.errors serve.retrieve.latency_ns serve.retrieve.neighbors serve.retrieve.requests
 obs\.prof\.|serve\.slo\.
 obs.prof.alloc_bytes obs.prof.allocs obs.prof.samples obs.prof.stacks obs.prof.threads obs.prof.torn obs.prof.truncated serve.slo.alert serve.slo.alert_ticks serve.slo.burn_fast serve.slo.burn_slow serve.slo.good_fraction serve.slo.ticks serve.slo.window_p50_ns serve.slo.window_p999_ns serve.slo.window_p99_ns serve.slo.window_rate
 serve\.shard\.
 serve.shard.count serve.shard.inline serve.shard.requests serve.shard.resp_hits serve.shard.resp_misses
-analyze\.fix\.|lsp\.
-analyze.fix.applied analyze.fix.passes analyze.fix.planned analyze.fix.rejected lsp.code_actions lsp.diagnostics_published lsp.hover lsp.requests lsp.update_us'
+lsp\.
+lsp.code_actions lsp.diagnostics_published lsp.hover lsp.requests lsp.update_us'
 while read -r prefixes && read -r canonical; do
     canonical=$(echo "$canonical" | tr ' ' '\n')
     registered=$(grep -rhoE "\.(counter|gauge|histogram)\(\"($prefixes)[^\"]*\"" \

@@ -35,7 +35,6 @@ sed -i \
   -e 's|^rand = .*$|rand = { path = "../stubs/rand" }|' \
   -e 's|^rand_distr = .*$|rand_distr = { path = "../stubs/rand_distr" }|' \
   -e 's|^proptest = .*$|proptest = { path = "../stubs/proptest" }|' \
-  -e 's|^bytes = .*$|bytes = { path = "../stubs/bytes" }|' \
   Cargo.toml
 
 export CARGO_NET_OFFLINE=true

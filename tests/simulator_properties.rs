@@ -95,7 +95,7 @@ proptest! {
         let plan = build_job(app, &app.dataset(SizeTier::Train(1)));
         let r = simulate(&cluster, &conf, &plan, 17);
         let events = emit(&plan, &r);
-        prop_assert_eq!(decode(encode(&events)).unwrap(), events);
+        prop_assert_eq!(decode(&encode(&events)).unwrap(), events);
     }
 
     #[test]
@@ -124,4 +124,41 @@ fn more_executors_do_not_hurt_throughput_on_wide_jobs() {
     let t1 = simulate(&cluster, &one, &plan, 5).capped_time(7200.0);
     let t24 = simulate(&cluster, &many, &plan, 5).capped_time(7200.0);
     assert!(t24 < t1, "24 executors {t24} not faster than 1 executor {t1}");
+}
+
+/// The simulator's numbers are the paper substitution: every committed
+/// figure (`etr_mean`, the tables) only samples them. One digest over a
+/// fixed grid pins them bit for bit across refactors of the engine.
+#[test]
+fn simulated_times_and_spills_hold_their_golden_digest() {
+    use lite_repro::lite::experiment::splitmix;
+    let space = ConfSpace::table_iv();
+    let mut confs = vec![space.default_conf()];
+    for c in 1..=2u64 {
+        let mut u = [0.0; NUM_KNOBS];
+        for (k, v) in u.iter_mut().enumerate() {
+            *v = (splitmix(c << 8 | k as u64) >> 11) as f64 / (1u64 << 53) as f64;
+        }
+        confs.push(space.decode(&u));
+    }
+    let mut digest = 0u64;
+    let mut failed = 0;
+    for cluster in [ClusterSpec::cluster_a(), ClusterSpec::cluster_c()] {
+        for app in [AppId::KMeans, AppId::PageRank, AppId::Sort] {
+            let plan = build_job(app, &app.dataset(SizeTier::Train(2)));
+            for conf in &confs {
+                for seed in [7, 1009] {
+                    let r = simulate(&cluster, conf, &plan, seed);
+                    failed += usize::from(!r.ok());
+                    digest = digest.rotate_left(1) ^ r.total_time_s.to_bits();
+                    for st in &r.stages {
+                        digest = digest.rotate_left(1) ^ st.duration_s.to_bits() ^ st.spill_bytes;
+                    }
+                }
+            }
+        }
+    }
+    // The grid must exercise both outcomes, or the digest pins too little.
+    assert!((1..36).contains(&failed), "{failed} of 36 runs failed");
+    assert_eq!(digest, 0x1d1b_46bb_68bd_cf4b, "simulator output moved");
 }
