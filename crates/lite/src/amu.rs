@@ -68,9 +68,11 @@ pub fn adaptive_model_update(
 
     // Discriminator: h -> hidden -> 1 logit. Its parameters extend the
     // model's store so one optimizer steps everything; the GRL sign split
-    // realizes the minimax.
+    // realizes the minimax. They are dropped again before returning: the
+    // served model must not carry one dead discriminator per update.
     let mut r = rng(config.seed);
     let hidden_w = model.hidden_width();
+    let model_params = model.params().len();
     let (d1, d2) = {
         let params = model.params_mut();
         (
@@ -140,6 +142,7 @@ pub fn adaptive_model_update(
             discriminator_loss: ld_sum / batches as f32,
         });
     }
+    model.params_mut().truncate(model_params);
     history
 }
 
@@ -212,6 +215,7 @@ mod tests {
                 / insts.len() as f64
         };
         let before = mse_on(&model, eval_t);
+        let tensors = model.params().len();
         let hist = adaptive_model_update(
             &mut model,
             &ds.registry,
@@ -222,6 +226,7 @@ mod tests {
         let after = mse_on(&model, eval_t);
         assert_eq!(hist.len(), 4);
         assert!(after < before * 1.05, "AMU degraded target fit: {before} -> {after}");
+        assert_eq!(model.params().len(), tensors, "the discriminator must not outlive the update");
     }
 
     #[test]

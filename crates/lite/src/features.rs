@@ -42,6 +42,12 @@ pub struct TemplateEntry {
     pub dag_ops: Vec<usize>,
     /// Normalized adjacency `Â` of the DAG.
     pub a_hat: Tensor,
+    /// FNV-1a over everything a model encodes this template from (token
+    /// ids, DAG ops, `Â`, one-hot width), computed once at interning.
+    /// Registries cloned from one parent hand out the same
+    /// [`TemplateKey`] for different cold apps; anything cached per
+    /// template must key on this as well.
+    pub fingerprint: u64,
 }
 
 /// Interned templates + vocabularies shared by every model.
@@ -114,6 +120,16 @@ impl TemplateRegistry {
             .map(|op| self.op_index.get(&op.id()).copied().unwrap_or(0))
             .collect();
         let a_hat = normalized_adjacency(stage.dag.nodes.len(), &stage.dag.edges);
+        // Each variable-length part follows its length, so two different
+        // contents never fold the same word stream.
+        let mut fingerprint = 0xcbf29ce484222325u64;
+        let mut mix = |w: usize| fingerprint = (fingerprint ^ w as u64).wrapping_mul(0x100000001b3);
+        mix(self.op_onehot_width());
+        mix(token_ids.len());
+        token_ids.iter().for_each(|&t| mix(t));
+        mix(dag_ops.len());
+        dag_ops.iter().for_each(|&op| mix(op));
+        a_hat.data().iter().for_each(|v| mix(v.to_bits() as usize));
         let key = TemplateKey(self.entries.len());
         self.entries.push(TemplateEntry {
             app,
@@ -121,6 +137,7 @@ impl TemplateRegistry {
             token_ids,
             dag_ops,
             a_hat,
+            fingerprint,
         });
         self.by_key.insert((app, stage.template.clone()), key);
         key
@@ -219,16 +236,16 @@ impl FeatNorm {
     /// Estimate from training instances.
     pub fn fit(space: &ConfSpace, instances: &[StageInstance]) -> FeatNorm {
         assert!(!instances.is_empty(), "cannot normalize an empty training set");
-        let rows: Vec<Vec<f64>> = instances.iter().map(|i| raw_tabular(space, i)).collect();
-        let dim = rows[0].len();
+        let rows: Vec<[f64; TABULAR_WIDTH]> =
+            instances.iter().map(|i| raw_tabular(space, i)).collect();
         let n = rows.len() as f64;
-        let mut mean = vec![0.0; dim];
+        let mut mean = vec![0.0; TABULAR_WIDTH];
         for r in &rows {
             for (m, v) in mean.iter_mut().zip(r.iter()) {
                 *m += v / n;
             }
         }
-        let mut std = vec![0.0; dim];
+        let mut std = vec![0.0; TABULAR_WIDTH];
         for r in &rows {
             for ((s, v), m) in std.iter_mut().zip(r.iter()).zip(mean.iter()) {
                 *s += (v - m) * (v - m) / n;
@@ -261,11 +278,28 @@ impl FeatNorm {
         data: &DataSpec,
         env: &[f64; 6],
     ) -> Vec<f64> {
-        let raw = raw_tabular_parts(space, conf, data, env);
-        raw.iter()
-            .zip(self.mean.iter().zip(self.std.iter()))
-            .map(|(v, (m, s))| (v - m) / s)
-            .collect()
+        self.normalized(raw_tabular_parts(space, conf, data, env)).collect()
+    }
+
+    /// [`FeatNorm::tabular_parts`] narrowed to `f32` straight into a model
+    /// input row (`out.len()` = [`TABULAR_WIDTH`]), with no allocation.
+    pub fn tabular_into(
+        &self,
+        space: &ConfSpace,
+        conf: &SparkConf,
+        data: &DataSpec,
+        env: &[f64; 6],
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), TABULAR_WIDTH);
+        for (o, v) in out.iter_mut().zip(self.normalized(raw_tabular_parts(space, conf, data, env)))
+        {
+            *o = v as f32;
+        }
+    }
+
+    fn normalized(&self, raw: [f64; TABULAR_WIDTH]) -> impl Iterator<Item = f64> + '_ {
+        raw.into_iter().zip(self.mean.iter().zip(self.std.iter())).map(|(v, (m, s))| (v - m) / s)
     }
 
     /// Normalize a target time.
@@ -280,7 +314,7 @@ impl FeatNorm {
     }
 }
 
-fn raw_tabular(space: &ConfSpace, inst: &StageInstance) -> Vec<f64> {
+fn raw_tabular(space: &ConfSpace, inst: &StageInstance) -> [f64; TABULAR_WIDTH] {
     raw_tabular_parts(space, &inst.conf, &inst.data, &inst.env)
 }
 
@@ -289,13 +323,13 @@ fn raw_tabular_parts(
     conf: &SparkConf,
     data: &DataSpec,
     env: &[f64; 6],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(TABULAR_WIDTH);
-    out.extend_from_slice(&data.log_features());
+) -> [f64; TABULAR_WIDTH] {
+    let mut out = [0.0; TABULAR_WIDTH];
+    out[..4].copy_from_slice(&data.log_features());
     // Pre-scale raw environment units into comparable ranges (memory speed
     // is in thousands of MT/s) before z-scoring.
-    out.extend_from_slice(&[env[0], env[1], env[2], env[3] / 8.0, env[4] / 1000.0, env[5]]);
-    out.extend_from_slice(&conf.normalized(space));
+    out[4..10].copy_from_slice(&[env[0], env[1], env[2], env[3] / 8.0, env[4] / 1000.0, env[5]]);
+    out[10..].copy_from_slice(&conf.normalized(space));
     out
 }
 

@@ -15,6 +15,13 @@
 //! per-sample encoding (the gather's backward accumulates), but orders of
 //! magnitude cheaper on stage-augmented data where thousands of instances
 //! reuse a few dozen templates.
+//!
+//! Inference goes further: a template's encoding depends on the weights
+//! and the template, never on the configuration, so [`Necs`] memoises it
+//! per weights ([`EncodingMemo`]) and a prediction is one tabular
+//! normalise per candidate plus one forward-only MLP pass. The tape path
+//! ([`Necs::forward_with_hidden`]) is the training path and the reference
+//! the memoised one is tested against, bit for bit.
 
 use crate::features::{FeatNorm, StageInstance, TemplateKey, TemplateRegistry, TABULAR_WIDTH};
 use lite_nn::init::rng;
@@ -27,6 +34,43 @@ use lite_workloads::data::DataSpec;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Memo entries kept before the memo starts over: templates interned from
+/// live source text (the LSP hover path) would otherwise grow it for as
+/// long as the process runs.
+const MEMO_CAP: usize = 4096;
+
+/// What one `[H_t]` encoding was computed from, besides the weights: the
+/// template's slot, its content fingerprint (a registry cloned from the
+/// same parent reuses slots for other cold apps) and the oov switch.
+type MemoKey = (TemplateKey, u64, bool);
+
+/// Template encodings under the owning model's *current* weights, filled
+/// lazily and shared by every thread holding `&Necs`. Whatever can change
+/// the weights empties it, and a clone starts empty: a clone exists to be
+/// retrained.
+#[derive(Default)]
+struct EncodingMemo(Mutex<HashMap<MemoKey, Arc<[f32]>>>);
+
+impl Clone for EncodingMemo {
+    fn clone(&self) -> EncodingMemo {
+        EncodingMemo::default()
+    }
+}
+
+impl EncodingMemo {
+    /// Scoring runs under `catch_unwind` in the service, so a holder can
+    /// die; every write is one `HashMap` call storing a complete value,
+    /// so the map it leaves is valid and the lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, HashMap<MemoKey, Arc<[f32]>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn clear(&mut self) {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+    }
+}
 
 /// NECS hyper-parameters. Defaults are scaled for single-core training in
 /// seconds-to-minutes; the architecture matches the paper.
@@ -90,6 +134,7 @@ pub struct Necs {
     gcn1: GcnLayer,
     gcn2: GcnLayer,
     mlp: TowerMlp,
+    memo: EncodingMemo,
     /// Training-loss trajectory (one entry per epoch) for diagnostics.
     pub loss_history: Vec<f32>,
 }
@@ -139,6 +184,7 @@ impl Necs {
             gcn1,
             gcn2,
             mlp,
+            memo: EncodingMemo::default(),
             loss_history: Vec::new(),
         }
     }
@@ -185,6 +231,25 @@ impl Necs {
         tape.concat_cols(&[h_code, h_dag])
     }
 
+    /// `[H_t]` encoding of one template under the current weights, from
+    /// the memo when it is there. The lock is not held while encoding: two
+    /// threads may encode the same template at once, and both get the bits
+    /// the first insert stored (the values are equal anyway).
+    fn template_encoding(&self, registry: &TemplateRegistry, key: TemplateKey) -> Arc<[f32]> {
+        let memo_key = (key, registry.get(key).fingerprint, self.config.use_oov_node);
+        if let Some(hit) = self.memo.lock().get(&memo_key) {
+            return hit.clone();
+        }
+        let mut tape = Tape::new();
+        let encoded = self.encode_template(&mut tape, registry, key);
+        let fresh: Arc<[f32]> = tape.value(encoded).row(0).into();
+        let mut memo = self.memo.lock();
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        memo.entry(memo_key).or_insert(fresh).clone()
+    }
+
     /// Forward a batch of `(template, normalized tabular)` pairs; returns
     /// `(prediction [B,1], mlp hidden concat [B,H])`.
     fn forward_batch(
@@ -226,6 +291,7 @@ impl Necs {
     /// Train with Adam on MSE over normalized log targets (Eq. 4).
     pub fn fit(&mut self, registry: &TemplateRegistry, instances: &[&StageInstance]) {
         assert!(!instances.is_empty(), "cannot fit on an empty training set");
+        self.memo.clear();
         let mut order: Vec<usize> = (0..instances.len()).collect();
         let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(self.config.seed ^ 0x5f);
         let mut opt = Adam::new(self.config.lr);
@@ -265,17 +331,33 @@ impl Necs {
         if items.is_empty() {
             return Vec::new();
         }
-        let rows: Vec<Vec<f64>> = items
-            .iter()
-            .map(|(_, conf, data, env)| self.norm.tabular_parts(&self.space, conf, data, env))
-            .collect();
-        let tab = Tensor::from_rows_f64(TABULAR_WIDTH, &rows);
-        let templates: Vec<TemplateKey> = items.iter().map(|it| it.0).collect();
-        let mut tape = Tape::new();
-        let (pred, _) = self.forward_batch(&mut tape, registry, &templates, &tab);
-        (0..items.len())
-            .map(|r| self.norm.denorm_y(tape.value(pred).get(r, 0) as f64).max(0.0))
-            .collect()
+        let width = TABULAR_WIDTH + self.config.code_hidden + self.config.gcn_hidden;
+        let mut x = Tensor::zeros(items.len(), width);
+        let mut encodings: Vec<Option<Arc<[f32]>>> = vec![None; registry.len()];
+        // Consecutive items that borrow the same (conf, data, env) — one
+        // candidate's templates, as `predict_app_batch` lays them out —
+        // share one normalised tabular row.
+        let mut normalised: Option<(usize, &SparkConf, &DataSpec, &[f64; 6])> = None;
+        for (r, &(template, conf, data, env)) in items.iter().enumerate() {
+            match normalised {
+                Some((first, c, d, e))
+                    if std::ptr::eq(c, conf) && std::ptr::eq(d, data) && std::ptr::eq(e, env) =>
+                {
+                    let from = first * width;
+                    x.data_mut().copy_within(from..from + TABULAR_WIDTH, r * width);
+                }
+                _ => {
+                    let tab = &mut x.row_mut(r)[..TABULAR_WIDTH];
+                    self.norm.tabular_into(&self.space, conf, data, env, tab);
+                    normalised = Some((r, conf, data, env));
+                }
+            }
+            let encoding = encodings[template.0]
+                .get_or_insert_with(|| self.template_encoding(registry, template));
+            x.row_mut(r)[TABULAR_WIDTH..].copy_from_slice(encoding);
+        }
+        let pred = self.mlp.infer(&self.params, &x);
+        pred.data().iter().map(|&z| self.norm.denorm_y(z as f64).max(0.0)).collect()
     }
 
     /// Predict the total execution time of an application instance under a
@@ -293,10 +375,9 @@ impl Necs {
     /// Predict application execution times for *many* candidate
     /// configurations of one instance in a single batched forward pass —
     /// the serving-path variant of [`Necs::predict_app`]. All
-    /// `(unique template × candidate)` rows go through one tape, so the
-    /// template encodings (the expensive CNN/GCN branches) are computed
-    /// once and shared across every candidate via the tape's gather,
-    /// instead of once per candidate.
+    /// `(unique template × candidate)` rows go through one MLP pass; the
+    /// template encodings (the expensive CNN/GCN branches) come from the
+    /// per-weights memo.
     ///
     /// Row-wise forward math is independent per row and the per-candidate
     /// summation order matches `predict_app` (templates sorted by key), so
@@ -307,33 +388,39 @@ impl Necs {
         ctx: &crate::experiment::PredictionContext,
         confs: &[SparkConf],
     ) -> Vec<f64> {
-        // Unique templates with multiplicity: predict each once per
+        // Unique templates with multiplicity, sorted by key (the
+        // deterministic summation order): predict each once per
         // candidate, weight by its instance count.
-        let mut counts: HashMap<TemplateKey, usize> = HashMap::new();
-        for &t in &ctx.stages {
-            *counts.entry(t).or_insert(0) += 1;
+        let mut sorted: Vec<TemplateKey> = ctx.stages.clone();
+        sorted.sort_by_key(|t| t.0);
+        let mut uniq: Vec<(TemplateKey, usize)> = Vec::new();
+        for t in sorted {
+            match uniq.last_mut() {
+                Some((last, count)) if *last == t => *count += 1,
+                _ => uniq.push((t, 1)),
+            }
         }
-        let mut uniq: Vec<TemplateKey> = counts.keys().copied().collect();
-        uniq.sort_by_key(|t| t.0); // deterministic summation order
         if uniq.is_empty() {
             return vec![0.0; confs.len()];
         }
         let items: Vec<(TemplateKey, &SparkConf, &DataSpec, &[f64; 6])> = confs
             .iter()
-            .flat_map(|conf| uniq.iter().map(move |&t| (t, conf, &ctx.data, &ctx.env)))
+            .flat_map(|conf| uniq.iter().map(move |&(t, _)| (t, conf, &ctx.data, &ctx.env)))
             .collect();
         let preds = self.predict_stages(registry, &items);
         preds
             .chunks(uniq.len())
             .map(|per_stage| {
-                uniq.iter().zip(per_stage.iter()).map(|(t, p)| p * counts[t] as f64).sum()
+                uniq.iter().zip(per_stage.iter()).map(|(&(_, count), p)| p * count as f64).sum()
             })
             .collect()
     }
 
     /// Mutable access to the parameter store (used by Adaptive Model
     /// Update to extend the store with a discriminator and fine-tune).
+    /// The caller may change any weight, so the encoding memo is emptied.
     pub fn params_mut(&mut self) -> &mut Params {
+        self.memo.clear();
         &mut self.params
     }
 
@@ -492,5 +579,167 @@ mod tests {
         let a = Necs::train(&ds.registry, &ds.space, &refs, cfg.clone());
         let b = Necs::train(&ds.registry, &ds.space, &refs, cfg);
         assert_eq!(a.loss_history, b.loss_history);
+        // Not just the losses: every weight, and what the weights predict.
+        assert_eq!(a.params().len(), b.params().len());
+        for i in 0..a.params().len() {
+            assert_eq!(bits32(a.params().value(ParamId(i))), bits32(b.params().value(ParamId(i))));
+        }
+        let apps = [AppId::PageRank];
+        assert_eq!(app_scores(&a, &ds.registry, &apps), app_scores(&b, &ds.registry, &apps));
+    }
+
+    fn bits32(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// 30 seeded candidates per app through `predict_app_batch`, as bits.
+    fn app_scores(model: &Necs, registry: &TemplateRegistry, apps: &[AppId]) -> Vec<Vec<u64>> {
+        use rand::rngs::StdRng;
+        let cluster = ClusterSpec::cluster_a();
+        let mut rng = StdRng::seed_from_u64(11);
+        let confs: Vec<SparkConf> = (0..30).map(|_| model.space().sample(&mut rng)).collect();
+        apps.iter()
+            .map(|&app| {
+                let data = app.dataset(SizeTier::Valid);
+                let ctx = PredictionContext::warm(registry, app, &data, &cluster).unwrap();
+                bits64(&model.predict_app_batch(registry, &ctx, &confs))
+            })
+            .collect()
+    }
+
+    fn one_epoch(ds: &crate::experiment::Dataset) -> Necs {
+        let refs: Vec<&StageInstance> = ds.instances.iter().collect();
+        Necs::train(&ds.registry, &ds.space, &refs, NecsConfig { epochs: 1, ..quick_config() })
+    }
+
+    #[test]
+    fn memoised_inference_equals_the_tape_bit_for_bit() {
+        let ds = small_dataset();
+        let model = one_epoch(&ds);
+        let insts: Vec<&StageInstance> = ds.instances.iter().take(256).collect();
+        assert!(insts.len() >= 200);
+        let mut tape = Tape::new();
+        let (pred, _) = model.forward_with_hidden(&mut tape, &ds.registry, &insts);
+        let taped: Vec<f64> = (0..insts.len())
+            .map(|r| model.norm.denorm_y(tape.value(pred).get(r, 0) as f64).max(0.0))
+            .collect();
+        let items: Vec<(TemplateKey, &SparkConf, &DataSpec, &[f64; 6])> =
+            insts.iter().map(|i| (i.template, &i.conf, &i.data, &i.env)).collect();
+        // Cold memo, then warm memo.
+        assert_eq!(bits64(&model.predict_stages(&ds.registry, &items)), bits64(&taped));
+        assert_eq!(bits64(&model.predict_stages(&ds.registry, &items)), bits64(&taped));
+    }
+
+    #[test]
+    fn whatever_changes_the_weights_empties_the_memo() {
+        let ds = small_dataset();
+        let apps = [AppId::Sort, AppId::PageRank, AppId::KMeans];
+        type Mutation = fn(&mut Necs, &crate::experiment::Dataset);
+        let mutations: [(&str, Mutation); 3] = [
+            ("params_mut + one Adam step", |m, _| {
+                let params = m.params_mut();
+                for i in 0..params.len() {
+                    params.grad_mut(ParamId(i)).data_mut().fill(1.0);
+                }
+                Adam::new(1e-2).step(params);
+            }),
+            ("fit", |m, ds| {
+                let refs: Vec<&StageInstance> = ds.instances.iter().collect();
+                m.fit(&ds.registry, &refs);
+            }),
+            ("one AMU epoch", |m, ds| {
+                let refs: Vec<&StageInstance> = ds.instances.iter().collect();
+                let amu = crate::amu::AmuConfig { epochs: 1, ..Default::default() };
+                crate::amu::adaptive_model_update(m, &ds.registry, &refs, &refs[..40], &amu);
+            }),
+        ];
+        let mut model = one_epoch(&ds);
+        for (what, mutate) in mutations {
+            let before = app_scores(&model, &ds.registry, &apps); // fills the memo
+            assert_eq!(model.memo.lock().len(), ds.registry.len(), "{what}");
+            mutate(&mut model, &ds);
+            assert!(model.memo.lock().is_empty(), "{what} left encodings of the old weights");
+            let after = app_scores(&model, &ds.registry, &apps);
+            assert_eq!(after, app_scores(&model.clone(), &ds.registry, &apps), "{what}");
+            assert_ne!(after, before, "{what} did not move the predictions");
+        }
+    }
+
+    #[test]
+    fn registries_sharing_a_template_key_do_not_share_an_encoding() {
+        let ds = small_dataset();
+        let model = one_epoch(&ds);
+        let (mut reg_a, mut reg_b) = (ds.registry.clone(), ds.registry.clone());
+        let cluster = ClusterSpec::cluster_a();
+        let data = AppId::Terasort.dataset(SizeTier::Valid);
+        let ctx_a = PredictionContext::cold(&mut reg_a, AppId::Terasort, &data, &cluster);
+        let ctx_b = PredictionContext::cold(&mut reg_b, AppId::TriangleCount, &data, &cluster);
+        // Different code in the same slot.
+        let slot = TemplateKey(ds.registry.len());
+        assert!(ctx_a.stages.contains(&slot) && ctx_b.stages.contains(&slot));
+        assert_ne!(reg_a.get(slot).fingerprint, reg_b.get(slot).fingerprint);
+        let conf = [ds.space.default_conf()];
+        let fresh = model.clone();
+        let want_a = bits64(&fresh.clone().predict_app_batch(&reg_a, &ctx_a, &conf));
+        let want_b = bits64(&fresh.clone().predict_app_batch(&reg_b, &ctx_b, &conf));
+        assert_ne!(want_a, want_b);
+        for _ in 0..2 {
+            assert_eq!(bits64(&model.predict_app_batch(&reg_a, &ctx_a, &conf)), want_a);
+            assert_eq!(bits64(&model.predict_app_batch(&reg_b, &ctx_b, &conf)), want_b);
+        }
+    }
+
+    #[test]
+    fn threads_filling_one_memo_agree_with_a_single_thread() {
+        let apps = AppId::all();
+        let ds = DatasetBuilder {
+            apps: apps.to_vec(),
+            clusters: vec![ClusterSpec::cluster_a()],
+            tiers: vec![SizeTier::Train(0)],
+            confs_per_cell: 1,
+            seed: 5,
+        }
+        .build();
+        let model = one_epoch(&ds);
+        let want = app_scores(&model.clone(), &ds.registry, &apps);
+        // Released together onto an empty memo, each starting at another
+        // app, so the same templates are looked up and filled at once.
+        let barrier = std::sync::Barrier::new(4);
+        let got: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let (model, ds, barrier) = (&model, &ds, &barrier);
+                    s.spawn(move || {
+                        let mut order = apps;
+                        order.rotate_left(t * 4);
+                        barrier.wait();
+                        let mut scores = app_scores(model, &ds.registry, &order);
+                        scores.rotate_right(t * 4);
+                        scores
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for scores in got {
+            assert_eq!(scores, want);
+        }
+    }
+
+    #[test]
+    fn memo_starts_over_at_its_cap_instead_of_growing() {
+        let ds = small_dataset();
+        let model = one_epoch(&ds);
+        let stale: Arc<[f32]> = Arc::from(vec![0.0f32; 1]);
+        for i in 0..MEMO_CAP {
+            model.memo.lock().insert((TemplateKey(usize::MAX - i), 0, true), stale.clone());
+        }
+        let before = app_scores(&model.clone(), &ds.registry, &[AppId::Sort]);
+        assert_eq!(app_scores(&model, &ds.registry, &[AppId::Sort]), before);
+        assert!(model.memo.lock().len() < MEMO_CAP);
     }
 }

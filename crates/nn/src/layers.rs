@@ -46,6 +46,14 @@ impl Dense {
         let h = tape.matmul(x, w);
         tape.add_row_broadcast(h, b)
     }
+
+    /// [`Dense::forward`] without a tape: the same two kernels in the same
+    /// order, reading the weights in place.
+    fn infer(&self, params: &Params, x: &Tensor) -> Tensor {
+        let mut h = x.matmul(params.value(self.w));
+        h.add_row_(params.value(self.b));
+        h
+    }
 }
 
 /// Tower MLP: each hidden layer halves the width (paper Section III-F),
@@ -98,6 +106,20 @@ impl TowerMlp {
         let out = self.head.forward(tape, params, h);
         let cat = if hidden.is_empty() { h } else { tape.concat_cols(&hidden) };
         (out, cat)
+    }
+
+    /// Forward-only head output `[B, out]` for inference: bit-identical to
+    /// [`TowerMlp::forward`] (the tape ops run these same `Tensor` kernels),
+    /// but nothing is recorded, no weight is cloned and the hidden
+    /// activations are not concatenated.
+    pub fn infer(&self, params: &Params, x: &Tensor) -> Tensor {
+        let mut h: Option<Tensor> = None;
+        for layer in &self.layers {
+            let mut z = layer.infer(params, h.as_ref().unwrap_or(x));
+            z.relu_();
+            h = Some(z);
+        }
+        self.head.infer(params, h.as_ref().unwrap_or(x))
     }
 
     /// Width of the concatenated hidden embedding.
@@ -475,6 +497,20 @@ mod tests {
         let (out, hidden) = mlp.forward_with_hidden(&mut tape, &params, x);
         assert_eq!(tape.value(out).shape(), (5, 1));
         assert_eq!(tape.value(hidden).shape(), (5, 56));
+    }
+
+    #[test]
+    fn tower_mlp_infer_equals_the_tape_bit_for_bit() {
+        for depth in [0, 3] {
+            let mut params = Params::new();
+            let mlp = TowerMlp::new(&mut params, "m", 40, depth, 1, &mut rng(21));
+            let x = init::normal(37, 40, 1.0, &mut rng(22));
+            let mut tape = Tape::new();
+            let xv = tape.leaf(x.clone());
+            let taped = mlp.forward(&mut tape, &params, xv);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&mlp.infer(&params, &x)), bits(tape.value(taped)), "depth {depth}");
+        }
     }
 
     #[test]

@@ -71,6 +71,15 @@ impl Params {
         self.values.is_empty()
     }
 
+    /// Drop every parameter registered after the first `len`, so a
+    /// temporary head (AMU's discriminator) leaves the store as it found
+    /// it. [`ParamId`]s at or past `len` dangle afterwards.
+    pub fn truncate(&mut self, len: usize) {
+        self.values.truncate(len);
+        self.grads.truncate(len);
+        self.names.truncate(len);
+    }
+
     /// Zero all gradient accumulators.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {
@@ -195,15 +204,8 @@ impl Tape {
 
     /// `[m,n] + [1,n]`, broadcasting the bias row.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let (m, n) = self.value(a).shape();
-        assert_eq!(self.value(bias).shape(), (1, n), "bias must be [1,{n}]");
         let mut out = self.value(a).clone();
-        for r in 0..m {
-            let b = self.value(bias).row(0).to_vec();
-            for (o, bv) in out.row_mut(r).iter_mut().zip(b.iter()) {
-                *o += bv;
-            }
-        }
+        out.add_row_(self.value(bias));
         self.push(out, Op::AddRowBroadcast(a, bias))
     }
 
@@ -221,7 +223,8 @@ impl Tape {
 
     /// ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
+        let mut v = self.value(a).clone();
+        v.relu_();
         self.push(v, Op::Relu(a))
     }
 
@@ -893,6 +896,19 @@ mod tests {
         assert!((params.grad(ParamId(0)).get(0, 0) - 8.0).abs() < 1e-5);
         params.zero_grads();
         assert_eq!(params.grad(ParamId(0)).get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn truncate_drops_values_grads_and_names_together() {
+        let mut params = Params::new();
+        let a = params.add("a", t(1, 1, &[2.0]));
+        params.add("tmp.w", t(2, 2, &[0.0; 4]));
+        params.add("tmp.b", t(1, 2, &[0.0; 2]));
+        params.truncate(1);
+        assert_eq!((params.len(), params.grads.len(), params.names.len()), (1, 1, 1));
+        assert_eq!(params.value(a).get(0, 0), 2.0);
+        // The next registration reuses the freed slot.
+        assert_eq!(params.add("b", t(1, 1, &[3.0])), ParamId(1));
     }
 
     #[test]

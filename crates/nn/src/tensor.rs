@@ -242,6 +242,21 @@ impl Tensor {
     pub fn zero_(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
+
+    /// Add the `[1, cols]` row `bias` to every row, in place.
+    pub fn add_row_(&mut self, bias: &Tensor) {
+        assert_eq!(bias.shape(), (1, self.cols), "bias must be [1,{}]", self.cols);
+        for r in 0..self.rows {
+            for (o, b) in self.row_mut(r).iter_mut().zip(bias.data.iter()) {
+                *o += b;
+            }
+        }
+    }
+
+    /// ReLU in place.
+    pub fn relu_(&mut self) {
+        self.data.iter_mut().for_each(|v| *v = v.max(0.0));
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +304,15 @@ mod tests {
         assert_eq!(a.hadamard(&b).data(), &[60., 240., 540.]);
         assert_eq!(a.add(&b).data(), &[16., 32., 48.]);
         assert_eq!(a.scaled(2.0).data(), &[12., 24., 36.]);
+    }
+
+    #[test]
+    fn in_place_bias_and_relu() {
+        let mut a = Tensor::from_vec(2, 2, vec![1., -2., -3., 4.]);
+        a.add_row_(&Tensor::row_vector(vec![0.5, 0.5]));
+        assert_eq!(a.data(), &[1.5, -1.5, -2.5, 4.5]);
+        a.relu_();
+        assert_eq!(a.data(), &[1.5, 0., 0., 4.5]);
     }
 
     #[test]

@@ -107,15 +107,61 @@ impl AsRef<[u64]> for ResponseKey {
     }
 }
 
-struct Entry<V> {
+/// "No slot": the end of the list in either direction.
+const NIL: usize = usize::MAX;
+
+/// One resident (or vacated) entry, linked into its shard's recency list.
+struct Slot<K, V> {
+    key: K,
     version: u64,
     value: V,
-    stamp: u64,
+    prev: usize,
+    next: usize,
 }
 
+/// A slab of slots threaded on a doubly linked list by index, most
+/// recently used at `head`: touching an entry moves it to the front, a
+/// full shard evicts `tail` — exact LRU in O(1), where a recency stamp per
+/// entry needed a scan of the whole shard to find the oldest.
+///
+/// `map` holds exactly the linked slots; `free` holds the rest (vacated by
+/// a stale-version lookup, reused before the slab grows).
 struct Shard<K, V> {
-    map: HashMap<K, Entry<V>>,
-    clock: u64,
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    free: Vec<usize>,
+    head: usize,
+    tail: usize,
+}
+
+impl<K, V> Shard<K, V> {
+    fn new() -> Shard<K, V> {
+        Shard { map: HashMap::new(), slots: Vec::new(), free: Vec::new(), head: NIL, tail: NIL }
+    }
+
+    /// Take linked slot `i` out of the list (index writes only).
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Link unlinked slot `i` in as the most recently used (index writes
+    /// only).
+    fn push_front(&mut self, i: usize) {
+        (self.slots[i].prev, self.slots[i].next) = (NIL, self.head);
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
+    }
 }
 
 /// N independently locked shards of at most `capacity_per_shard` entries,
@@ -147,9 +193,7 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     ) -> VersionedLru<K, V> {
         assert!(shards > 0, "cache needs at least one shard");
         VersionedLru {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), clock: 0 }))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             capacity_per_shard,
             hits,
             misses,
@@ -160,23 +204,22 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     /// is removed on sight and counts as a miss.
     pub fn get(&self, key: &K, version: u64) -> Option<V> {
         let mut shard = self.shard(key);
-        let Shard { map, clock } = &mut *shard;
-        match map.get_mut(key) {
-            Some(entry) if entry.version == version => {
-                *clock += 1;
-                entry.stamp = *clock;
-                self.hits.inc();
-                Some(entry.value.clone())
-            }
-            Some(_) => {
-                map.remove(key);
-                self.misses.inc();
-                None
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        let Some(&i) = shard.map.get(key) else {
+            self.misses.inc();
+            return None;
+        };
+        if shard.slots[i].version == version {
+            let value = shard.slots[i].value.clone();
+            shard.unlink(i);
+            shard.push_front(i);
+            self.hits.inc();
+            Some(value)
+        } else {
+            shard.free.push(i);
+            shard.map.remove(key);
+            shard.unlink(i);
+            self.misses.inc();
+            None
         }
     }
 
@@ -186,15 +229,37 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
         if self.capacity_per_shard == 0 {
             return;
         }
-        let mut shard = self.shard(&key);
-        if shard.map.len() >= self.capacity_per_shard && !shard.map.contains_key(&key) {
-            if let Some(oldest) = shard.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
-                shard.map.remove(&oldest);
+        let mut guard = self.shard(&key);
+        let shard = &mut *guard;
+        // The slot to fill: the key's own; else, when full, the least
+        // recently used entry's, taken over in place; else a vacated one;
+        // else a new one.
+        let resident = shard.map.get(&key).copied();
+        let linked = resident.or_else(|| {
+            (shard.map.len() >= self.capacity_per_shard).then(|| {
+                let lru = shard.tail;
+                shard.map.remove(&shard.slots[lru].key);
+                lru
+            })
+        });
+        let i = match linked.or_else(|| shard.free.pop()) {
+            Some(i) => {
+                let slot = &mut shard.slots[i];
+                (slot.key, slot.version, slot.value) = (key, version, value);
+                i
             }
+            None => {
+                shard.slots.push(Slot { key, version, value, prev: NIL, next: NIL });
+                shard.slots.len() - 1
+            }
+        };
+        if resident.is_none() {
+            shard.map.insert(key, i);
         }
-        shard.clock += 1;
-        let stamp = shard.clock;
-        shard.map.insert(key, Entry { version, value, stamp });
+        if linked.is_some() {
+            shard.unlink(i);
+        }
+        shard.push_front(i);
     }
 
     /// Entries across all shards.
@@ -236,8 +301,11 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     }
 
     fn shard(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
-        // A panicking holder leaves the map valid (every update is one
-        // HashMap call), so a poisoned shard is recovered, not propagated.
+        // A poisoned shard is recovered, not propagated, because a
+        // panicking holder leaves it valid: every update makes its calls
+        // that can panic (`V::clone`, `Vec` and `HashMap` growth) before
+        // its first link write, and nothing but index writes on slots
+        // that exist runs from there to its last.
         let shard = fnv1a(key.as_ref().iter().copied()) % self.shards.len() as u64;
         self.shards[shard as usize].lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -310,6 +378,102 @@ mod tests {
         assert_eq!(c.get(&a, 0), Some(va));
         c.insert(d, 0, vd);
         assert_eq!(c.len(), 2);
+    }
+
+    /// The shard this cache had before the list: a recency stamp per
+    /// entry, eviction by scanning for the smallest. O(shard) per full
+    /// insert, and obviously exact LRU — the reference model.
+    struct StampScan<K, V> {
+        map: HashMap<K, (u64, V, u64)>,
+        clock: u64,
+        capacity: usize,
+    }
+
+    impl<K: Copy + Eq + Hash, V: Clone> StampScan<K, V> {
+        fn get(&mut self, key: &K, version: u64) -> Option<V> {
+            match self.map.get_mut(key) {
+                Some(entry) if entry.0 == version => {
+                    self.clock += 1;
+                    entry.2 = self.clock;
+                    Some(entry.1.clone())
+                }
+                Some(_) => {
+                    self.map.remove(key);
+                    None
+                }
+                None => None,
+            }
+        }
+
+        fn insert(&mut self, key: K, version: u64, value: V) {
+            if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+                if let Some(oldest) = self.map.iter().min_by_key(|(_, e)| e.2).map(|(k, _)| *k) {
+                    self.map.remove(&oldest);
+                }
+            }
+            self.clock += 1;
+            self.map.insert(key, (version, value, self.clock));
+        }
+    }
+
+    /// `map`, the list (walked both ways) and `free` account for every
+    /// slot exactly once.
+    fn assert_well_formed<K: Eq + Hash, V>(shard: &Shard<K, V>) {
+        let (mut forward, mut i, mut prev) = (Vec::new(), shard.head, NIL);
+        while i != NIL {
+            assert_eq!(shard.slots[i].prev, prev);
+            assert_eq!(shard.map.get(&shard.slots[i].key), Some(&i));
+            forward.push(i);
+            (prev, i) = (i, shard.slots[i].next);
+        }
+        assert_eq!(shard.tail, prev);
+        assert_eq!(forward.len(), shard.map.len());
+        let mut all: Vec<usize> = forward.iter().chain(&shard.free).copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..shard.slots.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn list_lru_matches_the_stamp_scan_it_replaced() {
+        const CAPACITY: usize = 8;
+        let reg = Registry::new();
+        let cache =
+            ResponseCache::<u64>::new(1, CAPACITY, reg.counter("hits"), reg.counter("misses"));
+        let mut model = StampScan { map: HashMap::new(), clock: 0, capacity: CAPACITY };
+        // 20 keys over 8 slots: hits, evictions and re-inserts all happen.
+        let keys: Vec<ResponseKey> = (0..20).map(response_key).collect();
+        let (mut version, mut hits) = (0u64, 0u64);
+        for op in 0..20_000u64 {
+            let roll = lite_sparksim::fault::mix64(op);
+            let key = keys[(roll >> 8) as usize % keys.len()];
+            match roll % 64 {
+                // A hot-swap: everything resident goes stale, lazily.
+                0 => version += 1,
+                r @ 1..=28 => {
+                    // One version behind now and then: stale on arrival.
+                    let at = if r == 28 { version.saturating_sub(1) } else { version };
+                    cache.insert(key, at, op);
+                    model.insert(key, at, op);
+                }
+                _ => {
+                    let got = cache.get(&key, version);
+                    assert_eq!(got, model.get(&key, version), "op {op}");
+                    hits += got.is_some() as u64;
+                }
+            }
+            let shard = cache.shards[0].lock().unwrap();
+            assert_well_formed(&shard);
+            assert!(
+                shard.map.len() == model.map.len()
+                    && shard.map.keys().all(|k| model.map.contains_key(k)),
+                "resident sets differ after op {op}"
+            );
+            drop(shard);
+            assert_eq!(cache.len(), model.map.len());
+            assert!(cache.len() <= CAPACITY);
+        }
+        assert_eq!(hits, cache.hits());
+        assert!(hits > 1_000 && cache.misses() > 1_000 && version > 100, "the mix must mix");
     }
 
     #[test]

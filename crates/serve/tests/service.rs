@@ -53,6 +53,7 @@ fn drive_one_swap(handle: &lite_serve::ServiceHandle, cluster: &ClusterSpec) {
     let data = AppId::KMeans.dataset(SizeTier::Valid);
     let plan = build_job(AppId::KMeans, &data);
     let update_batch = handle.stats().update_batch;
+    let swaps_before = handle.swap_count();
     let mut seed = 900u64;
     let mut fed = 0;
     while fed < update_batch {
@@ -66,7 +67,7 @@ fn drive_one_swap(handle: &lite_serve::ServiceHandle, cluster: &ClusterSpec) {
         seed += 1;
     }
     let deadline = Instant::now() + Duration::from_secs(120);
-    while handle.swap_count() == 0 {
+    while handle.swap_count() == swaps_before {
         assert!(Instant::now() < deadline, "no hot-swap within 120 s");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -305,6 +306,25 @@ fn cache_serves_repeats_and_invalidates_on_swap() {
     assert!(post.version >= 1);
     assert_eq!(post.cached, 0, "stale-version entries must not serve");
     assert_eq!(post.scored, 30);
+    service.shutdown();
+}
+
+/// Each update trains a fresh discriminator inside the model's parameter
+/// store; none may still be there in the model it publishes, or version N
+/// clones, clips and steps 4N dead tensors on every later swap.
+#[test]
+fn swaps_leave_the_served_model_with_v0s_tensors() {
+    let (ds, snapshot) = trained();
+    let cluster = ds.clusters[0].clone();
+    let v0_tensors = snapshot.model.params().len();
+    let service =
+        Service::start(snapshot, ds.clone(), quick_config(), &Registry::new(), Tracer::disabled());
+    let handle = service.handle();
+    drive_one_swap(&handle, &cluster);
+    drive_one_swap(&handle, &cluster);
+    let served = handle.snapshot().expect("a snapshot is always served");
+    assert_eq!(served.version, 2);
+    assert_eq!(served.model.params().len(), v0_tensors);
     service.shutdown();
 }
 
