@@ -6,6 +6,7 @@
 //! typed API: one [`proto::Request`] in, one [`proto::Response`] out,
 //! whichever codec the connection negotiated.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use lite_obs::trace::TraceId;
@@ -73,7 +74,7 @@ impl ClientBuilder {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let mut client = Client {
-            stream,
+            stream: BufReader::new(stream),
             version: self.protocol,
             pipeline_depth: self.pipeline_depth,
             trace: self.trace,
@@ -95,7 +96,10 @@ impl ClientBuilder {
 
 /// A blocking TCP client for the serve plane; built by [`ClientBuilder`].
 pub struct Client {
-    stream: TcpStream,
+    /// Reads are buffered — a pipelined burst of small responses costs one
+    /// `read` per segment, not two per response; writes go to the socket
+    /// underneath, one per frame.
+    stream: BufReader<TcpStream>,
     version: u64,
     pipeline_depth: usize,
     trace: bool,
@@ -119,7 +123,7 @@ impl Client {
         let request = self.stamped(request);
         if self.version >= PROTOCOL_V3 {
             let req_id = self.next_req_id();
-            write_frame(&mut self.stream, &proto::encode_request(&request, req_id))?;
+            write_frame(self.stream.get_mut(), &proto::encode_request(&request, req_id))?;
             loop {
                 let payload = self.read_response_payload()?;
                 let (rid, resp) = proto::decode_response(&payload, &self.space)
@@ -157,7 +161,7 @@ impl Client {
             while sent < n && sent - received < self.pipeline_depth {
                 let request = self.stamped(&requests[sent]);
                 let req_id = self.next_req_id();
-                write_frame(&mut self.stream, &proto::encode_request(&request, req_id))?;
+                write_frame(self.stream.get_mut(), &proto::encode_request(&request, req_id))?;
                 sent += 1;
             }
             let payload = self.read_response_payload()?;
@@ -212,7 +216,7 @@ impl Client {
     /// document — the escape hatch for callers that pin wire bytes. Works
     /// on any connection: the server picks the codec per frame.
     pub fn request(&mut self, request: &Json) -> std::io::Result<Json> {
-        write_frame(&mut self.stream, request.render().as_bytes())?;
+        write_frame(self.stream.get_mut(), request.render().as_bytes())?;
         let payload = self.read_response_payload()?;
         let text = std::str::from_utf8(&payload)
             .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf-8 frame"))?;

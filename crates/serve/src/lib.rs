@@ -34,9 +34,10 @@
 //! whose two codecs — the v2 JSON envelope (on [`lite_obs::Json`]) and
 //! the v3 binary frames — live in [`proto`]. The handler also answers the
 //! admin ops (`stats`, `metrics` as Prometheus text, `trace` as Chrome
-//! trace JSON, `health`, `tailtrace` for slow-request exemplars);
-//! [`client`] is the matching blocking client. Everything is `std`-only
-//! on top of the workspace crates.
+//! trace JSON, `health`, `tailtrace` for slow-request exemplars), whose
+//! documents [`admin`] renders; [`client`] is the matching blocking
+//! client. Everything is `std`-only on top of the workspace crates (the
+//! reactor's `poll(2)` is one `extern "C"` declaration).
 //!
 //! With [`service::TraceConfig`] enabled, every v2 `recommend` (and every
 //! v3 one that sets `FLAG_TRACED`) is traced end to end: each hop — frame read, parse, enqueue, queue wait, dequeue,
@@ -45,6 +46,7 @@
 //! per-phase latency histogram, and the slowest requests are retained in
 //! full as [`lite_obs::Exemplar`]s served by the `tailtrace` admin op.
 
+pub mod admin;
 pub mod cache;
 pub mod client;
 pub mod monitor;

@@ -11,62 +11,19 @@
 //! typed [`Response`] back through the same codec — inline for everything
 //! the reactor can answer itself, from the worker's callback for
 //! `recommend`/`observe`. The wire shapes of requests, answers and errors
-//! are documented (and owned) by [`crate::proto`]; what follows are the
-//! success documents of the admin ops, which this module renders. Each is
-//! the `Response::Admin` payload: stamped `"v":2` in JSON, carried verbatim
-//! as the body of a v3 frame.
+//! are documented (and owned) by [`crate::proto`], the success documents
+//! of the admin ops by [`crate::admin`].
 //!
-//! * `stats` → `{"ok":true,"uptime_s":u,"version":v,"swaps":n,
-//!   "queue_depth":d,"queue_capacity":c,"workers":w,"feedback":f,
-//!   "update_batch":b,"requests":r,
-//!   "cache":{"hit_rate":h,"hits":x,"misses":y},
-//!   "drift":{"samples":s,"mape":m,"mean_error_s":e,"inversion_rate":i,
-//!   "drifted":false}}` — a point-in-time operational summary. With
-//!   tracing enabled it additionally carries
-//!   `"phases":[{"phase":"queue_wait","count":...,"p50_ns":...,...},...]`
-//!   (the `serve.phase.*` breakdown), and with an SLO configured a
-//!   `"slo":{"alert":...,"burn_fast":...,"window":{...}}` summary — both
-//!   strictly additive keys.
-//! * `metrics` → `{"ok":true,"content_type":"text/plain; version=0.0.4",
-//!   "body":"# TYPE serve_requests counter\nserve_requests 17\n..."}` —
-//!   the service registry as Prometheus text exposition (histograms as
-//!   cumulative `_bucket`/`_sum`/`_count`).
-//! * `trace` → `{"ok":true,"trace":{"traceEvents":[...]},
-//!   "dropped_spans":0}` — finished spans as Chrome trace-event JSON; save
-//!   the `trace` value to a file and load it in Perfetto. Empty when
-//!   tracing is disabled. When the document would overflow the response
-//!   frame the oldest spans are shed and counted in `dropped_spans`, with
-//!   those the tracer's bounded ring already evicted.
-//! * `health` → `{"ok":true,"status":"ok","version":v,"uptime_s":u}` —
-//!   liveness for probes.
-//! * `tailtrace` → `{"ok":true,"completed":n,"captured":m,
-//!   "exemplars":[{"trace_id":id,"total_ns":t,
-//!   "spans":[{"phase":"queue_wait","start_ns":a,"end_ns":b,
-//!   "queue_depth":d,"swap":false},...]},...]}` — the slowest captured
-//!   requests in full, phase by phase, slowest first. Empty when tail
-//!   forensics is disabled. When the document would overflow the response
-//!   frame the fastest exemplars are shed first.
-//! * `analyze` → `{"ok":true,"app_name":...,
-//!   "stages":[{"template":...,"ops":["textFile",...],
-//!   "instances_per_run":n},...],"diagnostics":[{"rule":...,
-//!   "message":...,"line":l,"col":c},...]}` — the `lite-analyze` static
-//!   extractor over the wire: stage templates and lint findings without
-//!   running the application (cold-start onboarding).
-//! * `profile` → `{"ok":true,"samples":n,"sweeps":s,
-//!   "torn":0,"truncated":0,"threads":t,"distinct_stacks":d,
-//!   "top":[{"tag":"serve.recommend","self":a,"total":b},...],
-//!   "alloc":[{"tag":...,"bytes":...,"allocs":...},...],
-//!   "folded":"serve.recommend;serve.score 42\n..."}` — the
-//!   sampling-profiler report: the top-`k` tags by self samples,
-//!   allocation attribution from the opt-in allocator wrapper, and the
-//!   collapsed-stack text a flamegraph renders from. `bad_request` from
-//!   servers running no profiler.
-//! * `slo` → `{"ok":true,"objective_ns":o,"target":0.999,
-//!   "bucket_s":1,"burn_fast":b,"burn_slow":c,"good_fraction":g,
-//!   "alert":false,"alert_ticks":0,"fast":{"count":...,"rate":...,
-//!   "p50_ns":...,"p99_ns":...,"p999_ns":...,"span_s":...},"slow":{...}}`
-//!   — burn-rate SLO status over windowed rollups of `serve.latency_ns`.
-//!   `bad_request` from servers with no SLO configured.
+//! ## The reactor
+//!
+//! One thread (`serve-reactor`) owns the listener and every connection and
+//! blocks in one `poll(2)` over them and a wake channel; nothing in this
+//! module sleeps or retries a socket on a timer. Each connection enters
+//! the set as what its next step needs: `POLLIN` to read, `POLLOUT` while
+//! replies the peer has not taken sit in its out-buffer, or no descriptor
+//! at all (`fd = -1`) while it only waits on a worker's reply — then the
+//! reply closure owes the wake-up (see [`ConnWriter::parked`]). DESIGN.md
+//! §12.5 has the protocol and why it cannot lose a wake-up.
 //!
 //! ## Tracing
 //!
@@ -79,25 +36,29 @@
 //! stay trace-free unless the caller asks. With forensics disabled the id
 //! is ignored and answers carry none.
 
-use std::io::{Read, Write};
+use std::ffi::{c_int, c_ulong};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use lite_obs::span::epoch_ns;
-use lite_obs::trace::{Exemplar, Phase, TraceId};
+use lite_obs::trace::{Phase, TraceId};
 use lite_obs::Json;
 use lite_sparksim::conf::ConfSpace;
-use lite_sparksim::fault::FaultKind;
+use lite_sparksim::fault::{FaultInjector, FaultKind};
 use lite_workloads::data::{DataSpec, SizeTier};
 
+use crate::admin;
 pub use crate::client::{Client, ClientBuilder};
-use crate::monitor::DriftSummary;
 use crate::proto::{
     AnalyzeTarget, ClusterRef, Codec, Request, Response, RetrieveTarget, PROTOCOL_VERSION,
 };
-use crate::service::{ServiceHandle, ServiceStats};
+use crate::service::ServiceHandle;
 
 /// Largest accepted frame payload; recommendation traffic is tiny, so
 /// anything bigger is a protocol error, not a workload. The transport
@@ -105,15 +66,21 @@ use crate::service::{ServiceHandle, ServiceStats};
 /// per service, never raise it past this.
 pub const MAX_FRAME: u32 = 1 << 20;
 
-/// Write one length-prefixed frame.
+/// The length prefix of a `len`-byte payload; `None` past [`MAX_FRAME`].
+fn length_prefix(len: usize) -> Option<[u8; 4]> {
+    u32::try_from(len).ok().filter(|&len| len <= MAX_FRAME).map(u32::to_be_bytes)
+}
+
+/// Write one length-prefixed frame. Prefix and payload leave in one
+/// `write`: with `TCP_NODELAY` on, two writes are two segments, and a peer
+/// blocked on readiness is woken for each.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let prefix = length_prefix(payload.len())
+        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "frame too large"))?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&prefix);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -122,16 +89,65 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"));
+        return Err(std::io::Error::new(ErrorKind::InvalidData, "frame too large"));
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+// ---------------------------------------------------------------------------
+// Readiness: poll(2) and the wake channel
+
+/// `struct pollfd` of `<poll.h>`. The kernel skips an entry whose `fd` is
+/// negative (its `revents` reads 0).
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+extern "C" {
+    /// glibc: `int poll(struct pollfd *, nfds_t, int timeout_ms)`.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Block until an entry of `fds` is ready or `timeout` passed (`None`:
+/// for as long as it takes), leaving each entry's readiness in `revents`.
+/// A failed call (`EINTR`) reports nothing ready; the reactor's next pass
+/// rebuilds the set and calls again.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
+    // Rounded up, so a pass woken by the timeout finds its deadline passed.
+    let ms =
+        timeout.map_or(-1, |t| c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX));
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // `pollfd`s and the count passed is its own length; the call writes
+    // only the `revents` of those entries and keeps no pointer.
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+    if ready < 0 {
+        fds.iter_mut().for_each(|fd| fd.revents = 0);
+    }
+}
+
+/// The write end of the reactor's wake channel (a non-blocking
+/// `UnixStream` pair): one byte makes a blocked [`wait_ready`] return.
+struct Waker(UnixStream);
+
+impl Waker {
+    fn wake(&self) {
+        // A full channel already holds a wake-up the reactor has yet to
+        // consume, and a closed one has no reactor left: both are fine.
+        let _ = (&self.0).write(&[1]);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -143,6 +159,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
 pub struct TcpServer {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
+    wake: Arc<Waker>,
     reactor_thread: Option<JoinHandle<()>>,
 }
 
@@ -158,10 +175,12 @@ impl TcpServer {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
+        if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The reactor polls non-blockingly, so setting the flag is enough.
+        // An idle reactor is blocked in `poll` with no timeout and would
+        // never read the flag: wake it.
+        self.wake.wake();
         if let Some(t) = self.reactor_thread.take() {
             t.join().expect("reactor thread panicked"); // gate: allow(expect)
         }
@@ -188,86 +207,165 @@ pub fn serve_tcp<A: ToSocketAddrs>(handle: ServiceHandle, addr: A) -> std::io::R
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let wake = Arc::new(Waker(wake_tx));
     let stop = Arc::new(AtomicBool::new(false));
-    let reactor_stop = stop.clone();
+    let (reactor_stop, reactor_wake) = (stop.clone(), wake.clone());
     let reactor_thread = std::thread::Builder::new()
         .name("serve-reactor".into())
-        .spawn(move || reactor_loop(listener, handle, reactor_stop))
+        .spawn(move || reactor_loop(listener, handle, reactor_stop, wake_rx, reactor_wake))
         .expect("spawn reactor thread"); // gate: allow(expect)
-    Ok(TcpServer { local_addr, stop, reactor_thread: Some(reactor_thread) })
+    Ok(TcpServer { local_addr, stop, wake, reactor_thread: Some(reactor_thread) })
 }
 
-/// The reply half of a connection, shared with worker callbacks. Writes
-/// go through a mutex (one frame at a time, never interleaved) on a
-/// dup'd socket handle; `dead` poisons the connection for the reactor.
+/// How long a connection's out-buffer may make no progress before the
+/// peer counts as gone and the connection is poisoned.
+const STALL_LIMIT: Duration = Duration::from_secs(2);
+/// Capacity an emptied out-buffer keeps: room for a burst of small
+/// replies, not for the one large admin document that passed through.
+const OUT_KEEP: usize = 64 * 1024;
+
+/// What the writer mutex guards: the dup'd socket handle and the frame
+/// bytes it has not taken yet.
+struct Out {
+    stream: TcpStream,
+    /// Whole frames (the first possibly part-sent), in reply order.
+    pending: Vec<u8>,
+    /// When `pending` last shrank, or went from empty to not.
+    progress: Instant,
+}
+
+/// The reply half of a connection, shared with worker callbacks. Frames
+/// go out under one mutex, so they never interleave; what the socket
+/// will not take stays in the out-buffer for the reactor to flush on
+/// `POLLOUT`, so no writer ever waits on a peer.
 struct ConnWriter {
-    stream: Mutex<TcpStream>,
+    out: Mutex<Out>,
+    /// `out.pending` is non-empty. Written under the `out` lock, read by
+    /// the reactor without it.
+    backlogged: AtomicBool,
+    /// Poisoned: the reactor drops the connection on its next pass.
     dead: AtomicBool,
+    /// `recommend`/`observe` requests whose reply closure has not run.
     in_flight: AtomicUsize,
-    faults: Option<Arc<lite_sparksim::fault::FaultInjector>>,
+    /// Set by the reactor before it blocks with this connection waiting
+    /// on a reply (out of the poll set); the reply closure that clears it
+    /// owes the wake-up. `SeqCst` with `in_flight` on both sides: the
+    /// reactor marks then re-reads `in_flight`, the closure decrements
+    /// then swaps the mark, so one of the two sees the other.
+    parked: AtomicBool,
+    wake: Arc<Waker>,
+    faults: Option<Arc<FaultInjector>>,
 }
 
 impl ConnWriter {
+    fn lock_out(&self) -> MutexGuard<'_, Out> {
+        // Every update of `Out` leaves it valid (bytes are appended whole
+        // and drained only once sent), so a poisoned lock is recovered.
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Poison the connection. The reactor may be blocked — with this
+    /// connection in its set or parked out of it — so it is woken to reap.
+    fn poison(&self) {
+        self.dead.store(true, Ordering::Release);
+        self.wake.wake();
+    }
+
     /// Write one length-prefixed frame, honoring the injected torn-frame
     /// fault (length promises a full payload, half arrives, the
-    /// connection dies). Marks the connection dead on any write failure.
+    /// connection dies). Poisons the connection on any write failure.
     fn write_frame(&self, payload: &[u8]) -> bool {
         if self.dead.load(Ordering::Acquire) {
             return false;
         }
-        let Ok(len) = u32::try_from(payload.len()) else {
-            self.dead.store(true, Ordering::Release);
+        let Some(prefix) = length_prefix(payload.len()) else {
+            self.poison();
             return false;
         };
-        if len > MAX_FRAME {
-            self.dead.store(true, Ordering::Release);
-            return false;
-        }
         let torn =
             self.faults.as_deref().is_some_and(|f| f.fires(FaultKind::TornFrame, f.next_key()));
         let body = if torn { &payload[..payload.len() / 2] } else { payload };
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&len.to_be_bytes());
-        frame.extend_from_slice(body);
-        let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        let ok = nb_write_all(&mut stream, &frame).is_ok();
-        let _ = stream.flush();
-        drop(stream);
+        let mut out = self.lock_out();
+        // Behind a backlog the frame waits its turn.
+        let queued = !out.pending.is_empty();
+        out.pending.extend_from_slice(&prefix);
+        out.pending.extend_from_slice(body);
+        let ok = queued || self.flush(&mut out);
+        drop(out);
         if torn || !ok {
-            self.dead.store(true, Ordering::Release);
+            self.poison();
             return false;
         }
         true
     }
-}
 
-/// `write_all` over a non-blocking socket (the dup'd writer handle shares
-/// the reader's `O_NONBLOCK`): retry briefly on `WouldBlock`, give up —
-/// poisoning the connection — if the peer stalls for seconds.
-fn nb_write_all(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
-    let mut stalls = 0u32;
-    while !buf.is_empty() {
-        match stream.write(buf) {
-            Ok(0) => return Err(std::io::Error::new(std::io::ErrorKind::WriteZero, "peer gone")),
-            Ok(n) => {
-                buf = &buf[n..];
-                stalls = 0;
+    /// Hand the socket as much of the out-buffer as it takes, in one
+    /// `write` when it takes it all. What is left makes the connection
+    /// backlogged (waking the reactor to ask `POLLOUT` for it); `false`
+    /// on a transport error.
+    fn flush(&self, out: &mut Out) -> bool {
+        let mut sent = 0;
+        while sent < out.pending.len() {
+            match out.stream.write(&out.pending[sent..]) {
+                Ok(0) => return false,
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                stalls += 1;
-                if stalls > 40_000 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "peer not draining",
-                    ));
-                }
-                std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+        let was_backlogged = self.backlogged.load(Ordering::SeqCst);
+        if sent == out.pending.len() {
+            out.pending.clear();
+            out.pending.shrink_to(OUT_KEEP);
+            if was_backlogged {
+                self.backlogged.store(false, Ordering::SeqCst);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            return true;
+        }
+        out.pending.drain(..sent);
+        if sent > 0 || !was_backlogged {
+            out.progress = Instant::now();
+        }
+        if !was_backlogged {
+            self.backlogged.store(true, Ordering::SeqCst);
+            self.wake.wake();
+        }
+        true
+    }
+
+    /// The reactor's half of a backlog: flush if the socket is `ready` to
+    /// take more, and poison a connection whose peer took nothing for
+    /// [`STALL_LIMIT`]. `true` once the backlog is gone.
+    fn drain_backlog(&self, ready: bool) -> bool {
+        let mut out = self.lock_out();
+        let ok = !ready || self.flush(&mut out);
+        let drained = out.pending.is_empty();
+        let stalled = !drained && out.progress.elapsed() >= STALL_LIMIT;
+        drop(out);
+        if !ok || stalled {
+            self.poison();
+            return false;
+        }
+        drained
+    }
+
+    /// How long the backlog may still stand without progress.
+    fn stall_left(&self) -> Duration {
+        STALL_LIMIT.saturating_sub(self.lock_out().progress.elapsed())
+    }
+
+    /// An awaited reply is out: free its pipeline slot, and wake the
+    /// reactor if it parked this connection waiting for one.
+    fn reply_done(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.wake.wake();
         }
     }
-    Ok(())
 }
 
 /// Per-connection reactor state: the non-blocking reader, the shared
@@ -289,20 +387,44 @@ struct Conn {
 /// past it, which backpressures pipelining clients through TCP.
 const CONN_BUF_CAP: usize = 2 * MAX_FRAME as usize;
 
+/// What a connection's next step waits for — its entry in the poll set.
+#[derive(Clone, Copy, PartialEq)]
+enum Step {
+    /// Bytes from the peer: `POLLIN`.
+    Read,
+    /// Room in the socket for the out-buffer: `POLLOUT`, nothing served
+    /// meanwhile.
+    Flush,
+    /// A worker's reply — a complete frame is held back by the JSON-serial
+    /// / `max_pipeline` window, or a half-closed connection drains its
+    /// in-flight replies. Nothing the socket reports can help (and a
+    /// level-triggered hang-up or a buffer at [`CONN_BUF_CAP`] would spin
+    /// the loop), so the entry's `fd` is -1 and the connection is parked.
+    Reply,
+    /// Nothing: a reply landed since the last pass, run another at once.
+    Run,
+    /// Nothing any more: poisoned, or half-closed with every frame served
+    /// and every reply out. The connection is dropped.
+    Done,
+}
+
 impl Conn {
-    fn new(
-        stream: TcpStream,
-        writer_stream: TcpStream,
-        faults: Option<Arc<lite_sparksim::fault::FaultInjector>>,
-    ) -> Conn {
+    fn new(stream: TcpStream, writer_stream: TcpStream, cx: &ReactorCx) -> Conn {
         let now = epoch_ns();
         Conn {
             stream,
             writer: Arc::new(ConnWriter {
-                stream: Mutex::new(writer_stream),
+                out: Mutex::new(Out {
+                    stream: writer_stream,
+                    pending: Vec::new(),
+                    progress: Instant::now(),
+                }),
+                backlogged: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
                 in_flight: AtomicUsize::new(0),
-                faults,
+                parked: AtomicBool::new(false),
+                wake: cx.wake.clone(),
+                faults: cx.faults.clone(),
             }),
             buf: Vec::new(),
             read_closed: false,
@@ -311,70 +433,104 @@ impl Conn {
         }
     }
 
-    /// Whether the connection still has work: not poisoned, and either
-    /// readable, holding a complete buffered frame, or awaiting replies.
-    fn alive(&self) -> bool {
-        if self.writer.dead.load(Ordering::Acquire) {
-            return false;
+    /// One pass over the connection: flush a backlog, drain the socket
+    /// into the buffer if `poll` reported it `ready`, and serve every
+    /// frame the window admits.
+    fn pump(&mut self, cx: &ReactorCx, chunk: &mut [u8], ready: bool) {
+        let writer = &self.writer;
+        if writer.dead.load(Ordering::Acquire) {
+            return;
         }
-        !self.read_closed
-            || self.writer.in_flight.load(Ordering::Acquire) > 0
-            || complete_frame_len(&self.buf).is_some()
-    }
-
-    /// Drain the socket into the buffer and serve every extractable
-    /// frame. Returns whether anything happened (the reactor's idle
-    /// detector).
-    fn pump(&mut self, cx: &ReactorCx, chunk: &mut [u8]) -> bool {
-        if self.writer.dead.load(Ordering::Acquire) {
-            return false;
+        // The reactor runs: replies written from here on (the inline ones
+        // on this very thread above all) have nobody to wake.
+        if writer.parked.load(Ordering::SeqCst) {
+            writer.parked.store(false, Ordering::SeqCst);
         }
-        let mut active = false;
-        while !self.read_closed && self.buf.len() < CONN_BUF_CAP {
+        if writer.backlogged.load(Ordering::SeqCst) && !writer.drain_backlog(ready) {
+            return;
+        }
+        while ready && !self.read_closed && self.buf.len() < CONN_BUF_CAP {
             match self.stream.read(chunk) {
                 Ok(0) => self.read_closed = true,
                 Ok(n) => {
                     self.last_read_ns = epoch_ns();
                     self.buf.extend_from_slice(&chunk[..n]);
-                    active = true;
                     if n < chunk.len() {
                         break;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.read_closed = true;
-                    self.writer.dead.store(true, Ordering::Release);
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return writer.poison(),
             }
         }
-        while let Some(total) = complete_frame_len(&self.buf) {
+        // Frames are served in place, off a cursor; the buffer is
+        // compacted once, after the last one.
+        let mut at = 0;
+        while let Some(total) = complete_frame_len(&self.buf[at..]) {
             if total == usize::MAX {
                 // Oversized length prefix: unrecoverable framing error.
-                self.writer.dead.store(true, Ordering::Release);
-                self.read_closed = true;
-                self.buf.clear();
+                return writer.poison();
+            }
+            let payload = &self.buf[at + 4..at + total];
+            let codec = Codec::of(payload);
+            // A reply the peer is not taking stops service: what it has
+            // already sent waits in the buffer, then in the socket.
+            if writer.in_flight.load(Ordering::SeqCst) >= cx.window(codec)
+                || writer.backlogged.load(Ordering::SeqCst)
+            {
                 break;
             }
-            let codec = Codec::of(&self.buf[4..total]);
-            let in_flight = self.writer.in_flight.load(Ordering::Acquire);
-            // JSON frames are strictly serial (responses carry no
-            // correlation tag, so order is the contract); binary frames
-            // pipeline up to the configured depth.
-            let depth = if codec == Codec::Json { 1 } else { cx.max_pipeline };
-            if in_flight >= depth {
-                break;
-            }
-            let payload = self.buf[4..total].to_vec();
-            self.buf.drain(..total);
-            active = true;
-            let arrived_ns = self.last_read_ns;
-            let idle_ns = self.idle_ns;
+            at += total;
+            let (idle_ns, arrived_ns) = (self.idle_ns, self.last_read_ns);
             self.idle_ns = epoch_ns();
-            serve_frame(cx, &self.writer, codec, &payload, idle_ns, arrived_ns);
+            serve_frame(cx, writer, codec, payload, idle_ns, arrived_ns);
         }
-        active
+        self.buf.drain(..at);
+    }
+
+    /// What the connection waits for now that [`pump`](Conn::pump) has
+    /// served all it could.
+    fn step(&self, cx: &ReactorCx) -> Step {
+        if self.writer.dead.load(Ordering::Acquire) {
+            return Step::Done;
+        }
+        if self.writer.backlogged.load(Ordering::SeqCst) {
+            return Step::Flush;
+        }
+        let in_flight = self.writer.in_flight.load(Ordering::SeqCst);
+        match complete_frame_len(&self.buf) {
+            Some(total) if in_flight >= cx.window(Codec::of(&self.buf[4..total])) => Step::Reply,
+            Some(_) => Step::Run,
+            None if !self.read_closed => Step::Read,
+            None if in_flight > 0 => Step::Reply,
+            None => Step::Done,
+        }
+    }
+
+    /// The connection's entry in the poll set (`None`: it is done, drop
+    /// it), lowering `timeout` where its step has a deadline. A connection
+    /// that waits on a reply is parked first and looked at again after: a
+    /// reply that landed before the mark found nobody to wake, and shows
+    /// in the second look.
+    fn poll_entry(&self, cx: &ReactorCx, timeout: &mut Option<Duration>) -> Option<PollFd> {
+        let mut step = self.step(cx);
+        if step == Step::Reply {
+            self.writer.parked.store(true, Ordering::SeqCst);
+            step = self.step(cx);
+        }
+        let fd = self.stream.as_raw_fd();
+        let (fd, events, within) = match step {
+            Step::Read => (fd, POLLIN, None),
+            Step::Flush => (fd, POLLOUT, Some(self.writer.stall_left())),
+            Step::Reply => (-1, 0, None),
+            Step::Run => (-1, 0, Some(Duration::ZERO)),
+            Step::Done => return None,
+        };
+        if let Some(within) = within {
+            *timeout = Some(timeout.map_or(within, |t| t.min(within)));
+        }
+        Some(PollFd { fd, events, revents: 0 })
     }
 }
 
@@ -399,46 +555,96 @@ struct ReactorCx {
     space: ConfSpace,
     max_pipeline: usize,
     binary_cap: u32,
+    wake: Arc<Waker>,
+    faults: Option<Arc<FaultInjector>>,
 }
 
-fn reactor_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBool>) {
-    let faults = handle.fault_injector();
+impl ReactorCx {
+    /// Requests a connection may have in flight before the next frame of
+    /// `codec` is held back. JSON frames are strictly serial (responses
+    /// carry no correlation tag, so order is the contract); binary frames
+    /// pipeline up to the configured depth.
+    fn window(&self, codec: Codec) -> usize {
+        if codec == Codec::Json {
+            1
+        } else {
+            self.max_pipeline
+        }
+    }
+}
+
+/// How long the listener stays out of the poll set after `accept` failed
+/// for a reason that outlasts the call (`EMFILE`): level-triggered, it
+/// would report the same pending connection again at once.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Accept until the listener runs dry; `false` when `accept` failed.
+fn accept_all(listener: &TcpListener, conns: &mut Vec<Conn>, cx: &ReactorCx) -> bool {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // Frames are small; without NODELAY, Nagle + delayed
+                // ACK stalls every response by tens of milliseconds.
+                let _ = stream.set_nodelay(true);
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                if let Ok(writer_stream) = stream.try_clone() {
+                    conns.push(Conn::new(stream, writer_stream, cx));
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+fn reactor_loop(
+    listener: TcpListener,
+    handle: ServiceHandle,
+    stop: Arc<AtomicBool>,
+    wake_rx: UnixStream,
+    wake: Arc<Waker>,
+) {
     let cx = ReactorCx {
         space: ConfSpace::table_iv(),
         max_pipeline: handle.protocol().max_pipeline.max(1),
         binary_cap: handle.protocol().max_frame.min(MAX_FRAME),
+        faults: handle.fault_injector(),
+        wake,
         handle,
     };
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
-    while !stop.load(Ordering::Acquire) {
-        let mut active = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Frames are small; without NODELAY, Nagle + delayed
-                    // ACK stalls every response by tens of milliseconds.
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    if let Ok(writer_stream) = stream.try_clone() {
-                        conns.push(Conn::new(stream, writer_stream, faults.clone()));
-                        active = true;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+    let mut accepting = true;
+    loop {
+        // The set: the wake channel, the listener, then every connection
+        // that is not done, in order. Blocks for good unless an entry has
+        // a deadline.
+        let mut timeout = if accepting { None } else { Some(ACCEPT_BACKOFF) };
+        fds.clear();
+        fds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
+        let listener_fd = if accepting { listener.as_raw_fd() } else { -1 };
+        fds.push(PollFd { fd: listener_fd, events: POLLIN, revents: 0 });
+        conns.retain(|conn| conn.poll_entry(&cx, &mut timeout).map(|e| fds.push(e)).is_some());
+        wait_ready(&mut fds, timeout);
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
-        for conn in &mut conns {
-            active |= conn.pump(&cx, &mut chunk);
+        // Consumed before any connection is looked at: a wake-up sent
+        // while this pass runs stays in the channel for the next `poll`.
+        if fds[0].revents != 0 {
+            while matches!((&wake_rx).read(&mut chunk), Ok(n) if n == chunk.len()) {}
         }
-        conns.retain(Conn::alive);
-        if !active {
-            // Nothing readable and nothing accepted: yield briefly rather
-            // than spin. Callback replies progress on worker threads.
-            std::thread::sleep(std::time::Duration::from_micros(200));
+        // Connections accepted now are appended, past the entries, and
+        // join the set on the next pass.
+        for (conn, entry) in conns.iter_mut().zip(&fds[2..]) {
+            conn.pump(&cx, &mut chunk, entry.revents != 0);
+        }
+        if fds[1].revents != 0 || !accepting {
+            accepting = accept_all(&listener, &mut conns, &cx);
         }
     }
 }
@@ -534,7 +740,7 @@ fn serve_frame(
         }
         Request::Recommend { app, data, cluster, k, seed, .. } => match cluster.resolve() {
             Ok(cluster) => {
-                writer.in_flight.fetch_add(1, Ordering::AcqRel);
+                writer.in_flight.fetch_add(1, Ordering::SeqCst);
                 let (h, w) = (handle.clone(), writer.clone());
                 handle.submit_recommend(
                     app,
@@ -555,7 +761,7 @@ fn serve_frame(
                             Err(err) => Response::error(&err),
                         };
                         reply.send(&h, &w, response);
-                        w.in_flight.fetch_sub(1, Ordering::AcqRel);
+                        w.reply_done();
                     }),
                 );
                 return;
@@ -564,7 +770,7 @@ fn serve_frame(
         },
         Request::Observe { app, data, cluster, conf, result } => match cluster.resolve() {
             Ok(cluster) => {
-                writer.in_flight.fetch_add(1, Ordering::AcqRel);
+                writer.in_flight.fetch_add(1, Ordering::SeqCst);
                 let (h, w) = (handle.clone(), writer.clone());
                 handle.observe_with(
                     app,
@@ -578,7 +784,7 @@ fn serve_frame(
                             Err(err) => Response::error(&err),
                         };
                         reply.send(&h, &w, response);
-                        w.in_flight.fetch_sub(1, Ordering::AcqRel);
+                        w.reply_done();
                     }),
                 );
                 return;
@@ -597,12 +803,12 @@ fn serve_frame(
             };
             let options = lite_analyze::ExtractOptions { iterations: iterations.max(1) };
             match lite_analyze::extract_stages(source, options) {
-                Ok(ex) => Response::Admin(extraction_to_json(&ex)),
+                Ok(ex) => Response::Admin(admin::extraction_to_json(&ex)),
                 Err(e) => Response::bad_request(e.to_string()),
             }
         }
-        Request::Profile { k } => profile(handle, k.clamp(1, 64)),
-        Request::Stats => Response::Admin(stats_with_planes(handle)),
+        Request::Profile { k } => admin::profile(handle, k.clamp(1, 64)),
+        Request::Stats => Response::Admin(admin::stats_with_planes(handle)),
         Request::Metrics => Response::Admin(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("content_type", Json::from("text/plain; version=0.0.4")),
@@ -628,14 +834,14 @@ fn serve_frame(
             let (completed, captured) = handle.tail_totals();
             // Same half-frame budget; the fastest exemplars are shed first
             // when the document outgrows it.
-            Response::Admin(tailtrace_to_json(
+            Response::Admin(admin::tailtrace_to_json(
                 handle.tail_exemplars(),
                 completed,
                 captured,
                 MAX_FRAME as usize / 2,
             ))
         }
-        Request::Slo => slo(handle),
+        Request::Slo => admin::slo(handle),
     };
     reply.send(handle, writer, response);
 }
@@ -666,259 +872,6 @@ fn retrieve(
         Ok(resp) => Response::retrieve(resp, trace.map(TraceId::raw)),
         Err(err) => Response::error(&err),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Admin documents
-
-/// Encode the tail-forensics reservoir, shedding the fastest exemplars
-/// until the document fits `max_bytes`.
-fn tailtrace_to_json(
-    mut exemplars: Vec<Exemplar>,
-    completed: u64,
-    captured: u64,
-    max_bytes: usize,
-) -> Json {
-    loop {
-        let doc = Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("completed", Json::from(completed)),
-            ("captured", Json::from(captured)),
-            ("exemplars", Json::Arr(exemplars.iter().map(exemplar_to_json).collect())),
-        ]);
-        if doc.render().len() <= max_bytes || exemplars.is_empty() {
-            return doc;
-        }
-        exemplars.pop();
-    }
-}
-
-/// Encode one captured exemplar for the wire.
-fn exemplar_to_json(e: &Exemplar) -> Json {
-    Json::obj(vec![
-        ("trace_id", Json::from(e.trace_id)),
-        ("total_ns", Json::from(e.total_ns)),
-        (
-            "spans",
-            Json::Arr(
-                e.spans
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("phase", Json::from(s.phase.name())),
-                            ("start_ns", Json::from(s.start_ns)),
-                            ("end_ns", Json::from(s.end_ns)),
-                            ("queue_depth", Json::from(u64::from(s.queue_depth))),
-                            ("swap", Json::Bool(s.swap_in_progress)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn extraction_to_json(ex: &lite_analyze::Extraction) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("app_name", ex.app_name.as_deref().map_or(Json::Null, Json::from)),
-        (
-            "stages",
-            Json::Arr(
-                ex.stages
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("template", Json::from(s.template.as_str())),
-                            (
-                                "ops",
-                                Json::Arr(s.ops.iter().map(|o| Json::from(o.label())).collect()),
-                            ),
-                            ("instances_per_run", Json::from(s.instances_per_run)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "diagnostics",
-            Json::Arr(
-                ex.diagnostics
-                    .iter()
-                    .map(|d| {
-                        Json::obj(vec![
-                            ("rule", Json::from(d.rule)),
-                            ("message", Json::from(d.message.as_str())),
-                            ("line", Json::from(u64::from(d.span.line))),
-                            ("col", Json::from(u64::from(d.span.col))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn profile(handle: &ServiceHandle, k: usize) -> Response {
-    let Some(report) = handle.profile_report(k) else {
-        return Response::bad_request("profiling not enabled on this server");
-    };
-    let folded = handle.profile_folded().unwrap_or_default();
-    Response::Admin(Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("samples", Json::from(report.samples)),
-        ("sweeps", Json::from(report.sweeps)),
-        ("torn", Json::from(report.torn)),
-        ("truncated", Json::from(report.truncated)),
-        ("threads", Json::from(report.threads)),
-        ("distinct_stacks", Json::from(report.distinct_stacks)),
-        (
-            "top",
-            Json::Arr(
-                report
-                    .top
-                    .iter()
-                    .map(|t| {
-                        Json::obj(vec![
-                            ("tag", Json::from(t.tag.as_str())),
-                            ("self", Json::from(t.self_samples)),
-                            ("total", Json::from(t.total_samples)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "alloc",
-            Json::Arr(
-                lite_obs::prof::alloc_table()
-                    .iter()
-                    .map(|(tag, bytes, allocs)| {
-                        Json::obj(vec![
-                            ("tag", Json::from(tag.as_str())),
-                            ("bytes", Json::from(*bytes)),
-                            ("allocs", Json::from(*allocs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("folded", Json::from(folded.as_str())),
-    ]))
-}
-
-/// Encode one [`lite_obs::WindowStats`] for the wire.
-fn window_to_json(w: &lite_obs::WindowStats) -> Json {
-    Json::obj(vec![
-        ("count", Json::from(w.count)),
-        ("rate", Json::Num(w.rate)),
-        ("mean_ns", Json::Num(w.mean)),
-        ("min_ns", Json::from(w.min)),
-        ("max_ns", Json::from(w.max)),
-        ("p50_ns", Json::from(w.p50)),
-        ("p90_ns", Json::from(w.p90)),
-        ("p99_ns", Json::from(w.p99)),
-        ("p999_ns", Json::from(w.p999)),
-        ("span_s", Json::Num(w.span_s)),
-    ])
-}
-
-fn slo(handle: &ServiceHandle) -> Response {
-    let (Some(config), Some(status)) = (handle.slo_config(), handle.slo_status()) else {
-        return Response::bad_request("slo not configured on this server");
-    };
-    Response::Admin(Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("objective_ns", Json::from(config.objective_ns)),
-        ("target", Json::Num(config.target)),
-        ("bucket_s", Json::Num(config.bucket.as_secs_f64())),
-        ("burn_fast", Json::Num(status.burn_fast)),
-        ("burn_slow", Json::Num(status.burn_slow)),
-        ("good_fraction", Json::Num(status.good_fraction)),
-        ("alert", Json::Bool(status.alert)),
-        ("alert_ticks", Json::from(status.alert_ticks)),
-        ("fast", window_to_json(&status.fast)),
-        ("slow", window_to_json(&status.slow)),
-    ]))
-}
-
-/// The `stats` response: the point-in-time summary plus, additively, the
-/// per-phase latency breakdown (tracing enabled) and the windowed SLO
-/// view (SLO configured) — so operators get both without a Prometheus
-/// scrape. Servers without those planes answer exactly as before.
-fn stats_with_planes(handle: &ServiceHandle) -> Json {
-    let mut doc = stats_to_json(&handle.stats());
-    let Json::Obj(pairs) = &mut doc else { return doc };
-    let phases = handle.phase_summaries();
-    if !phases.is_empty() {
-        let arr = phases
-            .iter()
-            .map(|(name, s)| {
-                Json::obj(vec![
-                    ("phase", Json::from(*name)),
-                    ("count", Json::from(s.count)),
-                    ("mean_ns", Json::Num(s.mean)),
-                    ("p50_ns", Json::from(s.p50)),
-                    ("p90_ns", Json::from(s.p90)),
-                    ("p99_ns", Json::from(s.p99)),
-                    ("p999_ns", Json::from(s.p999)),
-                    ("max_ns", Json::from(s.max)),
-                ])
-            })
-            .collect();
-        pairs.push(("phases".to_string(), Json::Arr(arr)));
-    }
-    if let Some(status) = handle.slo_status() {
-        pairs.push((
-            "slo".to_string(),
-            Json::obj(vec![
-                ("alert", Json::Bool(status.alert)),
-                ("burn_fast", Json::Num(status.burn_fast)),
-                ("burn_slow", Json::Num(status.burn_slow)),
-                ("good_fraction", Json::Num(status.good_fraction)),
-                ("window", window_to_json(&status.fast)),
-            ]),
-        ));
-    }
-    doc
-}
-
-fn drift_to_json(d: &DriftSummary) -> Json {
-    Json::obj(vec![
-        ("samples", Json::from(d.samples)),
-        ("mape", Json::Num(d.mape)),
-        ("mean_error_s", Json::Num(d.mean_error_s)),
-        ("inversion_rate", Json::Num(d.inversion_rate)),
-        ("drifted", Json::Bool(d.drifted)),
-    ])
-}
-
-fn stats_to_json(s: &ServiceStats) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("uptime_s", Json::Num(s.uptime_s)),
-        ("version", Json::from(s.version)),
-        ("swaps", Json::from(s.swap_count)),
-        ("queue_depth", Json::from(s.queue_depth)),
-        ("queue_capacity", Json::from(s.queue_capacity)),
-        ("workers", Json::from(s.workers)),
-        ("feedback", Json::from(s.feedback_len)),
-        ("update_batch", Json::from(s.update_batch)),
-        ("requests", Json::from(s.requests)),
-        (
-            "cache",
-            Json::obj(vec![
-                ("hit_rate", Json::Num(s.cache_hit_rate)),
-                ("hits", Json::from(s.cache_hits)),
-                ("misses", Json::from(s.cache_misses)),
-            ]),
-        ),
-        ("drift", drift_to_json(&s.drift)),
-        ("degraded", Json::Bool(s.degraded)),
-        ("backend", Json::from("snapshot")),
-        ("updater_failures", Json::from(s.updater_failures)),
-        ("fallbacks", Json::from(s.fallbacks)),
-    ])
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting and lints first (cheap, catch the
-# most churn), then the tier-1 build + test pass from ROADMAP.md, one short
-# run of the repo's benchmark, and the two experiment smokes whose gates no
+# most churn), then the tier-1 build + test pass from ROADMAP.md, two short
+# runs of the repo's benchmark, and the two experiment smokes whose gates no
 # test holds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,6 +29,9 @@ echo "==> ledger smoke (any failed operation fails the gate)"
 # a hot swap under read load) through the benchmark's own command; numbers
 # only mean something at the benchmark's run length (`make ledger`).
 bash crates/ledger/run.sh --workload tuning_loop --seed 7 --seconds 2 --trace 0
+# tuning_loop is in-process; wire_hit is the one workload that opens a
+# socket (reactor, framing, client).
+bash crates/ledger/run.sh --workload wire_hit --seed 7 --seconds 2 --trace 0
 
 # Quick-run manifests must not land beside the committed full-run ones.
 smoke_results=$(mktemp -d)
