@@ -417,8 +417,7 @@ impl NeuralBaseline {
         epochs: usize,
         seed: u64,
     ) -> NeuralBaseline {
-        let owned: Vec<StageInstance> = instances.iter().map(|i| (*i).clone()).collect();
-        let norm = FeatNorm::fit(&ds.space, &owned);
+        let norm = FeatNorm::fit(&ds.space, instances);
         let mut r = rng(seed);
         let mut params = Params::new();
         let embed_dim = 12;
@@ -532,16 +531,6 @@ impl NeuralBaseline {
         self.mlp.forward(tape, &self.params, x)
     }
 
-    fn tabular_matrix(&self, instances: &[&StageInstance]) -> Tensor {
-        let mut m = Tensor::zeros(instances.len(), TABULAR_WIDTH);
-        for (r, inst) in instances.iter().enumerate() {
-            for (c, v) in self.norm.tabular(&self.space, inst).iter().enumerate() {
-                m.set(r, c, *v as f32);
-            }
-        }
-        m
-    }
-
     fn fit(&mut self, registry: &TemplateRegistry, instances: &[&StageInstance]) {
         let mut order: Vec<usize> = (0..instances.len()).collect();
         let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ 0x77);
@@ -551,7 +540,7 @@ impl NeuralBaseline {
             for chunk in order.chunks(self.batch_size) {
                 let batch: Vec<&StageInstance> = chunk.iter().map(|&i| instances[i]).collect();
                 let templates: Vec<TemplateKey> = batch.iter().map(|i| i.template).collect();
-                let tab = self.tabular_matrix(&batch);
+                let tab = self.norm.tabular_matrix(&self.space, &batch);
                 let mut target = Tensor::zeros(batch.len(), 1);
                 for (r, inst) in batch.iter().enumerate() {
                     target.set(r, 0, self.norm.norm_y(inst.y) as f32);

@@ -234,7 +234,7 @@ pub struct FeatNorm {
 
 impl FeatNorm {
     /// Estimate from training instances.
-    pub fn fit(space: &ConfSpace, instances: &[StageInstance]) -> FeatNorm {
+    pub fn fit(space: &ConfSpace, instances: &[&StageInstance]) -> FeatNorm {
         assert!(!instances.is_empty(), "cannot normalize an empty training set");
         let rows: Vec<[f64; TABULAR_WIDTH]> =
             instances.iter().map(|i| raw_tabular(space, i)).collect();
@@ -264,11 +264,6 @@ impl FeatNorm {
         FeatNorm { mean, std, y_mean, y_std }
     }
 
-    /// Normalized tabular feature vector for an instance.
-    pub fn tabular(&self, space: &ConfSpace, inst: &StageInstance) -> Vec<f64> {
-        self.tabular_parts(space, &inst.conf, &inst.data, &inst.env)
-    }
-
     /// Normalized tabular features from raw parts (used at recommendation
     /// time where no `StageInstance` exists yet).
     pub fn tabular_parts(
@@ -296,6 +291,15 @@ impl FeatNorm {
         {
             *o = v as f32;
         }
+    }
+
+    /// The `[B, TABULAR_WIDTH]` model input of a batch of instances.
+    pub fn tabular_matrix(&self, space: &ConfSpace, instances: &[&StageInstance]) -> Tensor {
+        let mut m = Tensor::zeros(instances.len(), TABULAR_WIDTH);
+        for (r, inst) in instances.iter().enumerate() {
+            self.tabular_into(space, &inst.conf, &inst.data, &inst.env, m.row_mut(r));
+        }
+        m
     }
 
     fn normalized(&self, raw: [f64; TABULAR_WIDTH]) -> impl Iterator<Item = f64> + '_ {
@@ -429,7 +433,7 @@ mod tests {
         let space = ConfSpace::table_iv();
         let insts: Vec<StageInstance> =
             [1.0, 5.0, 20.0, 100.0].iter().map(|&y| dummy_instance(y)).collect();
-        let norm = FeatNorm::fit(&space, &insts);
+        let norm = FeatNorm::fit(&space, &insts.iter().collect::<Vec<_>>());
         for y in [0.5, 3.0, 50.0, 700.0] {
             let z = norm.norm_y(y);
             assert!((norm.denorm_y(z) - y).abs() < 1e-6 * (1.0 + y));
@@ -445,14 +449,12 @@ mod tests {
             inst.data = AppId::Sort.dataset(SizeTier::Train(i as u8));
             insts.push(inst);
         }
-        let norm = FeatNorm::fit(&space, &insts);
+        let norm = FeatNorm::fit(&space, &insts.iter().collect::<Vec<_>>());
         // The datasize feature varies across instances -> mean ~0 across
         // the training set after normalization.
-        let mut sum = 0.0;
-        for inst in &insts {
-            sum += norm.tabular(&space, inst)[0];
-        }
+        let tabular = |i: &StageInstance| norm.tabular_parts(&space, &i.conf, &i.data, &i.env);
+        let sum: f64 = insts.iter().map(|inst| tabular(inst)[0]).sum();
         assert!(sum.abs() < 1e-9, "{sum}");
-        assert_eq!(norm.tabular(&space, &insts[0]).len(), TABULAR_WIDTH);
+        assert_eq!(tabular(&insts[0]).len(), TABULAR_WIDTH);
     }
 }

@@ -196,8 +196,7 @@ impl Necs {
         instances: &[&StageInstance],
         config: NecsConfig,
     ) -> Necs {
-        let owned: Vec<StageInstance> = instances.iter().map(|i| (*i).clone()).collect();
-        let norm = FeatNorm::fit(space, &owned);
+        let norm = FeatNorm::fit(space, instances);
         let mut model = Necs::new(registry, space.clone(), norm, config);
         model.fit(registry, instances);
         model
@@ -281,13 +280,6 @@ impl Necs {
         self.mlp.forward_with_hidden(tape, &self.params, x)
     }
 
-    /// Assemble the normalized tabular matrix for instances.
-    fn tabular_matrix(&self, instances: &[&StageInstance]) -> Tensor {
-        let rows: Vec<Vec<f64>> =
-            instances.iter().map(|inst| self.norm.tabular(&self.space, inst)).collect();
-        Tensor::from_rows_f64(TABULAR_WIDTH, &rows)
-    }
-
     /// Train with Adam on MSE over normalized log targets (Eq. 4).
     pub fn fit(&mut self, registry: &TemplateRegistry, instances: &[&StageInstance]) {
         assert!(!instances.is_empty(), "cannot fit on an empty training set");
@@ -302,7 +294,7 @@ impl Necs {
             for chunk in order.chunks(self.config.batch_size) {
                 let batch: Vec<&StageInstance> = chunk.iter().map(|&i| instances[i]).collect();
                 let templates: Vec<TemplateKey> = batch.iter().map(|i| i.template).collect();
-                let tab = self.tabular_matrix(&batch);
+                let tab = self.norm.tabular_matrix(&self.space, &batch);
                 let mut target = Tensor::zeros(batch.len(), 1);
                 for (r, inst) in batch.iter().enumerate() {
                     target.set(r, 0, self.norm.norm_y(inst.y) as f32);
@@ -438,7 +430,7 @@ impl Necs {
         instances: &[&StageInstance],
     ) -> (Var, Var) {
         let templates: Vec<TemplateKey> = instances.iter().map(|i| i.template).collect();
-        let tab = self.tabular_matrix(instances);
+        let tab = self.norm.tabular_matrix(&self.space, instances);
         self.forward_batch(tape, registry, &templates, &tab)
     }
 

@@ -134,7 +134,7 @@ impl TowerMlp {
 /// final ReLU projection).
 #[derive(Debug, Clone)]
 pub struct Conv1dBank {
-    kernels: Vec<(usize, ParamId, ParamId)>, // (width, weights [K, w*D], bias [1, K])
+    kernels: Vec<(ParamId, ParamId)>, // per width: (weights [K, w*D], bias [1, K])
     /// Embedding dimension the bank expects.
     pub dim: usize,
     /// Kernels per width.
@@ -158,7 +158,7 @@ impl Conv1dBank {
                     .add(format!("{name}.conv{w}.w"), init::he(kernels_per_width, w * dim, rng));
                 let b =
                     params.add(format!("{name}.conv{w}.b"), Tensor::zeros(1, kernels_per_width));
-                (w, k, b)
+                (k, b)
             })
             .collect();
         Conv1dBank { kernels, dim, kernels_per_width }
@@ -170,36 +170,13 @@ impl Conv1dBank {
     }
 
     /// `x [N, D] -> [1, widths·K]`: conv + ReLU + global max pool per
-    /// width, concatenated.
+    /// width ([`Tape::conv_relu_max`]) plus bias, concatenated.
     pub fn forward(&self, tape: &mut Tape, params: &Params, x: Var) -> Var {
-        let n = tape.value(x).rows();
         let mut pooled = Vec::with_capacity(self.kernels.len());
-        for &(w, k, b) in &self.kernels {
-            let w_eff = w.min(n);
-            let cols = tape.im2col(x, w_eff); // [w*D, P]
-            let kv = tape.param(params, k); // [K, w*D]
-            let kv = if w_eff == w {
-                kv
-            } else {
-                // Degenerate short input: clip kernel columns by gathering
-                // the leading rows of the transposed view. In practice N >>
-                // w; this branch only defends tiny test inputs.
-                let clipped = Tensor::from_vec(self.kernels_per_width, w_eff * self.dim, {
-                    let full = params.value(k);
-                    let mut v = Vec::with_capacity(self.kernels_per_width * w_eff * self.dim);
-                    for r in 0..self.kernels_per_width {
-                        v.extend_from_slice(&full.row(r)[..w_eff * self.dim]);
-                    }
-                    v
-                });
-                tape.leaf(clipped)
-            };
-            let fm = tape.matmul(kv, cols); // [K, P]
-            let fm = tape.relu(fm);
-            let mx = tape.row_max(fm); // [K, 1]
-            let flat = transpose_var(tape, mx); // [1, K]
+        for &(k, b) in &self.kernels {
+            let mx = tape.conv_relu_max(params, x, k); // [1, K]
             let bv = tape.param(params, b);
-            pooled.push(tape.add(flat, bv));
+            pooled.push(tape.add(mx, bv));
         }
         tape.concat_cols(&pooled)
     }

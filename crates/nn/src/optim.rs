@@ -114,7 +114,7 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for i in 0..params.len() {
-            let g = params.grad(ParamId(i)).clone();
+            let g = params.grad(ParamId(i));
             let m = &mut self.m[i];
             let v = &mut self.v[i];
             for ((mv, vv), gv) in

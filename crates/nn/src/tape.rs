@@ -6,11 +6,11 @@
 //! per minibatch while optimizers step on the persistent store.
 //!
 //! The op set is exactly what the paper's models need: dense algebra for
-//! MLPs, `im2col`+matmul convolution for the CNN code encoder, gather /
-//! stack ops so per-template encodings can be shared across a minibatch,
-//! masked max-pooling for the GCN scheduler encoder, softmax/layer-norm for
-//! the Transformer baseline, and a gradient-reversal op for the adversarial
-//! Adaptive Model Update.
+//! MLPs, a fused convolution → ReLU → global-max op for the CNN code
+//! encoder, gather / stack ops so per-template encodings can be shared
+//! across a minibatch, masked max-pooling for the GCN scheduler encoder,
+//! softmax/layer-norm for the Transformer baseline, and a gradient-reversal
+//! op for the adversarial Adaptive Model Update.
 
 use crate::tensor::Tensor;
 
@@ -88,6 +88,19 @@ impl Params {
     }
 }
 
+/// Kernels [`Tape::conv_relu_max`] scores a window against at once.
+const CONV_LANES: usize = 8;
+
+/// Floats of one convolution window: the kernel's width clipped to an
+/// input of `n` rows, times the embedding width `d`.
+fn conv_window(kernel: &Tensor, n: usize, d: usize) -> usize {
+    assert!(
+        n >= 1 && d >= 1 && kernel.cols().is_multiple_of(d),
+        "conv kernel does not fit [{n},{d}]"
+    );
+    (kernel.cols() / d).min(n) * d
+}
+
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
@@ -105,15 +118,14 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     RowSoftmax(Var),
-    /// Max over each row: `[m,n] -> [m,1]` (argmax memo).
-    RowMax(Var),
     /// Max over each column: `[m,n] -> [1,n]` (argmax memo).
     ColMax(Var),
     ConcatCols(Vec<Var>),
     VStack(Vec<Var>),
     GatherRows(Var, Vec<usize>),
-    /// Sliding-window unfold of `[n,d]` into `[w*d, n-w+1]` columns.
-    Im2Col(Var, usize),
+    /// Sliding-window convolution of `[n,d]` rows with a `[K, w*d]` kernel
+    /// parameter, ReLU, max over the windows: `[1,K]` (argmax memo).
+    ConvReluMax(Var, ParamId),
     /// Row gather from an embedding table parameter.
     EmbeddingGather(ParamId, Vec<usize>),
     SliceRow(Var, usize),
@@ -259,25 +271,6 @@ impl Tape {
         self.push(out, Op::RowSoftmax(a))
     }
 
-    /// Max over each row: `[m,n] -> [m,1]`.
-    pub fn row_max(&mut self, a: Var) -> Var {
-        let x = self.value(a);
-        let mut out = Tensor::zeros(x.rows(), 1);
-        let mut arg = vec![0usize; x.rows()];
-        for (r, slot) in arg.iter_mut().enumerate() {
-            let (mut bi, mut bv) = (0usize, f32::NEG_INFINITY);
-            for (c, &v) in x.row(r).iter().enumerate() {
-                if v > bv {
-                    bv = v;
-                    bi = c;
-                }
-            }
-            out.set(r, 0, bv);
-            *slot = bi;
-        }
-        self.push_full(out, Op::RowMax(a), arg, Vec::new())
-    }
-
     /// Max over each column: `[m,n] -> [1,n]`.
     pub fn col_max(&mut self, a: Var) -> Var {
         let x = self.value(a);
@@ -338,22 +331,52 @@ impl Tape {
         self.push(out, Op::GatherRows(a, idx.to_vec()))
     }
 
-    /// Unfold `[n,d]` into sliding windows of `w` rows: output `[w*d, n-w+1]`
-    /// where column `j` is the flattened window starting at row `j`.
-    pub fn im2col(&mut self, a: Var, w: usize) -> Var {
-        let x = self.value(a);
-        let (n, d) = x.shape();
-        assert!(w >= 1 && w <= n, "window {w} out of range for {n} rows");
-        let p = n - w + 1;
-        let mut out = Tensor::zeros(w * d, p);
-        for j in 0..p {
-            for k in 0..w {
-                for c in 0..d {
-                    out.set(k * d + c, j, x.get(j + k, c));
+    /// Token convolution, ReLU and global max pooling as one op (paper
+    /// Eq. 1): `x [N,D]`, kernel parameter `[K, w·D]` -> `[1,K]`, entry `k`
+    /// the largest `relu(kernel_k · window_j)` over the `N-w+1` windows of
+    /// `w` consecutive rows. Row-major `x` holds window `j` as the slice
+    /// `x[j·D .. (j+w)·D]`, so nothing is unfolded, and only each kernel's
+    /// maximum and first arg-max are kept — all that backward needs. An
+    /// input shorter than the window uses the kernel's leading `N·D`
+    /// columns. Every dot product adds its terms in column order from
+    /// `+0.0`, as `Tensor::matmul` over the unfolded windows would.
+    pub fn conv_relu_max(&mut self, params: &Params, x: Var, kernel: ParamId) -> Var {
+        let (xt, kern) = (self.value(x), params.value(kernel));
+        let (n, d) = xt.shape();
+        let wd = conv_window(kern, n, d);
+        let k = kern.rows();
+        // Transposed copy, zero-padded to whole chunks: row `p` holds
+        // column `p` of every kernel, so one chunk's accumulators are a
+        // fixed-size array the compiler keeps in registers.
+        let kp = k.next_multiple_of(CONV_LANES);
+        let mut kt = vec![0.0f32; wd * kp];
+        for r in 0..k {
+            for (p, &v) in kern.row(r)[..wd].iter().enumerate() {
+                kt[p * kp + r] = v;
+            }
+        }
+        let mut best = vec![f32::NEG_INFINITY; kp];
+        let mut arg = vec![0usize; kp];
+        for j in 0..=n - wd / d {
+            let window = &xt.data()[j * d..j * d + wd];
+            for c in (0..kp).step_by(CONV_LANES) {
+                let mut acc = [0.0f32; CONV_LANES];
+                for (&xv, k_row) in window.iter().zip(kt.chunks_exact(kp)) {
+                    for (a, &kv) in acc.iter_mut().zip(&k_row[c..c + CONV_LANES]) {
+                        *a += kv * xv;
+                    }
+                }
+                for (l, a) in acc.into_iter().enumerate() {
+                    let v = a.max(0.0);
+                    if v > best[c + l] {
+                        (best[c + l], arg[c + l]) = (v, j);
+                    }
                 }
             }
         }
-        self.push(out, Op::Im2Col(a, w))
+        best.truncate(k);
+        arg.truncate(k);
+        self.push_full(Tensor::row_vector(best), Op::ConvReluMax(x, kernel), arg, Vec::new())
     }
 
     /// Gather token embeddings: table `[V,D]` (parameter), ids -> `[N,D]`.
@@ -520,14 +543,6 @@ impl Tape {
                     }
                     accum(&mut grads, *a, dx);
                 }
-                Op::RowMax(a) => {
-                    let x = val(*a);
-                    let mut dx = Tensor::zeros(x.rows(), x.cols());
-                    for r in 0..x.rows() {
-                        dx.set(r, node.memo_idx[r], g.get(r, 0));
-                    }
-                    accum(&mut grads, *a, dx);
-                }
                 Op::ColMax(a) => {
                     let x = val(*a);
                     let mut dx = Tensor::zeros(x.rows(), x.cols());
@@ -564,20 +579,46 @@ impl Tape {
                     }
                     accum(&mut grads, *a, dx);
                 }
-                Op::Im2Col(a, w) => {
-                    let x = val(*a);
-                    let (n, d) = x.shape();
-                    let p = n - w + 1;
-                    let mut dx = Tensor::zeros(n, d);
-                    for j in 0..p {
-                        for k in 0..*w {
-                            for c in 0..d {
-                                let v = g.get(k * d + c, j);
-                                dx.set(j + k, c, dx.get(j + k, c) + v);
-                            }
+                Op::ConvReluMax(x, kernel) => {
+                    // Max pooling passes gradient to one window per kernel
+                    // and ReLU only where that maximum is positive: the
+                    // dense `[K,P]` gradient is zero everywhere else, and
+                    // adding its `±0` products changes no bit of a sum
+                    // started at `+0.0`. What is left is added in the
+                    // dense order: `dK` rows as one sum from `+0.0` each,
+                    // `dx` columns ascending, kernels ascending within a
+                    // column.
+                    let xt = val(*x);
+                    let (n, d) = xt.shape();
+                    let (kern, dkern) = (&params.values[kernel.0], &mut params.grads[kernel.0]);
+                    let wd = conv_window(kern, n, d);
+                    let arg = &node.memo_idx;
+                    let mut live: Vec<usize> =
+                        (0..kern.rows()).filter(|&k| node.value.get(0, k) > 0.0).collect();
+                    for &k in &live {
+                        let window = &xt.data()[arg[k] * d..arg[k] * d + wd];
+                        for (o, &xv) in dkern.row_mut(k)[..wd].iter_mut().zip(window) {
+                            *o += 0.0 + g.get(0, k) * xv;
                         }
                     }
-                    accum(&mut grads, *a, dx);
+                    live.sort_by_key(|&k| arg[k]);
+                    let mut dx = Tensor::zeros(n, d);
+                    let mut col = vec![0.0f32; wd];
+                    for same in live.chunk_by(|&a, &b| arg[a] == arg[b]) {
+                        col.fill(0.0);
+                        for &k in same {
+                            for (c, &a) in col.iter_mut().zip(&kern.row(k)[..wd]) {
+                                if a != 0.0 {
+                                    *c += a * g.get(0, k);
+                                }
+                            }
+                        }
+                        let at = arg[same[0]] * d;
+                        for (o, &c) in dx.data_mut()[at..at + wd].iter_mut().zip(&col) {
+                            *o += c;
+                        }
+                    }
+                    accum(&mut grads, *x, dx);
                 }
                 Op::EmbeddingGather(table, ids) => {
                     let gt = params.grad_mut(*table);
@@ -753,20 +794,10 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_max_pools() {
+    fn grad_check_col_max() {
         let mut params = Params::new();
         // Values well separated so FD perturbation doesn't flip the argmax.
         let a = params.add("a", t(3, 2, &[1.0, -2.0, 4.0, 0.5, -1.0, 3.0]));
-        let target_row = t(3, 1, &[0.0, 0.0, 0.0]);
-        grad_check(
-            |tape, p| {
-                let av = tape.param(p, a);
-                let m = tape.row_max(av);
-                tape.mse_loss(m, &target_row)
-            },
-            &mut params,
-            2e-2,
-        );
         let target_col = t(1, 2, &[0.0, 0.0]);
         grad_check(
             |tape, p| {
@@ -780,24 +811,120 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_im2col_conv_pipeline() {
+    fn grad_check_conv_relu_max() {
         let mut params = Params::new();
         let emb = params.add("emb", t(4, 2, &[0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7, 0.8]));
         let kern = params.add("k", t(2, 4, &[0.3, -0.1, 0.2, 0.4, -0.2, 0.5, 0.1, -0.3]));
-        let ids = vec![0usize, 2, 1, 3, 2];
-        let target = t(2, 1, &[0.2, -0.2]);
-        grad_check(
-            |tape, p| {
-                let e = tape.embedding_gather(p, emb, &ids); // [5,2]
-                let cols = tape.im2col(e, 2); // [4,4]
-                let kv = tape.param(p, kern); // [2,4]
-                let fm = tape.matmul(kv, cols); // [2,4]
-                let pooled = tape.row_max(fm); // [2,1]
-                tape.mse_loss(pooled, &target)
-            },
-            &mut params,
-            2e-2,
-        );
+        let target = t(1, 2, &[0.2, -0.2]);
+        // Five tokens under a window of two; then one token, shorter than
+        // the window: the kernel's leading columns score it and train.
+        for ids in [vec![0usize, 2, 1, 3, 2], vec![3]] {
+            grad_check(
+                |tape, p| {
+                    let e = tape.embedding_gather(p, emb, &ids); // [N,2]
+                    let pooled = tape.conv_relu_max(p, e, kern); // [1,2]
+                    tape.mse_loss(pooled, &target)
+                },
+                &mut params,
+                2e-2,
+            );
+            let dk = params.grad(kern);
+            assert!(dk.row(0)[..2].iter().all(|&v| v != 0.0), "{ids:?}: {dk:?}");
+            assert_eq!(ids.len() == 1, dk.row(0)[2..] == [0.0, 0.0], "{ids:?}: {dk:?}");
+        }
+    }
+
+    /// The convolution as the tape used to record it, op by op: unfold,
+    /// `matmul`, ReLU, first strict maximum per row, and the dense
+    /// backward of each, under an MSE loss against `target`. Returns
+    /// `(y, arg-max, dK, dx)`.
+    fn dense_conv(
+        x: &Tensor,
+        kern: &Tensor,
+        target: &[f32],
+    ) -> (Tensor, Vec<usize>, Tensor, Tensor) {
+        let (n, d) = x.shape();
+        let (k, wd) = (kern.rows(), (kern.cols() / d).min(n) * d);
+        let p = n - wd / d + 1;
+        let mut cols = Tensor::zeros(wd, p);
+        let mut clipped = Tensor::zeros(k, wd);
+        for q in 0..wd {
+            (0..p).for_each(|j| cols.set(q, j, x.data()[j * d + q]));
+            (0..k).for_each(|r| clipped.set(r, q, kern.get(r, q)));
+        }
+        let fm = clipped.matmul(&cols);
+        let (mut y, mut arg, mut dfm) = (Tensor::zeros(1, k), vec![0; k], Tensor::zeros(k, p));
+        for r in 0..k {
+            let mut best = f32::NEG_INFINITY;
+            for (c, &v) in fm.row(r).iter().enumerate() {
+                if v.max(0.0) > best {
+                    (best, arg[r]) = (v.max(0.0), c);
+                }
+            }
+            y.set(0, r, best);
+            let g = 0.0 + (2.0 * 1.0 / k as f32) * (best - target[r]) * 1.0;
+            dfm.set(r, arg[r], g * if fm.get(r, arg[r]) > 0.0 { 1.0 } else { 0.0 });
+        }
+        let (mut dk, mut dx) = (Tensor::zeros(k, kern.cols()), Tensor::zeros(n, d));
+        for r in 0..k {
+            for q in 0..wd {
+                let dot = (0..p).fold(0.0f32, |acc, j| acc + dfm.get(r, j) * cols.get(q, j));
+                dk.set(r, q, 0.0 + 1.0 * dot);
+            }
+        }
+        let dcols = clipped.transpose_a_matmul(&dfm);
+        for j in 0..p {
+            (0..wd).for_each(|q| dx.data_mut()[j * d + q] += dcols.get(q, j));
+        }
+        (y, arg, dk, dx)
+    }
+
+    #[test]
+    fn conv_relu_max_equals_the_dense_ops_bit_for_bit() {
+        // Values from a fixed recurrence, not from an rng stream.
+        let noise = |i: usize| ((i * 37 + 11) % 101) as f32 * 0.02 - 1.0;
+        let (d, w, k) = (3, 3, 10);
+        // Rows repeat with period 4, so windows j and j+4 tie exactly;
+        // column 0 is positive everywhere.
+        let periodic = |n: usize| {
+            let at = |i: usize| (noise(i % (4 * d)).abs() + 0.1) * [1.0, -1.0, 1.0][i % d];
+            Tensor::from_vec(n, d, (0..n * d).map(at).collect())
+        };
+        let mut kern =
+            Tensor::from_vec(k, w * d, (0..k * w * d).map(|i| noise(3 * i + 1)).collect());
+        kern.row_mut(3).fill(0.0); // every pre-activation is 0
+        for q in 0..w * d {
+            // Kernel 4 sees only the positive column, negated; 5 has holes.
+            kern.set(4, q, if q % d == 0 { -0.5 } else { 0.0 });
+            kern.set(5, q, if q % 2 == 0 { 0.0 } else { kern.get(5, q) });
+        }
+        let plain = Tensor::from_vec(13, d, (0..13 * d).map(|i| noise(5 * i + 2)).collect());
+        let target: Vec<f32> = (0..k).map(|i| noise(7 * i)).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Ties; no ties; N = w; N < w.
+        for x in [periodic(12), plain, periodic(3), periodic(2)] {
+            let mut params = Params::new();
+            let (xp, kp) = (params.add("x", x.clone()), params.add("k", kern.clone()));
+            let mut tape = Tape::new();
+            let xv = tape.param(&params, xp);
+            let y = tape.conv_relu_max(&params, xv, kp);
+            let loss = tape.mse_loss(y, &Tensor::row_vector(target.clone()));
+            tape.backward(loss, &mut params);
+            let (want_y, want_arg, want_dk, want_dx) = dense_conv(&x, &kern, &target);
+            let n = x.rows();
+            assert_eq!(bits(tape.value(y)), bits(&want_y), "N = {n}");
+            assert_eq!(tape.nodes[y.0].memo_idx, want_arg, "N = {n}");
+            assert_eq!(bits(params.grad(kp)), bits(&want_dk), "N = {n}");
+            assert_eq!(bits(params.grad(xp)), bits(&want_dx), "N = {n}");
+            // The inputs are what they were built to be: kernel 3 never
+            // fires, nor does 4 where column 0 is positive.
+            for r in if n == 13 { 3..4 } else { 3..5 } {
+                assert_eq!((want_y.get(0, r), want_arg[r]), (0.0, 0), "N = {n}, kernel {r}");
+                assert!(want_dk.row(r).iter().all(|&v| v == 0.0), "N = {n}, kernel {r}");
+            }
+            assert!(want_y.data().iter().any(|&v| v > 0.0), "N = {n}");
+            assert!(n != 12 || want_arg.iter().all(|&j| j < 4), "ties go first: {want_arg:?}");
+        }
     }
 
     #[test]

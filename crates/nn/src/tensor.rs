@@ -35,23 +35,6 @@ impl Tensor {
         Tensor::from_vec(1, n, data)
     }
 
-    /// Assemble a batch matrix from per-row `f64` feature slices, narrowing
-    /// to `f32`. Feature pipelines produce `f64` rows; stacking them here
-    /// (instead of element-wise `set` at every call site) is the entry
-    /// point of the batched inference path. `cols` is explicit so an empty
-    /// batch still has a well-defined shape.
-    pub fn from_rows_f64<R: AsRef<[f64]>>(cols: usize, rows: &[R]) -> Tensor {
-        let mut out = Tensor::zeros(rows.len(), cols);
-        for (r, row) in rows.iter().enumerate() {
-            let row = row.as_ref();
-            assert_eq!(row.len(), cols, "row {r} has {} cols, expected {cols}", row.len());
-            for (o, &v) in out.row_mut(r).iter_mut().zip(row.iter()) {
-                *o = v as f32;
-            }
-        }
-        out
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -137,7 +120,10 @@ impl Tensor {
         Tensor { rows: m, cols: n, data: out }
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ`: every output element is the dot product of two rows,
+    /// its terms added in column order from `+0.0` (no zero skip). Done as
+    /// axpys over a transposed copy of `other`, which vectorise where a
+    /// scalar dot per element cannot, and leave each sum's order alone.
     pub fn matmul_transpose_b(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
@@ -145,16 +131,14 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
+        let bt = other.transposed();
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (a, b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
+            let o_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a) in self.data[i * k..(i + 1) * k].iter().enumerate() {
+                for (o, &b) in o_row.iter_mut().zip(&bt.data[p * n..(p + 1) * n]) {
+                    *o += a * b;
                 }
-                out[i * n + j] = acc;
             }
         }
         Tensor { rows: m, cols: n, data: out }
@@ -288,6 +272,33 @@ mod tests {
     }
 
     #[test]
+    fn matmul_transpose_b_equals_a_dot_per_element_bit_for_bit() {
+        // Values from a fixed recurrence (some exactly zero), not an rng.
+        let fill = |rows: usize, cols: usize, salt: usize| {
+            let at = |i: usize| ((i * 29 + salt) % 53) as f32 * 0.04 - 1.0;
+            Tensor::from_vec(rows, cols, (0..rows * cols).map(at).collect())
+        };
+        for (m, k, n) in [(512, 33, 66), (1, 40, 7), (9, 1, 5), (3, 17, 1)] {
+            let (a, b) = (fill(m, k, 5), fill(n, k, 3));
+            let got = a.matmul_transpose_b(&b);
+            assert_eq!(got.shape(), (m, n));
+            for i in 0..m {
+                for j in 0..n {
+                    let mut dot = 0.0f32;
+                    for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                        dot += x * y;
+                    }
+                    assert_eq!(
+                        got.get(i, j).to_bits(),
+                        dot.to_bits(),
+                        "[{m},{k}]·[{n},{k}]ᵀ at ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "matmul shape mismatch")]
     fn matmul_panics_on_mismatch() {
         let a = Tensor::zeros(2, 3);
@@ -326,23 +337,5 @@ mod tests {
     fn rows_are_contiguous() {
         let a = Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.row(1), &[4., 5., 6.]);
-    }
-
-    #[test]
-    fn from_rows_f64_stacks_and_narrows() {
-        let rows = [vec![1.0f64, 2.0], vec![0.25, -0.5]];
-        let t = Tensor::from_rows_f64(2, &rows);
-        assert_eq!(t.shape(), (2, 2));
-        assert_eq!(t.data(), &[1.0, 2.0, 0.25, -0.5]);
-        // Empty batches keep a well-defined column count.
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert_eq!(Tensor::from_rows_f64(3, &empty).shape(), (0, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 2")]
-    fn from_rows_f64_rejects_ragged_rows() {
-        let rows = [vec![1.0f64, 2.0], vec![3.0]];
-        let _ = Tensor::from_rows_f64(2, &rows);
     }
 }

@@ -18,12 +18,14 @@
 //!
 //! One thread (`serve-reactor`) owns the listener and every connection and
 //! blocks in one `poll(2)` over them and a wake channel; nothing in this
-//! module sleeps or retries a socket on a timer. Each connection enters
-//! the set as what its next step needs: `POLLIN` to read, `POLLOUT` while
-//! replies the peer has not taken sit in its out-buffer, or no descriptor
-//! at all (`fd = -1`) while it only waits on a worker's reply — then the
-//! reply closure owes the wake-up (see [`ConnWriter::parked`]). DESIGN.md
-//! §12.5 has the protocol and why it cannot lose a wake-up.
+//! module sleeps or retries a socket on a timer. For [`HOT_WINDOW`] after
+//! it served a v3 frame it polls without blocking first, so the next
+//! request of a closely spaced stream finds its CPU awake. Each connection
+//! enters the set as what its next step needs: `POLLIN` to read, `POLLOUT`
+//! while replies the peer has not taken sit in its out-buffer, or no
+//! descriptor at all (`fd = -1`) while it only waits on a worker's reply —
+//! then the reply closure owes the wake-up (see [`ConnWriter::parked`]).
+//! DESIGN.md §12.5 has the protocol and why it cannot lose a wake-up.
 //!
 //! ## Tracing
 //!
@@ -136,6 +138,34 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
     if ready < 0 {
         fds.iter_mut().for_each(|fd| fd.revents = 0);
     }
+}
+
+/// How long after serving a v3 frame the reactor polls without blocking
+/// before it blocks. A blocked reactor's CPU halts, and on a VM the next
+/// request then pays for the host waking that vCPU: anything up to
+/// 200 µs, by the host's luck, which a depth-1 caller sees as its tail. A
+/// v3 peer chose the low-latency path, and its next frame usually follows
+/// within a round trip and a little work; the window covers that gap and
+/// costs an otherwise idle CPU at most this much per burst. JSON peers
+/// (admin tools, v2 compatibility) never heat the reactor, and an idle
+/// one still blocks for good.
+const HOT_WINDOW: Duration = Duration::from_micros(500);
+
+/// [`wait_ready`] that, for the first `hot` of the wait, polls without
+/// blocking and yields the CPU between polls instead.
+fn wait_ready_hot(fds: &mut [PollFd], timeout: Option<Duration>, hot: Duration) {
+    let hot = hot.min(timeout.unwrap_or(hot));
+    let started = Instant::now();
+    while started.elapsed() < hot {
+        wait_ready(fds, Some(Duration::ZERO));
+        if fds.iter().any(|fd| fd.revents != 0) {
+            return;
+        }
+        std::thread::yield_now();
+    }
+    // `timeout` was taken before the hot part: a deadline is found passed
+    // at most `HOT_WINDOW` late, never early.
+    wait_ready(fds, timeout);
 }
 
 /// The write end of the reactor's wake channel (a non-blocking
@@ -380,6 +410,8 @@ struct Conn {
     idle_ns: u64,
     /// When bytes last arrived — the `Accept`/`FrameRead` boundary.
     last_read_ns: u64,
+    /// A v3 frame was served since the reactor last asked ([`HOT_WINDOW`]).
+    served_v3: bool,
 }
 
 /// Receive-buffer cap per connection: enough for one maximal frame plus a
@@ -430,6 +462,7 @@ impl Conn {
             read_closed: false,
             idle_ns: now,
             last_read_ns: now,
+            served_v3: false,
         }
     }
 
@@ -485,6 +518,7 @@ impl Conn {
             let (idle_ns, arrived_ns) = (self.idle_ns, self.last_read_ns);
             self.idle_ns = epoch_ns();
             serve_frame(cx, writer, codec, payload, idle_ns, arrived_ns);
+            self.served_v3 |= codec != Codec::Json;
         }
         self.buf.drain(..at);
     }
@@ -619,6 +653,7 @@ fn reactor_loop(
     let mut fds: Vec<PollFd> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
     let mut accepting = true;
+    let mut hot_until = Instant::now();
     loop {
         // The set: the wake channel, the listener, then every connection
         // that is not done, in order. Blocks for good unless an entry has
@@ -629,7 +664,7 @@ fn reactor_loop(
         let listener_fd = if accepting { listener.as_raw_fd() } else { -1 };
         fds.push(PollFd { fd: listener_fd, events: POLLIN, revents: 0 });
         conns.retain(|conn| conn.poll_entry(&cx, &mut timeout).map(|e| fds.push(e)).is_some());
-        wait_ready(&mut fds, timeout);
+        wait_ready_hot(&mut fds, timeout, hot_until.saturating_duration_since(Instant::now()));
         if stop.load(Ordering::SeqCst) {
             return;
         }
@@ -642,6 +677,9 @@ fn reactor_loop(
         // join the set on the next pass.
         for (conn, entry) in conns.iter_mut().zip(&fds[2..]) {
             conn.pump(&cx, &mut chunk, entry.revents != 0);
+            if std::mem::take(&mut conn.served_v3) {
+                hot_until = Instant::now() + HOT_WINDOW;
+            }
         }
         if fds[1].revents != 0 || !accepting {
             accepting = accept_all(&listener, &mut conns, &cx);

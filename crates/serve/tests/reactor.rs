@@ -2,7 +2,7 @@
 //! one `poll(2)` now, and a blocked thread only moves when something wakes
 //! it — so each way of waking it, and each way of not, is pinned here:
 //!
-//! - (a) an idle reactor does not run,
+//! - (a) an idle reactor does not run, its hot window over,
 //! - (b) a peer that never reads its replies stalls nobody, and is dropped
 //!   after the out-buffer deadline,
 //! - (c) no reply wake-up is lost when the reactor parks on every reply,
@@ -105,15 +105,22 @@ fn await_fds(want: usize, what: &str) {
     }
 }
 
-/// `voluntary_ctxt_switches` of the one thread named `serve-reactor`.
-fn reactor_switches() -> u64 {
+/// `voluntary_ctxt_switches` and CPU time (clock ticks, user + system) of
+/// the one thread named `serve-reactor`.
+fn reactor_ran() -> (u64, u64) {
     let mut found = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs").flatten() {
         let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
         if comm.trim() == "serve-reactor" {
             let status = std::fs::read_to_string(task.path().join("status")).expect("status");
             let line = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
-            found.push(line.expect("counter").trim().parse::<u64>().expect("number"));
+            let switches = line.expect("counter").trim().parse::<u64>().expect("number");
+            // `pid (comm) state …`: utime and stime are the 12th and 13th
+            // fields after the name.
+            let stat = std::fs::read_to_string(task.path().join("stat")).expect("stat");
+            let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 1..].split(' ').collect();
+            let ticks = |i: usize| fields[i].parse::<u64>().expect("ticks");
+            found.push((switches, ticks(12) + ticks(13)));
         }
     }
     assert_eq!(found.len(), 1, "exactly one reactor runs while a test holds its turn");
@@ -125,14 +132,21 @@ fn an_idle_reactor_does_not_run() {
     let _turn = serial();
     let (service, server, _) = start(quick_config());
     // Each negotiation was answered by the reactor: it runs, has its name,
-    // and has nothing left to do.
-    let clients = idle_clients(&server, 8);
-    let before = reactor_switches();
+    // and has nothing left to do. The v3 pings heat it (`HOT_WINDOW`): it
+    // polls without blocking for half a millisecond after the last one.
+    let mut clients = idle_clients(&server, 8);
+    for client in &mut clients {
+        assert!(matches!(client.call(&Request::Ping), Ok(Response::Pong { .. })));
+    }
+    let (switches, ticks) = reactor_ran();
     std::thread::sleep(Duration::from_millis(300));
-    let moved = reactor_switches() - before;
-    // One switch is the reactor blocking after the last negotiation; a
-    // reactor that sleeps between polling passes makes thousands a second.
+    let after = reactor_ran();
+    let (moved, ran) = (after.0 - switches, after.1 - ticks);
+    // One switch is the reactor blocking after the last ping; a reactor
+    // that sleeps between polling passes makes thousands a second, and one
+    // that never leaves its hot window runs all 30 ticks of the 300 ms.
     assert!(moved <= 3, "idle reactor left the CPU {moved} times in 300 ms");
+    assert!(ran <= 2, "idle reactor ran {ran} clock ticks in 300 ms");
     drop(clients);
     server.shutdown();
     service.shutdown();

@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Parent-vs-change pairs of the repo's benchmark, the way every gain PR
+# measures itself (choosing-metrics §8): one seed per pair, the side that
+# runs first alternating, BENCHMARK.json's run length, then for each
+# end-to-end metric both medians, both quartile pairs, the change's
+# wins / ties / losses and the metric's regression bound.
+#
+#   scripts/ledger_pairs.sh <parent-checkout> <workload> <pairs> [first-seed]
+#
+# <parent-checkout> is a second copy of the repository at the parent commit
+# (`git clone . /root/scratch/parent`); the change is the checkout this
+# script lives in. Both sides are driven only through their own
+# crates/ledger/run.sh, which builds on first use (~3 min a side). Seeds are
+# the primes from [first-seed] (default 7) up. Every run's result line is
+# kept in the directory named on the last line. Needs python3 for the
+# summary.
+set -euo pipefail
+
+if [ $# -lt 3 ]; then
+    sed -n '2,16p' "$0" >&2
+    exit 2
+fi
+CHANGE="$(cd "$(dirname "$0")/.." && pwd)"
+PARENT="$(cd "$1" && pwd)"
+workload="$2" pairs="$3" seed="${4:-7}"
+seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$CHANGE/BENCHMARK.json")"
+out="$(mktemp -d "${TMPDIR:-/tmp}/ledger-pairs.XXXXXX")"
+
+is_prime() {
+    local n=$1 d
+    [ "$n" -ge 2 ] || return 1
+    for ((d = 2; d * d <= n; d++)); do
+        [ $((n % d)) -ne 0 ] || return 1
+    done
+}
+
+run() { # <side> <checkout> <seed>
+    bash "$2/crates/ledger/run.sh" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 \
+        2> "$out/$1.$3.log" | tail -n 1 > "$out/$1.$3.json"
+}
+
+for ((i = 0; i < pairs; i++)); do
+    until is_prime "$seed"; do seed=$((seed + 1)); done
+    if [ $((i % 2)) -eq 0 ]; then
+        run parent "$PARENT" "$seed"
+        run change "$CHANGE" "$seed"
+    else
+        run change "$CHANGE" "$seed"
+        run parent "$PARENT" "$seed"
+    fi
+    echo "pair $((i + 1))/$pairs: seed $seed done" >&2
+    seed=$((seed + 1))
+done
+
+python3 - "$CHANGE/BENCHMARK.json" "$out" "$workload" "$seconds" <<'PY'
+import glob, json, os, sys
+
+bench, out, workload, seconds = sys.argv[1:5]
+metrics = json.load(open(bench))["end_to_end"]
+sides = {}
+for side in ("parent", "change"):
+    runs = {}
+    for path in glob.glob(os.path.join(out, side + ".*.json")):
+        runs[int(path.split(".")[-2])] = json.load(open(path))
+    sides[side] = runs
+seeds = sorted(sides["parent"])
+assert seeds == sorted(sides["change"]), "a run is missing"
+
+
+def quantile(values, q):
+    v = sorted(values)
+    at = q * (len(v) - 1)
+    lo = int(at)
+    hi = min(lo + 1, len(v) - 1)
+    return v[lo] + (v[hi] - v[lo]) * (at - lo)
+
+
+print(f"{workload}: {len(seeds)} pairs, --seconds {seconds}, seeds {seeds}")
+for side, runs in sides.items():
+    print(f"  {side}: failed {sum(r['failed'] for r in runs.values())}"
+          f" of {sum(r['attempted'] for r in runs.values())} attempted")
+print(f"{'metric':<18}{'parent median [q1..q3]':<36}{'change median [q1..q3]':<36}"
+      f"{'W/T/L':<10}bound")
+for metric in metrics:
+    name = metric["name"]
+    cols, wins, ties = [], 0, 0
+    for side in ("parent", "change"):
+        v = [sides[side][s]["metrics"][name]["value"] for s in seeds]
+        cols.append(f"{quantile(v, .5):.6g} [{quantile(v, .25):.6g}..{quantile(v, .75):.6g}]")
+    for s in seeds:
+        p, c = (sides[side][s]["metrics"][name]["value"] for side in ("parent", "change"))
+        ties += c == p
+        wins += (c < p) if metric["better"] == "lower" else (c > p)
+    print(f"{name:<18}{cols[0]:<36}{cols[1]:<36}"
+          f"{f'{wins}/{ties}/{len(seeds) - wins - ties}':<10}{metric['bound']:.0%} {metric['better']}")
+print("rows (parent/change):")
+for s in seeds:
+    cells = " ".join(
+        f"{m['name']} {sides['parent'][s]['metrics'][m['name']]['value']:.6g}"
+        f"/{sides['change'][s]['metrics'][m['name']]['value']:.6g}"
+        for m in metrics)
+    print(f"  s{s} {cells}")
+PY
+echo "result lines kept in $out"
