@@ -1,14 +1,20 @@
-//! The serve plane's one cache: a sharded, versioned LRU.
+//! The serve plane's one cache: a sharded, versioned LRU of whole
+//! `recommend` responses.
 //!
 //! Keys are exact: every input the cached value depends on, packed into a
-//! fixed word array (floats by bit pattern). [`PredictionCache`] keys one
-//! candidate by the full `(app, data, cluster, conf)` tuple, so two
-//! requests share an entry only when the model would compute the identical
-//! number — batched NECS inference is bit-for-bit equal to per-candidate
-//! inference, so a hit never changes a response. [`ResponseCache`] keys a
-//! whole `recommend` by `(app, data, cluster, k, seed)`. Entries remember
-//! the model version that produced them; a hot-swap therefore invalidates
-//! the whole cache lazily, with no swap-time sweep.
+//! fixed word array (floats by bit pattern). [`ResponseCache`] keys a whole
+//! `recommend` by `(app, data, cluster, k, seed)`, so two requests share an
+//! entry only when the server would compute the identical response — the
+//! grain at which a recurring job recurs (its ~30 candidates are sampled
+//! fresh from the ACG region per request, so a single candidate repeats
+//! only when the whole request does). Entries remember the model version
+//! that produced them; a hot-swap therefore invalidates the whole cache
+//! lazily, with no swap-time sweep.
+//!
+//! One key kind is in use. [`CacheKey`] / [`PredictionCache`] — one
+//! candidate keyed by `(app, data, cluster, conf)` — back nothing in the
+//! service any more; they stay only because the benchmark's cache probes
+//! (`crates/ledger`) name them (ROADMAP item 6).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -47,8 +53,8 @@ fn identity_words(w: &mut [u64], app: AppId, data: &DataSpec, cluster: &ClusterS
     w[12] = fnv1a(cluster.name.bytes().map(u64::from));
 }
 
-/// Exact prediction key: every feature the prediction depends on,
-/// bit-packed.
+/// Exact per-candidate key: every feature one prediction depends on,
+/// bit-packed. Used by the benchmark's probes only (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey([u64; KEY_WORDS]);
 
@@ -174,17 +180,20 @@ pub struct VersionedLru<K, V> {
     misses: Counter,
 }
 
-/// Per-candidate NECS predictions.
+/// Per-candidate NECS predictions. Used by the benchmark's probes only
+/// (see the module docs).
 pub type PredictionCache = VersionedLru<CacheKey, f64>;
 
-/// Whole `recommend` responses: the serve plane's inline fast path answers
-/// repeat requests from here without crossing into a worker.
+/// Whole `recommend` responses: every `recommend` probes it on the
+/// submitting thread and a repeat is answered there, without crossing into
+/// a worker.
 pub type ResponseCache<V> = VersionedLru<ResponseKey, V>;
 
 impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     /// `shards` independently locked maps of at most `capacity_per_shard`
-    /// entries each (`0` disables caching). Hit/miss counters come from
-    /// the caller's metrics registry so the cache shows up in manifests.
+    /// entries each (`0` holds nothing: every probe misses). Hit/miss
+    /// counters come from the caller's metrics registry so the cache shows
+    /// up in manifests.
     pub fn new(
         shards: usize,
         capacity_per_shard: usize,
@@ -275,14 +284,6 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     /// Lifetime hits.
     pub fn hits(&self) -> u64 {
         self.hits.value()
-    }
-
-    /// Credit `n` hits answered on behalf of this cache without probing
-    /// it — the response-cache fast path short-circuits the per-candidate
-    /// lookups a repeat request would have hit, and the hit-rate account
-    /// must not lose them.
-    pub fn credit_hits(&self, n: u64) {
-        self.hits.add(n);
     }
 
     /// Lifetime misses (stale-version evictions included).

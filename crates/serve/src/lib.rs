@@ -15,9 +15,10 @@
 //!   per-request deadlines and explicit load-shedding: a full queue
 //!   rejects with [`service::ServeError::Overloaded`] instead of queuing
 //!   unboundedly.
-//! * [`cache`] — a sharded LRU prediction cache keyed by
-//!   `(app, data, cluster, conf)`; entries carry the model version that
-//!   produced them, so every hot-swap invalidates the cache for free.
+//! * [`cache`] — a sharded LRU of whole `recommend` responses keyed by
+//!   `(app, data, cluster, k, seed)`, probed by every `recommend` on the
+//!   submitting thread; entries carry the model version that produced
+//!   them, so every hot-swap invalidates the cache for free.
 //! * batched NECS scoring — requests score all their candidates through
 //!   [`lite_core::necs::Necs::predict_app_batch`], one tape per request
 //!   instead of one per candidate.
@@ -40,8 +41,10 @@
 //! reactor's `poll(2)` is one `extern "C"` declaration).
 //!
 //! With [`service::TraceConfig`] enabled, every v2 `recommend` (and every
-//! v3 one that sets `FLAG_TRACED`) is traced end to end: each hop — frame read, parse, enqueue, queue wait, dequeue,
-//! snapshot load, cache lookup, scoring, serialization, socket write —
+//! v3 one that sets `FLAG_TRACED`) is traced end to end: each hop it
+//! crosses — frame read, parse, cache lookup, then for a miss enqueue,
+//! queue wait, dequeue, snapshot load and scoring, then serialization and
+//! socket write —
 //! records a [`lite_obs::PhaseSpan`] into lock-free per-thread rings and a
 //! per-phase latency histogram, and the slowest requests are retained in
 //! full as [`lite_obs::Exemplar`]s served by the `tailtrace` admin op.
@@ -86,7 +89,7 @@ const _: () = {
     assert_send_sync::<slot::VersionedSlot<snapshot::ModelSnapshot>>();
     assert_send_sync::<service::Service>();
     assert_send_sync::<service::ServiceHandle>();
-    assert_send_sync::<cache::PredictionCache>();
+    assert_send_sync::<cache::ResponseCache<service::RecommendResponse>>();
     assert_send_sync::<service::ServeError>();
     assert_send_sync::<monitor::DriftMonitor>();
     assert_send_sync::<monitor::DriftSummary>();

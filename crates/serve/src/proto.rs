@@ -685,7 +685,8 @@ pub enum Response {
     Recommend {
         /// Model version that produced every score.
         version: u64,
-        /// Candidates answered from the prediction cache.
+        /// Candidates answered from the response cache (all of them on a
+        /// repeat answered inline, else none).
         cached: usize,
         /// Candidates scored through the batched NECS pass.
         scored: usize,

@@ -10,8 +10,11 @@
 //! through a [`SlotReader`](crate::slot::SlotReader), so a swap costs a
 //! request one mutex acquisition at most, once.
 //!
-//! The service serves NECS model snapshots with caching, drift monitoring,
-//! and background Adaptive Model Update swaps ([`Service::start`]).
+//! The service serves NECS model snapshots with drift monitoring and
+//! background Adaptive Model Update swaps ([`Service::start`]). It has one
+//! cache, of whole responses: every `recommend` probes it on the submitting
+//! thread, a repeat is answered there, and a worker fills it with each
+//! clean answer it computes.
 //!
 //! Resilience: every fault hook branches on `config.faults` being `None`
 //! (zero cost when disabled). When the background update fails — an
@@ -47,7 +50,7 @@ use lite_sparksim::result::RunResult;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::DataSpec;
 
-use crate::cache::{CacheKey, PredictionCache, ResponseCache, ResponseKey};
+use crate::cache::{ResponseCache, ResponseKey};
 use crate::monitor::{DriftConfig, DriftMonitor, DriftSummary};
 use crate::slot::VersionedSlot;
 use crate::snapshot::ModelSnapshot;
@@ -92,9 +95,10 @@ pub struct RecommendResponse {
     pub version: u64,
     /// Top-k candidates, best first.
     pub ranked: Vec<RankedCandidate>,
-    /// Candidates answered from the prediction cache.
+    /// Candidates answered from the response cache: all of them when the
+    /// request was a repeat answered inline, none when a worker scored it.
     pub cached: usize,
-    /// Candidates scored through the batched NECS pass.
+    /// Candidates scored through the batched NECS pass for this answer.
     pub scored: usize,
     /// `true` when scoring failed and the response is the degradation
     /// fallback (the template registry's default configuration, unscored).
@@ -118,10 +122,6 @@ pub struct RetrieveResponse {
 
 // ---------------------------------------------------------------------------
 // Configuration
-
-/// Prediction-cache shape: independently locked shards × entries each.
-const PREDICTION_CACHE_SHARDS: usize = 8;
-const PREDICTION_CACHE_CAPACITY_PER_SHARD: usize = 512;
 
 /// Service tuning knobs. Write it as a struct literal over
 /// `..Default::default()`; [`Service::start`] refuses a configuration that
@@ -171,9 +171,7 @@ pub struct ServeConfig {
     /// [`Profiler::disabled`] handle costs one branch per request.
     pub profiler: Option<Profiler>,
     /// Wire-protocol and sharded-dispatch knobs (pipelining depth, worker
-    /// shard count, binary-frame cap, inline response cache). The defaults
-    /// reproduce the pre-sharding behavior exactly: one shard per worker,
-    /// response cache off.
+    /// shard count, binary-frame cap, response-cache size).
     pub protocol: ProtocolConfig,
 }
 
@@ -200,11 +198,10 @@ pub struct ProtocolConfig {
     /// connection survives). Must be in `1..=` the transport's own cap
     /// ([`crate::net::MAX_FRAME`]), which still bounds every frame.
     pub max_frame: u32,
-    /// Whole-response cache entries per worker shard backing the inline
-    /// fast path: an untraced repeat `recommend` is answered on the
-    /// submitting/reactor thread straight from the cache, never crossing
-    /// into a worker. `0` (the default) disables the cache and the fast
-    /// path entirely; repeat-heavy serving opts in.
+    /// Whole-response cache entries per worker shard: a repeat `recommend`
+    /// is answered on the submitting/reactor thread straight from the
+    /// cache, never crossing into a worker. `0` means the cache holds
+    /// nothing (every request reaches a worker).
     pub response_cache: usize,
 }
 
@@ -214,7 +211,7 @@ impl Default for ProtocolConfig {
             max_pipeline: 32,
             shards: 0,
             max_frame: crate::net::MAX_FRAME,
-            response_cache: 0,
+            response_cache: 4096,
         }
     }
 }
@@ -473,6 +470,9 @@ pub(crate) enum Request {
         cluster: ClusterSpec,
         k: usize,
         seed: u64,
+        /// The request's identity as the submitter packed it: what it
+        /// probed the response cache with and what the worker fills it at.
+        key: ResponseKey,
         trace: Option<TraceMeta>,
         reply: Reply<RecommendResponse>,
     },
@@ -515,7 +515,8 @@ struct ServeMetrics {
     requests: Counter,
     swaps: Counter,
     latency: Histogram,
-    batch_size: Histogram,
+    /// The response cache's lifetime hit rate, published when `stats` or
+    /// `prometheus` is read (never on the request path).
     cache_hit_rate: Gauge,
     drift_mape: Gauge,
     drift_mean_error: Gauge,
@@ -542,8 +543,8 @@ struct ServeMetrics {
     shard_count: Gauge,
     /// Requests dispatched into a shard queue.
     shard_requests: Counter,
-    /// Recommendations answered on the submitting thread by the inline
-    /// response-cache fast path (never reached a shard queue).
+    /// Recommendations answered on the submitting thread from the
+    /// response cache (never reached a shard queue).
     shard_inline: Counter,
 }
 
@@ -555,7 +556,6 @@ impl ServeMetrics {
             requests: registry.counter("serve.requests"),
             swaps: registry.counter("serve.swaps"),
             latency: registry.histogram("serve.latency_ns"),
-            batch_size: registry.histogram("serve.batch_size"),
             cache_hit_rate: registry.gauge("serve.cache_hit_rate"),
             drift_mape: registry.gauge("serve.drift.mape"),
             drift_mean_error: registry.gauge("serve.drift.mean_error_s"),
@@ -627,10 +627,9 @@ struct SloState {
 }
 
 struct Shared {
-    /// The versioned model slot, and the feedback/update/cache/drift
-    /// machinery around it.
+    /// The versioned model slot, and the feedback/update/drift machinery
+    /// around it.
     slot: VersionedSlot<ModelSnapshot>,
-    cache: PredictionCache,
     feedback: Mutex<Vec<StageInstance>>,
     feedback_cv: Condvar,
     feedback_runs: AtomicUsize,
@@ -644,9 +643,10 @@ struct Shared {
     /// Jobs queued across `shards` (what `serve.queue_depth` publishes).
     queued: Arc<QueueDepth>,
     rr: AtomicUsize,
-    /// Whole-response cache behind the inline fast path; `None` when
-    /// `protocol.response_cache == 0`.
-    response_cache: Option<ResponseCache<RecommendResponse>>,
+    /// The service's one cache: whole responses, one LRU shard per worker
+    /// shard, each entry as a repeat is answered (`cached` = its
+    /// candidates, `scored` = 0).
+    response_cache: ResponseCache<RecommendResponse>,
     config: ServeConfig,
     shutdown: AtomicBool,
     tracer: Tracer,
@@ -673,8 +673,7 @@ struct Shared {
 
 impl Shared {
     /// Shard a recommend routes to: request-identity hash modulo shard
-    /// count, so repeats of the same request land on the same worker and
-    /// its thread-affine caches stay warm.
+    /// count, so repeats of the same request land on the same worker.
     fn route_recommend(&self, key: &ResponseKey) -> usize {
         (key.route_hash() % self.shards.len() as u64) as usize
     }
@@ -817,7 +816,7 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
             }
         }
         match job.request {
-            Request::Recommend { app, data, cluster, k, seed, trace, reply } => {
+            Request::Recommend { app, data, cluster, k, seed, key, trace, reply } => {
                 let _tag = shared.prof_enter("serve.recommend");
                 if let Some((id, t)) = shared.trace_now(trace) {
                     // QueueWait runs from the submitter's admission stamp to
@@ -850,7 +849,6 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
                     seed,
                     trace.map(|m| m.id),
                 );
-                shared.metrics.cache_hit_rate.set(shared.cache.hit_rate());
                 if span.is_recording() {
                     span.attr_u64("version", snapshot.version);
                     span.attr_str("app", &app.to_string());
@@ -867,19 +865,12 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
                     }
                 }
                 drop(span);
-                // Fill the whole-response cache for the inline fast path:
-                // only clean answers (untraced — traced requests must keep
-                // exercising the full pipeline — and not the degradation
-                // fallback, which should be retried).
-                if let Some(rc) = &shared.response_cache {
-                    if trace.is_none() {
-                        if let Ok(resp) = &outcome {
-                            if !resp.degraded {
-                                let key = ResponseKey::new(app, &data, &cluster, k, seed);
-                                rc.insert(key, resp.version, resp.clone());
-                            }
-                        }
-                    }
+                // Fill the response cache with clean answers only: the
+                // degradation fallback should be retried, not repeated.
+                // The entry is stored as a repeat reports it.
+                if let Some(resp) = outcome.as_ref().ok().filter(|r| !r.degraded) {
+                    let hit = RecommendResponse { cached: resp.scored, scored: 0, ..resp.clone() };
+                    shared.response_cache.insert(key, resp.version, hit);
                 }
                 shared.metrics.requests.inc();
                 shared.metrics.latency.record_secs(job.enqueued.elapsed().as_secs_f64());
@@ -933,10 +924,8 @@ fn worker_loop(shared: Arc<Shared>, shard: usize) {
     }
 }
 
-/// Predict the runtime of one configuration under `snapshot`, answering
-/// from the prediction cache when the pair was already scored at this
-/// version (the common case: `observe` usually follows a `recommend` for
-/// the same context). `None` when the app is cold in the snapshot.
+/// Predict the runtime of one configuration under `snapshot`. `None` when
+/// the app is cold in the snapshot.
 fn predict_one(
     shared: &Shared,
     snapshot: &ModelSnapshot,
@@ -945,22 +934,17 @@ fn predict_one(
     cluster: &ClusterSpec,
     conf: &SparkConf,
 ) -> Option<f64> {
-    let key = CacheKey::new(app, data, cluster, conf);
-    if let Some(v) = shared.cache.get(&key, snapshot.version) {
-        return Some(v);
-    }
     let ctx = snapshot.warm_context(app, data, cluster)?;
-    let scores = score_candidates(
+    score_candidates(
         &snapshot.model,
         &snapshot.registry,
         &ctx,
         cluster,
         std::slice::from_ref(conf),
         &shared.tracer,
-    );
-    let v = *scores.first()?;
-    shared.cache.insert(key, snapshot.version, v);
-    Some(v)
+    )
+    .first()
+    .copied()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -992,16 +976,17 @@ fn serve_recommend(
             score_ranked(shared, snapshot, &ctx, app, data, cluster, seed, trace)
         }))
         .ok()
-        .filter(|(ranked, _, _)| ranked.iter().all(|r| r.predicted_s.is_finite()))
+        .filter(|ranked| ranked.iter().all(|r| r.predicted_s.is_finite()))
     };
     match outcome {
-        Some((mut ranked, cached, scored)) => {
+        Some(mut ranked) => {
+            let scored = ranked.len();
             ranked.sort_by(|a, b| a.predicted_s.total_cmp(&b.predicted_s));
             ranked.truncate(k.max(1));
             Ok(RecommendResponse {
                 version: snapshot.version,
                 ranked,
-                cached,
+                cached: 0,
                 scored,
                 degraded: false,
             })
@@ -1024,8 +1009,8 @@ fn serve_recommend(
     }
 }
 
-/// The cache-then-batch scoring pass: every candidate for the request,
-/// scored and unsorted, plus (cache hits, fresh scores).
+/// Every candidate for the request, scored in one batched NECS pass and
+/// unsorted.
 #[allow(clippy::too_many_arguments)]
 fn score_ranked(
     shared: &Shared,
@@ -1036,65 +1021,20 @@ fn score_ranked(
     cluster: &ClusterSpec,
     seed: u64,
     trace: Option<TraceId>,
-) -> (Vec<RankedCandidate>, usize, usize) {
-    let trace = match (trace, &shared.trace) {
-        (Some(id), Some(_)) => Some(id),
-        _ => None,
-    };
+) -> Vec<RankedCandidate> {
     let confs = snapshot.acg.candidates_seeded(app, data, &ctx.env, snapshot.num_candidates, seed);
-
-    // Cache pass: answer what this model version already predicted.
     let _tag = shared.prof_enter("serve.score");
-    let cache_t0 = trace.map(|id| (id, epoch_ns()));
-    let keys: Vec<CacheKey> = confs.iter().map(|c| CacheKey::new(app, data, cluster, c)).collect();
-    let mut scores: Vec<Option<f64>> =
-        keys.iter().map(|key| shared.cache.get(key, snapshot.version)).collect();
-    let cached = scores.iter().filter(|s| s.is_some()).count();
-    if let Some((id, t0)) = cache_t0 {
-        shared.trace_phase(id, Phase::CacheLookup, t0, epoch_ns(), 0);
-    }
-
-    // Batched NECS pass over the misses only. Batched scoring is
-    // bit-identical to per-candidate scoring, so mixing cached and fresh
-    // values cannot perturb the ranking. The Score phase is recorded even
-    // on a full cache hit (a ~zero-length span) so every traced request
-    // carries the complete phase set.
     let score_t0 = trace.map(|id| (id, epoch_ns()));
-    let miss_confs: Vec<SparkConf> = confs
-        .iter()
-        .zip(scores.iter())
-        .filter(|(_, s)| s.is_none())
-        .map(|(c, _)| c.clone())
-        .collect();
-    let scored = miss_confs.len();
-    shared.metrics.batch_size.record(scored as u64);
-    if scored > 0 {
-        let fresh = score_candidates(
-            &snapshot.model,
-            &snapshot.registry,
-            ctx,
-            cluster,
-            &miss_confs,
-            &shared.tracer,
-        );
-        // One fresh score per miss, in order; zipping the miss slots with
-        // the fresh scores pairs them without asserting on the lengths.
-        let miss_slots = scores.iter_mut().zip(keys.iter()).filter(|(slot, _)| slot.is_none());
-        for ((slot, key), v) in miss_slots.zip(fresh) {
-            shared.cache.insert(*key, snapshot.version, v);
-            *slot = Some(v);
-        }
-    }
+    let scores =
+        score_candidates(&snapshot.model, &snapshot.registry, ctx, cluster, &confs, &shared.tracer);
     if let Some((id, t0)) = score_t0 {
         shared.trace_phase(id, Phase::Score, t0, epoch_ns(), 0);
     }
-
-    let ranked: Vec<RankedCandidate> = confs
+    confs
         .into_iter()
         .zip(scores)
-        .filter_map(|(conf, s)| s.map(|predicted_s| RankedCandidate { conf, predicted_s }))
-        .collect();
-    (ranked, cached, scored)
+        .map(|(conf, predicted_s)| RankedCandidate { conf, predicted_s })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,34 +1048,38 @@ fn updater_loop(shared: Arc<Shared>) {
         // Wait until retraining is warranted — a full feedback batch OR
         // detected prediction drift with any feedback at all — or shutdown.
         let mut trigger = "batch";
-        let batch: Vec<StageInstance> = {
+        let batch: Vec<StageInstance> = loop {
+            if shared.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            // The drift scan is O(window²) and reads only the monitor's
+            // own lock-free ring: it runs before the feedback lock is
+            // taken, so an `observe` never queues behind it.
+            let drift = shared.monitor.summary();
+            shared.metrics.drift_mape.set(drift.mape);
+            shared.metrics.drift_mean_error.set(drift.mean_error_s);
+            shared.metrics.drift_inversion.set(drift.inversion_rate);
+            shared.metrics.drift_samples.set(drift.samples as f64);
+            if drift.drifted && !was_drifted {
+                shared.metrics.drift_alerts.inc();
+            }
+            was_drifted = drift.drifted;
             let mut feedback = shared.feedback.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let drift = shared.monitor.summary();
-                shared.metrics.drift_mape.set(drift.mape);
-                shared.metrics.drift_mean_error.set(drift.mean_error_s);
-                shared.metrics.drift_inversion.set(drift.inversion_rate);
-                shared.metrics.drift_samples.set(drift.samples as f64);
-                if drift.drifted && !was_drifted {
-                    shared.metrics.drift_alerts.inc();
-                }
-                was_drifted = drift.drifted;
-                if feedback.len() >= shared.config.update_batch {
-                    break std::mem::take(&mut *feedback);
-                }
-                if drift.drifted && !feedback.is_empty() {
-                    trigger = "drift";
-                    break std::mem::take(&mut *feedback);
-                }
-                let (guard, _timeout) = shared
+            if feedback.len() >= shared.config.update_batch {
+                break std::mem::take(&mut *feedback);
+            }
+            if drift.drifted && !feedback.is_empty() {
+                trigger = "drift";
+                break std::mem::take(&mut *feedback);
+            }
+            // The check above and this wait share one hold of the lock, so
+            // the `observe` that fills the batch cannot notify in between.
+            drop(
+                shared
                     .feedback_cv
                     .wait_timeout(feedback, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner);
-                feedback = guard;
-            }
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
         };
         if batch.is_empty() {
             continue;
@@ -1287,22 +1231,14 @@ impl Service {
         let shards = (0..nshards)
             .map(|_| BoundedQueue::new(config.queue_capacity, queued.clone()))
             .collect();
-        let response_cache = (config.protocol.response_cache > 0).then(|| {
-            ResponseCache::new(
-                nshards,
-                config.protocol.response_cache,
-                registry.counter("serve.shard.resp_hits"),
-                registry.counter("serve.shard.resp_misses"),
-            )
-        });
+        let response_cache = ResponseCache::new(
+            nshards,
+            config.protocol.response_cache,
+            registry.counter("serve.shard.resp_hits"),
+            registry.counter("serve.shard.resp_misses"),
+        );
         let shared = Arc::new(Shared {
             slot: VersionedSlot::new(Arc::new(snapshot)),
-            cache: PredictionCache::new(
-                PREDICTION_CACHE_SHARDS,
-                PREDICTION_CACHE_CAPACITY_PER_SHARD,
-                registry.counter("serve.cache_hits"),
-                registry.counter("serve.cache_misses"),
-            ),
             feedback: Mutex::new(Vec::new()),
             feedback_cv: Condvar::new(),
             feedback_runs: AtomicUsize::new(0),
@@ -1401,10 +1337,12 @@ impl ServiceHandle {
         &self.shared.config.protocol
     }
 
-    /// The path every `recommend` takes: probe the inline response cache
-    /// (untraced requests only), else stamp trace metadata, route to the
-    /// affine shard, and enqueue. The outcome — including admission
-    /// rejections — always arrives through `reply`.
+    /// The path every `recommend` takes: probe the response cache and
+    /// answer a repeat right here, on the calling thread; else route to
+    /// the affine shard and enqueue. The outcome — including admission
+    /// rejections — always arrives through `reply`. A traced request
+    /// records the probe as its `CacheLookup` phase, so a traced hit
+    /// carries exactly the phases it crossed (no queue, no score).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit_recommend(
         &self,
@@ -1417,18 +1355,22 @@ impl ServiceHandle {
         trace: Option<TraceId>,
         reply: Reply<RecommendResponse>,
     ) {
-        if trace.is_none() {
-            if let Some(resp) = self.inline_recommend(app, data, cluster, k, seed) {
-                reply(Ok(resp), 0, 0);
-                return;
-            }
-        }
-        let meta = match (trace, &self.shared.trace) {
-            (Some(id), Some(_)) => Some(TraceMeta { id, enqueued_ns: epoch_ns() }),
-            _ => None,
-        };
+        let shared = &*self.shared;
+        let probe = trace.filter(|_| shared.trace.is_some()).map(|id| (id, epoch_ns()));
         let key = ResponseKey::new(app, data, cluster, k, seed);
-        let shard = self.shared.route_recommend(&key);
+        let hit = self.cached_response(&key);
+        // The probe's end is the admission stamp: one clock read serves
+        // both, and no time between them goes unattributed.
+        let meta = probe.map(|(id, probe_ns)| {
+            let enqueued_ns = epoch_ns();
+            shared.trace_phase(id, Phase::CacheLookup, probe_ns, enqueued_ns, 0);
+            TraceMeta { id, enqueued_ns }
+        });
+        if let Some(resp) = hit {
+            reply(Ok(resp), 0, 0);
+            return;
+        }
+        let shard = shared.route_recommend(&key);
         let route_ns = meta.map(|_| epoch_ns());
         let request = Request::Recommend {
             app,
@@ -1436,63 +1378,44 @@ impl ServiceHandle {
             cluster: cluster.clone(),
             k,
             seed,
+            key,
             trace: meta,
             reply,
         };
-        let admitted = self.shared.enqueue(shard, request, deadline);
+        let admitted = shared.enqueue(shard, request, deadline);
         if let (Some(depth), Some(meta)) = (admitted, meta) {
             // Enqueue covers admission bookkeeping up to routing; Dispatch
             // covers the route + shard-queue handoff and carries the chosen
             // shard in the depth slot.
             let routed = route_ns.unwrap_or(meta.enqueued_ns);
-            self.shared.trace_phase(
-                meta.id,
-                Phase::Enqueue,
-                meta.enqueued_ns,
-                routed,
-                depth as u32,
-            );
-            self.shared.trace_phase(meta.id, Phase::Dispatch, routed, epoch_ns(), shard as u32);
+            shared.trace_phase(meta.id, Phase::Enqueue, meta.enqueued_ns, routed, depth as u32);
+            shared.trace_phase(meta.id, Phase::Dispatch, routed, epoch_ns(), shard as u32);
         }
     }
 
-    /// The inline fast path: answer an untraced repeat `recommend` from
-    /// the whole-response cache on the calling thread, never touching a
-    /// shard queue. `None` (cache off, miss, or shutdown) means the caller
-    /// proceeds to enqueue as usual. The served answer is
-    /// byte-identical to what a worker would produce for the same repeat:
-    /// every candidate a worker would find in the prediction cache is
-    /// re-credited as a hit, and the response reports them all as cached.
-    fn inline_recommend(
-        &self,
-        app: AppId,
-        data: &DataSpec,
-        cluster: &ClusterSpec,
-        k: usize,
-        seed: u64,
-    ) -> Option<RecommendResponse> {
-        let rc = self.shared.response_cache.as_ref()?;
-        if self.shared.shutdown.load(Ordering::Acquire) {
+    /// Answer a repeat `recommend` from the response cache on the calling
+    /// thread, never touching a shard queue. `None` (a miss, or shutdown)
+    /// means the caller proceeds to enqueue as usual. Rankings and version
+    /// are what the worker computed, bit for bit; the entry was stored
+    /// reporting all its candidates as `cached`.
+    fn cached_response(&self, key: &ResponseKey) -> Option<RecommendResponse> {
+        let shared = &*self.shared;
+        if shared.shutdown.load(Ordering::Acquire) {
             return None;
         }
         let t0 = Instant::now();
-        let key = ResponseKey::new(app, data, cluster, k, seed);
         // The slot stamp doubles as the served version (see
         // `VersionedSlot::stamp`), so validity costs one atomic load.
-        let mut resp = rc.get(&key, self.shared.slot.stamp())?;
-        let _tag = self.shared.prof_enter("serve.recommend");
-        if let Some(f) = self.shared.config.faults.as_deref() {
+        let resp = shared.response_cache.get(key, shared.slot.stamp())?;
+        let _tag = shared.prof_enter("serve.recommend");
+        if let Some(f) = shared.config.faults.as_deref() {
             if let Some(d) = f.fire_delay(FaultKind::RequestDelay, f.next_key()) {
                 std::thread::sleep(d);
             }
         }
-        self.shared.cache.credit_hits((resp.cached + resp.scored) as u64);
-        resp.cached += resp.scored;
-        resp.scored = 0;
-        self.shared.metrics.cache_hit_rate.set(self.shared.cache.hit_rate());
-        self.shared.metrics.shard_inline.inc();
-        self.shared.metrics.requests.inc();
-        self.shared.metrics.latency.record_secs(t0.elapsed().as_secs_f64());
+        shared.metrics.shard_inline.inc();
+        shared.metrics.requests.inc();
+        shared.metrics.latency.record_secs(t0.elapsed().as_secs_f64());
         Some(resp)
     }
 
@@ -1780,14 +1703,16 @@ impl ServiceHandle {
         self.shared.queued.jobs.load(Ordering::Relaxed)
     }
 
-    /// Lifetime prediction-cache hit rate in `[0, 1]`.
+    /// Lifetime response-cache hit rate in `[0, 1]`: the share of
+    /// `recommend`s answered as repeats.
     pub fn cache_hit_rate(&self) -> f64 {
-        self.shared.cache.hit_rate()
+        self.shared.response_cache.hit_rate()
     }
 
-    /// Lifetime (cache hits, cache misses).
+    /// Lifetime response-cache (hits, misses) — the `serve.shard.resp_*`
+    /// counters.
     pub fn cache_counts(&self) -> (u64, u64) {
-        (self.shared.cache.hits(), self.shared.cache.misses())
+        (self.shared.response_cache.hits(), self.shared.response_cache.misses())
     }
 
     /// Rolling prediction-drift statistics over recent observed feedback.
@@ -1799,6 +1724,8 @@ impl ServiceHandle {
     /// serves).
     pub fn stats(&self) -> ServiceStats {
         let (cache_hits, cache_misses) = self.cache_counts();
+        let cache_hit_rate = self.cache_hit_rate();
+        self.shared.metrics.cache_hit_rate.set(cache_hit_rate);
         ServiceStats {
             uptime_s: self.shared.started.elapsed().as_secs_f64(),
             version: self.version(),
@@ -1809,7 +1736,7 @@ impl ServiceHandle {
             feedback_len: self.feedback_len(),
             update_batch: self.shared.config.update_batch,
             requests: self.shared.metrics.requests.value(),
-            cache_hit_rate: self.cache_hit_rate(),
+            cache_hit_rate,
             cache_hits,
             cache_misses,
             drift: self.drift(),
@@ -1827,6 +1754,7 @@ impl ServiceHandle {
     /// slowest — the scrape-side link from a latency bucket back to a full
     /// slow-request trace.
     pub fn prometheus(&self) -> String {
+        self.shared.metrics.cache_hit_rate.set(self.cache_hit_rate());
         let snapshot = self.shared.registry.snapshot();
         let Some(tr) = &self.shared.trace else {
             return lite_obs::prometheus_text(&snapshot);
@@ -1900,13 +1828,13 @@ pub struct ServiceStats {
     pub feedback_len: usize,
     /// Feedback instances that trigger a batch-full update.
     pub update_batch: usize,
-    /// Requests answered by workers so far.
+    /// Requests answered so far, by workers or from the response cache.
     pub requests: u64,
-    /// Lifetime prediction-cache hit rate in `[0, 1]`.
+    /// Lifetime response-cache hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,
-    /// Lifetime cache hits.
+    /// `recommend`s answered as repeats from the response cache.
     pub cache_hits: u64,
-    /// Lifetime cache misses.
+    /// `recommend`s that missed it (stale-version entries included).
     pub cache_misses: u64,
     /// Rolling prediction-drift statistics.
     pub drift: DriftSummary,

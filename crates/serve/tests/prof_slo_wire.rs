@@ -124,10 +124,13 @@ fn profile_and_slo_need_their_plane_and_leave_other_ops_byte_identical() {
     }
 
     // The profile happy path: drive load until the sampler has caught
-    // worker tag frames, then check the report shape end to end.
+    // worker tag frames, then check the report shape end to end. Fresh
+    // seeds every round: a repeat would be answered from the response
+    // cache on the reactor thread and give the workers nothing to do.
     let deadline = Instant::now() + Duration::from_secs(60);
+    let mut seeds = 0..;
     let profile = loop {
-        for seed in 0..16 {
+        for seed in seeds.by_ref().take(16) {
             recommend_doc(&mut v2, AppId::KMeans, &data, &cluster_name, 30, seed);
         }
         let resp = v2.request(&profile_doc).expect("profile");

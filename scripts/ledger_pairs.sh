@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Parent-vs-change pairs of the repo's benchmark, the way every gain PR
+# Parent-vs-change pairs of the repo's benchmark, the way every PR
 # measures itself (choosing-metrics §8): one seed per pair, the side that
 # runs first alternating, BENCHMARK.json's run length, then for each
 # end-to-end metric both medians, both quartile pairs, the change's
-# wins / ties / losses and the metric's regression bound.
+# wins / ties / losses, the metric's regression bound, how much of that
+# bound the change's median is worse by (negative: better), and the
+# verdict: `unresolved` when either side's min..max is wider than the
+# bound (both ranges are then printed) unless every run of the change
+# beats every run of the parent, else `worse` past the bound, else
+# `within`.
 #
 #   scripts/ledger_pairs.sh <parent-checkout> <workload> <pairs> [first-seed]
 #
@@ -17,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 CHANGE="$(cd "$(dirname "$0")/.." && pwd)"
@@ -80,19 +85,30 @@ for side, runs in sides.items():
     print(f"  {side}: failed {sum(r['failed'] for r in runs.values())}"
           f" of {sum(r['attempted'] for r in runs.values())} attempted")
 print(f"{'metric':<18}{'parent median [q1..q3]':<36}{'change median [q1..q3]':<36}"
-      f"{'W/T/L':<10}bound")
+      f"{'W/T/L':<10}{'bound':<12}{'of bound':<10}verdict")
 for metric in metrics:
-    name = metric["name"]
-    cols, wins, ties = [], 0, 0
-    for side in ("parent", "change"):
-        v = [sides[side][s]["metrics"][name]["value"] for s in seeds]
-        cols.append(f"{quantile(v, .5):.6g} [{quantile(v, .25):.6g}..{quantile(v, .75):.6g}]")
-    for s in seeds:
-        p, c = (sides[side][s]["metrics"][name]["value"] for side in ("parent", "change"))
-        ties += c == p
-        wins += (c < p) if metric["better"] == "lower" else (c > p)
+    name, bound = metric["name"], metric["bound"]
+    # Every value as a cost, so "worse" is "larger" whichever way is better.
+    sign = 1 if metric["better"] == "lower" else -1
+    runs = [[sides[side][s]["metrics"][name]["value"] for s in seeds]
+            for side in ("parent", "change")]
+    medians = [quantile(v, .5) for v in runs]
+    cols = [f"{m:.6g} [{quantile(v, .25):.6g}..{quantile(v, .75):.6g}]"
+            for v, m in zip(runs, medians)]
+    ties = sum(c == p for p, c in zip(*runs))
+    wins = sum(sign * c < sign * p for p, c in zip(*runs))
+    worse_by = sign * (medians[1] - medians[0]) / abs(medians[0]) if medians[0] else 0.0
+    wide = any(m and (max(v) - min(v)) / abs(m) > bound for v, m in zip(runs, medians))
+    beats = max(sign * c for c in runs[1]) < min(sign * p for p in runs[0])
+    if beats:
+        verdict = "within"
+    elif wide:
+        verdict = "unresolved: " + " vs ".join(f"{min(v):.6g}..{max(v):.6g}" for v in runs)
+    else:
+        verdict = "worse" if worse_by > bound else "within"
     print(f"{name:<18}{cols[0]:<36}{cols[1]:<36}"
-          f"{f'{wins}/{ties}/{len(seeds) - wins - ties}':<10}{metric['bound']:.0%} {metric['better']}")
+          f"{f'{wins}/{ties}/{len(seeds) - wins - ties}':<10}"
+          f"{f'{bound:.0%} ' + metric['better']:<12}{f'{worse_by / bound:+.0%}':<10}{verdict}")
 print("rows (parent/change):")
 for s in seeds:
     cells = " ".join(
