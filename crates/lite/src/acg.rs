@@ -11,7 +11,7 @@ use crate::experiment::Dataset;
 use lite_forest::rf::{ForestConfig, RandomForestRegressor};
 use lite_sparksim::conf::{ConfSpace, SparkConf, ALL_KNOBS, NUM_KNOBS};
 use lite_workloads::apps::AppId;
-use lite_workloads::data::DataSpec;
+use lite_workloads::data::{DataSpec, SizeTier};
 use rand::Rng;
 
 /// Fraction of best training runs used for the mean-value targets and σ.
@@ -22,14 +22,14 @@ const TOP_FRACTION: f64 = 0.4;
 #[derive(Clone)]
 pub struct AdaptiveCandidateGenerator {
     space: ConfSpace,
-    /// One RFR per knob, over `[app one-hot (15) | ln(bytes) | env (6)]`.
+    /// One RFR per knob, over `[app one-hot | ln(bytes) | env (6)]`.
     models: Vec<RandomForestRegressor>,
     /// Per-knob span σ^d.
     sigmas: [f64; NUM_KNOBS],
 }
 
 fn rfr_features(app: AppId, data: &DataSpec, env: &[f64; 6]) -> Vec<f64> {
-    let mut f = vec![0.0; 15];
+    let mut f = vec![0.0; AppId::all().len()];
     f[app.index()] = 1.0;
     f.push((1.0 + data.bytes as f64).ln());
     f.extend_from_slice(env);
@@ -50,10 +50,9 @@ impl AdaptiveCandidateGenerator {
     pub fn fit(ds: &Dataset, seed: u64) -> AdaptiveCandidateGenerator {
         // Group runs by cell.
         use std::collections::HashMap;
-        let mut cells: HashMap<(usize, usize, String), Vec<usize>> = HashMap::new();
+        let mut cells: HashMap<(usize, usize, SizeTier), Vec<usize>> = HashMap::new();
         for (i, run) in ds.runs.iter().enumerate() {
-            let key = (run.app.index(), run.cluster, format!("{:?}", run.tier));
-            cells.entry(key).or_default().push(i);
+            cells.entry((run.app.index(), run.cluster, run.tier)).or_default().push(i);
         }
         let mut top_runs: Vec<usize> = Vec::new();
         for (_, mut idx) in cells {
@@ -156,7 +155,6 @@ mod tests {
     use crate::experiment::DatasetBuilder;
     use lite_sparksim::cluster::ClusterSpec;
     use lite_sparksim::conf::Knob;
-    use lite_workloads::data::SizeTier;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

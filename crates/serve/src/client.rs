@@ -6,14 +6,15 @@
 //! typed API: one [`proto::Request`] in, one [`proto::Response`] out,
 //! whichever codec the connection negotiated.
 
-use std::io::BufReader;
+use std::borrow::Cow;
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use lite_obs::trace::TraceId;
 use lite_obs::Json;
 use lite_sparksim::conf::ConfSpace;
 
-use crate::net::{read_frame, write_frame};
+use crate::net::{frame_into, read_frame};
 use crate::proto::{self, ErrorCode, PROTOCOL_V3, PROTOCOL_VERSION};
 
 /// Builder for a [`Client`]: protocol ceiling, pipelining depth, and
@@ -73,8 +74,13 @@ impl ClientBuilder {
     pub fn connect<A: ToSocketAddrs>(self, addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        // Room for a window of answers (a top-5 `recommend` is ≈ 700
+        // bytes), so a burst's replies cost a `read` or two, not one per
+        // 8 KB.
+        let read_buf = (self.pipeline_depth * 1024).clamp(8 * 1024, 64 * 1024);
         let mut client = Client {
-            stream: BufReader::new(stream),
+            stream: BufReader::with_capacity(read_buf, stream),
+            frames: Vec::new(),
             version: self.protocol,
             pipeline_depth: self.pipeline_depth,
             trace: self.trace,
@@ -98,8 +104,10 @@ impl ClientBuilder {
 pub struct Client {
     /// Reads are buffered — a pipelined burst of small responses costs one
     /// `read` per segment, not two per response; writes go to the socket
-    /// underneath, one per frame.
+    /// underneath, one per call and one per (half-)window of a pipeline.
     stream: BufReader<TcpStream>,
+    /// The request frames of the next `write`, encoded in place; reused.
+    frames: Vec<u8>,
     version: u64,
     pipeline_depth: usize,
     trace: bool,
@@ -123,7 +131,8 @@ impl Client {
         let request = self.stamped(request);
         if self.version >= PROTOCOL_V3 {
             let req_id = self.next_req_id();
-            write_frame(self.stream.get_mut(), &proto::encode_request(&request, req_id))?;
+            self.push_frame(|buf| proto::encode_request_into(&request, req_id, buf))?;
+            self.send_frames()?;
             loop {
                 let payload = self.read_response_payload()?;
                 let (rid, resp) = proto::decode_response(&payload, &self.space)
@@ -143,7 +152,9 @@ impl Client {
     /// in flight, and return the responses in request order.
     ///
     /// v3 connections genuinely pipeline (responses are correlated by
-    /// request id, so server-side completion order does not matter); on
+    /// request id, so server-side completion order does not matter): the
+    /// first window leaves in one `write`, and the window is topped up,
+    /// again in one `write`, each time half of it has been answered. On
     /// v2 this degrades to a serial loop.
     pub fn pipeline(
         &mut self,
@@ -158,11 +169,14 @@ impl Client {
         let mut sent = 0usize;
         let mut received = 0usize;
         while received < n {
-            while sent < n && sent - received < self.pipeline_depth {
-                let request = self.stamped(&requests[sent]);
-                let req_id = self.next_req_id();
-                write_frame(self.stream.get_mut(), &proto::encode_request(&request, req_id))?;
-                sent += 1;
+            if sent < n && sent - received <= self.pipeline_depth / 2 {
+                while sent < n && sent - received < self.pipeline_depth {
+                    let request = self.stamped(&requests[sent]);
+                    let req_id = self.next_req_id();
+                    self.push_frame(|buf| proto::encode_request_into(&request, req_id, buf))?;
+                    sent += 1;
+                }
+                self.send_frames()?;
             }
             let payload = self.read_response_payload()?;
             let (rid, resp) = proto::decode_response(&payload, &self.space)
@@ -184,6 +198,24 @@ impl Client {
             .collect())
     }
 
+    /// Append one frame to the next `write`; one past the transport cap
+    /// is refused, and the frames pushed ahead of it are dropped with it.
+    fn push_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        if frame_into(&mut self.frames, encode).is_none() {
+            self.frames.clear();
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"));
+        }
+        Ok(())
+    }
+
+    /// Hand the socket every frame pushed since the last call, in one
+    /// `write` when it takes them all.
+    fn send_frames(&mut self) -> std::io::Result<()> {
+        let sent = self.stream.get_mut().write_all(&self.frames);
+        self.frames.clear();
+        sent
+    }
+
     fn next_req_id(&mut self) -> u32 {
         self.next_req = self.next_req.wrapping_add(1);
         self.next_req
@@ -195,18 +227,15 @@ impl Client {
     }
 
     /// Apply the builder's trace opt-in: hot requests without an explicit
-    /// trace id get a generated one.
-    fn stamped(&mut self, request: &proto::Request) -> proto::Request {
-        let mut request = request.clone();
-        if self.trace {
-            match &mut request {
-                proto::Request::Recommend { trace, .. }
-                | proto::Request::Retrieve { trace, .. }
-                    if trace.is_none() =>
-                {
-                    *trace = Some(TraceId::generate().raw());
-                }
-                _ => {}
+    /// trace id get a generated one. Every other request is borrowed as is.
+    fn stamped<'a>(&self, request: &'a proto::Request) -> Cow<'a, proto::Request> {
+        use proto::Request::{Recommend, Retrieve};
+        let mut request = Cow::Borrowed(request);
+        if self.trace
+            && matches!(*request, Recommend { trace: None, .. } | Retrieve { trace: None, .. })
+        {
+            if let Recommend { trace, .. } | Retrieve { trace, .. } = request.to_mut() {
+                *trace = Some(TraceId::generate().raw());
             }
         }
         request
@@ -216,7 +245,8 @@ impl Client {
     /// document — the escape hatch for callers that pin wire bytes. Works
     /// on any connection: the server picks the codec per frame.
     pub fn request(&mut self, request: &Json) -> std::io::Result<Json> {
-        write_frame(self.stream.get_mut(), request.render().as_bytes())?;
+        self.push_frame(|buf| buf.extend_from_slice(request.render().as_bytes()))?;
+        self.send_frames()?;
         let payload = self.read_response_payload()?;
         let text = std::str::from_utf8(&payload)
             .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf-8 frame"))?;

@@ -68,20 +68,33 @@ use crate::service::ServiceHandle;
 /// per service, never raise it past this.
 pub const MAX_FRAME: u32 = 1 << 20;
 
-/// The length prefix of a `len`-byte payload; `None` past [`MAX_FRAME`].
-fn length_prefix(len: usize) -> Option<[u8; 4]> {
-    u32::try_from(len).ok().filter(|&len| len <= MAX_FRAME).map(u32::to_be_bytes)
+/// Append one length-prefixed frame to `buf`, `encode` writing its payload
+/// in place behind the prefix; returns the payload's length. Past
+/// [`MAX_FRAME`] it is `None`, and `buf` is as it was.
+pub(crate) fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Option<usize> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - start - 4;
+    match u32::try_from(len).ok().filter(|&len| len <= MAX_FRAME) {
+        Some(prefix) => {
+            buf[start..start + 4].copy_from_slice(&prefix.to_be_bytes());
+            Some(len)
+        }
+        None => {
+            buf.truncate(start);
+            None
+        }
+    }
 }
 
 /// Write one length-prefixed frame. Prefix and payload leave in one
 /// `write`: with `TCP_NODELAY` on, two writes are two segments, and a peer
 /// blocked on readiness is woken for each.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let prefix = length_prefix(payload.len())
-        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "frame too large"))?;
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&prefix);
-    frame.extend_from_slice(payload);
+    frame_into(&mut frame, |buf| buf.extend_from_slice(payload))
+        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "frame too large"))?;
     w.write_all(&frame)?;
     w.flush()
 }
@@ -255,6 +268,8 @@ pub fn serve_tcp<A: ToSocketAddrs>(handle: ServiceHandle, addr: A) -> std::io::R
 const STALL_LIMIT: Duration = Duration::from_secs(2);
 /// Capacity an emptied out-buffer keeps: room for a burst of small
 /// replies, not for the one large admin document that passed through.
+/// Also the most a corked out-buffer gathers before it is flushed
+/// mid-pass, so corking never grows the buffer past what it keeps.
 const OUT_KEEP: usize = 64 * 1024;
 
 /// What the writer mutex guards: the dup'd socket handle and the frame
@@ -265,6 +280,11 @@ struct Out {
     pending: Vec<u8>,
     /// When `pending` last shrank, or went from empty to not.
     progress: Instant,
+    /// The reactor is serving this connection's buffered frames: replies
+    /// gather in `pending`, and the pass ends with one flush
+    /// ([`ConnWriter::uncork`]). Only [`Conn::pump`] sets it, and never
+    /// returns with it set.
+    corked: bool,
 }
 
 /// The reply half of a connection, shared with worker callbacks. Frames
@@ -304,32 +324,55 @@ impl ConnWriter {
         self.wake.wake();
     }
 
-    /// Write one length-prefixed frame, honoring the injected torn-frame
-    /// fault (length promises a full payload, half arrives, the
-    /// connection dies). Poisons the connection on any write failure.
-    fn write_frame(&self, payload: &[u8]) -> bool {
+    /// Put one length-prefixed frame in the out-buffer, its payload
+    /// written in place by `encode`, and hand the buffer to the socket —
+    /// unless bytes are already waiting their turn there, or the
+    /// connection is corked, `through` is not set and the buffer is within
+    /// [`OUT_KEEP`]: then the frame leaves with the flush that is due.
+    /// Honors the injected torn-frame fault (length promises a full
+    /// payload, half arrives, the connection dies): the whole frames
+    /// gathered ahead of the torn one leave with it. Poisons the
+    /// connection on any write failure.
+    fn write_frame(&self, through: bool, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
         if self.dead.load(Ordering::Acquire) {
             return false;
         }
-        let Some(prefix) = length_prefix(payload.len()) else {
-            self.poison();
-            return false;
-        };
         let torn =
             self.faults.as_deref().is_some_and(|f| f.fires(FaultKind::TornFrame, f.next_key()));
-        let body = if torn { &payload[..payload.len() / 2] } else { payload };
         let mut out = self.lock_out();
-        // Behind a backlog the frame waits its turn.
-        let queued = !out.pending.is_empty();
-        out.pending.extend_from_slice(&prefix);
-        out.pending.extend_from_slice(body);
-        let ok = queued || self.flush(&mut out);
+        let framed = frame_into(&mut out.pending, encode);
+        if let (true, Some(len)) = (torn, framed) {
+            let whole = out.pending.len();
+            out.pending.truncate(whole - len + len / 2);
+        }
+        let held = self.backlogged.load(Ordering::SeqCst)
+            || out.corked && !through && !torn && out.pending.len() <= OUT_KEEP;
+        let ok = framed.is_some() && (held || self.flush(&mut out));
         drop(out);
         if torn || !ok {
             self.poison();
             return false;
         }
         true
+    }
+
+    /// Start gathering replies: the reactor is about to serve frames.
+    fn cork(&self) {
+        self.lock_out().corked = true;
+    }
+
+    /// End of the reactor's pass: whatever gathered leaves in one `write`
+    /// (behind a backlog it waits its turn, as ever).
+    fn uncork(&self) {
+        let mut out = self.lock_out();
+        out.corked = false;
+        let ok = out.pending.is_empty()
+            || self.backlogged.load(Ordering::SeqCst)
+            || self.flush(&mut out);
+        drop(out);
+        if !ok {
+            self.poison();
+        }
     }
 
     /// Hand the socket as much of the out-buffer as it takes, in one
@@ -450,6 +493,7 @@ impl Conn {
                     stream: writer_stream,
                     pending: Vec::new(),
                     progress: Instant::now(),
+                    corked: false,
                 }),
                 backlogged: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
@@ -498,11 +542,17 @@ impl Conn {
             }
         }
         // Frames are served in place, off a cursor; the buffer is
-        // compacted once, after the last one.
+        // compacted once, after the last one. The out-buffer is corked
+        // from the first frame served (`at` moves) to the last, so the
+        // pass's replies leave in one `write`.
         let mut at = 0;
         while let Some(total) = complete_frame_len(&self.buf[at..]) {
             if total == usize::MAX {
                 // Oversized length prefix: unrecoverable framing error.
+                // The frames ahead of it were answered, and leave first.
+                if at > 0 {
+                    writer.uncork();
+                }
                 return writer.poison();
             }
             let payload = &self.buf[at + 4..at + total];
@@ -514,13 +564,19 @@ impl Conn {
             {
                 break;
             }
+            if at == 0 {
+                writer.cork();
+            }
             at += total;
             let (idle_ns, arrived_ns) = (self.idle_ns, self.last_read_ns);
             self.idle_ns = epoch_ns();
             serve_frame(cx, writer, codec, payload, idle_ns, arrived_ns);
             self.served_v3 |= codec != Codec::Json;
         }
-        self.buf.drain(..at);
+        if at > 0 {
+            writer.uncork();
+            self.buf.drain(..at);
+        }
     }
 
     /// What the connection waits for now that [`pump`](Conn::pump) has
@@ -702,23 +758,27 @@ struct Reply {
 
 impl Reply {
     /// Encode and write one response, recording the serialize/write phases
-    /// and completing the trace.
+    /// and completing the trace. A traced reply flushes through a corked
+    /// out-buffer, so `Write` and the completion keep meaning "handed to
+    /// the socket".
     fn send(self, handle: &ServiceHandle, writer: &ConnWriter, response: Response) {
-        let serialize_start_ns = if self.trace.is_some() { epoch_ns() } else { 0 };
-        let frame = self.codec.encode(response);
-        let write_start_ns = if self.trace.is_some() { epoch_ns() } else { 0 };
-        if let Some(id) = self.trace {
-            handle.trace_phase(id, Phase::Serialize, serialize_start_ns, write_start_ns);
-        }
-        writer.write_frame(&frame);
-        if let Some(id) = self.trace {
-            let done_ns = epoch_ns();
-            handle.trace_phase(id, Phase::Write, write_start_ns, done_ns);
-            // End-to-end as the server observed it: from the request frame
-            // arriving to the response flushed. This is the latency the
-            // exemplar reservoir ranks by.
-            handle.trace_complete(id, done_ns.saturating_sub(self.arrived_ns));
-        }
+        let Some(id) = self.trace else {
+            writer.write_frame(false, |buf| self.codec.encode_into(response, buf));
+            return;
+        };
+        let serialize_start_ns = epoch_ns();
+        let mut write_start_ns = serialize_start_ns;
+        writer.write_frame(true, |buf| {
+            self.codec.encode_into(response, buf);
+            write_start_ns = epoch_ns();
+        });
+        let done_ns = epoch_ns();
+        handle.trace_phase(id, Phase::Serialize, serialize_start_ns, write_start_ns);
+        handle.trace_phase(id, Phase::Write, write_start_ns, done_ns);
+        // End-to-end as the server observed it: from the request frame
+        // arriving to the response flushed. This is the latency the
+        // exemplar reservoir ranks by.
+        handle.trace_complete(id, done_ns.saturating_sub(self.arrived_ns));
     }
 }
 

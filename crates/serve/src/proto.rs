@@ -935,16 +935,13 @@ fn parse_neighbors(value: Option<&Json>, space: &ConfSpace) -> Vec<Neighbor> {
 // ---------------------------------------------------------------------------
 // Binary primitives
 
-/// Little-endian append-only encoder for v3 bodies.
-struct Enc {
-    buf: Vec<u8>,
+/// Little-endian append-only encoder for v3 bodies, over the caller's
+/// buffer: a frame is encoded where it will be sent from.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::with_capacity(64) }
-    }
-
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -1230,9 +1227,16 @@ fn dec_result(d: &mut Dec) -> DecResult<RunResult> {
 
 /// Encode one request as a complete v3 frame payload (header + body).
 pub fn encode_request(req: &Request, req_id: u32) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    encode_request_into(req, req_id, &mut buf);
+    buf
+}
+
+/// [`encode_request`], appended to `buf`.
+pub fn encode_request_into(req: &Request, req_id: u32, buf: &mut Vec<u8>) {
     let trace = req.trace_id();
     let flags = if trace.is_some() { FLAG_TRACED } else { 0 };
-    let mut e = Enc::new();
+    let mut e = Enc { buf };
     e.buf.extend_from_slice(&header_bytes(req.op(), flags, req_id, trace.unwrap_or(0)));
     match req {
         Request::Ping
@@ -1285,7 +1289,6 @@ pub fn encode_request(req: &Request, req_id: u32) -> Vec<u8> {
         },
         Request::Profile { k } => e.u16(*k as u16),
     }
-    e.buf
 }
 
 /// Decode a v3 frame payload into its header and typed request.
@@ -1382,16 +1385,24 @@ pub fn encode_recommend_response(
     trace: Option<u64>,
     resp: &RecommendResponse,
 ) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut buf = Vec::with_capacity(64);
+    let mut e = Enc { buf: &mut buf };
     let flags = if trace.is_some() { FLAG_TRACED } else { 0 };
     e.buf.extend_from_slice(&header_bytes(OpCode::Recommend, flags, req_id, trace.unwrap_or(0)));
     enc_recommend_body(&mut e, resp.version, resp.cached, resp.scored, resp.degraded, &resp.ranked);
-    e.buf
+    buf
 }
 
 /// Encode any typed response to `op` as a complete v3 frame payload.
 pub fn encode_response(op: OpCode, req_id: u32, resp: &Response) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut buf = Vec::with_capacity(64);
+    encode_response_into(op, req_id, resp, &mut buf);
+    buf
+}
+
+/// [`encode_response`], appended to `buf`.
+pub fn encode_response_into(op: OpCode, req_id: u32, resp: &Response, buf: &mut Vec<u8>) {
+    let mut e = Enc { buf };
     let (flags, trace_id) = match resp {
         Response::Recommend { trace: Some(t), .. } | Response::Retrieve { trace: Some(t), .. } => {
             (FLAG_TRACED, *t)
@@ -1431,7 +1442,6 @@ pub fn encode_response(op: OpCode, req_id: u32, resp: &Response) -> Vec<u8> {
             e.buf.extend_from_slice(message.as_bytes());
         }
     }
-    e.buf
 }
 
 /// Decode a v3 response frame into its request id and typed response.
@@ -1559,11 +1569,11 @@ impl Codec {
         }
     }
 
-    /// Encode a response frame.
-    pub fn encode(self, response: Response) -> Vec<u8> {
+    /// Encode a response frame's payload, appended to `buf`.
+    pub fn encode_into(self, response: Response, buf: &mut Vec<u8>) {
         match self {
-            Codec::Json => response.to_json().render().into_bytes(),
-            Codec::V3 { op, req_id } => encode_response(op, req_id, &response),
+            Codec::Json => buf.extend_from_slice(response.to_json().render().as_bytes()),
+            Codec::V3 { op, req_id } => encode_response_into(op, req_id, &response, buf),
         }
     }
 }

@@ -7,7 +7,10 @@
 //!   after the out-buffer deadline,
 //! - (c) no reply wake-up is lost when the reactor parks on every reply,
 //!   and a half-closed connection still gets its in-flight replies,
-//! - (d) `TcpServer::shutdown` wakes a blocked reactor.
+//! - (d) `TcpServer::shutdown` wakes a blocked reactor,
+//! - (e) a pipelined burst of cached answers crosses loopback in one
+//!   segment a side (PR 23: replies corked per pass, the window sent whole),
+//! - (f) and a corked pass strands no reply in the out-buffer.
 //!
 //! The tests count threads and descriptors of the whole process and time
 //! single round trips, so they take turns ([`serial`]).
@@ -302,5 +305,66 @@ fn shutdown_wakes_a_blocked_reactor() {
     let took = t0.elapsed();
     assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
     drop(clients);
+    service.shutdown();
+}
+
+/// TCP segments this network namespace has sent so far (`OutSegs` of
+/// `/proc/net/snmp`; on loopback, every one a `send` or the ACK of one).
+fn segments_sent() -> u64 {
+    let snmp = std::fs::read_to_string("/proc/net/snmp").expect("procfs");
+    let mut tcp = snmp.lines().filter_map(|l| l.strip_prefix("Tcp: "));
+    let (names, values) = (tcp.next().expect("names"), tcp.next().expect("values"));
+    let at = names.split(' ').position(|n| n == "OutSegs").expect("OutSegs");
+    values.split(' ').nth(at).expect("value").parse().expect("number")
+}
+
+#[test]
+fn a_burst_of_cached_answers_costs_one_write_a_side() {
+    let _turn = serial();
+    let (service, server, cluster) = start(quick_config());
+    let mut client = ClientBuilder::new().connect(server.local_addr()).expect("connect");
+    let hot: Vec<Request> = (0..32).map(|seed| recommend(&cluster, seed)).collect();
+    let hits = |responses: &[Response]| {
+        responses.iter().filter(|r| matches!(r, Response::Recommend { scored: 0, .. })).count()
+    };
+    assert_eq!(hits(&client.pipeline(&hot).expect("warm")), 0, "the first pass is scored");
+    assert_eq!(hits(&client.pipeline(&hot).expect("hot")), 32, "the second is cached");
+
+    let before = segments_sent();
+    let responses = client.pipeline(&hot).expect("burst");
+    let sent = segments_sent() - before;
+    assert_eq!(hits(&responses), 32);
+    // Two when the window and its answers each cross loopback in one piece
+    // (the ACKs ride on them); the slack is for a window the kernel hands
+    // the reactor in two reads, and for an ACK of its own. A `write` per
+    // frame is 32 segments each way.
+    assert!(sent <= 6, "a burst of 32 cached answers took {sent} TCP segments");
+    drop(client);
+    server.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn a_corked_pass_strands_no_reply() {
+    let _turn = serial();
+    let (service, server, _) = start(quick_config());
+    // The only connection sends one segment of pings and then nothing, so
+    // after the pass that serves them nothing makes the reactor look at it
+    // again: what that pass left in the out-buffer would stay there.
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+    peer.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut image = Vec::new();
+    for id in 1..=32u32 {
+        write_frame(&mut image, &encode_request(&Request::Ping, id)).expect("frame");
+    }
+    peer.write_all(&image).expect("burst");
+    let space = ConfSpace::table_iv();
+    for id in 1..=32u32 {
+        let payload = read_frame(&mut peer).expect("a reply was stranded").expect("no hang-up");
+        let (answered, resp) = decode_response(&payload, &space).expect("decode");
+        assert!(matches!(resp, Response::Pong { .. }) && answered == id, "{answered}: {resp:?}");
+    }
+    drop(peer);
+    server.shutdown();
     service.shutdown();
 }

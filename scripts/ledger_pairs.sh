@@ -10,7 +10,12 @@
 # beats every run of the parent, else `worse` past the bound, else
 # `within`.
 #
-#   scripts/ledger_pairs.sh <parent-checkout> <workload> <pairs> [first-seed]
+#   scripts/ledger_pairs.sh [--traced] <parent-checkout> <workload> <pairs> [first-seed]
+#
+# --traced adds the step every perf PR owes after its pairs: one
+# `--trace 1 --seconds 5` run a side (parent first, the first seed) and a
+# parent -> change table of the per-layer metrics that moved by more than
+# 10 %, each marked better or worse by BENCHMARK.json's direction.
 #
 # <parent-checkout> is a second copy of the repository at the parent commit
 # (`git clone . /root/scratch/parent`); the change is the checkout this
@@ -21,8 +26,13 @@
 # summary.
 set -euo pipefail
 
+traced=0 positional=()
+for arg in "$@"; do
+    if [ "$arg" = --traced ]; then traced=1; else positional+=("$arg"); fi
+done
+set -- "${positional[@]}"
 if [ $# -lt 3 ]; then
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
 fi
 CHANGE="$(cd "$(dirname "$0")/.." && pwd)"
@@ -44,6 +54,8 @@ run() { # <side> <checkout> <seed>
         2> "$out/$1.$3.log" | tail -n 1 > "$out/$1.$3.json"
 }
 
+until is_prime "$seed"; do seed=$((seed + 1)); done
+first_seed="$seed"
 for ((i = 0; i < pairs; i++)); do
     until is_prime "$seed"; do seed=$((seed + 1)); done
     if [ $((i % 2)) -eq 0 ]; then
@@ -117,4 +129,32 @@ for s in seeds:
         for m in metrics)
     print(f"  s{s} {cells}")
 PY
+
+if [ "$traced" = 1 ]; then
+    run_traced() { # <side> <checkout>
+        bash "$2/crates/ledger/run.sh" --workload "$workload" --seed "$first_seed" --seconds 5 \
+            --trace 1 2> "$out/traced.$1.log" | tail -n 1 > "$out/traced.$1.json"
+    }
+    run_traced parent "$PARENT"
+    run_traced change "$CHANGE"
+    python3 - "$CHANGE/BENCHMARK.json" "$out" "$workload" "$first_seed" <<'PY'
+import json, os, sys
+
+bench, out, workload, seed = sys.argv[1:5]
+parent, change = (json.load(open(os.path.join(out, f"traced.{side}.json")))["metrics"]
+                  for side in ("parent", "change"))
+print(f"{workload}: traced, --seconds 5, seed {seed}; per-layer metrics that moved by more than 10 %")
+print(f"{'metric':<42}{'parent':<16}{'change':<16}{'change/parent':<16}")
+for layer in json.load(open(bench))["per_layer"]:
+    name = layer["name"]
+    if name not in parent or name not in change:
+        continue
+    p, c = parent[name]["value"], change[name]["value"]
+    if p == c or (p and abs(c - p) / abs(p) <= 0.10):
+        continue
+    better = (c < p) == (layer["better"] == "lower")
+    ratio = f"{c / p:.2f}x" if p else "from 0"
+    print(f"{name:<42}{p:<16.6g}{c:<16.6g}{ratio:<16}{'better' if better else 'worse'}")
+PY
+fi
 echo "result lines kept in $out"
