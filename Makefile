@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the full pre-merge gate.
 
-.PHONY: verify fmt lint build test quick demo analyze rag ledger
+.PHONY: verify fmt lint build test demo analyze rag ledger
 
 verify:
 	./scripts/verify.sh
@@ -17,21 +17,16 @@ build:
 test:
 	cargo test -q --workspace
 
-# Smoke-run every experiment binary with shrunken settings.
-quick:
-	LITE_BENCH_QUICK=1 cargo run --release -p lite-bench --bin fig01_knob_surface
-	LITE_BENCH_QUICK=1 cargo run --release -p lite-bench --bin fig09_augmentation
-
 # Static vs dynamic cold-start extraction: wall-time and StageCode
-# equivalence across all 15 workloads; manifest goes to
-# results/analyze_bench.manifest.jsonl.
+# equivalence across all 15 workloads; the archived output is
+# results/analyze_bench.txt.
 analyze:
 	cargo run --release -p lite-bench --bin analyze_bench
 
 # ANN retrieval benchmark: 120k-point index recall/latency/serde gates,
 # then the leave-one-app-out cold-start head-to-head (zero-execution RAG
-# vs default conf, RAG-seeded vs full-budget ACG); manifest goes to
-# results/rag_bench.manifest.jsonl.
+# vs default conf, RAG-seeded vs full-budget ACG); the archived output is
+# results/rag_bench.txt.
 rag:
 	cargo run --release -p lite-bench --bin rag_bench
 

@@ -9,16 +9,16 @@
 
 use std::time::Instant;
 
-use lite_bench::{finish_report, quick_mode};
-use lite_obs::Report;
+use lite_bench::table::{note, Table};
 use lite_workloads::apps::AppId;
 use lite_workloads::instrument::{instrument_app, static_stage_codes};
 
+/// Timed runs per app and path; a row shows the best.
+const REPS: usize = 5;
+
 fn main() {
-    let reps = if quick_mode() { 1 } else { 5 };
-    let report = Report::new("analyze_bench");
     let widths = [6, 11, 12, 12, 9, 6];
-    let mut table = report.table(
+    let table = Table::new(
         "Static vs dynamic cold-start extraction",
         &["app", "#templates", "dynamic(us)", "static(us)", "speedup", "equal"],
         &widths,
@@ -28,7 +28,7 @@ fn main() {
     let mut total_static_us = 0.0;
     let mut all_equal = true;
     for app in AppId::all() {
-        // Warm both paths once, then time the best of `reps` runs.
+        // Warm both paths once, then time the best of `REPS` runs.
         let dynamic = instrument_app(app);
         let statik = static_stage_codes(app);
         let equal = dynamic == statik;
@@ -36,7 +36,7 @@ fn main() {
 
         let mut dyn_us = f64::INFINITY;
         let mut sta_us = f64::INFINITY;
-        for _ in 0..reps {
+        for _ in 0..REPS {
             let t = Instant::now();
             std::hint::black_box(instrument_app(app));
             dyn_us = dyn_us.min(t.elapsed().as_secs_f64() * 1e6);
@@ -56,23 +56,16 @@ fn main() {
         ]);
     }
 
-    report.field("apps", AppId::all().len() as u64);
-    report.field("all_equal", u64::from(all_equal));
-    report.field("total_dynamic_us", total_dynamic_us);
-    report.field("total_static_us", total_static_us);
-    report.field("speedup", total_dynamic_us / total_static_us);
-    report.note(&format!(
+    note(&format!(
         "\nCold-start extraction over all 15 apps: {:.1} ms instrumented vs {:.1} ms static ({:.1}x).",
         total_dynamic_us / 1e3,
         total_static_us / 1e3,
         total_dynamic_us / total_static_us
     ));
-    report.note(if all_equal {
+    note(if all_equal {
         "Static extraction is StageCode-identical to the instrumented run on every app."
     } else {
         "EQUIVALENCE FAILURE: static extraction diverged from instrumentation."
     });
-
-    finish_report(&report);
     assert!(all_equal, "static extraction diverged from instrumentation");
 }

@@ -11,8 +11,7 @@
 //! one rung up the data ladder with 1 GB executors, so panel (a) uses the
 //! mid-scale input (recorded in EXPERIMENTS.md).
 
-use lite_bench::finish_report;
-use lite_obs::Report;
+use lite_bench::table::{note, Table};
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::{ConfSpace, Knob};
 use lite_sparksim::exec::simulate;
@@ -20,7 +19,6 @@ use lite_workloads::apps::{build_job, AppId};
 use lite_workloads::data::SizeTier;
 
 fn main() {
-    let report = Report::new("fig01_knob_surface");
     let space = ConfSpace::table_iv();
     let cluster = ClusterSpec::cluster_a();
     let apps = [AppId::PageRank, AppId::TriangleCount];
@@ -30,7 +28,7 @@ fn main() {
     // Panel (b) keeps the paper's 160 MB input for the joint grid.
     let tier_b = SizeTier::Train(3);
     let widths = [6, 10, 10];
-    let mut ta = report.table(
+    let ta = Table::new(
         "Figure 1(a): execution time vs spark.executor.cores (mid-scale input, 1 GB executors)",
         &["cores", "PR (s)", "TC (s)"],
         &widths,
@@ -52,9 +50,7 @@ fn main() {
         }
         ta.row(&row);
     }
-    report.field("pr_best_cores", best[0].0);
-    report.field("tc_best_cores", best[1].0);
-    report.note(&format!(
+    note(&format!(
         "\nOptimal executor.cores: PageRank = {}, TriangleCount = {} (paper: per-app optima differ)\n",
         best[0].0, best[1].0
     ));
@@ -64,7 +60,7 @@ fn main() {
     widths.extend(std::iter::repeat_n(9, mems.len()));
     let mut header = vec!["cores".to_string()];
     header.extend(mems.iter().map(|m| format!("mem={m}G")));
-    let mut tb = report.table(
+    let tb = Table::new(
         "Figure 1(b): PageRank time vs executor.cores x executor.memory (GB)",
         &header.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
         &widths,
@@ -91,12 +87,8 @@ fn main() {
         }
         tb.row(&row);
     }
-    report.field("joint_best_cores", joint_best.0);
-    report.field("joint_best_mem_gb", joint_best.1);
-    report.field("joint_best_time_s", joint_best.2);
-    report.note(&format!(
+    note(&format!(
         "\nJoint optimum: executor.cores={}, executor.memory={} ({:.1}s) — multi-knob optimum, as in the paper",
         joint_best.0, joint_best.1, joint_best.2
     ));
-    finish_report(&report);
 }

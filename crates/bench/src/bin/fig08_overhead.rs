@@ -8,11 +8,11 @@
 //! left (minimal overhead) at a height close to the best the iterative
 //! tuners ever reach.
 
+use lite_bench::table::{note, Table};
 use lite_bench::tuning::{tune_bo, tune_ddpg, tune_lite};
-use lite_bench::{finish_report, necs_epochs, training_dataset};
+use lite_bench::{training_dataset, NECS_EPOCHS};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::SizeTier;
@@ -20,13 +20,9 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("fig08_overhead");
-    report.field("quick_mode", lite_bench::quick_mode());
-    report.field("budget_s", lite_bench::tuning::TUNING_BUDGET_S);
-    let ds = report.phase("dataset", || training_dataset(1));
-    let lite = report.phase("train_lite", || {
-        LiteTuner::from_dataset(&ds, NecsConfig { epochs: necs_epochs(), ..Default::default() }, 1)
-    });
+    let ds = training_dataset(1);
+    let lite =
+        LiteTuner::from_dataset(&ds, NecsConfig { epochs: NECS_EPOCHS, ..Default::default() }, 1);
     eprintln!("[fig08] LITE ready ({:.0}s)", t0.elapsed().as_secs_f64());
     let cluster = ClusterSpec::cluster_c();
 
@@ -38,7 +34,7 @@ fn main() {
         let lite_out = tune_lite(&lite, &cluster, app, &data, seed);
 
         let widths = [10usize, 14, 14];
-        let mut table = report.table(
+        let table = Table::new(
             &format!("Figure 8 — {} (large data, cluster C)", app.name()),
             &["overhead_s", "BO best_s", "DDPG best_s"],
             &widths,
@@ -63,23 +59,18 @@ fn main() {
         }
         let bo_best = bo.time_s;
         let ddpg_best = ddpg.time_s;
-        report.field(&format!("{}.lite_overhead_s", app.abbrev()), lite_out.decide_wall_s);
-        report.field(&format!("{}.lite_time_s", app.abbrev()), lite_out.time_s);
-        report.field(&format!("{}.bo_best_s", app.abbrev()), bo_best);
-        report.field(&format!("{}.ddpg_best_s", app.abbrev()), ddpg_best);
-        report.note(&format!(
+        note(&format!(
             "\nLITE point: overhead {:.2}s (model inference only) -> execution time {:.0}s",
             lite_out.decide_wall_s, lite_out.time_s
         ));
-        report.note(&format!(
+        note(&format!(
             "Final best after the full {:.0}s budget: BO {bo_best:.0}s, DDPG {ddpg_best:.0}s.",
             lite_bench::tuning::TUNING_BUDGET_S
         ));
-        report.note(&format!(
+        note(&format!(
             "LITE / best-iterative ratio: {:.2} (paper: LITE near-optimal at minimal overhead)",
             lite_out.time_s / bo_best.min(ddpg_best)
         ));
     }
-    finish_report(&report);
     eprintln!("[fig08] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -7,16 +7,14 @@
 //! Paper shape: augmentation ranges from 4× (Terasort) to hundreds×
 //! (SCC); stage-level token counts are a multiple of the main body's.
 
-use lite_bench::finish_report;
-use lite_obs::Report;
+use lite_bench::table::{note, Table};
 use lite_workloads::apps::AppId;
 use lite_workloads::instrument::{augmentation_factor, instrument_app};
 use lite_workloads::tokenize::tokenize;
 
 fn main() {
-    let report = Report::new("fig09_augmentation");
     let widths = [6, 11, 11, 13, 13];
-    let mut table = report.table(
+    let table = Table::new(
         "Figure 9: Stage-based Code Organization augmentation",
         &["app", "#templates", "#instances", "main tokens", "stage tokens"],
         &widths,
@@ -46,18 +44,14 @@ fn main() {
         ]);
     }
     let avg_ratio = token_ratios.iter().sum::<f64>() / token_ratios.len() as f64;
-    report.field("min_augmentation", min_aug.1 as u64);
-    report.field("max_augmentation", max_aug.1 as u64);
-    report.field("avg_token_ratio", avg_ratio);
-    report.note(&format!(
+    note(&format!(
         "\nAugmentation range: {}x ({}) to {}x ({}); paper reports 4x (TS) to 427x (SCC).",
         min_aug.1,
         min_aug.0.abbrev(),
         max_aug.1,
         max_aug.0.abbrev()
     ));
-    report.note(&format!(
+    note(&format!(
         "Average stage-code/main-code token ratio: {avg_ratio:.1}x (paper: length of codes per instance roughly tripled)."
     ));
-    finish_report(&report);
 }

@@ -7,13 +7,13 @@
 //! above the best warm competitor up to x ≈ 0.4, and above the average
 //! warm competitor up to x ≈ 0.7.
 
-use lite_bench::{f4, finish_report, gold_set, num_candidates, train_confs_per_cell, EvalSetting};
+use lite_bench::table::{note, Table};
+use lite_bench::{f4, gold_set, EvalSetting, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL};
 use lite_core::experiment::{DatasetBuilder, PredictionContext};
 use lite_core::features::StageInstance;
 use lite_core::necs::{Necs, NecsConfig};
 use lite_core::recommend::infeasible_score;
 use lite_metrics::ranking::{hr_at_k, ndcg_at_k};
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::SizeTier;
@@ -24,18 +24,15 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("fig10_unseen_curve");
-    report.field("quick_mode", lite_bench::quick_mode());
     let cluster = ClusterSpec::cluster_c();
     let apps = AppId::all();
-    let ns: Vec<usize> =
-        if lite_bench::quick_mode() { vec![1, 7] } else { vec![1, 3, 5, 7, 10, 14] };
-    let runs = if lite_bench::quick_mode() { 1 } else { 3 };
+    let ns = [1usize, 3, 5, 7, 10, 14];
+    let runs = 3;
     // Fewer epochs per model: this figure trains ns.len() x runs models.
-    let epochs = if lite_bench::quick_mode() { 3 } else { 15 };
+    let epochs = 15;
 
     let widths = [8usize, 8, 9, 9];
-    let mut table = report.table(
+    let table = Table::new(
         "Figure 10: ranking vs fraction of never-seen applications (cluster C validation)",
         &["x=n/15", "n", "HR@5", "NDCG@5"],
         &widths,
@@ -55,7 +52,7 @@ fn main() {
                 apps: seen.to_vec(),
                 clusters: ClusterSpec::all_evaluation_clusters(),
                 tiers: SizeTier::train_tiers().to_vec(),
-                confs_per_cell: train_confs_per_cell(),
+                confs_per_cell: TRAIN_CONFS_PER_CELL,
                 seed: 61 + run,
             }
             .build();
@@ -75,7 +72,7 @@ fn main() {
                     data: app.dataset(SizeTier::Valid),
                 };
                 let gold =
-                    gold_set(&ds.space, &setting, num_candidates(), 2200 + 101 * run + ai as u64);
+                    gold_set(&ds.space, &setting, NUM_CANDIDATES, 2200 + 101 * run + ai as u64);
                 let mut reg = ds.registry.clone();
                 let ctx = PredictionContext::cold(&mut reg, app, &setting.data, &cluster);
                 let preds: Vec<f64> = gold
@@ -99,10 +96,9 @@ fn main() {
         ]);
         eprintln!("[fig10] n={n} done ({:.0}s)", t0.elapsed().as_secs_f64());
     }
-    report.note(
+    note(
         "\nReference lines from Table VII (cluster C): best warm competitor and average warm \
          competitor — compare the curve against those values.",
     );
-    finish_report(&report);
     eprintln!("[fig10] total {:.0}s", t0.elapsed().as_secs_f64());
 }

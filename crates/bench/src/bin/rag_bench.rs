@@ -16,20 +16,20 @@
 //!   estimate-ranked warm-start seeds, the union scored by NECS. Gated:
 //!   matches full-budget ACG cold start within 5 points of ETR.
 //!
-//! `LITE_BENCH_QUICK=1` shrinks the index to ~20k points and the
-//! head-to-head to two held-out apps for smoke testing.
-
-#![allow(clippy::print_stdout)]
+//! `LITE_BENCH_QUICK=1` shrinks the index to 20k points and the
+//! head-to-head to two held-out apps for smoke testing; the models are the
+//! same, so every gate is asserted either way.
 
 use std::time::Instant;
 
+use lite_bench::table::{note, Table};
 use lite_bench::tuning::execute;
-use lite_bench::{finish_report, necs_epochs, train_confs_per_cell};
+use lite_bench::{NECS_EPOCHS, TRAIN_CONFS_PER_CELL};
 use lite_core::experiment::{DatasetBuilder, PredictionContext};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::{score_candidates, LiteTuner, NUM_CANDIDATES};
 use lite_metrics::ranking::etr;
-use lite_obs::{Report, Tracer};
+use lite_obs::Tracer;
 use lite_rag::{exact_knn, Hnsw, HnswConfig, RagConfig, RagTuner};
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
@@ -79,84 +79,69 @@ fn pct(sorted: &[f64], q: f64) -> f64 {
 
 fn main() {
     let t0 = Instant::now();
-    let quick = lite_bench::quick_mode();
-    let report = Report::new("rag_bench");
-    report.field("quick_mode", quick);
+    let quick = std::env::var("LITE_BENCH_QUICK").is_ok_and(|v| v == "1");
 
     // ---- Part 1: synthetic ANN index at scale ---------------------------
     let n: usize = if quick { 20_000 } else { 120_000 };
     let dim: usize = 32;
     let k: usize = 10;
-    report.field("index_points", n);
-    report.field("index_dim", dim);
 
     let points = corpus(0x11f3_5eed, n, dim, 64);
     // Wider beams than the serving default: at 32 dims and 10^5 points the
     // recall gate needs ef ~2 orders below n, and the latency budget has
     // room for it (p99 stays far under the 1 ms gate).
     let cfg = HnswConfig { ef_construction: 200, ef_search: 160, ..HnswConfig::default() };
-    report.field("ef_construction", cfg.ef_construction);
-    report.field("ef_search", cfg.ef_search);
-    let index = report.phase("build", || {
-        let mut h = Hnsw::new(dim, cfg);
-        for p in &points {
-            h.insert(p);
-        }
-        h
-    });
+    let mut index = Hnsw::new(dim, cfg);
+    for p in &points {
+        index.insert(p);
+    }
     let build_s = t0.elapsed().as_secs_f64();
-    report.field("build_s", build_s);
-    eprintln!("[rag] index built: {n} points in {build_s:.1}s");
 
     // recall@10 against the brute-force oracle.
     let recall_queries = if quick { 40 } else { 200 };
-    let recall = report.phase("recall", || {
-        let mut state = 0xbeef_u64;
-        let mut hit = 0usize;
-        for _ in 0..recall_queries {
-            let q = random_vec(&mut state, dim);
-            let approx = index.search(&q, k);
-            let exact = exact_knn(index.vectors(), &q, k);
-            hit += approx.iter().filter(|a| exact.iter().any(|e| e.id == a.id)).count();
-        }
-        hit as f64 / (recall_queries * k) as f64
-    });
-    report.field("recall_at_10", recall);
-    report.field("recall_queries", recall_queries);
+    let mut state = 0xbeef_u64;
+    let mut hit = 0usize;
+    for _ in 0..recall_queries {
+        let q = random_vec(&mut state, dim);
+        let approx = index.search(&q, k);
+        let exact = exact_knn(index.vectors(), &q, k);
+        hit += approx.iter().filter(|a| exact.iter().any(|e| e.id == a.id)).count();
+    }
+    let recall = hit as f64 / (recall_queries * k) as f64;
 
     // Single-query latency, one query at a time on one thread.
     let lat_queries = if quick { 500 } else { 2_000 };
-    let mut lat_us: Vec<f64> = report.phase("latency", || {
-        let mut state = 0xface_u64;
-        (0..lat_queries)
-            .map(|_| {
-                let q = random_vec(&mut state, dim);
-                let t = Instant::now();
-                std::hint::black_box(index.search(&q, k));
-                t.elapsed().as_secs_f64() * 1e6
-            })
-            .collect()
-    });
+    let mut state = 0xface_u64;
+    let mut lat_us: Vec<f64> = (0..lat_queries)
+        .map(|_| {
+            let q = random_vec(&mut state, dim);
+            let t = Instant::now();
+            std::hint::black_box(index.search(&q, k));
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
     lat_us.sort_by(f64::total_cmp);
     let (p50_us, p99_us) = (pct(&lat_us, 0.50), pct(&lat_us, 0.99));
-    report.field("query_p50_us", p50_us);
-    report.field("query_p99_us", p99_us);
-    eprintln!("[rag] recall@{k} = {recall:.3}, query p50 {p50_us:.0}us p99 {p99_us:.0}us");
 
     // Serde roundtrip on the large index: byte-identical re-encode and
     // identical search results.
-    let roundtrip_bytes = report.phase("serde", || {
-        let bytes = index.to_bytes();
-        let back = Hnsw::from_bytes(&bytes).expect("own bytes decode");
-        assert_eq!(bytes, back.to_bytes(), "re-encode must reproduce the byte stream");
-        let mut state = 0x5e5e_u64;
-        for _ in 0..16 {
-            let q = random_vec(&mut state, dim);
-            assert_eq!(index.search(&q, k), back.search(&q, k), "roundtrip must not move results");
-        }
+    let bytes = index.to_bytes();
+    let back = Hnsw::from_bytes(&bytes).expect("own bytes decode");
+    assert_eq!(bytes, back.to_bytes(), "re-encode must reproduce the byte stream");
+    let mut state = 0x5e5e_u64;
+    for _ in 0..16 {
+        let q = random_vec(&mut state, dim);
+        assert_eq!(index.search(&q, k), back.search(&q, k), "roundtrip must not move results");
+    }
+
+    note(&format!(
+        "ANN index: {n} points, {dim} dims, {} bytes; serde round trip byte-identical",
         bytes.len()
-    });
-    report.field("index_bytes", roundtrip_bytes);
+    ));
+    note(&format!("recall@{k} = {recall:.4} over {recall_queries} queries (gate >= 0.95)"));
+    note(&format!(
+        "build {build_s:.1} s; single-query p50 {p50_us:.0} us, p99 {p99_us:.0} us (gate p99 < 1 ms)"
+    ));
 
     assert!(recall >= 0.95, "recall@{k} = {recall:.3} misses the 0.95 gate (n={n}, dim={dim})");
     assert!(p99_us < 1_000.0, "single-query p99 = {p99_us:.0}us breaches the 1ms gate");
@@ -176,7 +161,6 @@ fn main() {
             AppId::Sort,
         ]
     };
-    report.field("held_out_apps", held_out.len());
     eprintln!(
         "[rag] cold-start head-to-head over {}/{} apps (subset bounds runtime)",
         held_out.len(),
@@ -185,7 +169,7 @@ fn main() {
 
     let cluster = ClusterSpec::cluster_c();
     let widths = [6usize, 11, 11, 11, 8, 8, 8];
-    let mut table = report.table(
+    let table = Table::new(
         "cold start on never-seen apps (large data, cluster C; RAG executes the target zero times)",
         &["app", "default t(s)", "rag t(s)", "seeded t(s)", "rag ETR", "full ETR", "seed ETR"],
         &widths,
@@ -203,7 +187,7 @@ fn main() {
             apps: train_apps,
             clusters: ClusterSpec::all_evaluation_clusters(),
             tiers: SizeTier::train_tiers().to_vec(),
-            confs_per_cell: train_confs_per_cell(),
+            confs_per_cell: TRAIN_CONFS_PER_CELL,
             seed: 47,
         }
         .build();
@@ -221,7 +205,7 @@ fn main() {
         // Full-budget ACG cold start (the incumbent: 30 scored candidates).
         let mut lite = LiteTuner::from_dataset(
             &ds,
-            NecsConfig { epochs: necs_epochs(), ..Default::default() },
+            NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
             47,
         );
         let full_budget = NUM_CANDIDATES;
@@ -273,46 +257,31 @@ fn main() {
         ]);
         eprintln!("[rag] {} done ({:.0}s)", held.abbrev(), t0.elapsed().as_secs_f64());
     }
-    drop(table);
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let (avg_rag, avg_full, avg_seeded) = (avg(&rag_etrs), avg(&full_etrs), avg(&seeded_etrs));
-    report.field("avg_rag_etr", avg_rag);
-    report.field("avg_full_budget_etr", avg_full);
-    report.field("avg_seeded_etr", avg_seeded);
-    report.field("rag_beats_default", rag_wins);
-    report.field("full_budget_candidates", full_budget_total);
-    report.field("seeded_budget_candidates", seeded_budget_total);
-    report.note(&format!(
+    note(&format!(
         "\nzero-execution RAG: avg ETR {avg_rag:.2} vs default ({rag_wins}/{} apps faster); \
          RAG-seeded cold start reaches avg ETR {avg_seeded:.2} on {seeded_budget_total} scored \
          candidates vs {avg_full:.2} on {full_budget_total} for full-budget ACG.",
         rag_etrs.len()
     ));
 
-    // The ETR gates need the full-fidelity NECS model (30 epochs, 6 confs
-    // per cell); the quick smoke trains a 4-epoch model whose rankings are
-    // close to a lottery, so quick mode only exercises the code paths.
-    if quick {
-        eprintln!("[rag] quick mode: cold-start ETR gates skipped (low-fidelity model)");
-    } else {
-        assert!(
-            avg_rag > 0.0,
-            "zero-execution retrieval must beat the default conf on average ETR, got {avg_rag:.3}"
-        );
-        assert!(
-            rag_wins * 2 >= rag_etrs.len(),
-            "retrieval must beat the default conf on at least half the held-out apps, \
-             got {rag_wins}/{}",
-            rag_etrs.len()
-        );
-        assert!(
-            avg_seeded + 0.05 >= avg_full,
-            "RAG-seeded cold start ({avg_seeded:.3}) must match full-budget ACG ({avg_full:.3}) \
-             within 5 ETR points on {seeded_budget_total} vs {full_budget_total} candidates"
-        );
-    }
+    assert!(
+        avg_rag > 0.0,
+        "zero-execution retrieval must beat the default conf on average ETR, got {avg_rag:.3}"
+    );
+    assert!(
+        rag_wins * 2 >= rag_etrs.len(),
+        "retrieval must beat the default conf on at least half the held-out apps, \
+         got {rag_wins}/{}",
+        rag_etrs.len()
+    );
+    assert!(
+        avg_seeded + 0.05 >= avg_full,
+        "RAG-seeded cold start ({avg_seeded:.3}) must match full-budget ACG ({avg_full:.3}) \
+         within 5 ETR points on {seeded_budget_total} vs {full_budget_total} candidates"
+    );
 
-    finish_report(&report);
     eprintln!("[rag] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -7,17 +7,17 @@
 //! seconds, while the 2-hour trial-based tuners spend orders of magnitude
 //! more tuning overhead and still lose on several applications.
 
+use lite_bench::table::{note, Table};
 use lite_bench::tuning::{
     app_code_features, tune_bo, tune_by_model_ranking, tune_ddpg, tune_fixed, tune_lite,
     TuneOutcome,
 };
-use lite_bench::{finish_report, manual_conf, necs_epochs, num_candidates, secs, training_dataset};
+use lite_bench::{manual_conf, secs, training_dataset, NECS_EPOCHS, NUM_CANDIDATES};
 use lite_core::baselines::{EstimatorKind, FeatureSet, TabularModel};
 use lite_core::experiment::PredictionContext;
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_metrics::ranking::etr;
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::SizeTier;
@@ -25,19 +25,14 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("table06_tuning");
-    report.field("quick_mode", lite_bench::quick_mode());
-    report.field("budget_s", lite_bench::tuning::TUNING_BUDGET_S);
 
-    let ds = report.phase("dataset", || training_dataset(1));
+    let ds = training_dataset(1);
     eprintln!("[table06] dataset built ({:.0}s)", t0.elapsed().as_secs_f64());
 
-    let lite = report.phase("train_lite", || {
-        LiteTuner::from_dataset(&ds, NecsConfig { epochs: necs_epochs(), ..Default::default() }, 1)
-    });
+    let lite =
+        LiteTuner::from_dataset(&ds, NecsConfig { epochs: NECS_EPOCHS, ..Default::default() }, 1);
     eprintln!("[table06] LITE trained ({:.0}s)", t0.elapsed().as_secs_f64());
-    let mlp_model =
-        report.phase("train_mlp", || TabularModel::fit(&ds, EstimatorKind::Mlp, FeatureSet::S, 3));
+    let mlp_model = TabularModel::fit(&ds, EstimatorKind::Mlp, FeatureSet::S, 3);
     eprintln!("[table06] MLP baseline trained ({:.0}s)", t0.elapsed().as_secs_f64());
 
     let cluster = ClusterSpec::cluster_c();
@@ -46,53 +41,47 @@ fn main() {
     let mut lite_latency = Vec::new();
 
     let apps = AppId::all();
-    report.phase("tune", || {
-        for (ai, &app) in apps.iter().enumerate() {
-            let data = app.dataset(SizeTier::Test);
-            let seed = 1000 + ai as u64;
-            let ctx = PredictionContext::warm(&ds.registry, app, &data, &cluster)
-                .expect("all apps are warm in Table VI");
+    for (ai, &app) in apps.iter().enumerate() {
+        let data = app.dataset(SizeTier::Test);
+        let seed = 1000 + ai as u64;
+        let ctx = PredictionContext::warm(&ds.registry, app, &data, &cluster)
+            .expect("all apps are warm in Table VI");
 
-            let default = tune_fixed(&cluster, app, &data, &ds.space.default_conf(), seed);
-            let manual = tune_fixed(&cluster, app, &data, &manual_conf(&ds.space, &cluster), seed);
-            let mlp = tune_by_model_ranking(
-                |c| mlp_model.predict_app(&ds.registry, &ctx, c),
-                &ds.space,
-                &cluster,
-                app,
-                &data,
-                num_candidates(),
-                seed,
-            );
-            let bo = tune_bo(&ds, &cluster, app, &data, seed);
-            let ddpg = tune_ddpg(&ds.space, &cluster, app, &data, &[], seed);
-            let code = app_code_features(&ds, app, &data);
-            let ddpg_c = tune_ddpg(&ds.space, &cluster, app, &data, &code, seed);
-            let lite_out: TuneOutcome = tune_lite(&lite, &cluster, app, &data, seed);
-            lite_latency.push(lite_out.decide_wall_s);
+        let default = tune_fixed(&cluster, app, &data, &ds.space.default_conf(), seed);
+        let manual = tune_fixed(&cluster, app, &data, &manual_conf(&ds.space, &cluster), seed);
+        let mlp = tune_by_model_ranking(
+            |c| mlp_model.predict_app(&ds.registry, &ctx, c),
+            &ds.space,
+            &cluster,
+            app,
+            &data,
+            NUM_CANDIDATES,
+            seed,
+        );
+        let bo = tune_bo(&ds, &cluster, app, &data, seed);
+        let ddpg = tune_ddpg(&ds.space, &cluster, app, &data, &[], seed);
+        let code = app_code_features(&ds, app, &data);
+        let ddpg_c = tune_ddpg(&ds.space, &cluster, app, &data, &code, seed);
+        let lite_out: TuneOutcome = tune_lite(&lite, &cluster, app, &data, seed);
+        lite_latency.push(lite_out.decide_wall_s);
 
-            times.push(vec![
-                default.time_s,
-                manual.time_s,
-                mlp.time_s,
-                bo.time_s,
-                ddpg.time_s,
-                ddpg_c.time_s,
-                lite_out.time_s,
-            ]);
-            eprintln!(
-                "[table06] {} done ({:.0}s elapsed)",
-                app.abbrev(),
-                t0.elapsed().as_secs_f64()
-            );
-        }
-    });
+        times.push(vec![
+            default.time_s,
+            manual.time_s,
+            mlp.time_s,
+            bo.time_s,
+            ddpg.time_s,
+            ddpg_c.time_s,
+            lite_out.time_s,
+        ]);
+        eprintln!("[table06] {} done ({:.0}s elapsed)", app.abbrev(), t0.elapsed().as_secs_f64());
+    }
 
     // ---- Table VI: execution times ----
     let widths = [6usize, 9, 9, 9, 9, 9, 11, 9];
     let mut header = vec!["app"];
     header.extend(methods);
-    let mut t6 = report.table(
+    let t6 = Table::new(
         "Table VI: execution time t (s) of the tuned configuration, large jobs on cluster C",
         &header,
         &widths,
@@ -118,7 +107,7 @@ fn main() {
     // Figure 7 normalizes so the per-app best method scores 1:
     // ETR' = (t_default - t) / (t_default - t_min).
     let widths7 = [6usize, 8, 8, 8, 8, 8, 10, 8];
-    let mut t7 = report.table(
+    let t7 = Table::new(
         "Figure 7: per-application ETR (1.0 = least execution time among all methods)",
         &header,
         &widths7,
@@ -146,16 +135,12 @@ fn main() {
         t7.row(&row);
     }
     let max_latency = lite_latency.iter().cloned().fold(0.0, f64::max);
-    report.field("lite_wins", lite_wins as u64);
-    report.field("lite_top2", lite_top2 as u64);
-    report.field("lite_max_latency_s", max_latency);
-    report.note(&format!(
+    note(&format!(
         "\nLITE achieved the least execution time on {lite_wins}/15 applications and was in the top two on {lite_top2}/15 (paper: 13/15 and 15/15)."
     ));
-    report.note(&format!(
+    note(&format!(
         "LITE decision latency: max {max_latency:.2}s (paper: < 2 s); trial-based tuners consumed the full {}s budget.",
         lite_bench::tuning::TUNING_BUDGET_S
     ));
-    finish_report(&report);
     eprintln!("[table06] total {:.0}s", t0.elapsed().as_secs_f64());
 }

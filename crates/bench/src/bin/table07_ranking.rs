@@ -8,26 +8,21 @@
 //! beats app-level (SC > WC), and NECS is best overall, including on
 //! Large jobs.
 
+use lite_bench::table::{note, Table};
 use lite_bench::{
-    eval_settings, f4, finish_report, gold_set, necs_epochs, num_candidates, ranking_scores,
-    training_dataset,
+    eval_settings, f4, gold_set, ranking_scores, training_dataset, NECS_EPOCHS, NUM_CANDIDATES,
 };
 use lite_core::baselines::{
     AnyModel, EncoderKind, EstimatorKind, FeatureSet, NeuralBaseline, TabularModel,
 };
 use lite_core::features::StageInstance;
 use lite_core::necs::{Necs, NecsConfig};
-use lite_obs::Report;
 use std::collections::HashMap;
 use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("table07_ranking");
-    report.field("quick_mode", lite_bench::quick_mode());
-    let ds = report.phase("dataset", || training_dataset(1));
-    report.field("dataset_runs", ds.runs.len());
-    report.field("dataset_instances", ds.instances.len());
+    let ds = training_dataset(1);
     eprintln!(
         "[table07] dataset: {} runs / {} instances ({:.0}s)",
         ds.runs.len(),
@@ -39,45 +34,36 @@ fn main() {
     // Gold sets, shared by every model: two independent candidate draws
     // per setting to cut ranking-metric variance.
     let settings: Vec<_> = eval_settings().into_iter().flat_map(|s| [s.clone(), s]).collect();
-    let golds: Vec<_> = report.phase("gold_sets", || {
-        settings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| gold_set(&ds.space, s, num_candidates(), 7 + i as u64))
-            .collect::<Vec<_>>()
-    });
+    let golds: Vec<_> = settings
+        .iter()
+        .enumerate()
+        .map(|(i, s)| gold_set(&ds.space, s, NUM_CANDIDATES, 7 + i as u64))
+        .collect();
 
-    let mut models: Vec<AnyModel> = report.phase("train", || {
-        let mut models: Vec<AnyModel> = Vec::new();
-        for kind in [EstimatorKind::Gbdt, EstimatorKind::Mlp] {
-            for fs in
-                [FeatureSet::W, FeatureSet::S, FeatureSet::Wc, FeatureSet::Sc, FeatureSet::Scg]
-            {
-                let t = Instant::now();
-                let m = TabularModel::fit(&ds, kind, fs, 11);
-                eprintln!("[table07] trained {} in {:.0}s", m.label(), t.elapsed().as_secs_f64());
-                models.push(AnyModel::Tabular(m));
-            }
-        }
-        let seq_epochs = (necs_epochs() / 3).max(4);
-        for enc in [EncoderKind::Lstm, EncoderKind::Transformer, EncoderKind::Gcn] {
+    let mut models: Vec<AnyModel> = Vec::new();
+    for kind in [EstimatorKind::Gbdt, EstimatorKind::Mlp] {
+        for fs in [FeatureSet::W, FeatureSet::S, FeatureSet::Wc, FeatureSet::Sc, FeatureSet::Scg] {
             let t = Instant::now();
-            let m = NeuralBaseline::train(&ds, &refs, enc, seq_epochs, 13);
-            eprintln!("[table07] trained {} in {:.0}s", enc.label(), t.elapsed().as_secs_f64());
-            models.push(AnyModel::Neural(m));
+            let m = TabularModel::fit(&ds, kind, fs, 11);
+            eprintln!("[table07] trained {} in {:.0}s", m.label(), t.elapsed().as_secs_f64());
+            models.push(AnyModel::Tabular(m));
         }
-        models
-    });
+    }
+    let seq_epochs = (NECS_EPOCHS / 3).max(4);
+    for enc in [EncoderKind::Lstm, EncoderKind::Transformer, EncoderKind::Gcn] {
+        let t = Instant::now();
+        let m = NeuralBaseline::train(&ds, &refs, enc, seq_epochs, 13);
+        eprintln!("[table07] trained {} in {:.0}s", enc.label(), t.elapsed().as_secs_f64());
+        models.push(AnyModel::Neural(m));
+    }
     {
         let t = Instant::now();
-        let necs = report.phase("train_necs", || {
-            Necs::train(
-                &ds.registry,
-                &ds.space,
-                &refs,
-                NecsConfig { epochs: necs_epochs(), ..Default::default() },
-            )
-        });
+        let necs = Necs::train(
+            &ds.registry,
+            &ds.space,
+            &refs,
+            NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
+        );
         eprintln!("[table07] trained NECS in {:.0}s", t.elapsed().as_secs_f64());
         models.push(AnyModel::Necs(necs));
     }
@@ -87,7 +73,7 @@ fn main() {
     let widths = [16usize, 17, 17, 17, 17];
     let mut header = vec!["model"];
     header.extend(groups);
-    let mut table = report.table(
+    let table = Table::new(
         "Table VII: ranking performance (HR@5 | NDCG@5), averaged over 15 applications",
         &header,
         &widths,
@@ -123,13 +109,10 @@ fn main() {
         .filter(|(k, _)| k.as_str() != "NECS")
         .map(|(_, v)| *v)
         .fold(f64::NEG_INFINITY, f64::max);
-    report.field("necs_large_ndcg5", necs_large);
-    report.field("best_competitor_large_ndcg5", best_other);
-    report.note(&format!(
+    note(&format!(
         "\nLarge-jobs NDCG@5: NECS {} vs best competitor {} (paper: NECS ~10% ahead on large jobs).",
         f4(necs_large),
         f4(best_other)
     ));
-    finish_report(&report);
     eprintln!("[table07] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -9,13 +9,13 @@
 //!     against the per-setting gold list. Paper shape: ACG's region makes
 //!     good candidates likelier.
 
+use lite_bench::table::{note, Table};
 use lite_bench::tuning::execute;
-use lite_bench::{f4, finish_report, necs_epochs, num_candidates, secs, training_dataset};
+use lite_bench::{f4, secs, training_dataset, NECS_EPOCHS, NUM_CANDIDATES};
 use lite_core::experiment::{gold_times, PredictionContext};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_metrics::ranking::{etr, hr_at_k, ndcg_at_k};
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::conf::SparkConf;
 use lite_workloads::apps::AppId;
@@ -26,19 +26,16 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("table08_acg");
-    report.field("quick_mode", lite_bench::quick_mode());
-    let ds = report.phase("dataset", || training_dataset(1));
-    let lite = report.phase("train_lite", || {
-        LiteTuner::from_dataset(&ds, NecsConfig { epochs: necs_epochs(), ..Default::default() }, 1)
-    });
+    let ds = training_dataset(1);
+    let lite =
+        LiteTuner::from_dataset(&ds, NecsConfig { epochs: NECS_EPOCHS, ..Default::default() }, 1);
     eprintln!("[table08] LITE ready ({:.0}s)", t0.elapsed().as_secs_f64());
     let cluster = ClusterSpec::cluster_c();
     let env = cluster.env_features();
 
     // ---- (a) ACG vs plain RFR ----
     let widths = [6usize, 10, 10, 9, 9];
-    let mut ta = report.table(
+    let ta = Table::new(
         "Table VIII(a): RFR point prediction vs LITE (ACG + NECS), large test jobs on cluster C",
         &["app", "RFR t(s)", "LITE t(s)", "RFR ETR", "LITE ETR"],
         &widths,
@@ -73,21 +70,18 @@ fn main() {
         format!("{:.2}", sums[2] / n),
         format!("{:.2}", sums[3] / n),
     ]);
-    report.field("rfr_avg_etr", sums[2] / n);
-    report.field("lite_avg_etr", sums[3] / n);
 
     // ---- (b) ACG vs other sampling strategies ----
     // For each validation app on cluster C: sample candidates four ways,
     // rank them with NECS, and score HR/NDCG against the simulated gold
     // list *of those candidates*.
     let widths_b = [10usize, 9, 9, 11];
-    let mut tb = report.table(
+    let tb = Table::new(
         "Table VIII(b): candidate-sampling strategies under the same NECS ranking (cluster C validation)",
         &["sampling", "HR@5", "NDCG@5", "top-1 t(s)"],
         &widths_b,
     );
     let strategies = ["random", "lhs", "grid", "ACG"];
-    let n_cand = num_candidates();
     let mut results: Vec<(f64, f64, f64)> = vec![(0.0, 0.0, 0.0); strategies.len()];
     let mut counted = 0.0;
     for (ai, app) in AppId::all().into_iter().enumerate() {
@@ -96,10 +90,10 @@ fn main() {
         for (si, strat) in strategies.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(6000 + 31 * ai as u64 + si as u64);
             let confs: Vec<SparkConf> = match *strat {
-                "random" => (0..n_cand).map(|_| ds.space.sample(&mut rng)).collect(),
-                "lhs" => ds.space.latin_hypercube(n_cand, &mut rng),
-                "grid" => ds.space.grid_sample(4, n_cand, &mut rng),
-                _ => lite.acg.candidates(app, &data, &env, n_cand, &mut rng),
+                "random" => (0..NUM_CANDIDATES).map(|_| ds.space.sample(&mut rng)).collect(),
+                "lhs" => ds.space.latin_hypercube(NUM_CANDIDATES, &mut rng),
+                "grid" => ds.space.grid_sample(4, NUM_CANDIDATES, &mut rng),
+                _ => lite.acg.candidates(app, &data, &env, NUM_CANDIDATES, &mut rng),
             };
             let gold = gold_times(&cluster, app, &data, &confs, 7100 + ai as u64);
             let preds: Vec<f64> =
@@ -122,12 +116,10 @@ fn main() {
         }
         tb.row(&[strat.to_string(), f4(hr), f4(ndcg), secs(top1)]);
     }
-    report.field("acg_ndcg5", acg_time_quality);
-    report.note(&format!(
+    note(&format!(
         "\nNote: HR/NDCG here score ranking quality *within* each strategy's own candidate set; \
          panel (a) shows ACG's candidates are also absolutely better (lower executed time). ACG NDCG@5 = {}.",
         f4(acg_time_quality)
     ));
-    finish_report(&report);
     eprintln!("[table08] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -6,14 +6,14 @@
 //! fine-tune on the feedback of one fold via AMU; evaluate ranking on the
 //! other fold; four runs with different fold splits.
 
-use lite_bench::{f4, finish_report, gold_set, necs_epochs, num_candidates, EvalSetting};
+use lite_bench::table::{note, Table};
+use lite_bench::{f4, gold_set, EvalSetting, NECS_EPOCHS, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL};
 use lite_core::amu::{adaptive_model_update, AmuConfig};
 use lite_core::experiment::{extract_stage_instances, Dataset, DatasetBuilder};
 use lite_core::features::StageInstance;
 use lite_core::necs::{Necs, NecsConfig};
 use lite_core::recommend::infeasible_score;
 use lite_metrics::stats::wilcoxon_signed_rank;
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_sparksim::exec::simulate;
 use lite_workloads::apps::{build_job, AppId};
@@ -25,11 +25,9 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("table09_amu");
-    report.field("quick_mode", lite_bench::quick_mode());
     let clusters = ClusterSpec::all_evaluation_clusters();
     let widths = [10usize, 9, 9, 9, 9, 9, 9];
-    let mut table = report.table(
+    let table = Table::new(
         "Table IX: HR@5 / NDCG@5 for NECS vs NECS_u (Adaptive Model Update)",
         &["cluster", "HR", "HR_u", "p(HR)", "NDCG", "NDCG_u", "p(NDCG)"],
         &widths,
@@ -41,7 +39,7 @@ fn main() {
             apps: AppId::all().to_vec(),
             clusters: vec![cluster.clone()],
             tiers: SizeTier::train_tiers().to_vec(),
-            confs_per_cell: lite_bench::train_confs_per_cell(),
+            confs_per_cell: TRAIN_CONFS_PER_CELL,
             seed: 21,
         }
         .build();
@@ -50,7 +48,7 @@ fn main() {
             &ds.registry,
             &ds.space,
             &refs,
-            NecsConfig { epochs: necs_epochs(), ..Default::default() },
+            NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
         );
         eprintln!(
             "[table09] {} base NECS ready ({:.0}s)",
@@ -60,8 +58,7 @@ fn main() {
 
         let mut hr_pairs: Vec<(f64, f64)> = Vec::new();
         let mut ndcg_pairs: Vec<(f64, f64)> = Vec::new();
-        let runs = if lite_bench::quick_mode() { 1 } else { 4 };
-        for run in 0..runs {
+        for run in 0..4 {
             // Split validation apps into two folds.
             let mut apps: Vec<AppId> = AppId::all().to_vec();
             let mut rng = StdRng::seed_from_u64(500 + run);
@@ -112,7 +109,7 @@ fn main() {
                 let gold = gold_set(
                     &ds.space,
                     &setting,
-                    num_candidates(),
+                    NUM_CANDIDATES,
                     600 + run * 37 + app.index() as u64,
                 );
                 let score = |m: &Necs| {
@@ -153,8 +150,7 @@ fn main() {
             format!("{:.4}", p_ndcg.p_value),
         ]);
     }
-    report.note("\nPaper shape: NECS_u >= NECS on every cluster with p < 0.05.");
-    finish_report(&report);
+    note("\nPaper shape: NECS_u >= NECS on every cluster with p < 0.05.");
     eprintln!("[table09] total {:.0}s", t0.elapsed().as_secs_f64());
 }
 

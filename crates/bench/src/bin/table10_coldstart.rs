@@ -6,13 +6,13 @@
 //! cold-start path instruments the app on its smallest dataset first.
 //! Paper shape: ETR > 0.9 for most apps, average ≈ 0.95.
 
+use lite_bench::table::{note, Table};
 use lite_bench::tuning::execute;
-use lite_bench::{finish_report, necs_epochs, train_confs_per_cell};
+use lite_bench::{NECS_EPOCHS, TRAIN_CONFS_PER_CELL};
 use lite_core::experiment::DatasetBuilder;
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
 use lite_metrics::ranking::etr;
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::SizeTier;
@@ -20,22 +20,18 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("table10_coldstart");
-    report.field("quick_mode", lite_bench::quick_mode());
     let cluster = ClusterSpec::cluster_c();
     let widths = [6usize, 12, 12, 8];
-    let mut table = report.table(
+    let table = Table::new(
         "Table X: cold-start ETR per never-seen application (large data, cluster C)",
         &["app", "default t(s)", "LITE t(s)", "ETR"],
         &widths,
     );
 
     let apps = AppId::all();
-    let held_out: Vec<AppId> =
-        if lite_bench::quick_mode() { vec![AppId::Terasort, AppId::KMeans] } else { apps.to_vec() };
 
     let mut etrs = Vec::new();
-    for (ai, &held) in held_out.iter().enumerate() {
+    for (ai, &held) in apps.iter().enumerate() {
         // Train on the other fourteen apps only — vocabulary, templates,
         // NECS and ACG all exclude the held-out app.
         let train_apps: Vec<AppId> = apps.iter().copied().filter(|a| *a != held).collect();
@@ -43,13 +39,13 @@ fn main() {
             apps: train_apps,
             clusters: ClusterSpec::all_evaluation_clusters(),
             tiers: SizeTier::train_tiers().to_vec(),
-            confs_per_cell: train_confs_per_cell(),
+            confs_per_cell: TRAIN_CONFS_PER_CELL,
             seed: 31,
         }
         .build();
         let mut lite = LiteTuner::from_dataset(
             &ds,
-            NecsConfig { epochs: necs_epochs(), ..Default::default() },
+            NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
             31,
         );
 
@@ -70,13 +66,10 @@ fn main() {
     }
     let avg = etrs.iter().sum::<f64>() / etrs.len() as f64;
     let above = etrs.iter().filter(|&&e| e > 0.7).count();
-    report.field("avg_cold_etr", avg);
-    report.field("apps_above_0_7", above as u64);
-    report.note(&format!(
+    note(&format!(
         "\nAverage cold-start ETR = {avg:.2}; {above}/{} apps above 0.7 (paper: avg 0.95, 11/15 above 0.95 — \
          note their warm-start best competitor reached only 0.69).",
         etrs.len()
     ));
-    finish_report(&report);
     eprintln!("[table10] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -6,16 +6,14 @@
 //! thanks to the instrumented code/DAG encoders; removing the oov node
 //! token hurts cold-start robustness.
 
-use lite_bench::{
-    f4, finish_report, gold_set, necs_epochs, num_candidates, train_confs_per_cell, EvalSetting,
-};
+use lite_bench::table::{note, Table};
+use lite_bench::{f4, gold_set, EvalSetting, NECS_EPOCHS, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL};
 use lite_core::baselines::{EstimatorKind, FeatureSet, TabularModel};
 use lite_core::experiment::{Dataset, DatasetBuilder, PredictionContext};
 use lite_core::features::{StageInstance, TemplateRegistry};
 use lite_core::necs::{Necs, NecsConfig};
 use lite_core::recommend::infeasible_score;
 use lite_metrics::ranking::{hr_at_k, ndcg_at_k};
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::SizeTier;
@@ -42,21 +40,17 @@ fn necs_scores(
 
 fn main() {
     let t0 = Instant::now();
-    let report = Report::new("table11_cold_ranking");
-    report.field("quick_mode", lite_bench::quick_mode());
     let cluster = ClusterSpec::cluster_c();
     let apps = AppId::all();
-    let eval_apps: Vec<AppId> =
-        if lite_bench::quick_mode() { apps[..3].to_vec() } else { apps.to_vec() };
 
     // ---- Warm-start reference: models trained on everything.
-    let full: Dataset = DatasetBuilder::paper_training(train_confs_per_cell(), 51).build();
+    let full: Dataset = DatasetBuilder::paper_training(TRAIN_CONFS_PER_CELL, 51).build();
     let full_refs: Vec<&StageInstance> = full.instances.iter().collect();
     let warm_necs = Necs::train(
         &full.registry,
         &full.space,
         &full_refs,
-        NecsConfig { epochs: necs_epochs(), ..Default::default() },
+        NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
     );
     let warm_gbdt = TabularModel::fit(&full, EstimatorKind::Gbdt, FeatureSet::Scg, 51);
     eprintln!("[table11] warm models ready ({:.0}s)", t0.elapsed().as_secs_f64());
@@ -65,14 +59,14 @@ fn main() {
     let labels = ["NECS warm", "NECS cold", "NECS cold-UNK", "SCG+LGBM warm", "SCG+LGBM cold"];
     let mut counted = 0.0;
 
-    for (ai, &app) in eval_apps.iter().enumerate() {
+    for (ai, &app) in apps.iter().enumerate() {
         let setting = EvalSetting {
             group: "cold",
             app,
             cluster: cluster.clone(),
             data: app.dataset(SizeTier::Valid),
         };
-        let gold = gold_set(&full.space, &setting, num_candidates(), 9400 + ai as u64);
+        let gold = gold_set(&full.space, &setting, NUM_CANDIDATES, 9400 + ai as u64);
 
         // Warm scores (both models trained once, before the loop).
         let warm_ctx = PredictionContext::warm(&full.registry, app, &setting.data, &cluster)
@@ -100,7 +94,7 @@ fn main() {
             apps: train_apps,
             clusters: ClusterSpec::all_evaluation_clusters(),
             tiers: SizeTier::train_tiers().to_vec(),
-            confs_per_cell: train_confs_per_cell(),
+            confs_per_cell: TRAIN_CONFS_PER_CELL,
             seed: 53,
         }
         .build();
@@ -109,7 +103,7 @@ fn main() {
             &cold_ds.registry,
             &cold_ds.space,
             &cold_refs,
-            NecsConfig { epochs: necs_epochs(), ..Default::default() },
+            NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
         );
         let mut reg = cold_ds.registry.clone();
         let (h, n) = necs_scores(&cold_necs, &mut reg, &setting, &gold);
@@ -144,7 +138,7 @@ fn main() {
     }
 
     let widths = [16usize, 9, 9];
-    let mut table = report.table(
+    let table = Table::new(
         "Table XI: average ranking under warm vs cold start (cluster C validation)",
         &["model", "HR@5", "NDCG@5"],
         &widths,
@@ -152,10 +146,9 @@ fn main() {
     for (i, label) in labels.iter().enumerate() {
         table.row(&[label.to_string(), f4(acc[i][0] / counted), f4(acc[i][1] / counted)]);
     }
-    report.note(
+    note(
         "\nPaper shape: SCG+LightGBM drops sharply warm->cold; NECS stays close to warm accuracy; \
          removing the oov token (Cold-UNK) degrades cold-start ranking.",
     );
-    finish_report(&report);
     eprintln!("[table11] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -5,15 +5,14 @@
 //! Paper shape: NECS_C beats NECS_AB (domain match matters), and training
 //! on all clusters gives the best NDCG (environment variety transfers).
 
+use lite_bench::table::{note, Table};
 use lite_bench::{
-    f4, finish_report, gold_set, necs_epochs, num_candidates, ranking_scores, train_confs_per_cell,
-    EvalSetting,
+    f4, gold_set, ranking_scores, EvalSetting, NECS_EPOCHS, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL,
 };
 use lite_core::baselines::AnyModel;
 use lite_core::experiment::DatasetBuilder;
 use lite_core::features::StageInstance;
 use lite_core::necs::{Necs, NecsConfig};
-use lite_obs::Report;
 use lite_sparksim::cluster::ClusterSpec;
 use lite_workloads::apps::AppId;
 use lite_workloads::data::SizeTier;
@@ -27,10 +26,8 @@ fn main() {
         ("NECS_all", ClusterSpec::all_evaluation_clusters()),
     ];
 
-    let report = Report::new("table12_cross_env");
-    report.field("quick_mode", lite_bench::quick_mode());
     let widths = [10usize, 9, 9];
-    let mut table = report.table(
+    let table = Table::new(
         "Table XII: NECS trained on different clusters, evaluated on cluster C validation",
         &["model", "HR@5", "NDCG@5"],
         &widths,
@@ -53,7 +50,7 @@ fn main() {
             apps: AppId::all().to_vec(),
             clusters,
             tiers: SizeTier::train_tiers().to_vec(),
-            confs_per_cell: train_confs_per_cell(),
+            confs_per_cell: TRAIN_CONFS_PER_CELL,
             seed: 71,
         }
         .build();
@@ -62,12 +59,12 @@ fn main() {
             &ds.registry,
             &ds.space,
             &refs,
-            NecsConfig { epochs: necs_epochs(), ..Default::default() },
+            NecsConfig { epochs: NECS_EPOCHS, ..Default::default() },
         ));
         let golds: Vec<_> = settings
             .iter()
             .enumerate()
-            .map(|(i, s)| gold_set(&ds.space, s, num_candidates(), 3100 + i as u64))
+            .map(|(i, s)| gold_set(&ds.space, s, NUM_CANDIDATES, 3100 + i as u64))
             .collect();
         let mut hr = 0.0;
         let mut ndcg = 0.0;
@@ -82,9 +79,8 @@ fn main() {
         table.row(&[name.to_string(), f4(hr / counted), f4(ndcg / counted)]);
         eprintln!("[table12] {name} done ({:.0}s)", t0.elapsed().as_secs_f64());
     }
-    report.note(
+    note(
         "\nPaper shape: NECS_C > NECS_AB (environment mismatch hurts); NECS_all achieves the best NDCG.",
     );
-    finish_report(&report);
     eprintln!("[table12] total {:.0}s", t0.elapsed().as_secs_f64());
 }

@@ -4,11 +4,10 @@
 //! holds the shared protocol pieces:
 //! dataset construction, the evaluation settings grid (clusters A/B/C on
 //! validation data + "Large" on cluster C test data), gold-ranking
-//! evaluation, the rule-based "Manual" tuner, and cell formatting.
-//!
-//! Set `LITE_BENCH_QUICK=1` to shrink every experiment (fewer sampled
-//! configurations, fewer epochs) for smoke runs.
+//! evaluation, the rule-based "Manual" tuner, cell formatting, and the
+//! stdout printer every table goes through ([`table`]).
 
+pub mod table;
 pub mod tuning;
 
 use lite_core::baselines::AnyModel;
@@ -22,59 +21,19 @@ use lite_workloads::data::{DataSpec, SizeTier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Whether quick (smoke) mode is enabled via `LITE_BENCH_QUICK=1`.
-pub fn quick_mode() -> bool {
-    std::env::var("LITE_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
-}
+/// Configurations sampled per training cell.
+pub const TRAIN_CONFS_PER_CELL: usize = 6;
 
-/// Directory run manifests are appended to (override with
-/// `LITE_BENCH_RESULTS`; defaults to `results/` under the cwd).
-fn results_dir() -> std::path::PathBuf {
-    std::env::var_os("LITE_BENCH_RESULTS")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"))
-}
-
-/// Append a report's manifest to [`results_dir`]. Failures are logged, not
-/// fatal — a read-only checkout should not kill a finished bench run.
-pub fn finish_report(report: &lite_obs::Report) {
-    match report.finish(results_dir()) {
-        Ok(path) => eprintln!("[report] manifest appended to {}", path.display()),
-        Err(e) => eprintln!("[report] could not write manifest: {e}"),
-    }
-}
-
-/// Configurations sampled per training cell (paper-scale vs quick).
-pub fn train_confs_per_cell() -> usize {
-    if quick_mode() {
-        2
-    } else {
-        6
-    }
-}
-
-/// NECS epochs for full experiments.
-pub fn necs_epochs() -> usize {
-    if quick_mode() {
-        4
-    } else {
-        30
-    }
-}
+/// NECS training epochs.
+pub const NECS_EPOCHS: usize = 30;
 
 /// Candidate configurations per ranking evaluation.
-pub fn num_candidates() -> usize {
-    if quick_mode() {
-        8
-    } else {
-        40
-    }
-}
+pub const NUM_CANDIDATES: usize = 40;
 
 /// Build the paper's offline training dataset (all apps, clusters A/B/C,
 /// four small tiers).
 pub fn training_dataset(seed: u64) -> Dataset {
-    DatasetBuilder::paper_training(train_confs_per_cell(), seed).build()
+    DatasetBuilder::paper_training(TRAIN_CONFS_PER_CELL, seed).build()
 }
 
 /// One evaluation setting of Table VII: an application instance on a

@@ -1,10 +1,10 @@
 //! A minimal JSON value, serializer and parser.
 //!
-//! The workspace takes no JSON dependency: manifests need *emission* and
-//! the serving wire protocol needs *parsing*, so a small writer plus a
-//! recursive-descent reader suffice.
-//! Objects preserve insertion order (manifests are meant to be diffed by
-//! humans).
+//! The workspace takes no JSON dependency: the serving wire protocol and
+//! its admin documents need both *emission* and *parsing*, so a small
+//! writer plus a recursive-descent reader suffice.
+//! Objects preserve insertion order (a rendered document reads in the
+//! order it was built).
 
 use std::fmt::Write as _;
 

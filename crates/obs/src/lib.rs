@@ -1,6 +1,6 @@
 //! # lite-obs — observability for the LITE reproduction
 //!
-//! Three pieces, deliberately dependency-free so they cost nothing when
+//! Two pieces, deliberately dependency-free so they cost nothing when
 //! disabled:
 //!
 //! * [`span`] — [`span::Tracer`], the one tracing switch: nestable spans
@@ -12,10 +12,6 @@
 //! * [`metrics`] — a registry of named counters, gauges and histograms.
 //!   Counters and histograms are sharded across cache-line-padded atomics so
 //!   concurrent increments from worker threads do not contend.
-//! * [`report`] — run manifests: phase wall-clock timings, free-form fields,
-//!   tables (printed to stdout *and* captured, so the human table and the
-//!   machine manifest cannot drift apart), notes and a metrics snapshot,
-//!   serialized as one JSON object per line into `results/*.manifest.jsonl`.
 //!
 //! Two supporting modules: [`sketch`] holds the log-linear bucket layout
 //! histograms use for few-percent-accurate quantiles, and [`export`]
@@ -58,7 +54,6 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod prof;
-pub mod report;
 pub mod sketch;
 pub mod span;
 pub mod trace;
@@ -66,6 +61,5 @@ pub mod trace;
 pub use export::{chrome_trace, prometheus_text, prometheus_text_with_exemplars, PromExemplar};
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use report::Report;
 pub use span::{AttrValue, SpanGuard, SpanRecord, Tracer};
 pub use trace::{Exemplar, Phase, PhaseHistograms, PhaseSpan, TraceId};

@@ -33,22 +33,16 @@ bash crates/ledger/run.sh --workload tuning_loop --seed 7 --seconds 2 --trace 0
 # socket (reactor, framing, client).
 bash crates/ledger/run.sh --workload wire_hit --seed 7 --seconds 2 --trace 0
 
-# Quick-run manifests must not land beside the committed full-run ones.
-smoke_results=$(mktemp -d)
-trap 'rm -rf "$smoke_results"' EXIT
-
 echo "==> static == instrumented extraction gate"
-# Quick static-vs-instrumented run; the binary hard-asserts StageCode
+# The static-vs-instrumented run; the binary hard-asserts StageCode
 # equivalence on all 15 apps.
-LITE_BENCH_QUICK=1 LITE_BENCH_RESULTS="$smoke_results" \
-    cargo run --release -q -p lite-bench --bin analyze_bench > /dev/null
+cargo run --release -q -p lite-bench --bin analyze_bench > /dev/null
 
 echo "==> rag smoke (index recall/latency/serde gates)"
-# Quick ANN index build: recall@10 >= 0.95 vs the brute-force oracle,
+# A 20k-point ANN index: recall@10 >= 0.95 vs the brute-force oracle,
 # single-query p99 < 1 ms, and byte-identical serialize/deserialize, plus
-# a two-app cold-start smoke of the retrieval tuner.
-LITE_BENCH_QUICK=1 LITE_BENCH_RESULTS="$smoke_results" \
-    cargo run --release -q -p lite-bench --bin rag_bench
+# the retrieval tuner's cold-start ETR gates over two held-out apps.
+LITE_BENCH_QUICK=1 cargo run --release -q -p lite-bench --bin rag_bench
 
 echo "==> code-line census (informational)"
 ./scripts/census.sh

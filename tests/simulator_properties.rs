@@ -4,6 +4,7 @@
 use lite_repro::sparksim::cluster::ClusterSpec;
 use lite_repro::sparksim::conf::{ConfSpace, Knob, SparkConf, NUM_KNOBS};
 use lite_repro::sparksim::exec::{allocate, preflight, simulate};
+use lite_repro::sparksim::plan::{InputSource, StagePlan};
 use lite_repro::workloads::apps::{build_job, AppId};
 use lite_repro::workloads::data::SizeTier;
 use proptest::prelude::*;
@@ -108,6 +109,50 @@ proptest! {
         }
         prop_assert!(space.is_valid(&conf));
     }
+}
+
+/// Whether a stage reads a shuffle or writes one.
+fn shuffles(stage: &StagePlan) -> bool {
+    stage.input == InputSource::Shuffle || stage.shuffle_write_bytes > 0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The shuffle knobs act only through a shuffle (the sensitivity split
+    /// of "Spark Parameter Tuning via Trial-and-Error"): any setting of
+    /// them leaves every stage that neither reads nor writes one as it was.
+    #[test]
+    fn shuffle_knobs_leave_non_shuffle_stages_alone(conf in arb_conf(), other in arb_conf(), cluster in arb_cluster(), app in arb_app(), tier in 0u8..4) {
+        let space = ConfSpace::table_iv();
+        let mut moved = conf.clone();
+        for knob in [Knob::ShuffleCompress, Knob::ShuffleFileBufferKb, Knob::ReducerMaxSizeInFlightMb] {
+            moved.set(&space, knob, other.get(knob));
+        }
+        let plan = build_job(app, &app.dataset(SizeTier::Train(tier)));
+        let a = simulate(&cluster, &conf, &plan, 19);
+        let b = simulate(&cluster, &moved, &plan, 19);
+        // A shuffle stage may fail under one setting and end the run early,
+        // so only the stages both runs started are compared.
+        for ((stage, x), y) in plan.stages.iter().zip(&a.stages).zip(&b.stages) {
+            if !shuffles(stage) {
+                prop_assert_eq!(x, y);
+            }
+        }
+    }
+}
+
+/// The property above is not vacuous: the workloads hold stages that
+/// neither read nor write a shuffle.
+#[test]
+fn some_stages_neither_read_nor_write_a_shuffle() {
+    let plans: Vec<_> = AppId::all()
+        .into_iter()
+        .map(|app| build_job(app, &app.dataset(SizeTier::Train(1))))
+        .collect();
+    let quiet = plans.iter().flat_map(|p| &p.stages).filter(|s| !shuffles(s)).count();
+    let all: usize = plans.iter().map(|p| p.stages.len()).sum();
+    assert_eq!((quiet, all), (17, 208));
 }
 
 #[test]
