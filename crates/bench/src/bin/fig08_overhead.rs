@@ -60,8 +60,9 @@ fn main() {
         let bo_best = bo.time_s;
         let ddpg_best = ddpg.time_s;
         note(&format!(
-            "\nLITE point: overhead {:.2}s (model inference only) -> execution time {:.0}s",
-            lite_out.decide_wall_s, lite_out.time_s
+            "\nLITE point: overhead {:.0} us (one decision, model inference only) -> execution time {:.0}s",
+            lite_out.decide_wall_s * 1e6,
+            lite_out.time_s
         ));
         note(&format!(
             "Final best after the full {:.0}s budget: BO {bo_best:.0}s, DDPG {ddpg_best:.0}s.",

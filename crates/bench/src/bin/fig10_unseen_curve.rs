@@ -8,7 +8,7 @@
 //! warm competitor up to x ≈ 0.7.
 
 use lite_bench::table::{note, Table};
-use lite_bench::{f4, gold_set, EvalSetting, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL};
+use lite_bench::{f4, gold_set, EvalSetting, GOLD_CANDIDATES, TRAIN_CONFS_PER_CELL};
 use lite_core::experiment::{DatasetBuilder, PredictionContext};
 use lite_core::features::StageInstance;
 use lite_core::necs::{Necs, NecsConfig};
@@ -72,7 +72,7 @@ fn main() {
                     data: app.dataset(SizeTier::Valid),
                 };
                 let gold =
-                    gold_set(&ds.space, &setting, NUM_CANDIDATES, 2200 + 101 * run + ai as u64);
+                    gold_set(&ds.space, &setting, GOLD_CANDIDATES, 2200 + 101 * run + ai as u64);
                 let mut reg = ds.registry.clone();
                 let ctx = PredictionContext::cold(&mut reg, app, &setting.data, &cluster);
                 let preds: Vec<f64> = gold

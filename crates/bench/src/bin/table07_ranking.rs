@@ -10,7 +10,7 @@
 
 use lite_bench::table::{note, Table};
 use lite_bench::{
-    eval_settings, f4, gold_set, ranking_scores, training_dataset, NECS_EPOCHS, NUM_CANDIDATES,
+    eval_settings, f4, gold_set, ranking_scores, training_dataset, GOLD_CANDIDATES, NECS_EPOCHS,
 };
 use lite_core::baselines::{
     AnyModel, EncoderKind, EstimatorKind, FeatureSet, NeuralBaseline, TabularModel,
@@ -37,7 +37,7 @@ fn main() {
     let golds: Vec<_> = settings
         .iter()
         .enumerate()
-        .map(|(i, s)| gold_set(&ds.space, s, NUM_CANDIDATES, 7 + i as u64))
+        .map(|(i, s)| gold_set(&ds.space, s, GOLD_CANDIDATES, 7 + i as u64))
         .collect();
 
     let mut models: Vec<AnyModel> = Vec::new();

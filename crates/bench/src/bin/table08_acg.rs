@@ -11,7 +11,7 @@
 
 use lite_bench::table::{note, Table};
 use lite_bench::tuning::execute;
-use lite_bench::{f4, secs, training_dataset, NECS_EPOCHS, NUM_CANDIDATES};
+use lite_bench::{f4, secs, training_dataset, GOLD_CANDIDATES, NECS_EPOCHS};
 use lite_core::experiment::{gold_times, PredictionContext};
 use lite_core::necs::NecsConfig;
 use lite_core::recommend::LiteTuner;
@@ -90,10 +90,10 @@ fn main() {
         for (si, strat) in strategies.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(6000 + 31 * ai as u64 + si as u64);
             let confs: Vec<SparkConf> = match *strat {
-                "random" => (0..NUM_CANDIDATES).map(|_| ds.space.sample(&mut rng)).collect(),
-                "lhs" => ds.space.latin_hypercube(NUM_CANDIDATES, &mut rng),
-                "grid" => ds.space.grid_sample(4, NUM_CANDIDATES, &mut rng),
-                _ => lite.acg.candidates(app, &data, &env, NUM_CANDIDATES, &mut rng),
+                "random" => (0..GOLD_CANDIDATES).map(|_| ds.space.sample(&mut rng)).collect(),
+                "lhs" => ds.space.latin_hypercube(GOLD_CANDIDATES, &mut rng),
+                "grid" => ds.space.grid_sample(4, GOLD_CANDIDATES, &mut rng),
+                _ => lite.acg.candidates(app, &data, &env, GOLD_CANDIDATES, &mut rng),
             };
             let gold = gold_times(&cluster, app, &data, &confs, 7100 + ai as u64);
             let preds: Vec<f64> =

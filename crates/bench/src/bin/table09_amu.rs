@@ -7,7 +7,7 @@
 //! other fold; four runs with different fold splits.
 
 use lite_bench::table::{note, Table};
-use lite_bench::{f4, gold_set, EvalSetting, NECS_EPOCHS, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL};
+use lite_bench::{f4, gold_set, EvalSetting, GOLD_CANDIDATES, NECS_EPOCHS, TRAIN_CONFS_PER_CELL};
 use lite_core::amu::{adaptive_model_update, AmuConfig};
 use lite_core::experiment::{extract_stage_instances, Dataset, DatasetBuilder};
 use lite_core::features::StageInstance;
@@ -109,7 +109,7 @@ fn main() {
                 let gold = gold_set(
                     &ds.space,
                     &setting,
-                    NUM_CANDIDATES,
+                    GOLD_CANDIDATES,
                     600 + run * 37 + app.index() as u64,
                 );
                 let score = |m: &Necs| {

@@ -7,7 +7,7 @@
 //! token hurts cold-start robustness.
 
 use lite_bench::table::{note, Table};
-use lite_bench::{f4, gold_set, EvalSetting, NECS_EPOCHS, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL};
+use lite_bench::{f4, gold_set, EvalSetting, GOLD_CANDIDATES, NECS_EPOCHS, TRAIN_CONFS_PER_CELL};
 use lite_core::baselines::{EstimatorKind, FeatureSet, TabularModel};
 use lite_core::experiment::{Dataset, DatasetBuilder, PredictionContext};
 use lite_core::features::{StageInstance, TemplateRegistry};
@@ -66,7 +66,7 @@ fn main() {
             cluster: cluster.clone(),
             data: app.dataset(SizeTier::Valid),
         };
-        let gold = gold_set(&full.space, &setting, NUM_CANDIDATES, 9400 + ai as u64);
+        let gold = gold_set(&full.space, &setting, GOLD_CANDIDATES, 9400 + ai as u64);
 
         // Warm scores (both models trained once, before the loop).
         let warm_ctx = PredictionContext::warm(&full.registry, app, &setting.data, &cluster)

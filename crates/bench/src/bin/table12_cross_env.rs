@@ -7,7 +7,7 @@
 
 use lite_bench::table::{note, Table};
 use lite_bench::{
-    f4, gold_set, ranking_scores, EvalSetting, NECS_EPOCHS, NUM_CANDIDATES, TRAIN_CONFS_PER_CELL,
+    f4, gold_set, ranking_scores, EvalSetting, GOLD_CANDIDATES, NECS_EPOCHS, TRAIN_CONFS_PER_CELL,
 };
 use lite_core::baselines::AnyModel;
 use lite_core::experiment::DatasetBuilder;
@@ -64,7 +64,7 @@ fn main() {
         let golds: Vec<_> = settings
             .iter()
             .enumerate()
-            .map(|(i, s)| gold_set(&ds.space, s, NUM_CANDIDATES, 3100 + i as u64))
+            .map(|(i, s)| gold_set(&ds.space, s, GOLD_CANDIDATES, 3100 + i as u64))
             .collect();
         let mut hr = 0.0;
         let mut ndcg = 0.0;

@@ -27,8 +27,10 @@ pub const TRAIN_CONFS_PER_CELL: usize = 6;
 /// NECS training epochs.
 pub const NECS_EPOCHS: usize = 30;
 
-/// Candidate configurations per ranking evaluation.
-pub const NUM_CANDIDATES: usize = 40;
+/// Candidate configurations per ranking evaluation: the gold set each
+/// model ranks (not `lite_core::recommend::NUM_CANDIDATES`, the
+/// candidates one recommendation scores).
+pub const GOLD_CANDIDATES: usize = 40;
 
 /// Build the paper's offline training dataset (all apps, clusters A/B/C,
 /// four small tiers).

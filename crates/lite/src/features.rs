@@ -54,7 +54,9 @@ pub struct TemplateEntry {
 #[derive(Debug, Clone)]
 pub struct TemplateRegistry {
     entries: Vec<TemplateEntry>,
-    by_key: HashMap<(AppId, String), TemplateKey>,
+    /// Per application, its templates by name: looked up by `&str`, with
+    /// no `String` built per lookup.
+    by_key: HashMap<AppId, HashMap<String, TemplateKey>>,
     /// Token vocabulary built from the training applications' stage codes.
     pub vocab: Vocab,
     /// Operation vocabulary: maps `OpKind` id → one-hot index (1-based;
@@ -122,7 +124,7 @@ impl TemplateRegistry {
         stage: &StageCode,
         tokens: impl FnOnce() -> Vec<String>,
     ) -> TemplateKey {
-        if let Some(&k) = self.by_key.get(&(app, stage.template.clone())) {
+        if let Some(k) = self.key_of(app, &stage.template) {
             return k;
         }
         let tokens = tokens();
@@ -154,7 +156,7 @@ impl TemplateRegistry {
             a_hat,
             fingerprint,
         });
-        self.by_key.insert((app, stage.template.clone()), key);
+        self.by_key.entry(app).or_default().insert(stage.template.clone(), key);
         key
     }
 
@@ -165,7 +167,7 @@ impl TemplateRegistry {
 
     /// Key for `(app, template name)`, if interned.
     pub fn key_of(&self, app: AppId, name: &str) -> Option<TemplateKey> {
-        self.by_key.get(&(app, name.to_string())).copied()
+        self.by_key.get(&app)?.get(name).copied()
     }
 
     /// Number of interned templates.
@@ -232,7 +234,11 @@ pub struct StageInstance {
 
 /// Width of the tabular part of the model input:
 /// `d (4) + e (6) + o (16)`.
-pub const TABULAR_WIDTH: usize = 4 + 6 + NUM_KNOBS;
+pub const TABULAR_WIDTH: usize = CONTEXT_WIDTH + NUM_KNOBS;
+
+/// The leading tabular columns, `d (4) + e (6)`: the ones a dataset and an
+/// environment fix, whatever the configuration.
+pub const CONTEXT_WIDTH: usize = 4 + 6;
 
 /// Normalization statistics for tabular features and targets, estimated on
 /// the training set and reused verbatim at test time (the small→large
@@ -288,7 +294,7 @@ impl FeatNorm {
         data: &DataSpec,
         env: &[f64; 6],
     ) -> Vec<f64> {
-        self.normalized(raw_tabular_parts(space, conf, data, env)).collect()
+        self.normalized(0, raw_tabular_parts(space, conf, data, env)).collect()
     }
 
     /// [`FeatNorm::tabular_parts`] narrowed to `f32` straight into a model
@@ -302,10 +308,22 @@ impl FeatNorm {
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), TABULAR_WIDTH);
-        for (o, v) in out.iter_mut().zip(self.normalized(raw_tabular_parts(space, conf, data, env)))
-        {
-            *o = v as f32;
-        }
+        narrow_into(self.normalized(0, raw_tabular_parts(space, conf, data, env)), out);
+    }
+
+    /// [`FeatNorm::tabular_into`]'s first [`CONTEXT_WIDTH`] columns, the
+    /// ones `data` and `env` fix: computed once, they serve every
+    /// configuration scored in that context, with the same bits.
+    pub fn context_into(&self, data: &DataSpec, env: &[f64; 6], out: &mut [f32]) {
+        assert_eq!(out.len(), CONTEXT_WIDTH);
+        narrow_into(self.normalized(0, raw_context(data, env)), out);
+    }
+
+    /// [`FeatNorm::tabular_into`]'s last [`NUM_KNOBS`] columns, the
+    /// configuration's, with the same bits.
+    pub fn conf_into(&self, space: &ConfSpace, conf: &SparkConf, out: &mut [f32]) {
+        assert_eq!(out.len(), NUM_KNOBS);
+        narrow_into(self.normalized(CONTEXT_WIDTH, conf.normalized(space)), out);
     }
 
     /// The `[B, TABULAR_WIDTH]` model input of a batch of instances.
@@ -317,8 +335,15 @@ impl FeatNorm {
         m
     }
 
-    fn normalized(&self, raw: [f64; TABULAR_WIDTH]) -> impl Iterator<Item = f64> + '_ {
-        raw.into_iter().zip(self.mean.iter().zip(self.std.iter())).map(|(v, (m, s))| (v - m) / s)
+    /// `raw`'s columns z-scored, for a `raw` holding the tabular row's
+    /// columns `from ..`.
+    fn normalized<const W: usize>(
+        &self,
+        from: usize,
+        raw: [f64; W],
+    ) -> impl Iterator<Item = f64> + '_ {
+        let stats = self.mean[from..].iter().zip(&self.std[from..]);
+        raw.into_iter().zip(stats).map(|(v, (m, s))| (v - m) / s)
     }
 
     /// Normalize a target time.
@@ -344,12 +369,25 @@ fn raw_tabular_parts(
     env: &[f64; 6],
 ) -> [f64; TABULAR_WIDTH] {
     let mut out = [0.0; TABULAR_WIDTH];
+    out[..CONTEXT_WIDTH].copy_from_slice(&raw_context(data, env));
+    out[CONTEXT_WIDTH..].copy_from_slice(&conf.normalized(space));
+    out
+}
+
+fn raw_context(data: &DataSpec, env: &[f64; 6]) -> [f64; CONTEXT_WIDTH] {
+    let mut out = [0.0; CONTEXT_WIDTH];
     out[..4].copy_from_slice(&data.log_features());
     // Pre-scale raw environment units into comparable ranges (memory speed
     // is in thousands of MT/s) before z-scoring.
-    out[4..10].copy_from_slice(&[env[0], env[1], env[2], env[3] / 8.0, env[4] / 1000.0, env[5]]);
-    out[10..].copy_from_slice(&conf.normalized(space));
+    out[4..].copy_from_slice(&[env[0], env[1], env[2], env[3] / 8.0, env[4] / 1000.0, env[5]]);
     out
+}
+
+/// Each value narrowed to `f32` into `out`.
+fn narrow_into(values: impl Iterator<Item = f64>, out: &mut [f32]) {
+    for (o, v) in out.iter_mut().zip(values) {
+        *o = v as f32;
+    }
 }
 
 /// Environment feature helper.
@@ -369,6 +407,24 @@ mod tests {
         assert!(reg.key_of(AppId::Terasort, "sort-partitions").is_some());
         assert!(reg.key_of(AppId::PageRank, "pr-contrib").is_some());
         assert!(reg.key_of(AppId::KMeans, "km-assign").is_none());
+    }
+
+    #[test]
+    fn key_of_finds_every_template_of_the_fifteen_apps_by_name() {
+        let reg = TemplateRegistry::build(&AppId::all());
+        for i in 0..reg.len() {
+            let entry = reg.get(TemplateKey(i));
+            assert_eq!(reg.key_of(entry.app, &entry.name), Some(TemplateKey(i)), "{}", entry.name);
+        }
+        for app in AppId::all() {
+            for stage in instrument_app(app) {
+                assert!(reg.key_of(app, &stage.template).is_some(), "{app:?} {}", stage.template);
+            }
+        }
+        // A name is looked up within its own application only.
+        let pagerank = reg.get(reg.key_of(AppId::PageRank, "pr-contrib").unwrap());
+        assert_eq!(pagerank.app, AppId::PageRank);
+        assert_eq!(reg.key_of(AppId::Sort, "pr-contrib"), None);
     }
 
     #[test]

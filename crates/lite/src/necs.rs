@@ -28,7 +28,9 @@
 //! re-associates it, so predictions match to within rounding (1e-5
 //! relative) and candidate rankings match exactly.
 
-use crate::features::{FeatNorm, StageInstance, TemplateKey, TemplateRegistry, TABULAR_WIDTH};
+use crate::features::{
+    FeatNorm, StageInstance, TemplateKey, TemplateRegistry, CONTEXT_WIDTH, TABULAR_WIDTH,
+};
 use lite_nn::init::rng;
 use lite_nn::layers::{Conv1dBank, Dense, GcnLayer, TowerMlp};
 use lite_nn::optim::{clip_grad_norm, Adam};
@@ -53,6 +55,13 @@ type MemoKey = (TemplateKey, u64, bool);
 /// One row of [`Necs::predict_stages`]: a template under a configuration,
 /// a dataset and an environment.
 type StageItem<'a> = (TemplateKey, &'a SparkConf, &'a DataSpec, &'a [f64; 6]);
+
+/// Whether two consecutive items borrow the same `(conf, data, env)`: one
+/// candidate's templates, as [`Necs::predict_app_batch`] lays them out,
+/// are one run, whose tabular columns are normalised and multiplied once.
+fn same_run(a: &StageItem<'_>, b: &StageItem<'_>) -> bool {
+    std::ptr::eq(a.1, b.1) && std::ptr::eq(a.2, b.2) && std::ptr::eq(a.3, b.3)
+}
 
 /// Each template's `[H_t]` encoding multiplied through its band of the
 /// first MLP layer's weights, `[H_t] · W1[TAB..]`, under the owning
@@ -317,18 +326,7 @@ impl Necs {
         if items.is_empty() {
             return Vec::new();
         }
-        // Consecutive items that borrow the same (conf, data, env) — one
-        // candidate's templates, as `predict_app_batch` lays them out — are
-        // one run: its tabular columns are normalised and multiplied once.
-        let same = |a: &StageItem<'_>, b: &StageItem<'_>| {
-            std::ptr::eq(a.1, b.1) && std::ptr::eq(a.2, b.2) && std::ptr::eq(a.3, b.3)
-        };
-        let mut tab = Tensor::zeros(items.chunk_by(same).count(), TABULAR_WIDTH);
-        for (run, run_items) in items.chunk_by(same).enumerate() {
-            let (_, conf, data, env) = run_items[0];
-            self.norm.tabular_into(&self.space, conf, data, env, tab.row_mut(run));
-        }
-        let tab_terms = self.mlp.first_product(&self.params, &tab, 0);
+        let tab_terms = self.mlp.first_product(&self.params, &self.tabular_rows(items), 0);
         // Each row's first-layer product is its run's tabular term plus its
         // template's memoised term, written in place.
         let width = tab_terms.cols();
@@ -336,7 +334,7 @@ impl Necs {
         let mut rows = z.data_mut().chunks_exact_mut(width);
         let mut products: Vec<Option<Arc<[f32]>>> = vec![None; registry.len()];
         let tab_rows = tab_terms.data().chunks_exact(width);
-        for (tab_term, run_items) in tab_rows.zip(items.chunk_by(same)) {
+        for (tab_term, run_items) in tab_rows.zip(items.chunk_by(same_run)) {
             for (&(template, ..), row) in run_items.iter().zip(&mut rows) {
                 let product = products[template.0]
                     .get_or_insert_with(|| self.template_product(registry, template));
@@ -347,6 +345,31 @@ impl Necs {
         }
         let pred = self.mlp.infer_from_first(&self.params, z);
         pred.data().iter().map(|&z| self.norm.denorm_y(z as f64).max(0.0)).collect()
+    }
+
+    /// One normalised tabular row per run of [`same_run`] items. Runs
+    /// that borrow the same `(data, env)` — every candidate of one
+    /// request — share their context columns: computed for the first,
+    /// copied into the rest.
+    fn tabular_rows(&self, items: &[StageItem<'_>]) -> Tensor {
+        let mut tab = Tensor::zeros(items.chunk_by(same_run).count(), TABULAR_WIDTH);
+        let mut context: Option<(&DataSpec, &[f64; 6], usize)> = None;
+        for (run, run_items) in items.chunk_by(same_run).enumerate() {
+            let (_, conf, data, env) = run_items[0];
+            let start = run * TABULAR_WIDTH;
+            match context {
+                Some((d, e, from)) if std::ptr::eq(d, data) && std::ptr::eq(e, env) => {
+                    let from = from * TABULAR_WIDTH;
+                    tab.data_mut().copy_within(from..from + CONTEXT_WIDTH, start);
+                }
+                _ => {
+                    self.norm.context_into(data, env, &mut tab.row_mut(run)[..CONTEXT_WIDTH]);
+                    context = Some((data, env, run));
+                }
+            }
+            self.norm.conf_into(&self.space, conf, &mut tab.row_mut(run)[CONTEXT_WIDTH..]);
+        }
+        tab
     }
 
     /// Predict the total execution time of an application instance under a
@@ -554,6 +577,39 @@ mod tests {
     }
 
     #[test]
+    fn hoisted_context_columns_give_tabular_intos_bits() {
+        let ds = small_dataset();
+        let refs: Vec<&StageInstance> = ds.instances.iter().collect();
+        let norm = FeatNorm::fit(&ds.space, &refs);
+        let model = Necs::new(&ds.registry, ds.space.clone(), norm, quick_config());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let confs: Vec<SparkConf> = (0..30).map(|_| ds.space.sample(&mut rng)).collect();
+        // Two contexts, each with its run of candidates of two templates,
+        // then the first context again: its columns are computed anew.
+        let contexts = [
+            (AppId::Sort.dataset(SizeTier::Valid), ClusterSpec::cluster_a().env_features()),
+            (AppId::PageRank.dataset(SizeTier::Test), ClusterSpec::cluster_c().env_features()),
+        ];
+        let mut items: Vec<StageItem<'_>> = Vec::new();
+        for (data, env) in contexts.iter().chain(&contexts[..1]) {
+            for conf in &confs {
+                items.extend([TemplateKey(0), TemplateKey(1)].map(|t| (t, conf, data, env)));
+            }
+        }
+        let tab = model.tabular_rows(&items);
+        assert_eq!(tab.rows(), 3 * confs.len());
+        let mut want = [0.0f32; TABULAR_WIDTH];
+        for (r, &(_, conf, data, env)) in items.iter().step_by(2).enumerate() {
+            model.norm.tabular_into(&ds.space, conf, data, env, &mut want);
+            assert_eq!(bits32_of(tab.row(r)), bits32_of(&want), "row {r}");
+        }
+    }
+
+    fn bits32_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
     fn deterministic_training() {
         let ds = small_dataset();
         let refs: Vec<&StageInstance> = ds.instances.iter().collect();
@@ -571,7 +627,7 @@ mod tests {
     }
 
     fn bits32(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
+        bits32_of(t.data())
     }
 
     fn bits64(v: &[f64]) -> Vec<u64> {

@@ -9,7 +9,7 @@
 
 use crate::init;
 use crate::tape::{ParamId, Params, Tape, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{row_product, Kernel, Kernels, Tensor};
 use rand::rngs::StdRng;
 
 /// Fully connected layer `y = x·W + b`.
@@ -128,6 +128,9 @@ impl TowerMlp {
     /// its bias, its ReLU unless the head is the first layer, then every
     /// later layer.
     pub fn infer_from_first(&self, params: &Params, mut z: Tensor) -> Tensor {
+        if let Some(out) = self.fused_tail(params, &z) {
+            return out;
+        }
         z.add_row_(params.value(self.first().b));
         let Some((_, later)) = self.layers.split_first() else {
             return z;
@@ -140,6 +143,39 @@ impl TowerMlp {
         self.head.infer(params, &z)
     }
 
+    /// [`TowerMlp::infer_from_first`] a row at a time, for the NECS
+    /// tower's tail: three hidden layers whose widths end 33 → 16 → 8, and
+    /// a head of 1. `None` for any other shape, or where a later layer's
+    /// weight is not finite (a zero activation times it must be skipped,
+    /// as `Tensor::matmul` skips it, not added).
+    fn fused_tail(&self, params: &Params, z: &Tensor) -> Option<Tensor> {
+        let [first, l2, l3] = &self.layers[..] else {
+            return None;
+        };
+        let widths = (z.cols(), first.output, l2.output, l3.output, self.head.output);
+        if widths != (33, 33, 16, 8, 1) {
+            return None;
+        }
+        let finite = |d: &Dense| params.value(d.w).data().iter().all(|v| v.is_finite());
+        if !(finite(l2) && finite(l3) && finite(&self.head)) {
+            return None;
+        }
+        let bias = |d: &Dense| params.value(d.b).data();
+        let mut out = vec![0.0f32; z.rows()];
+        Kernels::detected().run(TowerTail::<33, 16, 8, 1> {
+            z: z.data(),
+            b1: bias(first).try_into().ok()?,
+            l2: (params.value(l2.w).data().as_chunks().0, bias(l2).try_into().ok()?),
+            l3: (params.value(l3.w).data().as_chunks().0, bias(l3).try_into().ok()?),
+            head: (
+                params.value(self.head.w).data().as_chunks().0,
+                bias(&self.head).try_into().ok()?,
+            ),
+            out: &mut out,
+        });
+        Some(Tensor::from_vec(z.rows(), 1, out))
+    }
+
     /// The layer that reads the input: the first hidden layer, or the head
     /// of a tower without one.
     fn first(&self) -> &Dense {
@@ -150,6 +186,55 @@ impl TowerMlp {
     pub fn hidden_width(&self) -> usize {
         self.layers.iter().map(|l| l.output).sum()
     }
+}
+
+/// A dense layer's weights, as rows of its `N` outputs, and its bias.
+type Layer<'a, const N: usize> = (&'a [[f32; N]], &'a [f32; N]);
+
+/// `out = head(relu(l3(relu(l2(relu(z + b1))))))` row by row, for `z`
+/// `[m, A]` and `out` `[m, D]`: a row's activations stay in registers
+/// from one layer to the next. Each output is the sum a [`Tensor::matmul`]
+/// row tile adds, then its bias, then its ReLU, as the layer-by-layer
+/// path computes them, so the bits are that path's (its weights finite).
+struct TowerTail<'a, const A: usize, const B: usize, const C: usize, const D: usize> {
+    z: &'a [f32],
+    b1: &'a [f32; A],
+    l2: Layer<'a, B>,
+    l3: Layer<'a, C>,
+    head: Layer<'a, D>,
+    out: &'a mut [f32],
+}
+
+impl<const A: usize, const B: usize, const C: usize, const D: usize> Kernel
+    for TowerTail<'_, A, B, C, D>
+{
+    #[inline(always)]
+    fn run(self) {
+        let (z_rows, _) = self.z.as_chunks::<A>();
+        let (out_rows, _) = self.out.as_chunks_mut::<D>();
+        for (z, out) in z_rows.iter().zip(out_rows) {
+            let h1 = relu(biased(*z, self.b1));
+            let h2 = relu(biased(row_product(&h1, self.l2.0), self.l2.1));
+            let h3 = relu(biased(row_product(&h2, self.l3.0), self.l3.1));
+            *out = biased(row_product(&h3, self.head.0), self.head.1);
+        }
+    }
+}
+
+/// `v + b`, as [`Tensor::add_row_`] adds a bias.
+#[inline(always)]
+fn biased<const N: usize>(mut v: [f32; N], b: &[f32; N]) -> [f32; N] {
+    for (v, b) in v.iter_mut().zip(b) {
+        *v += b;
+    }
+    v
+}
+
+/// `v`'s ReLU, as [`Tensor::relu_`] computes it.
+#[inline(always)]
+fn relu<const N: usize>(mut v: [f32; N]) -> [f32; N] {
+    v.iter_mut().for_each(|v| *v = v.max(0.0));
+    v
 }
 
 /// Multi-width 1-D convolution bank over a token-embedding matrix
@@ -500,22 +585,63 @@ mod tests {
         assert_eq!(tape.value(hidden).shape(), (5, 56));
     }
 
-    #[test]
-    fn tower_mlp_infer_equals_the_tape_bit_for_bit() {
-        let mut x = init::normal(37, 40, 1.0, &mut rng(22));
-        // Exact zeros of both signs, which the product skips.
+    /// A tower with biases drawn at random (they start at zero, where
+    /// adding one before or after a ReLU looks the same).
+    fn tower(params: &mut Params, input: usize, depth: usize) -> TowerMlp {
+        let mlp = TowerMlp::new(params, "m", input, depth, 1, &mut rng(21));
+        for (i, dense) in mlp.layers.iter().chain([&mlp.head]).enumerate() {
+            *params.value_mut(dense.b) =
+                init::normal(1, dense.output, 0.5, &mut rng(30 + i as u64));
+        }
+        mlp
+    }
+
+    /// `infer` against the tape, bit for bit (a NaN matches any NaN), on
+    /// `x` `[37, input]` with exact zeros of both signs, which the product
+    /// skips.
+    fn assert_infer_equals_the_tape(params: &Params, mlp: &TowerMlp, input: usize, what: &str) {
+        let mut x = init::normal(37, input, 1.0, &mut rng(22));
         for r in 0..x.rows() {
             x.set(r, 2, 0.0);
             x.set(r, 7, -0.0);
         }
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for depth in [0, 3] {
+        let mut tape = Tape::new();
+        let xv = tape.leaf(x.clone());
+        let out = mlp.forward(&mut tape, params, xv);
+        let bits = |t: &Tensor| {
+            t.data().iter().map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() }).collect()
+        };
+        let want: Vec<u32> = bits(tape.value(out));
+        assert_eq!(bits(&mlp.infer(params, &x)), want, "{what}");
+    }
+
+    #[test]
+    fn tower_mlp_infer_equals_the_tape_bit_for_bit() {
+        // 66 → 33 → 16 → 8 → 1 is the NECS tower, whose tail runs fused.
+        for (input, depth) in [(40, 0), (40, 3), (66, 3)] {
             let mut params = Params::new();
-            let mlp = TowerMlp::new(&mut params, "m", 40, depth, 1, &mut rng(21));
-            let mut tape = Tape::new();
-            let xv = tape.leaf(x.clone());
-            let out = mlp.forward(&mut tape, &params, xv);
-            assert_eq!(bits(&mlp.infer(&params, &x)), bits(tape.value(out)), "depth {depth}");
+            let mlp = tower(&mut params, input, depth);
+            assert_infer_equals_the_tape(
+                &params,
+                &mlp,
+                input,
+                &format!("{input} at depth {depth}"),
+            );
+        }
+    }
+
+    #[test]
+    fn the_fused_tail_steps_aside_for_a_weight_that_is_not_finite() {
+        for (layer, special) in [(1, f32::INFINITY), (2, f32::NAN), (3, f32::NEG_INFINITY)] {
+            let mut params = Params::new();
+            let mlp = tower(&mut params, 66, 3);
+            let dense = [&mlp.layers[0], &mlp.layers[1], &mlp.layers[2], &mlp.head][layer];
+            params.value_mut(dense.w).set(0, 0, special);
+            let what = format!("{special} in layer {layer}");
+            assert_infer_equals_the_tape(&params, &mlp, 66, &what);
+            // A ReLU zero times it, skipped, keeps some output finite.
+            let x = init::normal(37, 66, 1.0, &mut rng(22));
+            assert!(mlp.infer(&params, &x).data().iter().any(|v| v.is_finite()), "{what}");
         }
     }
 

@@ -97,7 +97,12 @@ impl Tensor {
 
     /// Matrix product `self · other`: each output's terms added in
     /// ascending `p` from `+0.0`, zero entries of `self` skipped (one-hot
-    /// and ReLU rows are mostly zeros).
+    /// and ReLU rows are mostly zeros). Where `other` is all finite and a
+    /// row is as wide as one of the NECS model's layers (1, 8, 16, 24, 32
+    /// or 33 outputs), no term is skipped, with the same bits: the product
+    /// of a zero entry and a finite value is a zero, and adding a zero to
+    /// a sum that started at `+0.0` (which no sum of such terms can turn
+    /// into `-0.0`) leaves it as it is.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -129,8 +134,15 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
         let b = &other.data[from * n..(from + k) * n];
-        let product = Product { a: &self.data, b, mkn: (m, k, n), skip_zeros: true, out: &mut out };
-        for_rows_of(kernels, n).run(product);
+        // A zero entry of `self` times an infinite or NaN `b` is a NaN, not
+        // a zero: only an all-finite `b` may add every term. (A fold, not
+        // `all`, so that the test runs 8 lanes wide with no early exit.)
+        let finite = b.iter().fold(true, |finite, v| finite & v.is_finite());
+        if !(finite && run_row_tile(kernels, &self.data, b, (k, n), &mut out)) {
+            let product =
+                Product { a: &self.data, b, mkn: (m, k, n), skip_zeros: true, out: &mut out };
+            for_rows_of(kernels, n).run(product);
+        }
         Tensor { rows: m, cols: n, data: out }
     }
 
@@ -296,6 +308,105 @@ impl Kernel for Product<'_> {
     }
 }
 
+/// `out = a · b` for `a` `[m, k]`, `b` `[k, N]` and `out` `[m, N]`, all
+/// row-major, row by row of `out`: the row's `N` sums sit in one
+/// `[f32; N]`, which the compiler keeps in registers across the whole `p`
+/// loop, and every `a[i, p] · b[p, :]` is added, zeros of `a` too. With
+/// no test on `a` the loop has no branch but its own, and its lanes run
+/// across the `N` outputs.
+struct RowTile<'a, const N: usize> {
+    a: &'a [f32],
+    b: &'a [f32],
+    k: usize,
+    out: &'a mut [f32],
+}
+
+impl<const N: usize> Kernel for RowTile<'_, N> {
+    #[inline(always)]
+    fn run(self) {
+        if self.k == 0 {
+            return;
+        }
+        let (b_rows, _) = self.b.as_chunks::<N>();
+        let (o_rows, _) = self.out.as_chunks_mut::<N>();
+        for (a_row, o_row) in self.a.chunks_exact(self.k).zip(o_rows) {
+            *o_row = row_product(a_row, b_rows);
+        }
+    }
+}
+
+/// One [`RowTile`] row: `Σ_p a[p] · b[p, :]`, each of the `N` sums from
+/// `+0.0` in ascending `p`, every term added.
+#[inline(always)]
+pub(crate) fn row_product<const N: usize>(a: &[f32], b: &[[f32; N]]) -> [f32; N] {
+    let mut acc = [0.0f32; N];
+    for (&a, b_row) in a.iter().zip(b) {
+        for (s, &b) in acc.iter_mut().zip(b_row) {
+            *s += a * b;
+        }
+    }
+    acc
+}
+
+/// Each tile width, with the entry that runs its tile in the AVX
+/// compilation. The entries are named one a width, not monomorphs of
+/// [`with_avx`] (whose instances all demangle to one name), so that a
+/// tile's AVX code can be found in a binary: `scripts/verify.sh` checks
+/// that each has 8-lane (`ymm`) arithmetic and no float compare. The
+/// widths are those of the NECS model's layers: the tower's
+/// 33 → 16 → 8 → 1, the code projection's 24, the GCN's 16 and the
+/// convolution's 32 kernels.
+macro_rules! row_tiles {
+    ($($n:literal => $avx:ident),*) => {
+        /// `out = a · b` in the [`RowTile`] of width `n`, in `kernels`'
+        /// compilation; `false`, with `out` untouched, where `n` has none.
+        fn run_row_tile(
+            kernels: Kernels,
+            a: &[f32],
+            b: &[f32],
+            (k, n): (usize, usize),
+            out: &mut [f32],
+        ) -> bool {
+            match n {
+                $($n => {
+                    let tile = RowTile::<$n> { a, b, k, out };
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: the entry runs `tile` with AVX enabled and
+                    // needs nothing else of the CPU.
+                    unsafe { kernels.run_via(tile, $avx) };
+                    #[cfg(not(target_arch = "x86_64"))]
+                    kernels.run(tile);
+                })*
+                _ => return false,
+            }
+            true
+        }
+
+        $(
+            /// The AVX compilation of this width's [`RowTile`].
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx")]
+            #[inline(never)]
+            fn $avx(tile: RowTile<'_, $n>) {
+                tile.run()
+            }
+        )*
+
+        /// The output widths a product runs in a [`RowTile`].
+        #[cfg(test)]
+        const TILE_WIDTHS: &[usize] = &[$($n),*];
+    };
+}
+
+row_tiles!(
+    1 => row_tile_avx_1,
+    8 => row_tile_avx_8,
+    16 => row_tile_avx_16,
+    24 => row_tile_avx_24,
+    32 => row_tile_avx_32,
+    33 => row_tile_avx_33
+);
+
 /// `out += aᵀ · b` for `a` `[k, m]`, `b` `[k, n]` and `out` `[m, n]`, all
 /// row-major, row by row of `a` and `b`: row `p` adds `a[p, i] · b[p, :]`
 /// to every row `i` of `out` whose `a[p, i]` is not zero.
@@ -342,15 +453,17 @@ pub(crate) trait Kernel {
 /// Which compilation of the kernels runs: the convolution's window sums
 /// ([`Tape::conv_relu_max`](crate::Tape::conv_relu_max)) and the loops of
 /// [`Tensor::matmul`], [`Tensor::matmul_rows`],
-/// [`Tensor::matmul_transpose_b`] and [`Tensor::transpose_a_matmul`].
+/// [`Tensor::matmul_transpose_b`] and [`Tensor::transpose_a_matmul`], and
+/// the NECS tower's fused tail
+/// ([`TowerMlp::infer_from_first`](crate::layers::TowerMlp::infer_from_first)).
 ///
 /// Each loop body is written once and compiled twice: plain, for the
 /// target's baseline (4-lane SSE2 on x86-64), and on x86-64 once more
 /// with AVX enabled, where the same loops run 8 lanes wide. The public
-/// entries run the AVX compilation where the CPU has AVX (a product only
-/// when its rows are at least 32 outputs wide). Both give the
-/// same bits: the lanes lie across independent outputs (kernels, output
-/// columns), never across one sum, so every sum keeps its terms, their
+/// entries run the AVX compilation where the CPU has AVX (a zero-skipping
+/// product only when its rows are at least 32 outputs wide; a row tile at
+/// every width). Both give the same bits: the lanes lie across
+/// independent outputs (kernels, output columns), never across one sum, so every sum keeps its terms, their
 /// order and its `+0.0` start; and without `fma` each product and each add
 /// rounds on its own, as in SSE2. (Only the payload of a NaN may differ.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,13 +494,31 @@ impl Kernels {
 
     /// Run `kernel` in this compilation. Off x86-64 both run it as it is.
     #[inline(always)]
-    pub(crate) fn run(self, kernel: impl Kernel) {
+    pub(crate) fn run<K: Kernel>(self, kernel: K) {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `with_avx` runs `kernel` with AVX enabled and needs
+        // nothing else of the CPU.
+        unsafe {
+            self.run_via(kernel, with_avx)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        kernel.run();
+    }
+
+    /// [`Kernels::run`], with the AVX compilation entered through `avx`.
+    ///
+    /// # Safety
+    ///
+    /// `avx` must run `kernel` and must be safe to call on every CPU that
+    /// has AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn run_via<K: Kernel>(self, kernel: K, avx: unsafe fn(K)) {
         if self == Kernels::Avx {
             assert!(std::arch::is_x86_feature_detected!("avx"), "AVX kernels on a CPU without AVX");
-            // SAFETY: `with_avx` only requires that the CPU supports AVX,
-            // which the line above has just checked.
-            return unsafe { with_avx(kernel) };
+            // SAFETY: the CPU has AVX, checked on the line above, and
+            // `avx` needs nothing more (this function's contract).
+            return unsafe { avx(kernel) };
         }
         kernel.run()
     }
@@ -537,6 +668,27 @@ pub(crate) mod tests {
             }
         }
 
+        /// Every tiled width, in each compilation, against the naive loop
+        /// with its zero skip: zeros of both signs in `a`, and a `b` that is
+        /// all finite (the tile runs) or may hold an infinity or a NaN
+        /// (the zero-skipping loop must run: a tile would make a zero
+        /// entry's term a NaN).
+        #[test]
+        fn every_tile_width_equals_the_naive_loop_bit_for_bit(
+            (w, m, k) in (0..TILE_WIDTHS.len(), 0usize..=9, 0usize..=70),
+            seed in any::<u64>(),
+            (specials_a, specials_b) in (any::<bool>(), any::<bool>()),
+        ) {
+            let n = TILE_WIDTHS[w];
+            let a = Tensor::from_vec(m, k, values(m * k, seed, specials_a));
+            let b = Tensor::from_vec(k, n, values(k * n, !seed, specials_b));
+            let want = naive((m, k, n), |i, p| a.get(i, p), |p, j| b.get(p, j), true);
+            for kernels in Kernels::on_this_host() {
+                let what = format!("{} [{m},{k}]·[{k},{n}]", kernels.name());
+                assert_same(&a.matmul_rows_on(kernels, &b, 0), &want, &what);
+            }
+        }
+
         /// `matmul_transpose_b` in each compilation against the dot of two
         /// rows, every term added (no zero skip).
         #[test]
@@ -596,6 +748,24 @@ pub(crate) mod tests {
         let a = Tensor::from_vec(2, 1, vec![2., -0.5]);
         let last_row = Tensor::from_vec(1, 2, vec![11., -0.7]);
         assert_eq!(bits(a.matmul_rows(&w, 2)), bits(a.matmul(&last_row)));
+    }
+
+    #[test]
+    fn a_non_finite_b_keeps_the_zero_skip_at_every_tile_width() {
+        // Row 0 is all zeros: skipped, each of its outputs is +0.0; a tile
+        // would add 0 · inf and 0 · NaN, both NaN.
+        let a = Tensor::from_vec(2, 2, vec![0.0, -0.0, 1.0, 0.5]);
+        for &n in TILE_WIDTHS {
+            let mut b = Tensor::full(2, n, 1.0);
+            b.set(0, n - 1, f32::INFINITY);
+            b.set(1, 0, f32::NAN);
+            for kernels in Kernels::on_this_host() {
+                let c = a.matmul_rows_on(kernels, &b, 0);
+                let what = format!("{} width {n}", kernels.name());
+                assert!(c.row(0).iter().all(|v| v.to_bits() == 0), "{what}");
+                assert!(c.get(1, 0).is_nan(), "{what}");
+            }
+        }
     }
 
     #[test]

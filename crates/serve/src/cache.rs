@@ -17,7 +17,7 @@
 //! (`crates/ledger`) name them (ROADMAP item 6).
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lite_obs::Counter;
@@ -119,6 +119,8 @@ const NIL: usize = usize::MAX;
 /// One resident (or vacated) entry, linked into its shard's recency list.
 struct Slot<K, V> {
     key: K,
+    /// `key`'s hash under the shard's `hasher`: its key in the index.
+    hash: u64,
     version: u64,
     value: V,
     prev: usize,
@@ -130,19 +132,65 @@ struct Slot<K, V> {
 /// full shard evicts `tail` — exact LRU in O(1), where a recency stamp per
 /// entry needed a scan of the whole shard to find the oldest.
 ///
-/// `map` holds exactly the linked slots; `free` holds the rest (vacated by
-/// a stale-version lookup, reused before the slab grows).
+/// `index` holds exactly the linked slots; `free` holds the rest (vacated
+/// by a stale-version lookup, reused before the slab grows).
+///
+/// The index maps a key's 64-bit hash, not the key, to its slot: 16 bytes
+/// an entry whatever the key's size, and a lookup confirms the slot's own
+/// key. A key whose hash a resident key already has takes that key's slot
+/// over, as an eviction would. The index is sized for twice the capacity
+/// up front, so the tombstones that churn leaves (a remove and an insert
+/// per eviction) are cleared by rehashing in place and never make it
+/// grow: its size does not depend on how many requests a run makes.
 struct Shard<K, V> {
-    map: HashMap<K, usize>,
+    index: HashMap<u64, usize, BuildHasherDefault<Prehashed>>,
+    hasher: RandomState,
     slots: Vec<Slot<K, V>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
 }
 
+/// The index's hasher: its keys are already hashes, from the shard's
+/// `RandomState`, so they pass through as they are.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 impl<K, V> Shard<K, V> {
-    fn new() -> Shard<K, V> {
-        Shard { map: HashMap::new(), slots: Vec::new(), free: Vec::new(), head: NIL, tail: NIL }
+    fn new(capacity: usize) -> Shard<K, V> {
+        Shard {
+            index: HashMap::with_capacity_and_hasher(
+                capacity.saturating_mul(2),
+                Default::default(),
+            ),
+            hasher: RandomState::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    /// The linked slot holding `key`, whose hash is `hash`.
+    fn find(&self, key: &K, hash: u64) -> Option<usize>
+    where
+        K: Eq,
+    {
+        self.index.get(&hash).copied().filter(|&i| self.slots[i].key == *key)
     }
 
     /// Take linked slot `i` out of the list (index writes only).
@@ -202,7 +250,7 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     ) -> VersionedLru<K, V> {
         assert!(shards > 0, "cache needs at least one shard");
         VersionedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new(capacity_per_shard))).collect(),
             capacity_per_shard,
             hits,
             misses,
@@ -213,7 +261,8 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
     /// is removed on sight and counts as a miss.
     pub fn get(&self, key: &K, version: u64) -> Option<V> {
         let mut shard = self.shard(key);
-        let Some(&i) = shard.map.get(key) else {
+        let hash = shard.hasher.hash_one(key);
+        let Some(i) = shard.find(key, hash) else {
             self.misses.inc();
             return None;
         };
@@ -225,7 +274,7 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
             Some(value)
         } else {
             shard.free.push(i);
-            shard.map.remove(key);
+            shard.index.remove(&hash);
             shard.unlink(i);
             self.misses.inc();
             None
@@ -240,30 +289,32 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
         }
         let mut guard = self.shard(&key);
         let shard = &mut *guard;
-        // The slot to fill: the key's own; else, when full, the least
-        // recently used entry's, taken over in place; else a vacated one;
-        // else a new one.
-        let resident = shard.map.get(&key).copied();
+        let hash = shard.hasher.hash_one(key);
+        // The slot to fill: the one the hash indexes (the key's own, or that
+        // of a key with the same hash); else, when full, the least recently
+        // used entry's, taken over in place; else a vacated one; else a new
+        // one.
+        let resident = shard.index.get(&hash).copied();
         let linked = resident.or_else(|| {
-            (shard.map.len() >= self.capacity_per_shard).then(|| {
+            (shard.index.len() >= self.capacity_per_shard).then(|| {
                 let lru = shard.tail;
-                shard.map.remove(&shard.slots[lru].key);
+                shard.index.remove(&shard.slots[lru].hash);
                 lru
             })
         });
         let i = match linked.or_else(|| shard.free.pop()) {
             Some(i) => {
                 let slot = &mut shard.slots[i];
-                (slot.key, slot.version, slot.value) = (key, version, value);
+                (slot.key, slot.hash, slot.version, slot.value) = (key, hash, version, value);
                 i
             }
             None => {
-                shard.slots.push(Slot { key, version, value, prev: NIL, next: NIL });
+                shard.slots.push(Slot { key, hash, version, value, prev: NIL, next: NIL });
                 shard.slots.len() - 1
             }
         };
         if resident.is_none() {
-            shard.map.insert(key, i);
+            shard.index.insert(hash, i);
         }
         if linked.is_some() {
             shard.unlink(i);
@@ -273,7 +324,10 @@ impl<K: AsRef<[u64]> + Copy + Eq + Hash, V: Clone> VersionedLru<K, V> {
 
     /// Entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).index.len())
+            .sum()
     }
 
     /// Whether the cache holds no entries.
@@ -417,18 +471,19 @@ mod tests {
         }
     }
 
-    /// `map`, the list (walked both ways) and `free` account for every
-    /// slot exactly once.
+    /// `index`, the list (walked both ways) and `free` account for every
+    /// slot exactly once, and each linked slot is indexed by its key's hash.
     fn assert_well_formed<K: Eq + Hash, V>(shard: &Shard<K, V>) {
         let (mut forward, mut i, mut prev) = (Vec::new(), shard.head, NIL);
         while i != NIL {
             assert_eq!(shard.slots[i].prev, prev);
-            assert_eq!(shard.map.get(&shard.slots[i].key), Some(&i));
+            assert_eq!(shard.slots[i].hash, shard.hasher.hash_one(&shard.slots[i].key));
+            assert_eq!(shard.index.get(&shard.slots[i].hash), Some(&i));
             forward.push(i);
             (prev, i) = (i, shard.slots[i].next);
         }
         assert_eq!(shard.tail, prev);
-        assert_eq!(forward.len(), shard.map.len());
+        assert_eq!(forward.len(), shard.index.len());
         let mut all: Vec<usize> = forward.iter().chain(&shard.free).copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..shard.slots.len()).collect::<Vec<_>>());
@@ -465,8 +520,8 @@ mod tests {
             let shard = cache.shards[0].lock().unwrap();
             assert_well_formed(&shard);
             assert!(
-                shard.map.len() == model.map.len()
-                    && shard.map.keys().all(|k| model.map.contains_key(k)),
+                shard.index.len() == model.map.len()
+                    && shard.index.values().all(|&i| model.map.contains_key(&shard.slots[i].key)),
                 "resident sets differ after op {op}"
             );
             drop(shard);
@@ -475,6 +530,38 @@ mod tests {
         }
         assert_eq!(hits, cache.hits());
         assert!(hits > 1_000 && cache.misses() > 1_000 && version > 100, "the mix must mix");
+    }
+
+    #[test]
+    fn churn_past_a_full_shard_never_grows_its_index() {
+        const CAPACITY: usize = 4096;
+        let reg = Registry::new();
+        let cache =
+            ResponseCache::<u64>::new(1, CAPACITY, reg.counter("hits"), reg.counter("misses"));
+        // `capacity()` is entries plus growth budget: a tombstone lowers it
+        // until a rehash in place restores it, but only a reallocation,
+        // the doubling this guards against, can raise it.
+        let index_capacity = || cache.shards[0].lock().unwrap().index.capacity();
+        let cap = CAPACITY as u64;
+        for seed in 0..cap {
+            cache.insert(response_key(seed), 0, seed);
+        }
+        let filled = index_capacity();
+        assert!(filled >= 2 * CAPACITY, "presized for twice the capacity: {filled}");
+        // 20 capacities of distinct keys: each evicts the oldest resident.
+        for seed in cap..21 * cap {
+            cache.insert(response_key(seed), 0, seed);
+            let now = index_capacity();
+            assert!(now <= filled, "grew {filled} -> {now} after {} evictions", seed + 1 - cap);
+            if seed % 64 == 0 {
+                assert_eq!(cache.get(&response_key(seed), 0), Some(seed));
+                assert_eq!(cache.get(&response_key(seed - cap), 0), None);
+            }
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        for seed in 20 * cap..21 * cap {
+            assert_eq!(cache.get(&response_key(seed), 0), Some(seed), "seed {seed}");
+        }
     }
 
     #[test]

@@ -19,6 +19,34 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "==> row tiles: AVX code is 8 lanes wide and branch-free"
+    # Each tile width's AVX entry (lite_nn::tensor::row_tile_avx_<width>)
+    # must multiply and add in ymm registers (width 1, one output a row,
+    # has no lanes to fill) and hold no float compare: a zero test on `a`
+    # inside a tile compiles to one, and made the loop mispredict.
+    cargo build --release -q --example weight_digest
+    objdump -d --no-show-raw-insn -C target/release/examples/weight_digest | awk '
+        /^[0-9a-f]+ <lite_nn::tensor::row_tile_avx_[0-9]+>:$/ {
+            tile = $2; gsub(/^<lite_nn::tensor::row_tile_avx_|>:$/, "", tile)
+            order[n++] = tile; next
+        }
+        /^$/ { tile = "" }
+        tile != "" && /v(mul|add)ps.*ymm/ { lanes[tile]++ }
+        tile != "" && /\tv?u?comis[sd]|\tv?cmp[a-z]*[ps][sd] / { compares[tile]++ }
+        END {
+            for (i = 0; i < n; i++) {
+                w = order[i]
+                ok = compares[w] == 0 && (w == 1 || lanes[w] > 0)
+                printf "  width %2d: %3d ymm multiplies/adds, %d float compares  %s\n",
+                    w, lanes[w], compares[w], ok ? "ok" : "FAIL"
+                bad += !ok
+            }
+            if (n != 6) { print "  expected 6 tile entries, found " n; bad++ }
+            exit bad > 0
+        }'
+fi
+
 echo "==> cargo test -q --workspace"
 # --workspace matters: the root is itself a package, so a bare
 # `cargo test` would only run the root package's suites.
