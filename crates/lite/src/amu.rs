@@ -135,6 +135,7 @@ pub fn adaptive_model_update(
             lp_sum += tape.value(lp).get(0, 0);
             ld_sum += tape.value(ld).get(0, 0);
             tape.backward(loss, model.params_mut());
+            drop(tape); // it shares the weights Adam is about to step
             clip_grad_norm(model.params_mut(), 5.0);
             opt.step(model.params_mut());
         }

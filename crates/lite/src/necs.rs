@@ -308,6 +308,9 @@ impl Necs {
                 epoch_loss += tape.value(loss).get(0, 0);
                 batches += 1;
                 tape.backward(loss, &mut self.params);
+                // The tape shares the weights: dropped, Adam steps them in
+                // place instead of copying them.
+                drop(tape);
                 clip_grad_norm(&mut self.params, 5.0);
                 opt.step(&mut self.params);
             }
@@ -332,13 +335,25 @@ impl Necs {
         let width = tab_terms.cols();
         let mut z = Tensor::zeros(items.len(), width);
         let mut rows = z.data_mut().chunks_exact_mut(width);
-        let mut products: Vec<Option<Arc<[f32]>>> = vec![None; registry.len()];
+        // The terms of the templates this call uses, each fetched once. A
+        // run's `j`-th template is mostly the last run's `j`-th (every
+        // candidate of a `predict_app_batch` has the same templates, in
+        // the same order), so that slot is looked at first.
+        let mut products: Vec<(TemplateKey, Arc<[f32]>)> = Vec::new();
         let tab_rows = tab_terms.data().chunks_exact(width);
         for (tab_term, run_items) in tab_rows.zip(items.chunk_by(same_run)) {
-            for (&(template, ..), row) in run_items.iter().zip(&mut rows) {
-                let product = products[template.0]
-                    .get_or_insert_with(|| self.template_product(registry, template));
-                for ((out, t), p) in row.iter_mut().zip(tab_term).zip(product.iter()) {
+            for (j, (&(template, ..), row)) in run_items.iter().zip(&mut rows).enumerate() {
+                let at = match products.get(j) {
+                    Some(&(key, _)) if key == template => j,
+                    _ => match products.iter().position(|&(key, _)| key == template) {
+                        Some(at) => at,
+                        None => {
+                            products.push((template, self.template_product(registry, template)));
+                            products.len() - 1
+                        }
+                    },
+                };
+                for ((out, t), p) in row.iter_mut().zip(tab_term).zip(products[at].1.iter()) {
                     *out = t + p;
                 }
             }
@@ -402,6 +417,17 @@ impl Necs {
         ctx: &crate::experiment::PredictionContext,
         confs: &[SparkConf],
     ) -> Vec<f64> {
+        self.predict_confs(registry, ctx, confs.iter())
+    }
+
+    /// [`Necs::predict_app_batch`] over borrowed candidates, so that a
+    /// caller scoring some of its configurations need not copy them.
+    pub(crate) fn predict_confs<'c>(
+        &self,
+        registry: &TemplateRegistry,
+        ctx: &crate::experiment::PredictionContext,
+        confs: impl Iterator<Item = &'c SparkConf>,
+    ) -> Vec<f64> {
         // Unique templates with multiplicity, sorted by key (the
         // deterministic summation order): predict each once per
         // candidate, weight by its instance count.
@@ -411,10 +437,9 @@ impl Necs {
         let uniq = || sorted.chunk_by(|a, b| a == b);
         let stages = uniq().count();
         if stages == 0 {
-            return vec![0.0; confs.len()];
+            return vec![0.0; confs.count()];
         }
         let items: Vec<StageItem<'_>> = confs
-            .iter()
             .flat_map(|conf| uniq().map(move |run| (run[0], conf, &ctx.data, &ctx.env)))
             .collect();
         let preds = self.predict_stages(registry, &items);

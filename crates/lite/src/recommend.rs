@@ -62,13 +62,9 @@ pub fn score_candidates(
 ) -> Vec<f64> {
     let infeasible: Vec<Option<f64>> =
         confs.iter().map(|conf| infeasible_score(cluster, conf, ctx.data.bytes)).collect();
-    let survivors: Vec<SparkConf> = confs
-        .iter()
-        .zip(infeasible.iter())
-        .filter(|(_, score)| score.is_none())
-        .map(|(conf, _)| conf.clone())
-        .collect();
-    let mut batched = model.predict_app_batch(registry, ctx, &survivors).into_iter();
+    let survivors =
+        confs.iter().zip(&infeasible).filter(|(_, score)| score.is_none()).map(|(conf, _)| conf);
+    let mut batched = model.predict_confs(registry, ctx, survivors).into_iter();
     infeasible
         .iter()
         .enumerate()

@@ -13,15 +13,19 @@
 //! op for the adversarial Adaptive Model Update.
 
 use crate::tensor::{Kernel, Kernels, Tensor};
+use std::sync::Arc;
 
 /// Handle to a parameter tensor in a [`Params`] store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamId(pub usize);
 
-/// Persistent parameter store (values + gradient accumulators).
+/// Persistent parameter store (values + gradient accumulators). A value
+/// is shared, not copied, with every tape that records it
+/// ([`Tape::param`]) and with a cloned store; [`Params::value_mut`]
+/// copies it first where it is shared.
 #[derive(Debug, Clone, Default)]
 pub struct Params {
-    values: Vec<Tensor>,
+    values: Vec<Arc<Tensor>>,
     grads: Vec<Tensor>,
     names: Vec<String>,
 }
@@ -36,7 +40,7 @@ impl Params {
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.values.len());
         self.grads.push(Tensor::zeros(value.rows(), value.cols()));
-        self.values.push(value);
+        self.values.push(Arc::new(value));
         self.names.push(name.into());
         id
     }
@@ -46,9 +50,10 @@ impl Params {
         &self.values[id.0]
     }
 
-    /// Mutable parameter value (used by optimizers).
+    /// Mutable parameter value (used by optimizers): copied first if a
+    /// live tape or a cloned store shares it, so neither sees the change.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.values[id.0]
+        Arc::make_mut(&mut self.values[id.0])
     }
 
     /// Accumulated gradient.
@@ -204,9 +209,59 @@ enum Op {
     Mean(Var),
 }
 
+impl Op {
+    /// Whether a parameter is upstream of this op's node: it reads one
+    /// from the store itself, or one of its inputs has one upstream.
+    fn needs_grad(&self, nodes: &[Node]) -> bool {
+        let any = |vars: &[Var]| vars.iter().any(|v| nodes[v.0].needs_grad);
+        match self {
+            Op::Leaf => false,
+            Op::Param(_) | Op::ConvReluMax(..) | Op::EmbeddingGather(..) => true,
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddRowBroadcast(a, b) | Op::Hadamard(a, b) => {
+                any(&[*a, *b])
+            }
+            Op::LayerNormRow(a, gain, bias) => any(&[*a, *gain, *bias]),
+            Op::ConcatCols(vars) | Op::VStack(vars) => any(vars),
+            Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::RowSoftmax(a)
+            | Op::ColMax(a)
+            | Op::GatherRows(a, _)
+            | Op::SliceRow(a, _)
+            | Op::GradReverse(a, _)
+            | Op::MseLoss(a, _)
+            | Op::BceLogitsLoss(a, _)
+            | Op::Mean(a) => any(&[*a]),
+        }
+    }
+}
+
+/// A node's value: its op's result, or a parameter's value, shared with
+/// the store.
+enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl std::ops::Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
+}
+
 struct Node {
-    value: Tensor,
+    value: Value,
     op: Op,
+    /// Whether a parameter is upstream ([`Op::needs_grad`]): backward
+    /// computes a gradient for this node only if so.
+    needs_grad: bool,
     /// Integer memo (argmax indices for max ops).
     memo_idx: Vec<usize>,
     /// Tensor memos (layer norm normalized input / inv-std).
@@ -246,7 +301,18 @@ impl Tape {
         memo_idx: Vec<usize>,
         memo_t: Vec<Tensor>,
     ) -> Var {
-        self.nodes.push(Node { value, op, memo_idx, memo_t });
+        self.push_value(Value::Owned(value), op, memo_idx, memo_t)
+    }
+
+    fn push_value(
+        &mut self,
+        value: Value,
+        op: Op,
+        memo_idx: Vec<usize>,
+        memo_t: Vec<Tensor>,
+    ) -> Var {
+        let needs_grad = op.needs_grad(&self.nodes);
+        self.nodes.push(Node { value, op, needs_grad, memo_idx, memo_t });
         Var(self.nodes.len() - 1)
     }
 
@@ -261,8 +327,11 @@ impl Tape {
     }
 
     /// Record a parameter (gradient flows into the store on backward).
+    /// The tape shares the store's value: drop the tape before an
+    /// optimizer steps, or the step copies the value first.
     pub fn param(&mut self, params: &Params, id: ParamId) -> Var {
-        self.push(params.value(id).clone(), Op::Param(id))
+        let value = Value::Shared(params.values[id.0].clone());
+        self.push_value(value, Op::Param(id), Vec::new(), Vec::new())
     }
 
     /// Matrix product.
@@ -536,13 +605,24 @@ impl Tape {
 
     /// Run reverse-mode accumulation from `loss` (must be `[1,1]`),
     /// adding parameter gradients into `params`.
+    ///
+    /// Only work whose result reaches a parameter is done: a node with no
+    /// parameter upstream (a leaf, or an op on leaves only) is skipped,
+    /// and an op computes an input's gradient only for an input that has
+    /// one. Every gradient that is computed receives the same terms in
+    /// the same order as if all were: a node with a parameter upstream
+    /// feeds only nodes that have one too, so none of its gradient's terms
+    /// is among those skipped.
     pub fn backward(&mut self, loss: Var, params: &mut Params) {
         assert_eq!(self.value(loss).shape(), (1, 1), "loss must be scalar");
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Tensor::full(1, 1, 1.0));
 
         for idx in (0..=loss.0).rev() {
-            let Some(g) = grads[idx].take() else { continue };
+            if !self.nodes[idx].needs_grad {
+                continue;
+            }
+            let Some(mut g) = grads[idx].take() else { continue };
             // Split borrows: the node being processed vs earlier nodes.
             let (before, rest) = self.nodes.split_at_mut(idx);
             let node = &rest[0];
@@ -550,6 +630,7 @@ impl Tape {
                 assert!(v.0 < idx, "op parent must precede node");
                 &before[v.0].value
             };
+            let wants = |v: Var| before[v.0].needs_grad;
             let accum =
                 |grads: &mut Vec<Option<Tensor>>, v: Var, delta: Tensor| match &mut grads[v.0] {
                     Some(t) => t.axpy(1.0, &delta),
@@ -559,35 +640,53 @@ impl Tape {
                 Op::Leaf => {}
                 Op::Param(id) => params.grad_mut(*id).axpy(1.0, &g),
                 Op::MatMul(a, b) => {
-                    let da = g.matmul_transpose_b(val(*b));
-                    let db = val(*a).transpose_a_matmul(&g);
-                    accum(&mut grads, *a, da);
-                    accum(&mut grads, *b, db);
-                }
-                Op::Add(a, b) => {
-                    accum(&mut grads, *a, g.clone());
-                    accum(&mut grads, *b, g);
-                }
-                Op::AddRowBroadcast(a, bias) => {
-                    let mut db = Tensor::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for (c, &v) in g.row(r).iter().enumerate() {
-                            db.set(0, c, db.get(0, c) + v);
-                        }
+                    if wants(*a) {
+                        accum(&mut grads, *a, counted(g.matmul_transpose_b(val(*b))));
                     }
-                    accum(&mut grads, *a, g);
-                    accum(&mut grads, *bias, db);
+                    if wants(*b) {
+                        accum(&mut grads, *b, counted(val(*a).transpose_a_matmul(&g)));
+                    }
+                }
+                Op::Add(a, b) => match (wants(*a), wants(*b)) {
+                    (true, true) => {
+                        accum(&mut grads, *a, g.clone());
+                        accum(&mut grads, *b, g);
+                    }
+                    (true, false) => accum(&mut grads, *a, g),
+                    (false, _) => accum(&mut grads, *b, g),
+                },
+                Op::AddRowBroadcast(a, bias) => {
+                    let db = wants(*bias).then(|| {
+                        let mut db = Tensor::zeros(1, g.cols());
+                        for r in 0..g.rows() {
+                            for (d, &v) in db.data_mut().iter_mut().zip(g.row(r)) {
+                                *d += v;
+                            }
+                        }
+                        db
+                    });
+                    if wants(*a) {
+                        accum(&mut grads, *a, g);
+                    }
+                    if let Some(db) = db {
+                        accum(&mut grads, *bias, db);
+                    }
                 }
                 Op::Scale(a, alpha) => accum(&mut grads, *a, g.scaled(*alpha)),
                 Op::Hadamard(a, b) => {
-                    let da = g.hadamard(val(*b));
-                    let db = g.hadamard(val(*a));
-                    accum(&mut grads, *a, da);
-                    accum(&mut grads, *b, db);
+                    if wants(*a) {
+                        accum(&mut grads, *a, g.hadamard(val(*b)));
+                    }
+                    if wants(*b) {
+                        accum(&mut grads, *b, g.hadamard(val(*a)));
+                    }
                 }
                 Op::Relu(a) => {
-                    let mask = val(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                    accum(&mut grads, *a, g.hadamard(&mask));
+                    // `g ⊙ mask` in place, the mask's 1 or 0 per element.
+                    for (gv, &x) in g.data_mut().iter_mut().zip(val(*a).data()) {
+                        *gv *= if x > 0.0 { 1.0 } else { 0.0 };
+                    }
+                    accum(&mut grads, *a, g);
                 }
                 Op::Sigmoid(a) => {
                     let y = &node.value;
@@ -623,16 +722,18 @@ impl Tape {
                     let mut off = 0;
                     for &v in vars {
                         let w = val(v).cols();
-                        let mut dv = Tensor::zeros(g.rows(), w);
-                        for r in 0..g.rows() {
-                            dv.row_mut(r).copy_from_slice(&g.row(r)[off..off + w]);
+                        if wants(v) {
+                            let mut dv = Tensor::zeros(g.rows(), w);
+                            for r in 0..g.rows() {
+                                dv.row_mut(r).copy_from_slice(&g.row(r)[off..off + w]);
+                            }
+                            accum(&mut grads, v, dv);
                         }
                         off += w;
-                        accum(&mut grads, v, dv);
                     }
                 }
                 Op::VStack(vars) => {
-                    for (r, &v) in vars.iter().enumerate() {
+                    for (r, &v) in vars.iter().enumerate().filter(|&(_, &v)| wants(v)) {
                         accum(&mut grads, v, Tensor::row_vector(g.row(r).to_vec()));
                     }
                 }
@@ -668,15 +769,28 @@ impl Tape {
                             *o += 0.0 + g.get(0, k) * xv;
                         }
                     }
+                    if !wants(*x) {
+                        continue;
+                    }
                     live.sort_by_key(|&k| arg[k]);
                     let mut dx = Tensor::zeros(n, d);
                     let mut col = vec![0.0f32; wd];
                     for same in live.chunk_by(|&a, &b| arg[a] == arg[b]) {
                         col.fill(0.0);
                         for &k in same {
-                            for (c, &a) in col.iter_mut().zip(&kern.row(k)[..wd]) {
-                                if a != 0.0 {
-                                    *c += a * g.get(0, k);
+                            let (gk, k_row) = (g.get(0, k), &kern.row(k)[..wd]);
+                            if gk.is_finite() {
+                                // A zero weight's term is `±0`, which leaves
+                                // a sum started at `+0.0` as it is: adding it
+                                // is skipping it, with no branch.
+                                for (c, &a) in col.iter_mut().zip(k_row) {
+                                    *c += a * gk;
+                                }
+                            } else {
+                                for (c, &a) in col.iter_mut().zip(k_row) {
+                                    if a != 0.0 {
+                                        *c += a * gk;
+                                    }
                                 }
                             }
                         }
@@ -690,8 +804,8 @@ impl Tape {
                 Op::EmbeddingGather(table, ids) => {
                     let gt = params.grad_mut(*table);
                     for (r, &i) in ids.iter().enumerate() {
-                        for (c, &v) in g.row(r).iter().enumerate() {
-                            gt.set(i, c, gt.get(i, c) + v);
+                        for (o, &v) in gt.row_mut(i).iter_mut().zip(g.row(r)) {
+                            *o += v;
                         }
                     }
                 }
@@ -722,9 +836,11 @@ impl Tape {
                             dx.set(r, c, v);
                         }
                     }
-                    accum(&mut grads, *a, dx);
-                    accum(&mut grads, *gain, dgain);
-                    accum(&mut grads, *bias, dbias);
+                    for (v, delta) in [(*a, dx), (*gain, dgain), (*bias, dbias)] {
+                        if wants(v) {
+                            accum(&mut grads, v, delta);
+                        }
+                    }
                 }
                 Op::GradReverse(a, lambda) => accum(&mut grads, *a, g.scaled(-lambda)),
                 Op::MseLoss(pred, target) => {
@@ -761,8 +877,23 @@ impl Tape {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Products [`Tape::backward`] has run on this thread.
+    static BACKWARD_PRODUCTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `product`, counted among [`BACKWARD_PRODUCTS`] in tests.
+#[inline(always)]
+fn counted(product: Tensor) -> Tensor {
+    #[cfg(test)]
+    BACKWARD_PRODUCTS.with(|n| n.set(n.get() + 1));
+    product
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{GcnLayer, TowerMlp};
     use proptest::prelude::*;
 
     /// Finite-difference check of `d loss / d param` for every scalar in
@@ -1057,6 +1188,93 @@ mod tests {
             &mut params,
             2e-2,
         );
+    }
+
+    /// The constants of a NECS-shaped loss: `Â` and `H0` of a five-node
+    /// DAG, a `[6, 7]` tabular input with exact zeros, and the targets.
+    fn necs_shaped_inputs() -> [Tensor; 4] {
+        let a_hat = crate::layers::normalized_adjacency(5, &[(0, 1), (1, 2), (1, 3), (3, 4)]);
+        let h0 = Tensor::from_vec(5, 4, (0..20).map(|i| f32::from(i % 5 == i / 5)).collect());
+        let mut tab = crate::init::normal(6, 7, 1.0, &mut crate::init::rng(31));
+        tab.set(0, 2, 0.0);
+        tab.set(3, 4, -0.0);
+        let target = crate::init::normal(6, 1, 1.0, &mut crate::init::rng(32));
+        [a_hat, h0, tab, target]
+    }
+
+    /// Two GCN layers over `Â` and `H0`, column max, the result gathered to
+    /// every row and beside `tab`, a tower MLP, MSE: the NECS shape.
+    fn necs_shaped_loss(
+        tape: &mut Tape,
+        params: &Params,
+        (gcn1, gcn2, mlp): &(GcnLayer, GcnLayer, TowerMlp),
+        [a_hat, h0, tab]: [Var; 3],
+        target: &Tensor,
+    ) -> Var {
+        let h1 = gcn1.forward(tape, params, a_hat, h0);
+        let h2 = gcn2.forward(tape, params, a_hat, h1);
+        let pooled = tape.col_max(h2);
+        let rows = tape.gather_rows(pooled, &[0; 6]);
+        let x = tape.concat_cols(&[tab, rows]);
+        let pred = mlp.forward(tape, params, x);
+        tape.mse_loss(pred, target)
+    }
+
+    /// A GCN + MLP store and the loss's parameter gradients, with `Â`, `H0`
+    /// and `tab` recorded as leaves or, `as_params`, as three more
+    /// parameters; and the products `backward` ran.
+    fn necs_shaped_gradients(as_params: bool) -> (Vec<Vec<u32>>, usize) {
+        let [a_hat, h0, tab, target] = necs_shaped_inputs();
+        let (mut params, r) = (Params::new(), &mut crate::init::rng(33));
+        let layers = (
+            GcnLayer::new(&mut params, "g1", 4, 8, r),
+            GcnLayer::new(&mut params, "g2", 8, 8, r),
+            TowerMlp::new(&mut params, "m", 15, 2, 1, r),
+        );
+        let real = params.len();
+        let mut tape = Tape::new();
+        let inputs = [a_hat, h0, tab].map(|t| match as_params {
+            false => tape.leaf(t),
+            true => {
+                let id = params.add("constant", t);
+                tape.param(&params, id)
+            }
+        });
+        let loss = necs_shaped_loss(&mut tape, &params, &layers, inputs, &target);
+        let before = BACKWARD_PRODUCTS.with(|n| n.get());
+        tape.backward(loss, &mut params);
+        let products = BACKWARD_PRODUCTS.with(|n| n.get()) - before;
+        let bits = |i| params.grad(ParamId(i)).data().iter().map(|v| v.to_bits()).collect();
+        ((0..real).map(bits).collect(), products)
+    }
+
+    #[test]
+    fn constant_inputs_as_parameters_leave_every_real_gradient_bit_for_bit() {
+        let (as_leaves, _) = necs_shaped_gradients(false);
+        let (as_params, _) = necs_shaped_gradients(true);
+        assert!(as_leaves.iter().flatten().any(|&v| v != 0), "no gradient reached the weights");
+        assert_eq!(as_leaves, as_params);
+    }
+
+    #[test]
+    fn backward_runs_no_product_for_a_gradient_nothing_reads() {
+        // Leaves: `Â·H0` runs neither product, `(Â·H0)·W1` and `Â·h1` run
+        // only the one whose operand has a parameter upstream: 0 + 1 + 1 + 2
+        // for the GCN, and 2 for each of the tower's 3 layers. As
+        // parameters: 2 for each of the 7 products.
+        assert_eq!(necs_shaped_gradients(false).1, 10);
+        assert_eq!(necs_shaped_gradients(true).1, 14);
+        // A loss of leaves alone runs nothing and changes no gradient.
+        let mut params = Params::new();
+        let w = params.add("w", t(2, 2, &[0.5, -1.0, 2.0, 0.25]));
+        let mut tape = Tape::new();
+        let (a, b) = (tape.leaf(t(1, 2, &[1.0, 2.0])), tape.leaf(t(2, 1, &[3.0, 4.0])));
+        let ab = tape.matmul(a, b);
+        let loss = tape.mean(ab);
+        let before = BACKWARD_PRODUCTS.with(|n| n.get());
+        tape.backward(loss, &mut params);
+        assert_eq!(BACKWARD_PRODUCTS.with(|n| n.get()), before);
+        assert_eq!(params.grad(w).data(), &[0.0; 4]);
     }
 
     #[test]

@@ -138,18 +138,19 @@ impl Tensor {
         // a zero: only an all-finite `b` may add every term. (A fold, not
         // `all`, so that the test runs 8 lanes wide with no early exit.)
         let finite = b.iter().fold(true, |finite, v| finite & v.is_finite());
-        if !(finite && run_row_tile(kernels, &self.data, b, (k, n), &mut out)) {
-            let product =
-                Product { a: &self.data, b, mkn: (m, k, n), skip_zeros: true, out: &mut out };
+        if !(finite && run_row_tile(kernels, &self.data, b, (k, n), n, &mut out)) {
+            let product = Product { a: &self.data, b, mkn: (m, k, n), out: &mut out };
             for_rows_of(kernels, n).run(product);
         }
         Tensor { rows: m, cols: n, data: out }
     }
 
     /// `self · otherᵀ`: every output element is the dot product of two rows,
-    /// its terms added in column order from `+0.0` (no zero skip). Done
-    /// over a transposed copy of `other`, whose rows the lanes run along,
-    /// which leaves each sum's order alone.
+    /// its terms added in column order from `+0.0` (no zero skip). Runs as
+    /// [`RowTile`]s over `otherᵀ`, packed into [`panels`] of tile widths
+    /// (one panel where `other.rows` is a tile width): a tile adds every
+    /// term in that order, which is all this product ever did, so it needs
+    /// no finiteness test.
     pub fn matmul_transpose_b(&self, other: &Tensor) -> Tensor {
         self.matmul_transpose_b_on(Kernels::detected(), other)
     }
@@ -161,20 +162,23 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        let (bt, mut out) = (other.transposed(), vec![0.0f32; m * n]);
-        let product = Product {
-            a: &self.data,
-            b: &bt.data,
-            mkn: (m, k, n),
-            skip_zeros: false,
-            out: &mut out,
-        };
-        for_rows_of(kernels, n).run(product);
+        let mut out = vec![0.0f32; m * n];
+        if m > 0 {
+            for (col, w) in panels(n) {
+                let bt = transposed_band(&other.data, k, col, w);
+                run_row_tile(kernels, &self.data, &bt, (k, w), n, &mut out[col..]);
+            }
+        }
         Tensor { rows: m, cols: n, data: out }
     }
 
     /// `selfᵀ · other` without materializing the transpose: each output's
     /// terms added in row order from `+0.0`, zero entries of `self` skipped.
+    /// Where `other` is all finite, no term is skipped, with the same bits
+    /// (the zero-term argument of [`matmul`](Self::matmul)): one output
+    /// column runs a [`RowTile`] as wide as `self` (`outᵀ = otherᵀ · self`,
+    /// and a product of two floats is the same float in either order),
+    /// any other width [`ColTile`]s over [`panels`] of `other`'s columns.
     pub fn transpose_a_matmul(&self, other: &Tensor) -> Tensor {
         self.transpose_a_matmul_on(Kernels::detected(), other)
     }
@@ -187,21 +191,31 @@ impl Tensor {
         );
         let (m, k, n) = (self.cols, self.rows, other.cols);
         let mut out = vec![0.0f32; m * n];
-        let product =
-            TransposedProduct { a: &self.data, b: &other.data, mkn: (m, k, n), out: &mut out };
-        for_rows_of(kernels, n).run(product);
+        // As in `matmul_rows_on`: a zero of `self` times a non-finite `other`
+        // is a NaN the skip never made.
+        let finite = other.data.iter().fold(true, |finite, v| finite & v.is_finite());
+        if !finite {
+            let product =
+                TransposedProduct { a: &self.data, b: &other.data, mkn: (m, k, n), out: &mut out };
+            for_rows_of(kernels, n).run(product);
+        } else if n == 1 {
+            for (col, w) in panels(m) {
+                let b = band(&self.data, m, col, w);
+                run_row_tile(kernels, &other.data, &b, (k, w), m, &mut out[col..]);
+            }
+        } else if m > 0 {
+            for (col, w) in panels(n) {
+                let b = band(&other.data, n, col, w);
+                run_col_tile(kernels, (&self.data, m), &b, (k, w), n, &mut out[col..]);
+            }
+        }
         Tensor { rows: m, cols: n, data: out }
     }
 
     /// Transposed copy.
     pub fn transposed(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
+        let data = transposed_band(&self.data, self.cols, 0, self.rows);
+        Tensor { rows: self.cols, cols: self.rows, data }
     }
 
     /// Elementwise map into a new tensor.
@@ -283,12 +297,11 @@ fn for_rows_of(kernels: Kernels, n: usize) -> Kernels {
 
 /// `out += a · b` for `a` `[m, k]`, `b` `[k, n]` and `out` `[m, n]`, all
 /// row-major, row by row of `out`: row `i` adds `a[i, p] · b[p, :]` for
-/// `p` ascending, skipping zero `a[i, p]` where `skip_zeros` holds.
+/// `p` ascending, skipping zero `a[i, p]`.
 struct Product<'a> {
     a: &'a [f32],
     b: &'a [f32],
     mkn: (usize, usize, usize),
-    skip_zeros: bool,
     out: &'a mut [f32],
 }
 
@@ -299,26 +312,26 @@ impl Kernel for Product<'_> {
         for i in 0..m {
             let o_row = &mut self.out[i * n..(i + 1) * n];
             for (p, &a) in self.a[i * k..(i + 1) * k].iter().enumerate() {
-                if self.skip_zeros && a == 0.0 {
-                    continue;
+                if a != 0.0 {
+                    axpy(o_row, a, &self.b[p * n..(p + 1) * n]);
                 }
-                axpy(o_row, a, &self.b[p * n..(p + 1) * n]);
             }
         }
     }
 }
 
-/// `out = a · b` for `a` `[m, k]`, `b` `[k, N]` and `out` `[m, N]`, all
-/// row-major, row by row of `out`: the row's `N` sums sit in one
-/// `[f32; N]`, which the compiler keeps in registers across the whole `p`
-/// loop, and every `a[i, p] · b[p, :]` is added, zeros of `a` too. With
-/// no test on `a` the loop has no branch but its own, and its lanes run
-/// across the `N` outputs.
+/// `out = a · b` for `a` `[m, k]` and `b` `[k, N]`, row-major, into `N`
+/// columns of an `out` whose rows are `stride` apart, row by row of `out`:
+/// the row's `N` sums sit in one `[f32; N]`, which the compiler keeps in
+/// registers across the whole `p` loop, and every `a[i, p] · b[p, :]` is
+/// added, zeros of `a` too. With no test on `a` the loop has no branch but
+/// its own, and its lanes run across the `N` outputs.
 struct RowTile<'a, const N: usize> {
     a: &'a [f32],
     b: &'a [f32],
     k: usize,
     out: &'a mut [f32],
+    stride: usize,
 }
 
 impl<const N: usize> Kernel for RowTile<'_, N> {
@@ -328,9 +341,8 @@ impl<const N: usize> Kernel for RowTile<'_, N> {
             return;
         }
         let (b_rows, _) = self.b.as_chunks::<N>();
-        let (o_rows, _) = self.out.as_chunks_mut::<N>();
-        for (a_row, o_row) in self.a.chunks_exact(self.k).zip(o_rows) {
-            *o_row = row_product(a_row, b_rows);
+        for (a_row, o_row) in self.a.chunks_exact(self.k).zip(self.out.chunks_mut(self.stride)) {
+            o_row[..N].copy_from_slice(&row_product(a_row, b_rows));
         }
     }
 }
@@ -338,9 +350,12 @@ impl<const N: usize> Kernel for RowTile<'_, N> {
 /// One [`RowTile`] row: `Σ_p a[p] · b[p, :]`, each of the `N` sums from
 /// `+0.0` in ascending `p`, every term added.
 #[inline(always)]
-pub(crate) fn row_product<const N: usize>(a: &[f32], b: &[[f32; N]]) -> [f32; N] {
+pub(crate) fn row_product<'a, const N: usize>(
+    a: impl IntoIterator<Item = &'a f32>,
+    b: &[[f32; N]],
+) -> [f32; N] {
     let mut acc = [0.0f32; N];
-    for (&a, b_row) in a.iter().zip(b) {
+    for (&a, b_row) in a.into_iter().zip(b) {
         for (s, &b) in acc.iter_mut().zip(b_row) {
             *s += a * b;
         }
@@ -348,32 +363,145 @@ pub(crate) fn row_product<const N: usize>(a: &[f32], b: &[[f32; N]]) -> [f32; N]
     acc
 }
 
-/// Each tile width, with the entry that runs its tile in the AVX
-/// compilation. The entries are named one a width, not monomorphs of
-/// [`with_avx`] (whose instances all demangle to one name), so that a
-/// tile's AVX code can be found in a binary: `scripts/verify.sh` checks
-/// that each has 8-lane (`ymm`) arithmetic and no float compare. The
+/// `out = aᵀ · b` for `a` `[k, m]` and `b` `[k, N]`, row-major, into `N`
+/// columns of an `out` whose rows are `stride` apart: a [`RowTile`] whose
+/// rows read columns of `a`, so no transposed copy of `a` is made. Rows
+/// run `R` at a time: each `p` loads `R` neighbouring floats of `a`'s row
+/// and one row of `b` for `R × N` sums, which keeps a strided walk down
+/// `a` from costing a cache line a term. Every term is added, in ascending
+/// `p` from `+0.0`.
+struct ColTile<'a, const N: usize, const R: usize> {
+    a: &'a [f32],
+    m: usize,
+    b: &'a [f32],
+    out: &'a mut [f32],
+    stride: usize,
+}
+
+impl<const N: usize, const R: usize> Kernel for ColTile<'_, N, R> {
+    #[inline(always)]
+    fn run(self) {
+        if self.a.is_empty() {
+            return;
+        }
+        let (b_rows, _) = self.b.as_chunks::<N>();
+        let mut o_rows = self.out.chunks_mut(self.stride);
+        let whole = self.m - self.m % R;
+        for i in (0..whole).step_by(R) {
+            let block: [[f32; N]; R] = column_block(self.a, self.m, b_rows, i);
+            for (sums, o_row) in block.iter().zip(&mut o_rows) {
+                o_row[..N].copy_from_slice(sums);
+            }
+        }
+        for (i, o_row) in (whole..self.m).zip(o_rows) {
+            let column = self.a[i..].iter().step_by(self.m);
+            o_row[..N].copy_from_slice(&row_product(column, b_rows));
+        }
+    }
+}
+
+/// Rows `i .. i + R` of a [`ColTile`]: `Σ_p a[p, i + r] · b[p, :]` for
+/// each `r`, from `+0.0` in ascending `p`, every term added.
+#[inline(always)]
+fn column_block<const N: usize, const R: usize>(
+    a: &[f32],
+    m: usize,
+    b: &[[f32; N]],
+    i: usize,
+) -> [[f32; N]; R] {
+    let mut acc = [[0.0f32; N]; R];
+    for (a_row, b_row) in a.chunks_exact(m).zip(b) {
+        let a: &[f32; R] = a_row[i..i + R].try_into().unwrap();
+        // Indexed loops: LLVM keeps this form's `R × N` sums in registers,
+        // and spills the iterator form's to the stack.
+        #[allow(clippy::needless_range_loop)]
+        for r in 0..R {
+            for j in 0..N {
+                acc[r][j] += a[r] * b_row[j];
+            }
+        }
+    }
+    acc
+}
+
+/// Columns `from .. from + w` of a row-major matrix `width` wide, packed
+/// `[rows, w]`: the matrix itself where they are all of it.
+fn band(data: &[f32], width: usize, from: usize, w: usize) -> std::borrow::Cow<'_, [f32]> {
+    if w == width {
+        return data.into();
+    }
+    data.chunks_exact(width).flat_map(|row| &row[from..from + w]).copied().collect()
+}
+
+/// Rows `from .. from + w` of a row-major matrix `cols` wide, transposed:
+/// `[cols, w]`, row-major.
+fn transposed_band(data: &[f32], cols: usize, from: usize, w: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; cols * w];
+    if cols > 0 {
+        for (j, row) in data[from * cols..(from + w) * cols].chunks_exact(cols).enumerate() {
+            for (o, &v) in out[j..].iter_mut().step_by(w).zip(row) {
+                *o = v;
+            }
+        }
+    }
+    out
+}
+
+/// The panels `(first column, width)` a product `n` outputs wide runs in,
+/// each a tile width, left to right: the cover with the fewest steps,
+/// counting `⌈w / 8⌉` 8-lane steps a term for a panel `w` wide and one more
+/// for its pass over the left-hand side. A tile width is its own one
+/// panel; 66 runs as 33 + 33 and 57 as 33 + 24.
+fn panels(n: usize) -> Vec<(usize, usize)> {
+    if TILE_WIDTHS.contains(&n) {
+        return vec![(0, n)];
+    }
+    // cost[r]: the cheapest cover of `r` columns, whose first panel is pick[r].
+    let (mut cost, mut pick) = (vec![0usize; n + 1], vec![0usize; n + 1]);
+    for r in 1..=n {
+        let covers = TILE_WIDTHS.iter().filter(|&&w| w <= r);
+        let steps = covers.map(|&w| (cost[r - w] + w.div_ceil(8) + 1, w));
+        // Ties go to the wider first panel.
+        (cost[r], pick[r]) = steps.min_by_key(|&(c, w)| (c, std::cmp::Reverse(w))).unwrap();
+    }
+    let (mut out, mut col) = (Vec::new(), 0);
+    while col < n {
+        let w = pick[n - col];
+        out.push((col, w));
+        col += w;
+    }
+    out
+}
+
+/// Each tile width, with the entries that run its [`RowTile`] and its
+/// [`ColTile`] in the AVX compilation. The entries are named one a width,
+/// not monomorphs of [`with_avx`] (whose instances all demangle to one
+/// name), so that a tile's AVX code can be found in a binary:
+/// `scripts/verify.sh` reads the names from this list and checks that
+/// each entry has 8-lane (`ymm`) arithmetic and no float compare. The
 /// widths are those of the NECS model's layers: the tower's
 /// 33 → 16 → 8 → 1, the code projection's 24, the GCN's 16 and the
 /// convolution's 32 kernels.
 macro_rules! row_tiles {
-    ($($n:literal => $avx:ident),*) => {
-        /// `out = a · b` in the [`RowTile`] of width `n`, in `kernels`'
-        /// compilation; `false`, with `out` untouched, where `n` has none.
+    ($($n:literal => $row:ident, $col:ident, $r:literal;)*) => {
+        /// `out = a · b` in the [`RowTile`] of width `n`, into rows of
+        /// `out` `stride` apart, in `kernels`' compilation; `false`, with
+        /// `out` untouched, where `n` has none.
         fn run_row_tile(
             kernels: Kernels,
             a: &[f32],
             b: &[f32],
             (k, n): (usize, usize),
+            stride: usize,
             out: &mut [f32],
         ) -> bool {
             match n {
                 $($n => {
-                    let tile = RowTile::<$n> { a, b, k, out };
+                    let tile = RowTile::<$n> { a, b, k, out, stride };
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: the entry runs `tile` with AVX enabled and
                     // needs nothing else of the CPU.
-                    unsafe { kernels.run_via(tile, $avx) };
+                    unsafe { kernels.run_via(tile, $row) };
                     #[cfg(not(target_arch = "x86_64"))]
                     kernels.run(tile);
                 })*
@@ -382,29 +510,61 @@ macro_rules! row_tiles {
             true
         }
 
+        /// `out = aᵀ · b` in the [`ColTile`] of width `n` (a tile width),
+        /// for `a` `[k, m]`, into rows of `out` `stride` apart, in
+        /// `kernels`' compilation.
+        fn run_col_tile(
+            kernels: Kernels,
+            (a, m): (&[f32], usize),
+            b: &[f32],
+            (_k, n): (usize, usize),
+            stride: usize,
+            out: &mut [f32],
+        ) {
+            match n {
+                $($n => {
+                    let tile = ColTile::<$n, $r> { a, m, b, out, stride };
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: the entry runs `tile` with AVX enabled and
+                    // needs nothing else of the CPU.
+                    unsafe { kernels.run_via(tile, $col) };
+                    #[cfg(not(target_arch = "x86_64"))]
+                    kernels.run(tile);
+                })*
+                _ => unreachable!("no column tile {n} wide"),
+            }
+        }
+
         $(
             /// The AVX compilation of this width's [`RowTile`].
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx")]
             #[inline(never)]
-            fn $avx(tile: RowTile<'_, $n>) {
+            fn $row(tile: RowTile<'_, $n>) {
+                tile.run()
+            }
+
+            /// The AVX compilation of this width's [`ColTile`].
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx")]
+            #[inline(never)]
+            fn $col(tile: ColTile<'_, $n, $r>) {
                 tile.run()
             }
         )*
 
-        /// The output widths a product runs in a [`RowTile`].
-        #[cfg(test)]
+        /// The output widths a product runs in a tile.
         const TILE_WIDTHS: &[usize] = &[$($n),*];
     };
 }
 
 row_tiles!(
-    1 => row_tile_avx_1,
-    8 => row_tile_avx_8,
-    16 => row_tile_avx_16,
-    24 => row_tile_avx_24,
-    32 => row_tile_avx_32,
-    33 => row_tile_avx_33
+    1 => row_tile_avx_1, col_tile_avx_1, 8;
+    8 => row_tile_avx_8, col_tile_avx_8, 4;
+    16 => row_tile_avx_16, col_tile_avx_16, 4;
+    24 => row_tile_avx_24, col_tile_avx_24, 3;
+    32 => row_tile_avx_32, col_tile_avx_32, 2;
+    33 => row_tile_avx_33, col_tile_avx_33, 2;
 );
 
 /// `out += aᵀ · b` for `a` `[k, m]`, `b` `[k, n]` and `out` `[m, n]`, all
@@ -688,41 +848,97 @@ pub(crate) mod tests {
                 assert_same(&a.matmul_rows_on(kernels, &b, 0), &want, &what);
             }
         }
+    }
 
-        /// `matmul_transpose_b` in each compilation against the dot of two
-        /// rows, every term added (no zero skip).
+    /// Output widths of the backward products: each tile width; 57 and 66
+    /// (the discriminator's and the NECS tower's inputs, run in panels
+    /// 33 + 24 and 33 + 33); 32, the benchmark corpus's one-hot width (a
+    /// tile width), and 20, 29 and 41, one-hot widths of other vocabularies
+    /// (panels with single-column tails).
+    const BACKWARD_WIDTHS: &[usize] = &[1, 8, 16, 24, 32, 33, 57, 66, 20, 29, 41];
+
+    /// A width from [`BACKWARD_WIDTHS`], or any from none to 70.
+    fn backward_width() -> impl Strategy<Value = usize> {
+        (0..=BACKWARD_WIDTHS.len(), 0usize..=70)
+            .prop_map(|(i, any)| BACKWARD_WIDTHS.get(i).copied().unwrap_or(any))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// Both backward products at every width they run in, in each
+        /// compilation and through the public entry, against the naive
+        /// loops bit for bit: `g · Wᵀ` (every term added) and `xᵀ · g`
+        /// (zero entries of `x` skipped), for a `g` that is all finite (the
+        /// tiles run) or may hold an infinity or a NaN (`xᵀ · g` must keep
+        /// its zero skip), zeros of both signs on every side. `xᵀ · g` one
+        /// column wide runs as `gᵀ · x` in a row tile as wide as `x`; any
+        /// other width runs in column tiles.
         #[test]
-        fn matmul_transpose_b_equals_a_dot_per_element_bit_for_bit(
-            (m, k, n) in shapes(),
+        fn every_backward_path_equals_the_naive_loop_bit_for_bit(
+            (m, n, one_column) in (backward_width(), backward_width(), any::<bool>()),
+            (rows, k) in (0usize..=9, 0usize..=40),
             seed in any::<u64>(),
-            specials in any::<bool>(),
+            (specials_x, specials_g) in (any::<bool>(), any::<bool>()),
         ) {
-            let a = Tensor::from_vec(m, k, values(m * k, seed, specials));
-            let b = Tensor::from_vec(n, k, values(n * k, !seed, specials));
-            let want = naive((m, k, n), |i, p| a.get(i, p), |p, j| b.get(j, p), false);
+            let n = if one_column { 1 } else { n };
+            // da = g · Wᵀ for g [rows, k] and W [m, k].
+            let g = Tensor::from_vec(rows, k, values(rows * k, seed, specials_g));
+            let w = Tensor::from_vec(m, k, values(m * k, !seed, specials_x));
+            let want = naive((rows, k, m), |i, p| g.get(i, p), |p, j| w.get(j, p), false);
             for kernels in Kernels::on_this_host() {
-                let what = format!("{} [{m},{k}]·[{n},{k}]ᵀ", kernels.name());
-                assert_same(&a.matmul_transpose_b_on(kernels, &b), &want, &what);
+                let what = format!("{} [{rows},{k}]·[{m},{k}]ᵀ", kernels.name());
+                assert_same(&g.matmul_transpose_b_on(kernels, &w), &want, &what);
             }
-            assert_same(&a.matmul_transpose_b(&b), &want, "matmul_transpose_b");
-        }
-
-        /// `transpose_a_matmul` in each compilation against the naive loop
-        /// over `selfᵀ`, zero entries of `self` skipped.
-        #[test]
-        fn transpose_a_matmul_equals_the_naive_loop_bit_for_bit(
-            (m, k, n) in shapes(),
-            seed in any::<u64>(),
-            specials in any::<bool>(),
-        ) {
-            let a = Tensor::from_vec(k, m, values(k * m, seed, specials));
-            let b = Tensor::from_vec(k, n, values(k * n, !seed, specials));
-            let want = naive((m, k, n), |i, p| a.get(p, i), |p, j| b.get(p, j), true);
+            assert_same(&g.matmul_transpose_b(&w), &want, "matmul_transpose_b");
+            // dW = xᵀ · g for x [k, m] and g [k, n].
+            let x = Tensor::from_vec(k, m, values(k * m, seed ^ 0x5eed, specials_x));
+            let g = Tensor::from_vec(k, n, values(k * n, !seed ^ 0x5eed, specials_g));
+            let want = naive((m, k, n), |i, p| x.get(p, i), |p, j| g.get(p, j), true);
             for kernels in Kernels::on_this_host() {
                 let what = format!("{} ([{k},{m}])ᵀ·[{k},{n}]", kernels.name());
-                assert_same(&a.transpose_a_matmul_on(kernels, &b), &want, &what);
+                assert_same(&x.transpose_a_matmul_on(kernels, &g), &want, &what);
             }
-            assert_same(&a.transpose_a_matmul(&b), &want, "transpose_a_matmul");
+            assert_same(&x.transpose_a_matmul(&g), &want, "transpose_a_matmul");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_g_keeps_the_zero_skip_of_x_transposed_times_g() {
+        // Column 0 of `x` is all zeros: skipped, row 0 of `xᵀ · g` is +0.0;
+        // a tile would add 0 · inf and 0 · NaN, both NaN.
+        for &m in BACKWARD_WIDTHS {
+            for n in [1, m] {
+                let mut x = Tensor::full(2, m, 1.0);
+                x.set(0, 0, 0.0);
+                x.set(1, 0, -0.0);
+                let mut g = Tensor::full(2, n, 1.0);
+                g.set(0, n - 1, f32::INFINITY);
+                g.set(1, 0, f32::NAN);
+                for kernels in Kernels::on_this_host() {
+                    let dw = x.transpose_a_matmul_on(kernels, &g);
+                    let what = format!("{} [2,{m}]ᵀ·[2,{n}]", kernels.name());
+                    assert!(dw.row(0).iter().all(|v| v.to_bits() == 0), "{what}");
+                    assert!(m == 1 || dw.get(1, 0).is_nan(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_cover_each_width_with_tile_widths_left_to_right() {
+        assert_eq!(panels(66), [(0, 33), (33, 33)]);
+        assert_eq!(panels(57), [(0, 33), (33, 24)]);
+        for &w in TILE_WIDTHS {
+            assert_eq!(panels(w), [(0, w)]);
+        }
+        for n in 0..=200 {
+            let mut next = 0;
+            for (col, w) in panels(n) {
+                assert!(col == next && TILE_WIDTHS.contains(&w), "{n}: {:?}", panels(n));
+                next += w;
+            }
+            assert_eq!(next, n);
         }
     }
 

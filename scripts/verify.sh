@@ -20,29 +20,36 @@ echo "==> cargo build --release"
 cargo build --release
 
 if [ "$(uname -m)" = x86_64 ]; then
-    echo "==> row tiles: AVX code is 8 lanes wide and branch-free"
-    # Each tile width's AVX entry (lite_nn::tensor::row_tile_avx_<width>)
-    # must multiply and add in ymm registers (width 1, one output a row,
+    echo "==> tiles: AVX code is 8 lanes wide and branch-free"
+    # Every tile entry that `row_tiles!` lists in crates/nn/src/tensor.rs
+    # (`row_tile_avx_<width>` for a product's rows, `col_tile_avx_<width>`
+    # for the backward's `xᵀ · g`, one of each a width) must be in the
+    # binary, multiply and add in ymm registers (width 1, one output a row,
     # has no lanes to fill) and hold no float compare: a zero test on `a`
-    # inside a tile compiles to one, and made the loop mispredict.
+    # inside a tile compiles to one, and made the loop mispredict. An entry
+    # in the binary that the list does not name fails too.
+    expected="$(awk '/^row_tiles!\($/ { on = 1; next } on && /^\);$/ { exit } on' \
+        crates/nn/src/tensor.rs | grep -o '[a-z]*_tile_avx_[0-9]*' | tr '\n' ' ')"
     cargo build --release -q --example weight_digest
-    objdump -d --no-show-raw-insn -C target/release/examples/weight_digest | awk '
-        /^[0-9a-f]+ <lite_nn::tensor::row_tile_avx_[0-9]+>:$/ {
-            tile = $2; gsub(/^<lite_nn::tensor::row_tile_avx_|>:$/, "", tile)
-            order[n++] = tile; next
+    objdump -d --no-show-raw-insn -C target/release/examples/weight_digest | awk -v expected="$expected" '
+        /^[0-9a-f]+ <lite_nn::tensor::[a-z]+_tile_avx_[0-9]+>:$/ {
+            tile = $2; gsub(/^<lite_nn::tensor::|>:$/, "", tile)
+            found[tile] = 1; next
         }
         /^$/ { tile = "" }
         tile != "" && /v(mul|add)ps.*ymm/ { lanes[tile]++ }
         tile != "" && /\tv?u?comis[sd]|\tv?cmp[a-z]*[ps][sd] / { compares[tile]++ }
         END {
-            for (i = 0; i < n; i++) {
-                w = order[i]
-                ok = compares[w] == 0 && (w == 1 || lanes[w] > 0)
-                printf "  width %2d: %3d ymm multiplies/adds, %d float compares  %s\n",
-                    w, lanes[w], compares[w], ok ? "ok" : "FAIL"
+            n = split(expected, names, " ")
+            for (i = 1; i <= n; i++) {
+                t = names[i]; listed[t] = 1
+                ok = found[t] && compares[t] == 0 && (t ~ /_1$/ || lanes[t] > 0)
+                printf "  %-18s %3d ymm multiplies/adds, %d float compares  %s\n",
+                    t, lanes[t], compares[t], !found[t] ? "MISSING" : ok ? "ok" : "FAIL"
                 bad += !ok
             }
-            if (n != 6) { print "  expected 6 tile entries, found " n; bad++ }
+            for (t in found) if (!listed[t]) { print "  " t ": not listed in row_tiles!"; bad++ }
+            if (n < 12) { print "  expected a row and a column tile for 6 widths, found " n " names"; bad++ }
             exit bad > 0
         }'
 fi
